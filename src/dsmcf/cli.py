@@ -26,10 +26,7 @@ import numpy as np
 
 from . import experiments, flow, geometry, grids, oracles, reporting, snapshots
 from .config import RunConfig, load_config
-from .errors import DsmcfError, ParseError, ValidationError
-
-JET_IDENTITY_TOL = 1e-6
-JET_RESTRICTION_TOL = 1e-10
+from .errors import DsmcfError, ModeUnsupportedError, ParseError, ValidationError
 
 
 def _new_report(config: RunConfig) -> reporting.Report:
@@ -47,55 +44,6 @@ def _fine_state(config: RunConfig) -> flow.GraphState:
         s=0.0,
         bc=flow.BoundaryCondition(config.bc),
     )
-
-
-def _residual_from_values(name, values, tolerance) -> oracles.ResidualReport:
-    flat = np.concatenate([np.ravel(v) for v in values])
-    linf = float(np.max(np.abs(flat)))
-    return oracles.ResidualReport(
-        name=name,
-        linf=linf,
-        l2=float(np.sqrt(np.mean(flat**2))),
-        count=flat.size,
-        tolerance=tolerance,
-        passed=linf <= tolerance,
-    )
-
-
-def _sample_jets(rng, count):
-    u = rng.uniform(-1.0, 1.0, count)
-    direction = rng.normal(size=(3, count))
-    direction /= np.linalg.norm(direction, axis=0)
-    mag = np.sqrt(rng.uniform(0.0, 0.95, count) * np.exp(2.0 * u))
-    d2u = rng.normal(scale=0.5, size=(3, 3, count))
-    d2u = 0.5 * (d2u + np.swapaxes(d2u, 0, 1))
-    return geometry.JetFields(u, direction * mag, d2u)
-
-
-def _jet_sampling_reports(seed: int, count: int):
-    """Monte Carlo spot check of the pointwise identities on random jets."""
-    rng = np.random.default_rng(seed)
-    jets = _sample_jets(rng, count)
-    restriction = oracles.restriction_gradient_residuals(jets)
-    vec, scal = oracles.tilt_gradient_residuals(jets, jets.dv)
-    lam1 = jets.extremal_curvature()
-    pinching = jets.a2 + jets.H**2 - (4.0 / 3.0) * lam1**2
-    worst = float(np.min(pinching))
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(jets.a2))))
-    return [
-        _residual_from_values(
-            "jet-restriction-gradients", list(restriction.values()), JET_RESTRICTION_TOL
-        ),
-        _residual_from_values("jet-tilt-gradient", [vec, scal], JET_IDENTITY_TOL),
-        oracles.InequalityReport(
-            name="jet-pinching-bound",
-            worst_slack=worst,
-            violations=int(np.count_nonzero(pinching < -tol)),
-            tolerance=tol,
-            parameters={"seed": seed, "count": count},
-            passed=worst >= -tol,
-        ),
-    ]
 
 
 def _add_all(report, outcome) -> None:
@@ -142,13 +90,16 @@ def _cmd_verify(config: RunConfig) -> tuple[reporting.Report, bool]:
     if checks.tilt_bounds:
         _add_all(report, oracles.check_tilt_bounds(window, checks.delta))
     if checks.curvature_evolution:
-        _add_all(report, oracles.check_curvature_evolution(window))
+        try:
+            _add_all(report, oracles.check_curvature_evolution(window))
+        except ModeUnsupportedError as exc:
+            report.notes.append(f"curvature_evolution skipped: {exc}")
     if checks.weight_evolution:
         _add_all(report, oracles.check_weight_evolution(window, cutoff))
     if checks.weight_gradient:
         _add_all(report, oracles.check_weight_gradient(state, cutoff))
     if checks.jet_sampling:
-        _add_all(report, _jet_sampling_reports(config.seed, checks.jet_count))
+        _add_all(report, oracles.check_random_jets(config.seed, checks.jet_count))
     return report, report.all_passed()
 
 
@@ -158,7 +109,7 @@ def _cmd_simulate(config: RunConfig) -> tuple[reporting.Report, bool]:
     report.steps = traj.steps
     s = traj.s_values()
     grid = traj.snapshots[0].u.grid
-    center = int(np.argmin(np.ravel(grid.radius_squared)))
+    center = int(np.argmin(np.ravel(grid.radius_squared())))
     centers = [float(np.ravel(snap.u.values)[center]) for snap in traj.snapshots]
     report.add_series("center_height", ("s", "value"), [list(s), centers])
     snapshots.save_trajectory(traj, _out_path(config, "trajectory.dsmcf"))

@@ -3,13 +3,16 @@
 The file is a single JSON object.  Top-level keys name the run kind, the
 grid, the boundary condition, solver settings, the initial profile, check
 toggles, the output directory, and a seed.  Unknown keys anywhere are hard
-parse errors so a typo cannot silently disable a check.
+parse errors so a typo cannot silently disable a check.  The keys of each
+section are the fields of its spec class, and every value must have the
+type that field declares.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,40 +22,6 @@ from .errors import ParseError, ValidationError
 
 KINDS = ("simulate", "verify", "barrier", "flatness", "rescale", "refine")
 PROFILES = ("flat", "bump", "wrinkled", "ramp")
-
-_GRID_KEYS = {"mode", "dimension", "extent", "resolution"}
-_FLOW_KEYS = {
-    "integrator",
-    "cfl_safety",
-    "s_end",
-    "max_steps",
-    "snapshot_stride",
-    "margin_floor",
-    "blowup_cap",
-    "dt_max",
-    "dt_fixed",
-}
-_INITIAL_KEYS = {"profile", "amplitude", "width", "height", "tilt"}
-_CHECK_KEYS = {
-    "tilt_evolution",
-    "tilt_gradient",
-    "tilt_bounds",
-    "curvature_evolution",
-    "coordinate_laplacians",
-    "restriction_gradients",
-    "weight_evolution",
-    "weight_gradient",
-    "jet_sampling",
-    "delta",
-    "alpha",
-    "epsilon",
-    "t_min",
-    "weight_radius",
-    "dt",
-    "jet_count",
-}
-_EXPERIMENT_KEYS = {"disk_radius", "theta", "alpha", "region", "lambdas", "rho"}
-_TOP_KEYS = {"kind", "grid", "bc", "flow", "initial", "checks", "experiment", "out", "seed"}
 
 
 @dataclass(frozen=True)
@@ -123,13 +92,6 @@ class CheckSpec:
     dt: float = 1e-4
     jet_count: int = 20_000
 
-    def enabled(self) -> list[str]:
-        names = []
-        for f in dataclasses.fields(self):
-            if f.type == "bool" and getattr(self, f.name):
-                names.append(f.name)
-        return names
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -155,17 +117,66 @@ class RunConfig:
 
     def initial_state(self) -> flow.GraphState:
         grid = self.grid.build()
+        with np.errstate(all="ignore"):
+            values = self.initial.build(grid)
+        if not np.all(np.isfinite(values)):
+            raise ValidationError(
+                f"initial profile '{self.initial.profile}' is not finite on the grid"
+            )
         return flow.GraphState(
-            u=grids.Field(grid, self.initial.build(grid)),
+            u=grids.Field(grid, values),
             s=0.0,
             bc=flow.BoundaryCondition(self.bc),
         )
 
     def as_dict(self) -> dict:
         out = dataclasses.asdict(self)
-        out["flow"] = {k: v for k, v in out["flow"].items() if k in _FLOW_KEYS}
         out["experiment"]["lambdas"] = list(self.experiment.lambdas)
         return out
+
+
+_SECTIONS = {
+    "grid": GridSpec,
+    "flow": flow.FlowConfig,
+    "initial": InitialSpec,
+    "checks": CheckSpec,
+    "experiment": ExperimentSpec,
+}
+
+
+def _finite_number(x) -> bool:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+#: Value check and description per declared field type.
+_TYPES = {
+    "str": (lambda x: isinstance(x, str), "a string"),
+    "bool": (lambda x: isinstance(x, bool), "true or false"),
+    "int": (lambda x: isinstance(x, int) and not isinstance(x, bool), "an integer"),
+    "float": (_finite_number, "a finite number"),
+    "float | None": (lambda x: x is None or _finite_number(x), "a finite number or null"),
+    "tuple[float, ...]": (
+        lambda x: isinstance(x, list) and all(map(_finite_number, x)),
+        "a list of finite numbers",
+    ),
+}
+
+
+def _keys(spec) -> set[str]:
+    return {f.name for f in dataclasses.fields(spec)}
+
+
+def _check_types(section: str, data: dict, spec) -> None:
+    declared = {f.name: f.type for f in dataclasses.fields(spec)}
+    for key, value in data.items():
+        ok, what = _TYPES[declared[key]]
+        if not ok(value):
+            raise ValidationError(f"{section}.{key} must be {what}, got {value!r}")
 
 
 def _key_line(text: str, key: str) -> int | None:
@@ -183,11 +194,12 @@ def _reject_unknown(section: str, data: dict, allowed: set[str], text: str) -> N
             raise ParseError(f"unknown key '{key}' in {section}{where}")
 
 
-def _section(raw: dict, name: str, allowed: set[str], text: str) -> dict:
+def _section(raw: dict, name: str, text: str) -> dict:
     data = raw.get(name, {})
     if not isinstance(data, dict):
         raise ParseError(f"section '{name}' must be an object")
-    _reject_unknown(name, data, allowed, text)
+    _reject_unknown(name, data, _keys(_SECTIONS[name]), text)
+    _check_types(name, data, _SECTIONS[name])
     return data
 
 
@@ -205,8 +217,26 @@ def _validate(config: RunConfig) -> RunConfig:
         )
     if config.grid.resolution < 5:
         raise ValidationError(f"resolution ≥ 5 violated: got {config.grid.resolution}")
-    if config.initial.width <= 0.0:
-        raise ValidationError(f"profile width must be positive, got {config.initial.width}")
+    for label, value in (
+        ("grid.extent", config.grid.extent),
+        ("initial.width", config.initial.width),
+        ("checks.epsilon", config.checks.epsilon),
+        ("checks.weight_radius", config.checks.weight_radius),
+        ("checks.dt", config.checks.dt),
+        ("checks.jet_count", config.checks.jet_count),
+        ("experiment.rho", config.experiment.rho),
+    ):
+        if not value > 0:
+            raise ValidationError(f"{label} must be positive, got {value}")
+    try:
+        config.grid.build()
+    except ValueError as exc:
+        raise ValidationError(f"grid: {exc}") from exc
+    lambdas = config.experiment.lambdas
+    if not lambdas or any(b <= a for a, b in zip(lambdas, lambdas[1:])):
+        raise ValidationError(
+            f"experiment.lambdas must be non-empty and strictly increasing, got {list(lambdas)}"
+        )
     for label, alpha in (("checks.alpha", config.checks.alpha), ("experiment.alpha", config.experiment.alpha)):
         if not 0.0 < alpha < 2.0:
             raise ValidationError(f"alpha ∈ (0,2) violated: {label} = {alpha}")
@@ -227,30 +257,19 @@ def parse_config(text: str) -> RunConfig:
         raise ParseError(f"config is not valid JSON: {exc.msg} (line {exc.lineno})") from exc
     if not isinstance(raw, dict):
         raise ParseError("config must be a JSON object")
-    _reject_unknown("config", raw, _TOP_KEYS, text)
+    _reject_unknown("config", raw, _keys(RunConfig), text)
+    top = {k: v for k, v in raw.items() if k not in _SECTIONS}
+    _check_types("config", top, RunConfig)
 
-    grid_data = _section(raw, "grid", _GRID_KEYS, text)
-    flow_data = _section(raw, "flow", _FLOW_KEYS, text)
-    initial_data = _section(raw, "initial", _INITIAL_KEYS, text)
-    checks_data = _section(raw, "checks", _CHECK_KEYS, text)
-    experiment_data = _section(raw, "experiment", _EXPERIMENT_KEYS, text)
-    if "lambdas" in experiment_data:
-        experiment_data = dict(experiment_data)
-        experiment_data["lambdas"] = tuple(experiment_data["lambdas"])
+    sections = {name: _section(raw, name, text) for name in _SECTIONS}
+    if "lambdas" in sections["experiment"]:
+        sections["experiment"]["lambdas"] = tuple(sections["experiment"]["lambdas"])
 
     try:
         config = RunConfig(
-            kind=raw.get("kind", "simulate"),
-            grid=GridSpec(**grid_data),
-            bc=raw.get("bc", flow.SLICING),
-            flow=flow.FlowConfig(**flow_data),
-            initial=InitialSpec(**initial_data),
-            checks=CheckSpec(**checks_data),
-            experiment=ExperimentSpec(**experiment_data),
-            out=raw.get("out", "dsmcf-out"),
-            seed=int(raw.get("seed", 0)),
+            **top, **{name: _SECTIONS[name](**data) for name, data in sections.items()}
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(str(exc)) from exc
     return _validate(config)
 

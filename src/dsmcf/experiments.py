@@ -4,12 +4,13 @@ on steep mean-convex data, flattening of perturbed slices, recentred
 convergence to the uniformly climbing profile, and the discrete ordering
 principle the other runs lean on."""
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import flow, geometry, grids
+from . import flow, geometry, grids, oracles
 from .errors import (
     DsmcfError,
     ModeUnsupportedError,
@@ -23,11 +24,6 @@ from .errors import (
 # staying strictly inside that keeps converged runs clear of the height
 # clip at the window ends.
 RESCALE_TIME_FRACTION = 0.3
-
-
-def _grid_tolerance(h: float) -> float:
-    """Ordering slack allowed for discretization, 10 h^2."""
-    return 10.0 * h * h
 
 
 def _completed(traj: flow.Trajectory) -> flow.Trajectory:
@@ -49,12 +45,24 @@ def _snapshot_profiles(traj: flow.Trajectory) -> np.ndarray:
     return np.stack([st.u.values for st in traj.snapshots])
 
 
+class _Result:
+    """JSON form shared by the result records: arrays become float lists."""
+
+    def as_dict(self) -> dict:
+        out = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            is_series = isinstance(value, (np.ndarray, list, tuple))
+            out[f.name] = [float(x) for x in value] if is_series else value
+        return out
+
+
 # ---------------------------------------------------------------------------
 # pinned disk
 
 
 @dataclass(frozen=True)
-class BarrierResult:
+class BarrierResult(_Result):
     """Center-height history of the pinned-disk run.
 
     The center must stay between 0 and n*s (every slice started above the
@@ -91,20 +99,6 @@ class BarrierResult:
         w0, w1 = self.center_height[k - 1], self.center_height[k]
         frac = (level - w0) / (w1 - w0) if w1 > w0 else 1.0
         return float(self.s[k - 1] + frac * (self.s[k] - self.s[k - 1]))
-
-    def as_dict(self) -> dict:
-        return {
-            "s": [float(x) for x in self.s],
-            "center_height": [float(x) for x in self.center_height],
-            "upper_bound": [float(x) for x in self.upper_bound],
-            "monotone": self.monotone,
-            "within_bounds": self.within_bounds,
-            "tolerance": self.tolerance,
-            "shift_constant": self.shift_constant,
-            "translation_s": [float(x) for x in self.translation_s],
-            "translation_slack": [float(x) for x in self.translation_slack],
-            "steps": self.steps,
-        }
 
 
 def _translation_series(s, profiles, grid: grids.Grid, disk_radius: float):
@@ -159,7 +153,7 @@ def barrier_run(
     profiles = _snapshot_profiles(traj)
     center = profiles[:, 0].copy()
     upper = grid.dimension * s
-    tol = _grid_tolerance(grid.spacing)
+    tol, _ = oracles.grid_tolerance(grid.spacing)
     within = bool(
         np.all(profiles.min(axis=1) >= -tol)
         and np.all(profiles.max(axis=1) <= upper + tol)
@@ -185,7 +179,7 @@ def barrier_run(
 
 
 @dataclass(frozen=True)
-class GradientBoundResult:
+class GradientBoundResult(_Result):
     """Supremum of v over the comoving window, per snapshot."""
 
     s: np.ndarray
@@ -194,16 +188,6 @@ class GradientBoundResult:
     region: float
     bounded: bool
     steps: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "s": [float(x) for x in self.s],
-            "sup_tilt": [float(x) for x in self.sup_tilt],
-            "alpha": self.alpha,
-            "region": self.region,
-            "bounded": self.bounded,
-            "steps": self.steps,
-        }
 
 
 def _no_growth_trend(series: np.ndarray) -> bool:
@@ -253,7 +237,7 @@ def gradient_bound_run(
 
 
 @dataclass(frozen=True)
-class FlatnessResult:
+class FlatnessResult(_Result):
     """Decay of the tilt excess sup(v - 1) on the inner half-region."""
 
     s: np.ndarray
@@ -268,18 +252,6 @@ class FlatnessResult:
     def __post_init__(self):
         if not (len(self.s) == len(self.tilt_excess) == len(self.height_spread)):
             raise ValueError("series lengths must match")
-
-    def as_dict(self) -> dict:
-        return {
-            "s": [float(x) for x in self.s],
-            "tilt_excess": [float(x) for x in self.tilt_excess],
-            "height_spread": [float(x) for x in self.height_spread],
-            "theta": self.theta,
-            "flattening_time": self.flattening_time,
-            "reached": self.reached,
-            "eventually_decreasing": self.eventually_decreasing,
-            "steps": self.steps,
-        }
 
 
 def flatness_run(
@@ -364,19 +336,6 @@ class RescaledField:
         return max(0.0, float(np.max(vals)) - 1.0)
 
 
-def _box_points(grid: grids.Grid, rho: float) -> np.ndarray:
-    if grid.mode == grids.RADIAL:
-        radii = grid.axis()
-        sel = radii <= rho + 1e-12 * max(1.0, rho)
-        pts = np.zeros((int(np.sum(sel)), grid.dimension))
-        pts[:, 0] = radii[sel]
-        return pts
-    mesh = grid.meshes()
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    sel = np.sum(pts**2, axis=-1) <= rho**2 + 1e-12 * max(1.0, rho**2)
-    return pts[sel]
-
-
 def rescale_trajectory(
     traj: flow.Trajectory, lam: float, rho: float
 ) -> RescaledField:
@@ -415,7 +374,8 @@ def rescale_trajectory(
         grids.interpolate(grids.Field(grid, _profile_at(s, profiles, lam)), origin)
     )
     shrink = math.exp(-offset)
-    points = _box_points(grid, rho)
+    points = grid.points()
+    points = points[np.sum(points**2, axis=-1) <= rho**2 + 1e-12 * max(1.0, rho**2)]
     pulled = shrink * points
     reach = math.sqrt(float(np.max(np.sum(pulled**2, axis=-1)))) if len(pulled) else 0.0
     if reach > grid.extent + 1e-12 * max(1.0, grid.extent):
@@ -451,7 +411,7 @@ def rescale_trajectory(
 
 
 @dataclass(frozen=True)
-class RescaleTable:
+class RescaleTable(_Result):
     """Convergence table: recentring error per recentring time."""
 
     lambdas: np.ndarray
@@ -465,15 +425,6 @@ class RescaleTable:
             raise ValueError("table columns must have one entry per lambda")
         if np.any(np.diff(self.lambdas) <= 0.0):
             raise ValueError("lambda values must be strictly increasing")
-
-    def as_dict(self) -> dict:
-        return {
-            "lambdas": [float(x) for x in self.lambdas],
-            "height_error": [float(x) for x in self.height_error],
-            "tilt_error": [float(x) for x in self.tilt_error],
-            "rho": self.rho,
-            "decreasing": self.decreasing,
-        }
 
 
 def convergence_table(
@@ -511,7 +462,7 @@ def convergence_table(
 
 
 @dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(_Result):
     """Worst signed gap max(u_low - u_high) per matched snapshot."""
 
     s: np.ndarray
@@ -519,15 +470,6 @@ class ComparisonResult:
     tolerance: float
     ordered: bool
     steps: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "s": [float(x) for x in self.s],
-            "worst_gap": [float(x) for x in self.worst_gap],
-            "tolerance": self.tolerance,
-            "ordered": self.ordered,
-            "steps": self.steps,
-        }
 
 
 def comparison_run(
@@ -557,7 +499,7 @@ def comparison_run(
     s_lo = lo.s_values()
     s_hi = hi.s_values()
     hi_profiles = _snapshot_profiles(hi)
-    tol = _grid_tolerance(low.grid.spacing)
+    tol, _ = oracles.grid_tolerance(low.grid.spacing)
     gaps = np.empty(len(lo.snapshots))
     for k, st in enumerate(lo.snapshots):
         tau = min(max(float(s_lo[k]), float(s_hi[0])), float(s_hi[-1]))

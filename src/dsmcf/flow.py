@@ -107,12 +107,10 @@ class BoundaryCondition:
         if self.values is None:
             raise DsmcfError("boundary condition was never bound to a state")
         mask = grid.boundary_mask()
-        if self.kind == PINNED:
-            values[mask] = self.values
-        elif self.kind == FROZEN:
-            values[mask] = self.values
-        else:  # slicing
+        if self.kind == SLICING:
             values[mask] = self.values + grid.dimension * (s - self.s0)
+        else:  # pinned and frozen keep their bound values
+            values[mask] = self.values
 
 
 @dataclass
@@ -147,7 +145,6 @@ class FlowConfig:
     s_end: float = 1.0
     max_steps: int = 20_000_000
     snapshot_stride: int = 100
-    margin_floor: float = geometry.MARGIN_FLOOR
     blowup_cap: float = 1e3
     dt_max: float = 0.05
     dt_fixed: float | None = None
@@ -230,6 +227,10 @@ class TrajectoryWindow:
     after: GraphState
     dt: float
 
+    @property
+    def grid(self) -> grids.Grid:
+        return self.mid.grid
+
 
 # ---------------------------------------------------------------------------
 # stepping
@@ -243,16 +244,14 @@ def stable_dt(state: GraphState, cfl_safety: float = 0.25) -> float:
     deciding.  min(e^{2u}/v^2) equals min(e^{2u} * margin).
     """
     grid = state.grid
-    _, _, _, margin = geometry.graph_speed_fields(
-        state.u.values, grid, geometry.MARGIN_FLOOR
-    )
+    _, _, _, margin = geometry.graph_speed_fields(state.u.values, grid)
     tightest = float(np.min(np.exp(2.0 * state.u.values) * margin))
     return cfl_safety * grid.spacing**2 * tightest / (2.0 * grid.dimension)
 
 
-def _speed_or_abort(values, grid, floor, s):
+def _speed_or_abort(values, grid, s):
     try:
-        return geometry.graph_speed_fields(values, grid, floor)
+        return geometry.graph_speed_fields(values, grid)
     except NonSpacelikeError as exc:
         raise NonSpacelikeError(f"at s = {s:.6g}: {exc}", location=exc.location)
 
@@ -276,20 +275,20 @@ def step(state: GraphState, dt: float, config: FlowConfig):
         bc.apply(vals, stage_s, grid)
         return vals
 
-    speed, v2, H, margin = _speed_or_abort(u0, grid, config.margin_floor, s)
+    speed, v2, H, margin = _speed_or_abort(u0, grid, s)
     if config.integrator == "euler":
         unew = u0 + dt * speed
     elif config.integrator == "rk2":
         u1 = staged(u0, 0.5, speed, s + 0.5 * dt)
-        k2, _, _, _ = _speed_or_abort(u1, grid, config.margin_floor, s + 0.5 * dt)
+        k2, _, _, _ = _speed_or_abort(u1, grid, s + 0.5 * dt)
         unew = u0 + dt * k2
     else:  # rk4
         u1 = staged(u0, 0.5, speed, s + 0.5 * dt)
-        k2, _, _, _ = _speed_or_abort(u1, grid, config.margin_floor, s + 0.5 * dt)
+        k2, _, _, _ = _speed_or_abort(u1, grid, s + 0.5 * dt)
         u2 = staged(u0, 0.5, k2, s + 0.5 * dt)
-        k3, _, _, _ = _speed_or_abort(u2, grid, config.margin_floor, s + 0.5 * dt)
+        k3, _, _, _ = _speed_or_abort(u2, grid, s + 0.5 * dt)
         u3 = staged(u0, 1.0, k3, s + dt)
-        k4, _, _, _ = _speed_or_abort(u3, grid, config.margin_floor, s + dt)
+        k4, _, _, _ = _speed_or_abort(u3, grid, s + dt)
         unew = u0 + (dt / 6.0) * (speed + 2.0 * k2 + 2.0 * k3 + k4)
 
     s_new = s + dt
@@ -333,7 +332,7 @@ def _require_radial(grid: grids.Grid) -> None:
         )
 
 
-def _damped_update(u, update, grid, floor, s):
+def _damped_update(u, update, grid, s):
     """u - lam * update for the largest lam = 2^-k whose iterate is spacelike.
 
     Returns (iterate, lam, kernel fields at the iterate).  The margin floor
@@ -343,7 +342,7 @@ def _damped_update(u, update, grid, floor, s):
     for _ in range(NEWTON_MAX_HALVINGS):
         trial = u - lam * update
         try:
-            return trial, lam, geometry.graph_speed_fields(trial, grid, floor)
+            return trial, lam, geometry.graph_speed_fields(trial, grid)
         except NonSpacelikeError as exc:
             last = exc
             lam *= 0.5
@@ -387,7 +386,7 @@ def _backward_euler(grid, u_old, fields, jac, s_new, dt, bc, config):
             raise ConvergenceError(
                 f"singular Newton matrix at s = {s_new:.6g}, dt = {dt:.3g}"
             ) from exc
-        u, lam, fields = _damped_update(u, update, grid, config.margin_floor, s_new)
+        u, lam, fields = _damped_update(u, update, grid, s_new)
         jac = None
         residual = residual_at(u, fields[0])
         full_step_small = lam == 1.0 and float(np.max(np.abs(update))) <= tol
@@ -407,7 +406,7 @@ def _implicit_step(state: GraphState, dt: float, config: FlowConfig):
     grid = state.grid
     _require_radial(grid)
     u_old = state.u.values
-    fields = _speed_or_abort(u_old, grid, config.margin_floor, state.s)
+    fields = _speed_or_abort(u_old, grid, state.s)
     s_new = state.s + dt
     unew, fields = _backward_euler(grid, u_old, fields, None, s_new, dt, state.bc, config)
     return _finish_step(grid, unew, s_new, dt, state.bc, fields[1:], config)
@@ -426,7 +425,7 @@ def _doubling_step(state: GraphState, dt: float, config: FlowConfig):
     diagnostics, dt taken, suggested next dt).
     """
     grid, bc, s, u0 = state.grid, state.bc, state.s, state.u.values
-    fields0 = _speed_or_abort(u0, grid, config.margin_floor, s)
+    fields0 = _speed_or_abort(u0, grid, s)
     jac0 = geometry.radial_speed_jacobian(u0, grid)
     floor_dt = 1e-12 * max(1.0, config.s_end)
     while True:
@@ -527,15 +526,8 @@ def isometry_shift_state(state: GraphState, a: float) -> GraphState:
     OutOfDomainError.
     """
     grid = state.grid
-    shrink = np.exp(-a)
-    if grid.mode == grids.RADIAL:
-        pts = np.zeros((grid.resolution, grid.dimension))
-        pts[:, 0] = shrink * grid.axis()
-    else:
-        mesh = grid.meshes()
-        pts = np.stack([m.ravel() for m in mesh], axis=-1) * shrink
     try:
-        pulled = grids.interpolate(state.u, pts)
+        pulled = grids.interpolate(state.u, np.exp(-a) * grid.points())
     except OutOfDomainError as exc:
         raise OutOfDomainError(f"isometry shift a = {a:.6g}: {exc}") from exc
     values = np.asarray(pulled).reshape(grid.shape) - a
@@ -560,7 +552,7 @@ def mean_convexity_report(
 ) -> MeanConvexityReport:
     """Diagnostic scan for loss of mean convexity on interior nodes."""
     grid = state.grid
-    _, _, H, _ = geometry.graph_speed_fields(state.u.values, grid, geometry.MARGIN_FLOOR)
+    _, _, H, _ = geometry.graph_speed_fields(state.u.values, grid)
     interior = grid.interior_mask(1)
     bad = (H < -tolerance) & interior
     count = int(np.sum(bad))

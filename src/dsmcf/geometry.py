@@ -55,9 +55,8 @@ from .errors import (
 
 DEFAULT_DIMENSION = 3
 
-#: Jets whose spacelike margin falls at or below this floor are rejected
-#: rather than clamped; silently clamping would hide causality violations.
-MARGIN_FLOOR = 1e-10
+#: The spacelike margin floor, defined once in ``grids``.
+MARGIN_FLOOR = grids.MARGIN_FLOOR
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +201,19 @@ def shape_operator_eigenvalues(gamma: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(W)
 
 
-def surface_geometry(
-    sample: GraphSample, margin_floor: float = MARGIN_FLOOR
-) -> SurfaceGeometry:
-    """Full induced geometry of the graph jet ``sample``."""
+def surface_geometry(sample: GraphSample) -> SurfaceGeometry:
+    """Full induced geometry of the graph jet ``sample``.
+
+    Written out pointwise on its own, as the reference the batched
+    ``JetFields`` is tested against.
+    """
     n = sample.dimension
     u, du, d2u = sample.u, sample.du, sample.d2u
     e2u = math.exp(2.0 * u)
     em2u = 1.0 / e2u
     m = float(spacelike_margin(u, du))
-    if m <= margin_floor:
-        raise NonSpacelikeError(f"margin {m:.3e} at or below floor {margin_floor:.0e}")
+    if m <= MARGIN_FLOOR:
+        raise NonSpacelikeError(f"margin {m:.3e} at or below floor {MARGIN_FLOOR:.0e}")
     v = 1.0 / math.sqrt(m)
 
     outer = np.outer(du, du)
@@ -251,16 +252,6 @@ def tangential_projection(X: np.ndarray, geom: SurfaceGeometry) -> np.ndarray:
     return X + inner * geom.nu
 
 
-def tangent_components(X: np.ndarray, geom: SurfaceGeometry) -> np.ndarray:
-    """Components of a tangent vector in the basis e_i = d_i + u_i d_t.
-
-    For a tangent vector the spatial components already are the e_i
-    components; this simply strips the t slot (which must be consistent).
-    """
-    X = np.asarray(X, dtype=float)
-    return X[:-1].copy()
-
-
 # ---------------------------------------------------------------------------
 # restriction identities in closed form
 
@@ -287,22 +278,30 @@ def coordinate_laplacians_closed_form(geom: SurfaceGeometry):
     return coordinate_laplacian_values(geom.H, geom.v, u, nu_inner, dimension=n)
 
 
-def coordinate_laplacians_wave_route(geom: SurfaceGeometry):
+def coordinate_laplacian_wave_values(H, nu_sp, nu_t, t, dimension: int = DEFAULT_DIMENSION):
     """Same Laplacians assembled from the ambient wave-operator identity.
 
     Lap f = Box f + H nu(f) + Hess f(nu, nu) for the restriction of an
     ambient function f.  For the coordinates: Box x_i = 0, Box t = -n,
     Hess x_i has the single pair of entries (d_i, d_t) = -1, and
     Hess t(d_i, d_i) = -e^{2t}.  Algebraically identical to the closed
-    forms, but assembled through an independent code path.
+    forms, but assembled through an independent code path from the normal's
+    spatial components ``nu_sp`` (leading axis) and its d_t component
+    ``nu_t``.  Returns (Lap x_i array, Lap t).
     """
-    n = geom.sample.dimension
-    nu_sp = geom.nu[:n]
-    nu_t = geom.nu[-1]
-    e2u = math.exp(2.0 * geom.sample.u)
-    lap_x = geom.H * nu_sp - 2.0 * nu_sp * nu_t
-    lap_t = -float(n) + geom.H * nu_t - e2u * float(np.sum(nu_sp * nu_sp))
+    nu_sp = np.asarray(nu_sp, dtype=float)
+    e2t = np.exp(2.0 * np.asarray(t, dtype=float))
+    lap_x = H * nu_sp - 2.0 * nu_sp * nu_t
+    lap_t = -float(dimension) + H * nu_t - e2t * np.einsum("i...,i...->...", nu_sp, nu_sp)
     return lap_x, lap_t
+
+
+def coordinate_laplacians_wave_route(geom: SurfaceGeometry):
+    """Wave-route (Lap x_i per axis, Lap t) at ``geom``'s base point."""
+    n = geom.sample.dimension
+    return coordinate_laplacian_wave_values(
+        geom.H, geom.nu[:n], geom.nu[-1], geom.sample.u, dimension=n
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -381,49 +380,60 @@ def cutoff_value_and_bounds(
 # vectorized geometry over jet batches and grids
 
 
+def _margin_core(u, grad_sq):
+    """(e^{-2u}, margin, v^2) from the height and |du|^2.
+
+    A margin at or below MARGIN_FLOOR raises NonSpacelikeError naming the
+    worst node; nothing is clamped.
+    """
+    em2u = np.exp(-2.0 * u)
+    margin = 1.0 - em2u * grad_sq
+    worst_flat = int(np.argmin(margin))
+    worst = float(margin.flat[worst_flat])
+    if worst <= MARGIN_FLOOR:
+        loc = tuple(int(i) for i in np.unravel_index(worst_flat, margin.shape))
+        raise NonSpacelikeError(
+            f"margin {worst:.3e} at node {loc} (floor {MARGIN_FLOOR:.0e})",
+            location=loc,
+        )
+    return em2u, margin, 1.0 / margin
+
+
+def _speed_core(u, grad_sq, trace, quad, n):
+    """The scalar closed forms shared by the flow kernel and ``JetFields``.
+
+    From the jet invariants |du|^2, tr d2u and du.d2u.du this gives
+    (e^{-2u}, margin, v^2, v, H/v, H), with H/v from the module docstring.
+    """
+    em2u, margin, v2 = _margin_core(u, grad_sq)
+    v = np.sqrt(v2)
+    speed = em2u * (trace + v2 * em2u * quad) + (n + 1.0) - v2
+    return em2u, margin, v2, v, speed, v * speed
+
+
 class JetFields:
     """Geometry quantities over a batch of jets, computed lazily.
 
     Index convention: tensor axes lead, so du is (n, ...) and d2u is
     (n, n, ...) over an arbitrary batch shape.  Everything heavier than the
     core scalars (v, H, margin) is a cached property, so cheap consumers
-    stay cheap.
+    stay cheap.  ``speed`` is H / v, the vertical speed of the graph flow.
     """
 
-    def __init__(self, u, du, d2u, margin_floor: float = MARGIN_FLOOR, where=None):
+    def __init__(self, u, du, d2u):
         self.u = np.asarray(u, dtype=float)
         self.du = np.asarray(du, dtype=float)
         self.d2u = np.asarray(d2u, dtype=float)
         self.dimension = self.du.shape[0]
-        self.margin_floor = margin_floor
-
         self.e2u = np.exp(2.0 * self.u)
-        self.em2u = np.exp(-2.0 * self.u)
         self.grad_sq = np.einsum("i...,i...->...", self.du, self.du)
-        self.margin = 1.0 - self.em2u * self.grad_sq
-        worst = float(np.min(self.margin))
-        if worst <= margin_floor:
-            raise NonSpacelikeError(
-                f"margin {worst:.3e} at or below floor {margin_floor:.0e}"
-                + (f" ({where})" if where else ""),
-                location=self._worst_location(),
-            )
-        self.v2 = 1.0 / self.margin
-        self.v = np.sqrt(self.v2)
-        n = self.dimension
-        trace = np.einsum("ii...->...", self.d2u)
-        quad = np.einsum("i...,ij...,j...->...", self.du, self.d2u, self.du)
-        #: H / v, which is also the vertical speed of the graph flow.
-        self.speed = (
-            self.em2u * (trace + self.v2 * self.em2u * quad) + (n + 1.0) - self.v2
+        (self.em2u, self.margin, self.v2, self.v, self.speed, self.H) = _speed_core(
+            self.u,
+            self.grad_sq,
+            np.einsum("ii...->...", self.d2u),
+            np.einsum("i...,ij...,j...->...", self.du, self.d2u, self.du),
+            self.dimension,
         )
-        self.H = self.v * self.speed
-
-    def _worst_location(self):
-        flat = np.argmin(self.margin)
-        if self.margin.ndim == 0:
-            return None
-        return np.unravel_index(flat, self.margin.shape)
 
     @cached_property
     def outer(self):
@@ -511,23 +521,25 @@ class JetFields:
         return np.einsum("i...,ij...,j...->...", X, self.gamma_inv, X)
 
 
-def _slope_over_radius(u_rho, grid: grids.Grid) -> np.ndarray:
-    """u'/rho on a radial grid, with the axis filled by even extrapolation.
+def _radial_jet(u, grid: grids.Grid):
+    """(u', u'', u'/rho) of a radial profile.
 
-    Filling the axis node with a direct second-derivative stencil (its
-    analytic limit) gives it a truncation error of h^2 u''''/12 while the
-    neighbouring ratios carry h^2 u''''/6 from the centered first
-    derivative.  That mismatch is a genuine kink which second-difference
-    consumers (the surface Laplacian of curvature fields) amplify into an
-    O(1) error beside the axis.  Extrapolating the even profile through the
-    first two interior nodes instead keeps the discretization error a
-    smooth function of the radius.
+    The axis value of u'/rho is filled by even extrapolation.  Filling the
+    axis node with a direct second-derivative stencil (its analytic limit)
+    gives it a truncation error of h^2 u''''/12 while the neighbouring
+    ratios carry h^2 u''''/6 from the centered first derivative.  That
+    mismatch is a genuine kink which second-difference consumers (the
+    surface Laplacian of curvature fields) amplify into an O(1) error
+    beside the axis.  Extrapolating the even profile through the first two
+    interior nodes instead keeps the discretization error a smooth function
+    of the radius.
     """
+    u_rho, u_rhorho = grids.radial_jet(u, grid)
     rho = grid.axis()
-    out = np.empty_like(u_rho)
-    out[1:] = u_rho[1:] / rho[1:]
-    out[0] = (4.0 * out[1] - out[2]) / 3.0
-    return out
+    sor = np.empty_like(u_rho)
+    sor[1:] = u_rho[1:] / rho[1:]
+    sor[0] = (4.0 * sor[1] - sor[2]) / 3.0
+    return u_rho, u_rhorho, sor
 
 
 class GeometryFields(JetFields):
@@ -539,12 +551,11 @@ class GeometryFields(JetFields):
     formulas then apply unchanged in both modes.
     """
 
-    def __init__(self, grid: grids.Grid, u_values, margin_floor: float = MARGIN_FLOOR):
+    def __init__(self, grid: grids.Grid, u_values):
         u_values = np.asarray(u_values, dtype=float)
         n = grid.dimension
         if grid.mode == grids.RADIAL:
-            u_rho, u_rhorho = grids.radial_jet(u_values, grid)
-            sor = _slope_over_radius(u_rho, grid)
+            u_rho, u_rhorho, sor = _radial_jet(u_values, grid)
             du = np.zeros((n,) + grid.shape)
             du[0] = u_rho
             d2u = np.zeros((n, n) + grid.shape)
@@ -557,7 +568,7 @@ class GeometryFields(JetFields):
         else:
             du, d2u = grids.cartesian_jet(u_values, grid)
         self.grid = grid
-        super().__init__(u_values, du, d2u, margin_floor=margin_floor, where=grid.mode)
+        super().__init__(u_values, du, d2u)
 
     @cached_property
     def measure(self):
@@ -569,9 +580,7 @@ class GeometryFields(JetFields):
     def laplacian(self, values) -> np.ndarray:
         """Discrete surface Laplacian of a node field on this geometry."""
         if self.grid.mode == grids.RADIAL:
-            return grids.laplace_beltrami_radial(
-                values, self.u, self.v, self.grid, margin_floor=self.margin_floor
-            )
+            return grids.laplace_beltrami_radial(values, self.u, self.v, self.grid)
         return grids.laplace_beltrami_cartesian(
             values, self.weight, self.gamma_inv, self.grid
         )
@@ -588,7 +597,7 @@ def laplace_beltrami(f: grids.Field, geom: GeometryFields) -> grids.Field:
     return grids.Field(f.grid, geom.laplacian(f.values))
 
 
-def graph_speed_fields(u_values, grid: grids.Grid, margin_floor: float = MARGIN_FLOOR):
+def graph_speed_fields(u_values, grid: grids.Grid):
     """Lean flow kernel: (H/v, v^2, H, margin) without tensor assembly.
 
     This is the hot path of the solver; it only touches scalar node arrays.
@@ -596,8 +605,7 @@ def graph_speed_fields(u_values, grid: grids.Grid, margin_floor: float = MARGIN_
     u = np.asarray(u_values, dtype=float)
     n = grid.dimension
     if grid.mode == grids.RADIAL:
-        u_rho, u_rhorho = grids.radial_jet(u, grid)
-        sor = _slope_over_radius(u_rho, grid)
+        u_rho, u_rhorho, sor = _radial_jet(u, grid)
         grad_sq = u_rho * u_rho
         trace = u_rhorho + (n - 1.0) * sor
         quad = grad_sq * u_rhorho
@@ -606,19 +614,7 @@ def graph_speed_fields(u_values, grid: grids.Grid, margin_floor: float = MARGIN_
         grad_sq = np.einsum("i...,i...->...", du, du)
         trace = np.einsum("ii...->...", d2u)
         quad = np.einsum("i...,ij...,j...->...", du, d2u, du)
-    em2u = np.exp(-2.0 * u)
-    margin = 1.0 - em2u * grad_sq
-    worst_flat = int(np.argmin(margin))
-    worst = float(margin.flat[worst_flat])
-    if worst <= margin_floor:
-        loc = np.unravel_index(worst_flat, grid.shape)
-        raise NonSpacelikeError(
-            f"margin {worst:.3e} at node {loc} (floor {margin_floor:.0e})",
-            location=loc,
-        )
-    v2 = 1.0 / margin
-    speed = em2u * (trace + v2 * em2u * quad) + (n + 1.0) - v2
-    H = np.sqrt(v2) * speed
+    _, margin, v2, _, speed, H = _speed_core(u, grad_sq, trace, quad, n)
     return speed, v2, H, margin
 
 
@@ -636,17 +632,14 @@ def radial_speed_jacobian(u_values, grid: grids.Grid) -> np.ndarray:
     extrapolation of u'/rho at the axis.  The result is laid out for
     ``scipy.linalg.solve_banded((1, 3), ...)``: entry (i, j) sits at
     ``[3 + i - j, j]``.  The boundary row (the last node) is left zero for
-    the caller's boundary condition.  The margin is not checked here; the
-    caller evaluates the kernel at the same heights first.
+    the caller's boundary condition.
     """
     u = np.asarray(u_values, dtype=float)
     n = grid.dimension
     h = grid.spacing
-    p, q = grids.radial_jet(u, grid)
-    sigma = _slope_over_radius(p, grid)
-    E = np.exp(-2.0 * u)
+    p, q, sigma = _radial_jet(u, grid)
     g = p * p
-    v2 = 1.0 / (1.0 - E * g)
+    E, _, v2 = _margin_core(u, g)
     Eq = E * q
     # partial derivatives of S in the local jet (u, p, q, sigma), simplified
     # with 1 + v^2 E g = v^2

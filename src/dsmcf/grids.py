@@ -16,7 +16,8 @@ exact on quadratics, which the tests pin down.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -34,6 +35,10 @@ RADIAL = "radial"
 #: Errors below this level are rounding noise; refinement ratios computed
 #: from them would be meaningless.
 DEGENERATE_RESIDUAL_FLOOR = 1e-14
+
+#: Jets whose spacelike margin falls at or below this floor are rejected
+#: rather than clamped; silently clamping would hide causality violations.
+MARGIN_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -82,10 +87,18 @@ class Grid:
         return int(np.prod(self.shape))
 
     def axis(self) -> np.ndarray:
-        """Node coordinates along one axis (radius for radial mode)."""
-        if self.mode == CARTESIAN:
-            return np.linspace(-self.extent, self.extent, self.resolution)
-        return np.linspace(0.0, self.extent, self.resolution)
+        """Node coordinates along one axis (radius for radial mode).
+
+        Built once per grid and shared, so the array is read-only.
+        """
+        return self._axis
+
+    @cached_property
+    def _axis(self) -> np.ndarray:
+        low = -self.extent if self.mode == CARTESIAN else 0.0
+        ax = np.linspace(low, self.extent, self.resolution)
+        ax.flags.writeable = False
+        return ax
 
     def meshes(self) -> list:
         """Coordinate arrays per axis, each shaped like a field."""
@@ -93,6 +106,17 @@ class Grid:
             ax = self.axis()
             return list(np.meshgrid(*([ax] * self.dimension), indexing="ij"))
         return [self.axis()]
+
+    def points(self) -> np.ndarray:
+        """Node positions as (node_count, dimension) rows in node order.
+
+        Radial nodes sit on the first coordinate axis at their radius.
+        """
+        if self.mode == RADIAL:
+            pts = np.zeros((self.resolution, self.dimension))
+            pts[:, 0] = self.axis()
+            return pts
+        return np.stack([m.ravel() for m in self.meshes()], axis=-1)
 
     def radius_squared(self) -> np.ndarray:
         """|x|^2 at every node."""
@@ -295,11 +319,7 @@ def radial_measure(u: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def laplace_beltrami_radial(
-    values: np.ndarray,
-    u: np.ndarray,
-    v: np.ndarray,
-    grid: Grid,
-    margin_floor: float = 1e-10,
+    values: np.ndarray, u: np.ndarray, v: np.ndarray, grid: Grid
 ) -> np.ndarray:
     """Surface Laplacian of a rotationally symmetric field.
 
@@ -325,9 +345,9 @@ def laplace_beltrami_radial(
     du_mid = (u[1:] - u[:-1]) / h
     m_mid = 1.0 - np.exp(-2.0 * u_mid) * du_mid**2
     worst = float(np.min(m_mid))
-    if worst <= margin_floor:
+    if worst <= MARGIN_FLOOR:
         raise NonSpacelikeError(
-            f"margin {worst:.3e} between nodes at or below floor {margin_floor:.0e}"
+            f"margin {worst:.3e} between nodes at or below floor {MARGIN_FLOOR:.0e}"
         )
     v_mid = 1.0 / np.sqrt(m_mid)
     rho_mid = 0.5 * (rho[:-1] + rho[1:])

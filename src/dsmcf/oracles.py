@@ -19,7 +19,7 @@ a matching refined input is supplied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,6 +32,9 @@ from .errors import (
 
 ORDER_WINDOW = (1.7, 2.3)
 GRID_TOL_FACTOR = 10.0
+#: Tolerances of the random-jet spot checks (``check_random_jets``).
+JET_RESTRICTION_TOL = 1e-10
+JET_IDENTITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -51,15 +54,7 @@ class ResidualReport:
         return f"{self.name}: max |residual| {self.linf:.3e} over {self.count} nodes{extra}"
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "linf": self.linf,
-            "l2": self.l2,
-            "count": self.count,
-            "tolerance": self.tolerance,
-            "order": self.order,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -80,14 +75,7 @@ class InequalityReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "worst_slack": self.worst_slack,
-            "violations": self.violations,
-            "tolerance": self.tolerance,
-            "parameters": dict(self.parameters),
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -96,13 +84,6 @@ class InequalityReport:
 
 def snapshot_geometry(state: flow.GraphState) -> geometry.GeometryFields:
     return geometry.GeometryFields(state.grid, state.u.values)
-
-
-def _order_or_none(coarse_linf: float, fine_linf: float) -> float | None:
-    try:
-        return grids.refinement_order(coarse_linf, fine_linf)
-    except DegenerateResidualError:
-        return None
 
 
 def _pass_flag(linf, tolerance, order):
@@ -130,13 +111,38 @@ def _residual_report(name, residuals, mask, tolerance=None, order=None) -> Resid
     )
 
 
-def _check_refined_pair(coarse: grids.Grid, fine: grids.Grid) -> None:
-    if fine.mode != coarse.mode or fine.dimension != coarse.dimension:
-        raise ValueError("refined input must share mode and dimension")
-    if abs(fine.spacing * 2.0 - coarse.spacing) > 1e-9 * coarse.spacing:
-        raise ValueError(
-            f"refined spacing {fine.spacing:.6g} is not half of {coarse.spacing:.6g}"
-        )
+def _route_reports(names, coarse, fine_input, parts_of, tolerance) -> list[ResidualReport]:
+    """One residual report per route, each with its observed refinement order.
+
+    ``parts_of(input)`` maps a state or window to (geometry, mask, routes),
+    ``routes`` holding one list of residual arrays per name; ``coarse`` is
+    its value on the checked input.  With ``fine_input`` (the same problem
+    at half the spacing) each report carries the order log2(e_h / e_{h/2})
+    of its route, or None where either error is at rounding level.
+    """
+    geom, mask, routes = coarse
+    orders = [None] * len(routes)
+    if fine_input is not None:
+        grid, fine = geom.grid, fine_input.grid
+        if fine.mode != grid.mode or fine.dimension != grid.dimension:
+            raise ValueError("refined input must share mode and dimension")
+        if abs(fine.spacing * 2.0 - grid.spacing) > 1e-9 * grid.spacing:
+            raise ValueError(
+                f"refined spacing {fine.spacing:.6g} is not half of {grid.spacing:.6g}"
+            )
+        _, f_mask, f_routes = parts_of(fine_input)
+        for k, (c, f) in enumerate(zip(routes, f_routes)):
+            try:
+                orders[k] = grids.refinement_order(
+                    _residual_report("c", c, mask).linf,
+                    _residual_report("f", f, f_mask).linf,
+                )
+            except DegenerateResidualError:
+                pass
+    return [
+        _residual_report(name, r, mask, tolerance=tolerance, order=order)
+        for name, r, order in zip(names, routes, orders)
+    ]
 
 
 def material_rate(
@@ -165,8 +171,15 @@ def material_rate(
     return fixed_rate + drift, mid
 
 
-def _grid_tolerance(h: float, *term_arrays, mask=None) -> tuple[float, float]:
-    """(tolerance, scale): 10 h^2 times the dominant masked magnitude."""
+def grid_tolerance(h: float, *term_arrays, mask=None, tolerance=None):
+    """(tolerance, scale) of a discretized check.
+
+    An explicit ``tolerance`` is returned as given, with scale None.
+    Otherwise the tolerance is 10 h^2 times the scale, the dominant masked
+    magnitude of the term arrays (at least 1).
+    """
+    if tolerance is not None:
+        return tolerance, None
     scale = 1.0
     for arr in term_arrays:
         a = np.abs(np.asarray(arr))
@@ -231,21 +244,17 @@ def check_restriction_gradients(
 # coordinate Laplacians, both assembly routes
 
 
-def _coordinate_laplacian_residuals(geom: geometry.GeometryFields):
-    """(closed-form residuals, wave-route residuals) for one state."""
+def _coordinate_laplacian_parts(state: flow.GraphState):
+    """(geometry, mask, [closed-form residuals, wave-route residuals])."""
+    geom = snapshot_geometry(state)
     grid = geom.grid
     n = grid.dimension
     lap_t = geom.laplacian(geom.u)
-    nu_inner = geom.v * geom.du
     closed_x, closed_t = geometry.coordinate_laplacian_values(
-        geom.H, geom.v, geom.u, nu_inner, dimension=n
+        geom.H, geom.v, geom.u, geom.v * geom.du, dimension=n
     )
-    nu_sp = geom.v * geom.em2u * geom.du
-    wave_x = geom.H * nu_sp - 2.0 * nu_sp * geom.v
-    wave_t = (
-        -float(n)
-        + geom.H * geom.v
-        - geom.e2u * np.einsum("i...,i...->...", nu_sp, nu_sp)
+    wave_x, wave_t = geometry.coordinate_laplacian_wave_values(
+        geom.H, geom.v * geom.em2u * geom.du, geom.v, geom.u, dimension=n
     )
     closed = [lap_t - closed_t]
     wave = [lap_t - wave_t]
@@ -255,7 +264,7 @@ def _coordinate_laplacian_residuals(geom: geometry.GeometryFields):
             lap_x = geom.laplacian(meshes[i])
             closed.append(lap_x - closed_x[i])
             wave.append(lap_x - wave_x[i])
-    return closed, wave
+    return geom, grids.laplacian_mask(grid), [closed, wave]
 
 
 def check_coordinate_laplacians(
@@ -271,37 +280,13 @@ def check_coordinate_laplacians(
     ``fine_state`` (same surface at half the spacing) the observed
     refinement order is reported per route.
     """
-    geom = snapshot_geometry(state)
-    closed, wave = _coordinate_laplacian_residuals(geom)
-    mask = grids.laplacian_mask(state.grid)
-
-    orders = (None, None)
-    if fine_state is not None:
-        _check_refined_pair(state.grid, fine_state.grid)
-        fine_geom = snapshot_geometry(fine_state)
-        f_closed, f_wave = _coordinate_laplacian_residuals(fine_geom)
-        f_mask = grids.laplacian_mask(fine_state.grid)
-        coarse = [_residual_report("c", closed, mask), _residual_report("c", wave, mask)]
-        fine = [
-            _residual_report("f", f_closed, f_mask),
-            _residual_report("f", f_wave, f_mask),
-        ]
-        orders = tuple(
-            _order_or_none(c.linf, f.linf) for c, f in zip(coarse, fine)
-        )
-
-    return [
-        _residual_report(
-            "coordinate-laplacians", closed, mask, tolerance=tolerance, order=orders[0]
-        ),
-        _residual_report(
-            "coordinate-laplacians-wave-route",
-            wave,
-            mask,
-            tolerance=tolerance,
-            order=orders[1],
-        ),
-    ]
+    return _route_reports(
+        ["coordinate-laplacians", "coordinate-laplacians-wave-route"],
+        _coordinate_laplacian_parts(state),
+        fine_state,
+        _coordinate_laplacian_parts,
+        tolerance,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +318,10 @@ def tilt_gradient_residuals(fields: geometry.JetFields, dv_covector) -> tuple:
     return vec_residual, scalar_residual
 
 
-def _tilt_gradient_state(geom: geometry.GeometryFields):
+def _tilt_gradient_parts(state: flow.GraphState):
+    geom = snapshot_geometry(state)
     dv = grids.field_gradient(geom.v, geom.grid)
-    return tilt_gradient_residuals(geom, dv)
+    return geom, state.grid.interior_mask(), [tilt_gradient_residuals(geom, dv)]
 
 
 def check_tilt_gradient(
@@ -344,24 +330,14 @@ def check_tilt_gradient(
     tolerance: float | None = None,
 ) -> ResidualReport:
     """Finite-difference gradient of v against its closed form."""
-    geom = snapshot_geometry(state)
-    residuals = _tilt_gradient_state(geom)
-    mask = state.grid.interior_mask()
-
-    order = None
-    if fine_state is not None:
-        _check_refined_pair(state.grid, fine_state.grid)
-        fine_geom = snapshot_geometry(fine_state)
-        fine_res = _tilt_gradient_state(fine_geom)
-        coarse_linf = _residual_report("c", residuals, mask).linf
-        fine_linf = _residual_report(
-            "f", fine_res, fine_state.grid.interior_mask()
-        ).linf
-        order = _order_or_none(coarse_linf, fine_linf)
-
-    return _residual_report(
-        "tilt-gradient", residuals, mask, tolerance=tolerance, order=order
+    (report,) = _route_reports(
+        ["tilt-gradient"],
+        _tilt_gradient_parts(state),
+        fine_state,
+        _tilt_gradient_parts,
+        tolerance,
     )
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +369,15 @@ def check_tilt_evolution(
     tolerance: float | None = None,
 ) -> ResidualReport:
     """Measured (d/ds - Lap) v^2 against its closed-form evolution."""
-    mid, mask, lhs, rhs, _ = _tilt_evolution_parts(window)
-    order = None
-    if fine_window is not None:
-        _check_refined_pair(window.mid.grid, fine_window.mid.grid)
-        _, f_mask, f_lhs, f_rhs, _ = _tilt_evolution_parts(fine_window)
-        coarse_linf = _residual_report("c", [lhs - rhs], mask).linf
-        fine_linf = _residual_report("f", [f_lhs - f_rhs], f_mask).linf
-        order = _order_or_none(coarse_linf, fine_linf)
-    return _residual_report(
-        "tilt-evolution", [lhs - rhs], mask, tolerance=tolerance, order=order
+
+    def parts(win):
+        mid, mask, lhs, rhs, _ = _tilt_evolution_parts(win)
+        return mid, mask, [[lhs - rhs]]
+
+    (report,) = _route_reports(
+        ["tilt-evolution"], parts(window), fine_window, parts, tolerance
     )
+    return report
 
 
 def check_tilt_bounds(
@@ -429,11 +403,7 @@ def check_tilt_bounds(
         + 2.0 * mid.H**2 * mid.v2
         + 4.0 * mid.H * mid.v
     )
-    tol_a, scale_a = (
-        (tolerance, None)
-        if tolerance is not None
-        else _grid_tolerance(h, dissipation, lhs, mask=mask)
-    )
+    tol_a, scale_a = grid_tolerance(h, dissipation, lhs, mask=mask, tolerance=tolerance)
     reports = [
         _inequality_report(
             "tilt-dissipation-bound", dissipation - lhs, mask, tol_a, scale_a, common
@@ -441,24 +411,74 @@ def check_tilt_bounds(
     ]
 
     decay = -4.0 * grad_v_sq - 2.0 * (mid.v2 - 1.0)
-    tol_b, scale_b = (
-        (tolerance, None)
-        if tolerance is not None
-        else _grid_tolerance(h, decay, lhs, mask=mask)
-    )
+    tol_b, scale_b = grid_tolerance(h, decay, lhs, mask=mask, tolerance=tolerance)
     reports.append(
         _inequality_report("tilt-decay-bound", decay - lhs, mask, tol_b, scale_b, common)
     )
 
-    lam1 = mid.extremal_curvature()
-    pinching = mid.a2 + mid.H**2 - (4.0 / 3.0) * lam1**2
-    tol_c = tolerance if tolerance is not None else 1e-10 * max(
-        1.0, float(np.max(np.abs(mid.a2[mask])))
-    )
+    pinching, tol_c = _pinching_slack(mid, mask)
+    if tolerance is not None:
+        tol_c = tolerance
     reports.append(
         _inequality_report("pinching-bound", pinching, mask, tol_c, None, common)
     )
     return reports
+
+
+def _pinching_slack(fields: geometry.JetFields, mask=Ellipsis):
+    """(|A|^2 + H^2 - (4/3) lambda_1^2, tolerance) of the pinching bound.
+
+    The tolerance is rounding level, 1e-10 max(1, max |A|^2) over ``mask``.
+    """
+    lam1 = fields.extremal_curvature()
+    slack = fields.a2 + fields.H**2 - (4.0 / 3.0) * lam1**2
+    return slack, 1e-10 * max(1.0, float(np.max(np.abs(fields.a2[mask]))))
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo spot check on random jets
+
+
+def _random_jets(rng, count) -> geometry.JetFields:
+    """Spacelike jets in three dimensions with margin at least 0.05."""
+    u = rng.uniform(-1.0, 1.0, count)
+    direction = rng.normal(size=(3, count))
+    direction /= np.linalg.norm(direction, axis=0)
+    mag = np.sqrt(rng.uniform(0.0, 0.95, count) * np.exp(2.0 * u))
+    d2u = rng.normal(scale=0.5, size=(3, 3, count))
+    d2u = 0.5 * (d2u + np.swapaxes(d2u, 0, 1))
+    return geometry.JetFields(u, direction * mag, d2u)
+
+
+def check_random_jets(seed: int, count: int) -> list:
+    """The pointwise identities and the pinching bound on ``count`` random
+    jets drawn from ``seed``: two residual reports and one bound report."""
+    jets = _random_jets(np.random.default_rng(seed), count)
+    every = np.ones(count, dtype=bool)
+    restriction = restriction_gradient_residuals(jets)
+    pinching, tol = _pinching_slack(jets)
+    return [
+        _residual_report(
+            "jet-restriction-gradients",
+            list(restriction.values()),
+            every,
+            tolerance=JET_RESTRICTION_TOL,
+        ),
+        _residual_report(
+            "jet-tilt-gradient",
+            tilt_gradient_residuals(jets, jets.dv),
+            every,
+            tolerance=JET_IDENTITY_TOL,
+        ),
+        _inequality_report(
+            "jet-pinching-bound",
+            pinching,
+            every,
+            tol,
+            None,
+            {"seed": seed, "count": count},
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -493,10 +513,7 @@ def check_weight_evolution(
     )
     mask = grids.laplacian_mask(mid.grid)
     h = mid.grid.spacing
-    if tolerance is not None:
-        tol, scale = tolerance, None
-    else:
-        tol, scale = _grid_tolerance(h, evol_lower, lhs, mask=mask)
+    tol, scale = grid_tolerance(h, evol_lower, lhs, mask=mask, tolerance=tolerance)
     params = {
         "alpha": spec.alpha,
         "epsilon": spec.epsilon,
@@ -525,10 +542,7 @@ def check_weight_gradient(
     slack = np.minimum(grad_sq - lower, upper - grad_sq)
     mask = geom.grid.interior_mask()
     h = geom.grid.spacing
-    if tolerance is not None:
-        tol, scale = tolerance, None
-    else:
-        tol, scale = _grid_tolerance(h, lower, upper, grad_sq, mask=mask)
+    tol, scale = grid_tolerance(h, lower, upper, grad_sq, mask=mask, tolerance=tolerance)
     params = {
         "alpha": spec.alpha,
         "epsilon": spec.epsilon,
@@ -600,7 +614,7 @@ def check_curvature_evolution(
     smooth runs; the looser bound is kept because it is the one the
     downstream flatness estimates consume.
     """
-    grid = window.mid.grid
+    grid = window.grid
     if grid.mode != grids.RADIAL:
         raise ModeUnsupportedError(
             "curvature evolution is only measurable on radial grids"
@@ -619,32 +633,20 @@ def check_curvature_evolution(
             + 4.0 * mid.H**2
             - 2.0 * a2 * (3.0 + a2)
         )
-        return mid, lhs - rhs
-
-    def collar_mask(g):
         # Curvature fields sit two derivatives deep in u, so the boundary
         # node's one-sided values (and whatever the boundary condition
         # pinned there) reach two nodes further in than for first-order
         # fields, with 1/h^2 amplification.  Masking a three-node collar
         # keeps the report about the resolved interior.
-        mask = grids.laplacian_mask(g)
+        mask = grids.laplacian_mask(mid.grid)
         mask[-3:] = False
-        return mask
+        return mid, mask, [[lhs - rhs]]
 
-    mid, residual = parts(window)
-    mask = collar_mask(grid)
-    order = None
-    if fine_window is not None:
-        _check_refined_pair(grid, fine_window.mid.grid)
-        _, fine_residual = parts(fine_window)
-        coarse_linf = _residual_report("c", [residual], mask).linf
-        fine_linf = _residual_report(
-            "f", [fine_residual], collar_mask(fine_window.mid.grid)
-        ).linf
-        order = _order_or_none(coarse_linf, fine_linf)
-    identity = _residual_report(
-        "curvature-evolution", [residual], mask, tolerance=tolerance, order=order
+    coarse = parts(window)
+    (identity,) = _route_reports(
+        ["curvature-evolution"], coarse, fine_window, parts, tolerance
     )
+    mid, mask, _ = coarse
 
     def traceless_of(g):
         return _curvature_norm_sq(g) - g.H**2 / 3.0
@@ -654,10 +656,7 @@ def check_curvature_evolution(
     lhs_z = rate_z - mid.laplacian(z)
     bound = 18.0 * z - (2.0 / 3.0) * mid.H**2 * z
     h = grid.spacing
-    if tolerance is not None:
-        tol, scale = tolerance, None
-    else:
-        tol, scale = _grid_tolerance(h, bound, lhs_z, mask=mask)
+    tol, scale = grid_tolerance(h, bound, lhs_z, mask=mask, tolerance=tolerance)
     traceless = _inequality_report(
         "traceless-curvature-bound",
         bound - lhs_z,

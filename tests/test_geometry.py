@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from dsmcf import geometry
+from dsmcf import geometry, grids
 from dsmcf.errors import BelowThresholdError, NonSpacelikeError
 
 
@@ -80,6 +80,20 @@ def test_graph_sample_rejects_null_and_timelike_jets():
         geometry.GraphSample(u=0.0, du=np.array([1.0, 0.0, 0.0]), d2u=np.zeros((3, 3)))
     with pytest.raises(NonSpacelikeError):
         geometry.GraphSample(u=0.0, du=np.array([1.5, 0.0, 0.0]), d2u=np.zeros((3, 3)))
+
+
+def test_margin_failures_name_the_worst_node():
+    # u = 2 rho is timelike off the axis; its worst node is the first one out
+    grid = grids.Grid(grids.RADIAL, 3, extent=1.0, resolution=9)
+    u = 2.0 * grid.axis()
+    for build in (geometry.graph_speed_fields, geometry.GeometryFields):
+        args = (u, grid) if build is geometry.graph_speed_fields else (grid, u)
+        with pytest.raises(NonSpacelikeError, match=r"at node \(1,\) \(floor 1e-10\)") as info:
+            build(*args)
+        assert info.value.location == (1,)
+    with pytest.raises(NonSpacelikeError, match=r"at node \(\)") as info:
+        geometry.JetFields(0.0, np.array([1.0, 0.0, 0.0]), np.zeros((3, 3)))
+    assert info.value.location == ()
 
 
 def test_margin_floor_rejects_barely_spacelike():

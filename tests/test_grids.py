@@ -346,3 +346,24 @@ def test_refinement_order_frozen():
     assert grids.refinement_order(4e-4, 1e-4) == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(DegenerateResidualError):
         grids.refinement_order(1e-15, 1e-16)
+
+
+@pytest.mark.parametrize("mode", [grids.RADIAL, grids.CARTESIAN])
+def test_axis_is_built_once_and_read_only(mode):
+    grid = grids.Grid(mode, 3, extent=1.0, resolution=5)
+    ax = grid.axis()
+    assert grid.axis() is ax
+    assert not ax.flags.writeable
+    with pytest.raises(ValueError):
+        ax[0] = 1.0
+
+
+def test_points_follow_node_order():
+    cart = grids.Grid(grids.CARTESIAN, 2, extent=1.0, resolution=5)
+    pts = cart.points()
+    assert pts.shape == (25, 2)
+    np.testing.assert_array_equal(np.sum(pts**2, axis=1), cart.radius_squared().ravel())
+    rad = grids.Grid(grids.RADIAL, 3, extent=1.0, resolution=5)
+    expected = np.zeros((5, 3))
+    expected[:, 0] = rad.axis()
+    np.testing.assert_array_equal(rad.points(), expected)

@@ -1,9 +1,12 @@
 """Config parsing, snapshot round trips, report emission, CLI exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsmcf import cli, config, flow, grids, oracles, reporting, snapshots
 from dsmcf.errors import (
@@ -94,6 +97,10 @@ class TestConfig:
         with pytest.raises(ValidationError, match="cfl_safety"):
             config.parse_config('{"flow": {"cfl_safety": 0.0}}')
 
+    def test_margin_floor_is_not_a_config_key(self):
+        with pytest.raises(ParseError, match="unknown key 'margin_floor' in flow"):
+            config.parse_config('{"flow": {"margin_floor": 1e-8}}')
+
     def test_ramp_tilt_must_exceed_one(self):
         with pytest.raises(ValidationError, match="ramp tilt must exceed 1"):
             config.parse_config('{"initial": {"profile": "ramp", "tilt": 0.5}}')
@@ -103,6 +110,67 @@ class TestConfig:
         state = cfg.initial_state()
         assert state.u.values.shape == (17,)
         assert state.bc.kind == flow.SLICING
+
+
+# Arbitrary JSON scalars, lists of them, and the strings the config knows.
+# Integers stay small so that no accepted grid is large.
+_WORDS = st.sampled_from(
+    ["simulate", "slicing", "pinned", "radial", "cartesian", "flat", "bump", "wrinkled", "ramp", "rk2", "implicit"]
+)
+_SCALARS = st.none() | st.booleans() | st.integers(-3, 6) | st.floats() | st.text(max_size=6) | _WORDS
+_VALUES = _SCALARS | st.lists(_SCALARS, max_size=3)
+
+
+def _typed_like(default):
+    """Values of the default's JSON type, so that whole configs often parse
+    and the initial profiles get built from extreme numbers."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(-3, 6)
+    if isinstance(default, str):
+        return _WORDS
+    if isinstance(default, tuple):
+        return st.lists(st.floats(), max_size=3)
+    return st.floats() | st.none()
+
+
+def _section_docs(spec):
+    defaults = spec()
+    return st.fixed_dictionaries(
+        {},
+        optional={
+            f.name: _typed_like(getattr(defaults, f.name)) | _VALUES
+            for f in dataclasses.fields(spec)
+        },
+    )
+
+
+_CONFIG_DOCS = st.fixed_dictionaries(
+    {},
+    optional={
+        "kind": _WORDS | _VALUES,
+        "bc": _WORDS | _VALUES,
+        "out": _WORDS | _VALUES,
+        "seed": st.integers(-3, 6) | _VALUES,
+        "grid": _section_docs(config.GridSpec),
+        "flow": _section_docs(flow.FlowConfig),
+        "initial": _section_docs(config.InitialSpec),
+        "checks": _section_docs(config.CheckSpec),
+        "experiment": _section_docs(config.ExperimentSpec),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(doc=_CONFIG_DOCS)
+def test_any_config_builds_or_raises_a_config_error(doc):
+    """Whatever scalar values the known keys hold, parsing plus building the
+    initial state either works or raises a config error, never anything else."""
+    try:
+        config.parse_config(json.dumps(doc)).initial_state()
+    except (ParseError, ValidationError):
+        pass
 
 
 class TestSnapshots:
@@ -264,6 +332,51 @@ class TestCli:
         assert traj.failure is None
         header = (out / "center_height.csv").read_text().splitlines()[0]
         assert header == "s,value"
+
+    def test_simulate_cartesian_records_the_center(self, tmp_path):
+        cfg = self.write_config(
+            tmp_path,
+            {
+                "grid": {"mode": "cartesian", "dimension": 2, "resolution": 33},
+                "initial": {"profile": "bump", "amplitude": 0.3},
+                "flow": {"s_end": 0.005, "snapshot_stride": 1},
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        first = (out / "center_height.csv").read_text().splitlines()[1]
+        assert first == "0.0,0.3"  # the bump peak sits on the center node
+
+    def test_verify_cartesian_reports_curvature_evolution_unsupported(self, tmp_path):
+        cfg = self.write_config(
+            tmp_path,
+            {
+                "grid": {"mode": "cartesian", "dimension": 3, "resolution": 25},
+                "initial": {"profile": "bump", "amplitude": 0.2, "width": 1.2},
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        names = [c["name"] for c in doc["checks"]]
+        assert len(names) == 8 and not any("curvature" in n for n in names)
+        skipped = [n for n in doc["notes"] if n.startswith("curvature_evolution skipped")]
+        assert len(skipped) == 1 and "radial" in skipped[0] and "\n" not in skipped[0]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"grid": {"resolution": "big"}},
+            {"grid": {"resolution": 7.5}},
+            {"grid": {"extent": -1}},
+            {"experiment": {"lambdas": []}},
+        ],
+    )
+    def test_bad_config_values_exit_two(self, tmp_path, capsys, doc):
+        cfg = self.write_config(tmp_path, doc)
+        assert cli.main(["rescale", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
 
     def test_flatness_run_passes(self, tmp_path):
         cfg = self.write_config(

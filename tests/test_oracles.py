@@ -262,6 +262,18 @@ def test_pinching_bound_monte_carlo_jets():
     assert float(np.min(slack)) > -1e-10
 
 
+def test_random_jet_checks_pass_and_repeat():
+    first = oracles.check_random_jets(seed=5, count=500)
+    assert [r.name for r in first] == [
+        "jet-restriction-gradients",
+        "jet-tilt-gradient",
+        "jet-pinching-bound",
+    ]
+    assert all(r.passed for r in first)
+    again = oracles.check_random_jets(seed=5, count=500)
+    assert [r.as_dict() for r in first] == [r.as_dict() for r in again]
+
+
 # ---------------------------------------------------------------------------
 # localization weight bounds
 
