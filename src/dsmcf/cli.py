@@ -54,6 +54,14 @@ def _add_all(report, outcome) -> None:
         report.add_check(outcome)
 
 
+def _add_supported(report, name: str, check, *args) -> None:
+    """Add a check's reports, or a note when the check does not apply here."""
+    try:
+        _add_all(report, check(*args))
+    except ModeUnsupportedError as exc:
+        report.notes.append(f"{name} skipped: {exc}")
+
+
 def _cmd_verify(config: RunConfig) -> tuple[reporting.Report, bool]:
     report = _new_report(config)
     checks = config.checks
@@ -86,14 +94,15 @@ def _cmd_verify(config: RunConfig) -> tuple[reporting.Report, bool]:
     if checks.tilt_gradient:
         _add_all(report, oracles.check_tilt_gradient(state, fine))
     if checks.tilt_evolution:
-        _add_all(report, oracles.check_tilt_evolution(window, fine_window))
+        _add_supported(
+            report, "tilt_evolution", oracles.check_tilt_evolution, window, fine_window
+        )
     if checks.tilt_bounds:
         _add_all(report, oracles.check_tilt_bounds(window, checks.delta))
     if checks.curvature_evolution:
-        try:
-            _add_all(report, oracles.check_curvature_evolution(window))
-        except ModeUnsupportedError as exc:
-            report.notes.append(f"curvature_evolution skipped: {exc}")
+        _add_supported(
+            report, "curvature_evolution", oracles.check_curvature_evolution, window
+        )
     if checks.weight_evolution:
         _add_all(report, oracles.check_weight_evolution(window, cutoff))
     if checks.weight_gradient:
@@ -203,7 +212,9 @@ def _cmd_refine(config: RunConfig) -> tuple[reporting.Report, bool]:
     _add_all(report, oracles.check_tilt_gradient(state, fine))
     window = flow.evolve_window(state, config.checks.dt, config.flow)
     fine_window = flow.evolve_window(fine, config.checks.dt / 4.0, config.flow)
-    _add_all(report, oracles.check_tilt_evolution(window, fine_window))
+    _add_supported(
+        report, "tilt_evolution", oracles.check_tilt_evolution, window, fine_window
+    )
     return report, report.all_passed()
 
 

@@ -23,6 +23,10 @@ from .errors import ParseError, ValidationError
 KINDS = ("simulate", "verify", "barrier", "flatness", "rescale", "refine")
 PROFILES = ("flat", "bump", "wrinkled", "ramp")
 
+#: Largest grid a config may ask for, counting the refined grid with
+#: 2 r - 1 nodes per axis that ``verify`` and ``refine`` build from it.
+MAX_NODES = 2**24
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -229,9 +233,15 @@ def _validate(config: RunConfig) -> RunConfig:
         if not value > 0:
             raise ValidationError(f"{label} must be positive, got {value}")
     try:
-        config.grid.build()
+        grid = config.grid.build()
+        fine = dataclasses.replace(config.grid, resolution=2 * grid.resolution - 1).build()
     except ValueError as exc:
         raise ValidationError(f"grid: {exc}") from exc
+    if fine.node_count > MAX_NODES:
+        raise ValidationError(
+            f"grid too large: {grid.node_count:.3g} nodes, {fine.node_count:.3g} "
+            f"once refined for verify (limit {MAX_NODES})"
+        )
     lambdas = config.experiment.lambdas
     if not lambdas or any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ValidationError(

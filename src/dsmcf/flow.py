@@ -236,15 +236,18 @@ class TrajectoryWindow:
 # stepping
 
 
-def stable_dt(state: GraphState, cfl_safety: float = 0.25) -> float:
+def stable_dt(state: GraphState, cfl_safety: float = 0.25, margin=None) -> float:
     """Parabolic stability surrogate: cfl * h^2 * min(e^{2u} / (2 n v^2)).
 
     The principal part of the flow operator scales like v^2 e^{-2u} per
     axis, so this is the classical explicit-Euler bound with the worst node
-    deciding.  min(e^{2u}/v^2) equals min(e^{2u} * margin).
+    deciding.  min(e^{2u}/v^2) equals min(e^{2u} * margin).  ``margin`` is
+    the kernel's margin at ``state`` when the caller already has it;
+    otherwise the kernel is evaluated here.
     """
     grid = state.grid
-    _, _, _, margin = geometry.graph_speed_fields(state.u.values, grid)
+    if margin is None:
+        _, _, _, margin = geometry.graph_speed_fields(state.u.values, grid)
     tightest = float(np.min(np.exp(2.0 * state.u.values) * margin))
     return cfl_safety * grid.spacing**2 * tightest / (2.0 * grid.dimension)
 
@@ -256,15 +259,20 @@ def _speed_or_abort(values, grid, s):
         raise NonSpacelikeError(f"at s = {s:.6g}: {exc}", location=exc.location)
 
 
-def step(state: GraphState, dt: float, config: FlowConfig):
-    """One step of size dt.  Returns (new state, diagnostics).
+def step(state: GraphState, dt: float, config: FlowConfig, fields=None, diagnose=True):
+    """One step of size dt.  Returns (new state, diagnostics or None).
 
     The boundary condition must already be bound.  Every explicit stage
     sees boundary values imposed at its own stage time; the implicit step
-    imposes them at the new time.
+    imposes them at the new time.  ``fields`` are the kernel's
+    (speed, v^2, H, margin) at ``state`` when the caller already has them;
+    otherwise the kernel is evaluated here.  With ``diagnose`` false no
+    ``StepDiagnostics`` is built and None takes its place.
     """
+    if fields is None:
+        fields = _speed_or_abort(state.u.values, state.grid, state.s)
     if config.integrator == IMPLICIT:
-        return _implicit_step(state, dt, config)
+        return _implicit_step(state, dt, config, fields, diagnose)
     grid = state.grid
     u0 = state.u.values
     s = state.s
@@ -275,7 +283,7 @@ def step(state: GraphState, dt: float, config: FlowConfig):
         bc.apply(vals, stage_s, grid)
         return vals
 
-    speed, v2, H, margin = _speed_or_abort(u0, grid, s)
+    speed, v2, H, margin = fields
     if config.integrator == "euler":
         unew = u0 + dt * speed
     elif config.integrator == "rk2":
@@ -293,20 +301,25 @@ def step(state: GraphState, dt: float, config: FlowConfig):
 
     s_new = s + dt
     bc.apply(unew, s_new, grid)
-    return _finish_step(grid, unew, s_new, dt, bc, (v2, H, margin), config)
+    return _finish_step(grid, unew, s_new, dt, bc, (v2, H, margin), config, diagnose)
 
 
-def _finish_step(grid, unew, s_new, dt, bc, fields, config):
+def _finish_step(grid, unew, s_new, dt, bc, fields, config, diagnose=True):
     """Blow-up check, new state and diagnostics shared by every integrator.
 
     ``fields`` holds the kernel's (v^2, H, margin) that the diagnostics
-    describe.
+    describe; without ``diagnose`` the diagnostics are None.
     """
     peak = float(np.max(np.abs(unew)))
-    if peak > config.blowup_cap:
+    if not peak <= config.blowup_cap:
+        if not np.isfinite(peak):
+            raise BlowupError(f"non-finite heights at s = {s_new:.6g}")
         raise BlowupError(
             f"|u| reached {peak:.3g} (cap {config.blowup_cap:.3g}) at s = {s_new:.6g}"
         )
+    new_state = GraphState(u=grids.Field(grid, unew), s=s_new, bc=bc)
+    if not diagnose:
+        return new_state, None
     v2, H, margin = fields
     interior = grid.interior_mask(1)
     H_int = H[interior]
@@ -321,7 +334,6 @@ def _finish_step(grid, unew, s_new, dt, bc, fields, config):
         max_H=float(np.max(H_int)),
         mean_convexity_violations=int(np.sum(H_int < -MEAN_CONVEXITY_TOL)),
     )
-    new_state = GraphState(u=grids.Field(grid, unew), s=s_new, bc=bc)
     return new_state, diag
 
 
@@ -401,15 +413,15 @@ def _backward_euler(grid, u_old, fields, jac, s_new, dt, bc, config):
     return u, fields
 
 
-def _implicit_step(state: GraphState, dt: float, config: FlowConfig):
+def _implicit_step(state: GraphState, dt: float, config: FlowConfig, fields, diagnose):
     """One backward-Euler step of size dt (see ``_backward_euler``)."""
     grid = state.grid
     _require_radial(grid)
-    u_old = state.u.values
-    fields = _speed_or_abort(u_old, grid, state.s)
     s_new = state.s + dt
-    unew, fields = _backward_euler(grid, u_old, fields, None, s_new, dt, state.bc, config)
-    return _finish_step(grid, unew, s_new, dt, state.bc, fields[1:], config)
+    unew, fields = _backward_euler(
+        grid, state.u.values, fields, None, s_new, dt, state.bc, config
+    )
+    return _finish_step(grid, unew, s_new, dt, state.bc, fields[1:], config, diagnose)
 
 
 def _doubling_step(state: GraphState, dt: float, config: FlowConfig):
@@ -460,6 +472,12 @@ def _doubling_step(state: GraphState, dt: float, config: FlowConfig):
             )
 
 
+def _records(steps: int, s_new: float, config: FlowConfig) -> bool:
+    """Whether ``run`` records the step that makes ``steps`` steps and ends
+    at ``s_new``: every ``snapshot_stride``-th step and the last one."""
+    return steps % config.snapshot_stride == 0 or s_new >= config.s_end - 1e-14
+
+
 def run(state: GraphState, config: FlowConfig) -> Trajectory:
     """Advance to ``config.s_end``, recording snapshots every stride steps.
 
@@ -467,6 +485,9 @@ def run(state: GraphState, config: FlowConfig) -> Trajectory:
     trajectory is returned with ``failure`` set instead of propagating, so a
     long run is never lost to its last step.  The implicit integrator
     counts accepted steps only.
+
+    An explicit step evaluates the kernel once at its start, for both dt
+    and its first stage, and builds diagnostics only for recorded steps.
     """
     bc = state.bc.bound_to(state)
     current = GraphState(u=state.u.copy(), s=state.s, bc=bc)
@@ -486,15 +507,19 @@ def run(state: GraphState, config: FlowConfig) -> Trajectory:
                 break
             if config.dt_fixed is not None:
                 dt = min(config.dt_fixed, config.s_end - current.s)
-                current, diag = step(current, dt, config)
+                record = _records(steps + 1, current.s + dt, config)
+                current, diag = step(current, dt, config, diagnose=record)
             elif config.integrator == IMPLICIT:
                 current, diag, dt, dt_next = _doubling_step(current, dt_next, config)
+                record = _records(steps + 1, current.s, config)
             else:
-                dt = min(stable_dt(current, config.cfl_safety), config.dt_max)
-                dt = min(dt, config.s_end - current.s)
-                current, diag = step(current, dt, config)
+                fields = _speed_or_abort(current.u.values, current.grid, current.s)
+                dt = stable_dt(current, config.cfl_safety, margin=fields[3])
+                dt = min(dt, config.dt_max, config.s_end - current.s)
+                record = _records(steps + 1, current.s + dt, config)
+                current, diag = step(current, dt, config, fields=fields, diagnose=record)
             steps += 1
-            if steps % config.snapshot_stride == 0 or current.s >= config.s_end - 1e-14:
+            if record:
                 traj.snapshots.append(current.copy())
                 traj.dt_history.append(dt)
                 traj.diagnostics.append(diag)
@@ -508,8 +533,8 @@ def evolve_window(state: GraphState, dt: float, config: FlowConfig) -> Trajector
     """Two fixed-size steps from ``state``, packaged for time-derivative checks."""
     bc = state.bc.bound_to(state)
     s0 = GraphState(u=state.u.copy(), s=state.s, bc=bc)
-    s1, _ = step(s0, dt, config)
-    s2, _ = step(s1, dt, config)
+    s1, _ = step(s0, dt, config, diagnose=False)
+    s2, _ = step(s1, dt, config, diagnose=False)
     return TrajectoryWindow(before=s0, mid=s1, after=s2, dt=dt)
 
 

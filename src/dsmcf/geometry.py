@@ -127,7 +127,7 @@ class GraphSample:
         if np.max(np.abs(d2u - d2u.T)) > 1e-12 * scale:
             raise ValueError("d2u must be symmetric")
         m = spacelike_margin(self.u, du)
-        if m <= MARGIN_FLOOR:
+        if not m > MARGIN_FLOOR:
             raise NonSpacelikeError(
                 f"jet has margin {m:.3e} <= {MARGIN_FLOOR:.0e}; "
                 "the graph is not spacelike here"
@@ -212,7 +212,7 @@ def surface_geometry(sample: GraphSample) -> SurfaceGeometry:
     e2u = math.exp(2.0 * u)
     em2u = 1.0 / e2u
     m = float(spacelike_margin(u, du))
-    if m <= MARGIN_FLOOR:
+    if not m > MARGIN_FLOOR:
         raise NonSpacelikeError(f"margin {m:.3e} at or below floor {MARGIN_FLOOR:.0e}")
     v = 1.0 / math.sqrt(m)
 
@@ -383,14 +383,15 @@ def cutoff_value_and_bounds(
 def _margin_core(u, grad_sq):
     """(e^{-2u}, margin, v^2) from the height and |du|^2.
 
-    A margin at or below MARGIN_FLOOR raises NonSpacelikeError naming the
-    worst node; nothing is clamped.
+    A margin at or below MARGIN_FLOOR, or a NaN margin, raises
+    NonSpacelikeError naming the worst node (argmin finds a NaN first);
+    nothing is clamped.
     """
     em2u = np.exp(-2.0 * u)
     margin = 1.0 - em2u * grad_sq
     worst_flat = int(np.argmin(margin))
     worst = float(margin.flat[worst_flat])
-    if worst <= MARGIN_FLOOR:
+    if not worst > MARGIN_FLOOR:
         loc = tuple(int(i) for i in np.unravel_index(worst_flat, margin.shape))
         raise NonSpacelikeError(
             f"margin {worst:.3e} at node {loc} (floor {MARGIN_FLOOR:.0e})",

@@ -84,7 +84,7 @@ class Grid:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def axis(self) -> np.ndarray:
         """Node coordinates along one axis (radius for radial mode).
@@ -96,9 +96,7 @@ class Grid:
     @cached_property
     def _axis(self) -> np.ndarray:
         low = -self.extent if self.mode == CARTESIAN else 0.0
-        ax = np.linspace(low, self.extent, self.resolution)
-        ax.flags.writeable = False
-        return ax
+        return _read_only(np.linspace(low, self.extent, self.resolution))
 
     def meshes(self) -> list:
         """Coordinate arrays per axis, each shaped like a field."""
@@ -131,18 +129,33 @@ class Grid:
         """Boolean mask excluding ``ring`` node layers at the boundary.
 
         The radial axis node rho = 0 is interior; only the outer end is a
-        boundary there.
+        boundary there.  Built once per grid and ring and shared, so the
+        array is read-only.
         """
-        mask = np.zeros(self.shape, dtype=bool)
-        if self.mode == RADIAL:
-            mask[: self.resolution - ring] = True
-            return mask
-        inner = (slice(ring, self.resolution - ring),) * self.dimension
-        mask[inner] = True
-        return mask
+        key = ("interior", ring)
+        if key not in self._masks:
+            mask = np.zeros(self.shape, dtype=bool)
+            if self.mode == RADIAL:
+                mask[: self.resolution - ring] = True
+            else:
+                mask[(slice(ring, self.resolution - ring),) * self.dimension] = True
+            self._masks[key] = _read_only(mask)
+        return self._masks[key]
 
     def boundary_mask(self) -> np.ndarray:
-        return ~self.interior_mask(ring=1)
+        """Complement of ``interior_mask(1)``; built once, read-only."""
+        if "boundary" not in self._masks:
+            self._masks["boundary"] = _read_only(~self.interior_mask(ring=1))
+        return self._masks["boundary"]
+
+    @cached_property
+    def _masks(self) -> dict:
+        return {}
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass
@@ -345,7 +358,7 @@ def laplace_beltrami_radial(
     du_mid = (u[1:] - u[:-1]) / h
     m_mid = 1.0 - np.exp(-2.0 * u_mid) * du_mid**2
     worst = float(np.min(m_mid))
-    if worst <= MARGIN_FLOOR:
+    if not worst > MARGIN_FLOOR:
         raise NonSpacelikeError(
             f"margin {worst:.3e} between nodes at or below floor {MARGIN_FLOOR:.0e}"
         )

@@ -368,7 +368,16 @@ def check_tilt_evolution(
     fine_window: flow.TrajectoryWindow | None = None,
     tolerance: float | None = None,
 ) -> ResidualReport:
-    """Measured (d/ds - Lap) v^2 against its closed-form evolution."""
+    """Measured (d/ds - Lap) v^2 against its closed-form evolution.
+
+    The identity's coefficients hold for three spatial dimensions only (on
+    a flat 2-d slice its right side is -2, not 0), so other dimensions
+    raise ModeUnsupportedError.
+    """
+    if window.grid.dimension != 3:
+        raise ModeUnsupportedError(
+            f"tilt evolution coefficients assume dimension 3, got {window.grid.dimension}"
+        )
 
     def parts(win):
         mid, mask, lhs, rhs, _ = _tilt_evolution_parts(win)
@@ -638,7 +647,7 @@ def check_curvature_evolution(
         # pinned there) reach two nodes further in than for first-order
         # fields, with 1/h^2 amplification.  Masking a three-node collar
         # keeps the report about the resolved interior.
-        mask = grids.laplacian_mask(mid.grid)
+        mask = grids.laplacian_mask(mid.grid).copy()
         mask[-3:] = False
         return mid, mask, [[lhs - rhs]]
 

@@ -60,6 +60,72 @@ def test_stable_dt_matches_formula_on_tilted_state():
 
 
 # ---------------------------------------------------------------------------
+# one kernel evaluation per explicit stage
+
+
+@pytest.mark.parametrize("integrator, stages", [("euler", 1), ("rk2", 2), ("rk4", 4)])
+def test_run_evaluates_the_kernel_once_per_stage(monkeypatch, integrator, stages):
+    kernel = geometry.graph_speed_fields
+    calls = []
+
+    def counted(u_values, grid):
+        calls.append(1)
+        return kernel(u_values, grid)
+
+    monkeypatch.setattr(geometry, "graph_speed_fields", counted)
+    cfg = flow.FlowConfig(integrator=integrator, s_end=4e-3, snapshot_stride=7)
+    traj = flow.run(radial_state(amplitude=0.4), cfg)
+    assert traj.failure is None and traj.steps > 10
+    assert len(calls) == stages * traj.steps
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk2", "rk4"])
+def test_run_matches_a_loop_of_public_steps(integrator):
+    """``run`` reuses one kernel evaluation for dt and the first stage and
+    diagnoses recorded steps only; a loop of the public calls, each making
+    its own evaluation and diagnostics, gives the same bits."""
+    state = radial_state(amplitude=0.4)
+    cfg = flow.FlowConfig(integrator=integrator, s_end=4e-3, snapshot_stride=7)
+    traj = flow.run(state, cfg)
+
+    current = flow.GraphState(u=state.u.copy(), s=state.s, bc=state.bc.bound_to(state))
+    snapshots, dts, diags = [current.copy()], [0.0], [None]
+    steps = 0
+    while current.s < cfg.s_end - 1e-14 * max(1.0, cfg.s_end):
+        dt = min(flow.stable_dt(current, cfg.cfl_safety), cfg.dt_max, cfg.s_end - current.s)
+        current, diag = flow.step(current, dt, cfg)
+        steps += 1
+        if steps % cfg.snapshot_stride == 0 or current.s >= cfg.s_end - 1e-14:
+            snapshots.append(current.copy())
+            dts.append(dt)
+            diags.append(diag)
+
+    assert traj.failure is None and traj.steps == steps
+    # the step landing on s_end lies off the stride and is still diagnosed
+    assert steps % cfg.snapshot_stride != 0
+    assert traj.diagnostics[-1] is not None
+    assert traj.diagnostics[-1].s == current.s == traj.final.s
+    assert traj.dt_history == dts
+    assert traj.diagnostics == diags
+    assert [snap.s for snap in traj.snapshots] == [snap.s for snap in snapshots]
+    for ours, theirs in zip(traj.snapshots, snapshots):
+        np.testing.assert_array_equal(ours.u.values, theirs.u.values)
+
+
+def test_step_reuses_given_fields_and_skips_diagnostics():
+    state = radial_state(amplitude=0.4)
+    state = flow.GraphState(u=state.u, s=0.0, bc=state.bc.bound_to(state))
+    cfg = flow.FlowConfig(integrator="rk2")
+    fields = geometry.graph_speed_fields(state.u.values, state.grid)
+    dt = flow.stable_dt(state, cfg.cfl_safety)
+    assert flow.stable_dt(state, cfg.cfl_safety, margin=fields[3]) == dt
+    plain, diag = flow.step(state, dt, cfg)
+    reused, none = flow.step(state, dt, cfg, fields=fields, diagnose=False)
+    assert diag is not None and none is None
+    np.testing.assert_array_equal(plain.u.values, reused.u.values)
+
+
+# ---------------------------------------------------------------------------
 # exactness on flat slices
 
 
@@ -277,6 +343,19 @@ def test_run_records_margin_loss_instead_of_raising():
     )
     traj = flow.run(state, flow.FlowConfig(s_end=0.1))
     assert traj.failure is not None and "margin" in traj.failure
+
+
+def test_run_records_non_finite_heights_instead_of_raising(monkeypatch):
+    kernel = geometry.graph_speed_fields
+
+    def poisoned(u_values, grid):
+        speed, v2, H, margin = kernel(u_values, grid)
+        return np.full_like(speed, np.nan), v2, H, margin
+
+    monkeypatch.setattr(geometry, "graph_speed_fields", poisoned)
+    traj = flow.run(radial_state(), flow.FlowConfig(integrator="euler", s_end=1e-3))
+    assert traj.failure is not None and "non-finite" in traj.failure
+    assert traj.steps == 0 and len(traj.snapshots) == 1
 
 
 def test_max_steps_guard():

@@ -96,6 +96,20 @@ def test_margin_failures_name_the_worst_node():
     assert info.value.location == ()
 
 
+def test_margin_check_rejects_nan_heights():
+    # a NaN height makes the margin NaN beside it; argmin finds the first
+    grid = grids.Grid(grids.RADIAL, 3, extent=1.0, resolution=9)
+    u = np.zeros(grid.shape)
+    u[4] = np.nan
+    for build in (geometry.graph_speed_fields, geometry.GeometryFields):
+        args = (u, grid) if build is geometry.graph_speed_fields else (grid, u)
+        with pytest.raises(NonSpacelikeError, match=r"margin nan at node \(3,\)") as info:
+            build(*args)
+        assert info.value.location == (3,)
+    with pytest.raises(NonSpacelikeError):
+        geometry.GraphSample(u=float("nan"), du=np.zeros(3), d2u=np.zeros((3, 3)))
+
+
 def test_margin_floor_rejects_barely_spacelike():
     # margin 1e-12 sits below the 1e-10 floor and must be rejected, not clamped
     mag = math.sqrt(1.0 - 1e-12)

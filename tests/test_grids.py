@@ -358,6 +358,26 @@ def test_axis_is_built_once_and_read_only(mode):
         ax[0] = 1.0
 
 
+@pytest.mark.parametrize("mode", [grids.RADIAL, grids.CARTESIAN])
+def test_masks_are_built_once_and_read_only(mode):
+    grid = grids.Grid(mode, 3, extent=1.0, resolution=5)
+    for get in (grid.interior_mask, lambda: grid.interior_mask(ring=2), grid.boundary_mask):
+        mask = get()
+        assert get() is mask
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[...] = True
+    # an equal grid builds its own masks
+    other = grids.Grid(mode, 3, extent=1.0, resolution=5)
+    assert other.boundary_mask() is not grid.boundary_mask()
+    np.testing.assert_array_equal(other.boundary_mask(), grid.boundary_mask())
+
+
+def test_node_count_is_exact_for_huge_grids():
+    grid = grids.Grid(grids.CARTESIAN, 3, extent=1.0, resolution=10_000_000)
+    assert grid.node_count == 10**21
+
+
 def test_points_follow_node_order():
     cart = grids.Grid(grids.CARTESIAN, 2, extent=1.0, resolution=5)
     pts = cart.points()

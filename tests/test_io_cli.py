@@ -363,6 +363,45 @@ class TestCli:
         skipped = [n for n in doc["notes"] if n.startswith("curvature_evolution skipped")]
         assert len(skipped) == 1 and "radial" in skipped[0] and "\n" not in skipped[0]
 
+    def test_verify_two_dim_reports_tilt_evolution_unsupported(self, tmp_path):
+        cfg = self.write_config(
+            tmp_path,
+            {
+                "grid": {"mode": "cartesian", "dimension": 2, "resolution": 25},
+                "initial": {"profile": "bump", "amplitude": 0.2, "width": 1.2},
+            },
+        )
+        out = tmp_path / "out"
+        # the exit code is not asserted: tilt-gradient converges at order
+        # 1.68 on this coarse 2-d grid
+        cli.main(["verify", "--config", cfg, "--out", str(out), "--quiet"])
+        doc = json.loads((out / "report.json").read_text())
+        names = [c["name"] for c in doc["checks"]]
+        assert names and "tilt-evolution" not in names
+        skipped = [n for n in doc["notes"] if n.startswith("tilt_evolution skipped")]
+        assert len(skipped) == 1 and "dimension 3" in skipped[0] and "\n" not in skipped[0]
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"mode": "cartesian", "resolution": 10_000_000},
+            # 129^3 nodes fit, but the refined 257^3 grid does not
+            {"mode": "cartesian", "dimension": 3, "resolution": 129},
+            {"mode": "radial", "resolution": 10_000_000},
+        ],
+    )
+    def test_oversized_grid_is_a_config_error(self, tmp_path, capsys, grid):
+        cfg = self.write_config(tmp_path, {"grid": grid})
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert str(config.MAX_NODES) in err
+
+    def test_largest_grid_within_the_node_bound_parses(self):
+        # 128^3 refines to 255^3 = 16,581,375 nodes, just under 2^24
+        doc = {"grid": {"mode": "cartesian", "dimension": 3, "resolution": 128}}
+        assert config.parse_config(json.dumps(doc)).grid.resolution == 128
+
     @pytest.mark.parametrize(
         "doc",
         [
