@@ -20,11 +20,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from . import experiments, flow, geometry, grids, oracles, reporting, snapshots
+from . import experiments, flow, oracles, reporting, snapshots
 from .config import RunConfig, load_config
 from .errors import DsmcfError, ModeUnsupportedError, ParseError, ValidationError
 
@@ -36,83 +37,70 @@ def _new_report(config: RunConfig) -> reporting.Report:
     return report
 
 
-def _fine_state(config: RunConfig) -> flow.GraphState:
-    spec = replace(config.grid, resolution=2 * config.grid.resolution - 1)
-    grid = spec.build()
-    return flow.GraphState(
-        u=grids.Field(grid, config.initial.build(grid)),
-        s=0.0,
-        bc=flow.BoundaryCondition(config.bc),
-    )
+@dataclass
+class _Inputs:
+    """The states and windows the checks read, each built on first use."""
+
+    config: RunConfig
+
+    @cached_property
+    def state(self) -> flow.GraphState:
+        return self.config.initial_state()
+
+    @cached_property
+    def fine(self) -> flow.GraphState:
+        return replace(self.config, grid=self.config.grid.refined()).initial_state()
+
+    @cached_property
+    def window(self) -> flow.TrajectoryWindow:
+        return flow.evolve_window(self.state, self.config.checks.dt, self.config.flow)
+
+    @cached_property
+    def fine_window(self) -> flow.TrajectoryWindow:
+        return flow.evolve_window(self.fine, self.config.checks.dt / 4.0, self.config.flow)
 
 
-def _add_all(report, outcome) -> None:
-    if isinstance(outcome, (list, tuple)):
-        for entry in outcome:
-            report.add_check(entry)
-    else:
-        report.add_check(outcome)
+#: Each boolean ``CheckSpec`` field and its oracle call, in report order.
+_CHECKS = {
+    "restriction_gradients": lambda i: oracles.check_restriction_gradients(i.state),
+    "coordinate_laplacians": lambda i: oracles.check_coordinate_laplacians(i.state, i.fine),
+    "tilt_gradient": lambda i: oracles.check_tilt_gradient(i.state, i.fine),
+    "tilt_evolution": lambda i: oracles.check_tilt_evolution(i.window, i.fine_window),
+    "tilt_bounds": lambda i: oracles.check_tilt_bounds(i.window, i.config.checks.delta),
+    "curvature_evolution": lambda i: oracles.check_curvature_evolution(i.window),
+    "weight_evolution": lambda i: oracles.check_weight_evolution(
+        i.window, i.config.checks.cutoff()
+    ),
+    "weight_gradient": lambda i: oracles.check_weight_gradient(i.state, i.config.checks.cutoff()),
+    "jet_sampling": lambda i: oracles.check_random_jets(i.config.seed, i.config.checks.jet_count),
+}
 
 
-def _add_supported(report, name: str, check, *args) -> None:
-    """Add a check's reports, or a note when the check does not apply here."""
-    try:
-        _add_all(report, check(*args))
-    except ModeUnsupportedError as exc:
-        report.notes.append(f"{name} skipped: {exc}")
-
-
-def _cmd_verify(config: RunConfig) -> tuple[reporting.Report, bool]:
+def _run_checks(config: RunConfig, names) -> tuple[reporting.Report, bool]:
+    """Run the named checks in table order; a check that does not apply to
+    this grid leaves a note instead of reports."""
     report = _new_report(config)
-    checks = config.checks
-    state = config.initial_state()
-    needs_pair = checks.tilt_gradient or checks.coordinate_laplacians or checks.tilt_evolution
-    fine = _fine_state(config) if needs_pair else None
-    needs_window = (
-        checks.tilt_evolution
-        or checks.tilt_bounds
-        or checks.curvature_evolution
-        or checks.weight_evolution
-    )
-    window = flow.evolve_window(state, checks.dt, config.flow) if needs_window else None
-    fine_window = (
-        flow.evolve_window(fine, checks.dt / 4.0, config.flow)
-        if checks.tilt_evolution
-        else None
-    )
-    cutoff = geometry.CutoffSpec(
-        alpha=checks.alpha,
-        radius=checks.weight_radius,
-        epsilon=checks.epsilon,
-        t_min=checks.t_min,
-    )
-
-    if checks.restriction_gradients:
-        _add_all(report, oracles.check_restriction_gradients(state))
-    if checks.coordinate_laplacians:
-        _add_all(report, oracles.check_coordinate_laplacians(state, fine))
-    if checks.tilt_gradient:
-        _add_all(report, oracles.check_tilt_gradient(state, fine))
-    if checks.tilt_evolution:
-        _add_supported(
-            report, "tilt_evolution", oracles.check_tilt_evolution, window, fine_window
-        )
-    if checks.tilt_bounds:
-        _add_all(report, oracles.check_tilt_bounds(window, checks.delta))
-    if checks.curvature_evolution:
-        _add_supported(
-            report, "curvature_evolution", oracles.check_curvature_evolution, window
-        )
-    if checks.weight_evolution:
-        _add_all(report, oracles.check_weight_evolution(window, cutoff))
-    if checks.weight_gradient:
-        _add_all(report, oracles.check_weight_gradient(state, cutoff))
-    if checks.jet_sampling:
-        _add_all(report, oracles.check_random_jets(config.seed, checks.jet_count))
+    inputs = _Inputs(config)
+    for name, check in _CHECKS.items():
+        if name not in names:
+            continue
+        try:
+            outcome = check(inputs)
+        except ModeUnsupportedError as exc:
+            report.notes.append(f"{name} skipped: {exc}")
+            continue
+        for entry in outcome if isinstance(outcome, (list, tuple)) else [outcome]:
+            report.add_check(entry)
     return report, report.all_passed()
 
 
+def _cmd_verify(config: RunConfig) -> tuple[reporting.Report, bool]:
+    """Run the enabled identity and inequality checks on the initial state."""
+    return _run_checks(config, [name for name in _CHECKS if getattr(config.checks, name)])
+
+
 def _cmd_simulate(config: RunConfig) -> tuple[reporting.Report, bool]:
+    """Flow the configured initial state and save the trajectory."""
     report = _new_report(config)
     traj = flow.run(config.initial_state(), config.flow)
     report.steps = traj.steps
@@ -121,13 +109,14 @@ def _cmd_simulate(config: RunConfig) -> tuple[reporting.Report, bool]:
     center = int(np.argmin(np.ravel(grid.radius_squared())))
     centers = [float(np.ravel(snap.u.values)[center]) for snap in traj.snapshots]
     report.add_series("center_height", ("s", "value"), [list(s), centers])
-    snapshots.save_trajectory(traj, _out_path(config, "trajectory.dsmcf"))
+    snapshots.save_trajectory(traj, reporting.output_dir(config.out) / "trajectory.dsmcf")
     if traj.failure is not None:
         report.notes.append(f"flow run failed: {traj.failure}")
     return report, traj.failure is None
 
 
 def _cmd_barrier(config: RunConfig) -> tuple[reporting.Report, bool]:
+    """Run the pinned disk between its flat-slice barriers."""
     if config.grid.extent != config.experiment.disk_radius:
         raise ValidationError(
             f"barrier runs need grid.extent == experiment.disk_radius, "
@@ -159,6 +148,7 @@ def _cmd_barrier(config: RunConfig) -> tuple[reporting.Report, bool]:
 
 
 def _cmd_flatness(config: RunConfig) -> tuple[reporting.Report, bool]:
+    """Flow a perturbed slice until its inner region is theta-flat."""
     report = _new_report(config)
     result = experiments.flatness_run(
         config.initial_state(), config.experiment.theta, config.flow
@@ -177,6 +167,7 @@ def _cmd_flatness(config: RunConfig) -> tuple[reporting.Report, bool]:
 
 
 def _cmd_rescale(config: RunConfig) -> tuple[reporting.Report, bool]:
+    """Tabulate recentred convergence over the configured lambdas."""
     report = _new_report(config)
     traj = flow.run(config.initial_state(), config.flow)
     report.steps = traj.steps
@@ -205,17 +196,8 @@ def _cmd_rescale(config: RunConfig) -> tuple[reporting.Report, bool]:
 
 
 def _cmd_refine(config: RunConfig) -> tuple[reporting.Report, bool]:
-    report = _new_report(config)
-    state = config.initial_state()
-    fine = _fine_state(config)
-    _add_all(report, oracles.check_coordinate_laplacians(state, fine))
-    _add_all(report, oracles.check_tilt_gradient(state, fine))
-    window = flow.evolve_window(state, config.checks.dt, config.flow)
-    fine_window = flow.evolve_window(fine, config.checks.dt / 4.0, config.flow)
-    _add_supported(
-        report, "tilt_evolution", oracles.check_tilt_evolution, window, fine_window
-    )
-    return report, report.all_passed()
+    """Measure refinement orders of the checks that compare a coarse/fine pair."""
+    return _run_checks(config, ("coordinate_laplacians", "tilt_gradient", "tilt_evolution"))
 
 
 COMMANDS = {
@@ -226,14 +208,6 @@ COMMANDS = {
     "rescale": _cmd_rescale,
     "refine": _cmd_refine,
 }
-
-
-def _out_path(config: RunConfig, name: str):
-    from pathlib import Path
-
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out / name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,18 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", help="path to a JSON run config")
         cmd.add_argument("--out", help="output directory (overrides the config)")
         cmd.add_argument("--seed", type=int, help="seed for sampled checks")
-        cmd.add_argument("--quiet", action="store_true", help="suppress progress output")
+        cmd.add_argument("--quiet", action="store_true", help="print no result or summary lines")
     return parser
 
 
 def _effective_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    config = replace(config, kind=args.command)
-    if args.out is not None:
-        config = replace(config, out=args.out)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    return config
+    given = {k: v for k, v in (("out", args.out), ("seed", args.seed)) if v is not None}
+    return replace(config, kind=args.command, **given)
 
 
 def main(argv=None) -> int:
@@ -272,15 +242,15 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         report, ok = COMMANDS[args.command](config)
+        report.wall_seconds = time.perf_counter() - started
+        report.outcome = ok
+        written = reporting.emit_report(report, config.out)
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DsmcfError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    report.wall_seconds = time.perf_counter() - started
-    report.outcome = ok
-    written = reporting.emit_report(report, config.out)
 
     if not args.quiet:
         for entry in report.checks:

@@ -17,14 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import flow, grids
+from . import flow, geometry, grids
 from .errors import ParseError, ValidationError
 
 KINDS = ("simulate", "verify", "barrier", "flatness", "rescale", "refine")
 PROFILES = ("flat", "bump", "wrinkled", "ramp")
 
-#: Largest grid a config may ask for, counting the refined grid with
-#: 2 r - 1 nodes per axis that ``verify`` and ``refine`` build from it.
+#: Largest grid a config may ask for, counting the refined grid
+#: (``GridSpec.refined``) that ``verify`` and ``refine`` build from it.
 MAX_NODES = 2**24
 
 
@@ -37,6 +37,10 @@ class GridSpec:
 
     def build(self) -> grids.Grid:
         return grids.Grid(self.mode, self.dimension, extent=self.extent, resolution=self.resolution)
+
+    def refined(self) -> "GridSpec":
+        """The same box with half the spacing: 2 r - 1 nodes per axis."""
+        return dataclasses.replace(self, resolution=2 * self.resolution - 1)
 
 
 @dataclass(frozen=True)
@@ -96,13 +100,16 @@ class CheckSpec:
     dt: float = 1e-4
     jet_count: int = 20_000
 
+    def cutoff(self) -> geometry.CutoffSpec:
+        return geometry.CutoffSpec(
+            alpha=self.alpha, radius=self.weight_radius, epsilon=self.epsilon, t_min=self.t_min
+        )
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     disk_radius: float = 4.0
     theta: float = 0.05
-    alpha: float = 0.5
-    region: float = 1.0
     lambdas: tuple[float, ...] = (0.35, 0.5, 0.65)
     rho: float = 1.0
 
@@ -234,7 +241,7 @@ def _validate(config: RunConfig) -> RunConfig:
             raise ValidationError(f"{label} must be positive, got {value}")
     try:
         grid = config.grid.build()
-        fine = dataclasses.replace(config.grid, resolution=2 * grid.resolution - 1).build()
+        fine = config.grid.refined().build()
     except ValueError as exc:
         raise ValidationError(f"grid: {exc}") from exc
     if fine.node_count > MAX_NODES:
@@ -247,9 +254,8 @@ def _validate(config: RunConfig) -> RunConfig:
         raise ValidationError(
             f"experiment.lambdas must be non-empty and strictly increasing, got {list(lambdas)}"
         )
-    for label, alpha in (("checks.alpha", config.checks.alpha), ("experiment.alpha", config.experiment.alpha)):
-        if not 0.0 < alpha < 2.0:
-            raise ValidationError(f"alpha ∈ (0,2) violated: {label} = {alpha}")
+    if not 0.0 < config.checks.alpha < 2.0:
+        raise ValidationError(f"alpha ∈ (0,2) violated: checks.alpha = {config.checks.alpha}")
     if not 0.0 <= config.checks.delta <= 1.0 / 3.0:
         raise ValidationError(f"delta ∈ [0,1/3] violated: got {config.checks.delta}")
     if not 0.0 < config.experiment.theta < 1.0:

@@ -430,7 +430,9 @@ def _doubling_step(state: GraphState, dt: float, config: FlowConfig):
     A step of dt is compared with two steps of dt/2; their difference,
     relative to 1 + max|u|, estimates the local error of the full step.
     The two half steps are kept when the estimate is within STEP_TOL;
-    otherwise, or when a solve fails, dt shrinks and the step is retried.
+    otherwise, or when a solve fails, or when the update dt max|S| is
+    within Newton's tolerance (except on the step landing on ``s_end``), dt
+    shrinks and the step is retried.
     The full step, the first half step and every retry start from the same
     heights, so they share one kernel evaluation and one Jacobian there.
     The last step lands exactly on ``s_end``.  Returns (new state,
@@ -455,9 +457,14 @@ def _doubling_step(state: GraphState, dt: float, config: FlowConfig):
         except (NonSpacelikeError, ConvergenceError) as exc:
             reason, err = exc, np.inf
         else:
-            diff = float(np.max(np.abs(unew - full)))
-            err = diff / (1.0 + float(np.max(np.abs(unew))))
+            scale = 1.0 + float(np.max(np.abs(unew)))
+            err = float(np.max(np.abs(unew - full))) / scale
             reason = f"local error {err:.3g} above {STEP_TOL:.0e}"
+            update = dt * float(np.max(np.abs(fields[0])))
+            if update <= NEWTON_TOL * scale and s_new != config.s_end:
+                # Newton's stopping test holds for any iterate this close to
+                # u0, so such a step shows nothing and the run would stall.
+                reason, err = f"step update {update:.3g} within the Newton tolerance", np.inf
         if err == 0.0:
             grow = 2.0
         else:

@@ -67,8 +67,8 @@ class Grid:
             raise ValueError("dimension must be positive")
         if self.mode == RADIAL and self.dimension < 2:
             raise ValueError("radial mode needs dimension >= 2")
-        if not (self.extent > 0):
-            raise ValueError("extent must be positive")
+        if not 0 < self.extent < math.inf:
+            raise ValueError("extent must be positive and finite")
 
     @property
     def spacing(self) -> float:

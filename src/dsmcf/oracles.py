@@ -398,10 +398,16 @@ def check_tilt_bounds(
     pinching bound |A|^2 >= (4/3) lambda_1^2 - H^2.
 
     ``delta`` steers the dissipation bound and must lie in [0, 1/3].
-    Returns one report per bound.
+    Returns one report per bound.  The bounds rest on the v^2 evolution of
+    ``check_tilt_evolution``, so other dimensions than 3 raise
+    ModeUnsupportedError as there.
     """
     if not (0.0 <= delta <= 1.0 / 3.0 + 1e-15):
         raise ValueError(f"delta must lie in [0, 1/3], got {delta}")
+    if window.grid.dimension != 3:
+        raise ModeUnsupportedError(
+            f"tilt bounds rest on the dimension 3 v^2 evolution, got {window.grid.dimension}"
+        )
     mid, mask, lhs, _, grad_v_sq = _tilt_evolution_parts(window)
     h = mid.grid.spacing
     common = {"delta": delta, "h": h, "dt": window.dt}

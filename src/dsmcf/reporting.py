@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .errors import IoError
 
@@ -94,16 +95,19 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def emit_report(report: Report, out_dir, formats=("json", "csv")) -> list:
-    """Write the report files into ``out_dir`` and return their paths."""
-    from pathlib import Path
-
+def output_dir(out_dir) -> Path:
+    """Create ``out_dir`` (and its parents) if needed and return it as a Path."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {out}: {exc}") from exc
+    return out
 
+
+def emit_report(report: Report, out_dir, formats=("json", "csv")) -> list:
+    """Write the report files into ``out_dir`` and return their paths."""
+    out = output_dir(out_dir)
     written = []
     try:
         if "json" in formats:

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dsmcf import cli, config, flow, grids, oracles, reporting, snapshots
@@ -100,6 +100,11 @@ class TestConfig:
     def test_margin_floor_is_not_a_config_key(self):
         with pytest.raises(ParseError, match="unknown key 'margin_floor' in flow"):
             config.parse_config('{"flow": {"margin_floor": 1e-8}}')
+
+    @pytest.mark.parametrize("key", ["alpha", "region"])
+    def test_unread_experiment_options_are_not_config_keys(self, key):
+        with pytest.raises(ParseError, match=f"unknown key '{key}' in experiment"):
+            config.parse_config(json.dumps({"experiment": {key: 1.0}}))
 
     def test_ramp_tilt_must_exceed_one(self):
         with pytest.raises(ValidationError, match="ramp tilt must exceed 1"):
@@ -244,6 +249,68 @@ class TestSnapshots:
         with pytest.raises(VersionMismatchError, match="version 99.*version 1"):
             snapshots.load_state(path)
 
+    @pytest.mark.parametrize("make", [small_state, small_trajectory])
+    def test_unwritable_path_raises_io_error(self, tmp_path, make):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        with pytest.raises(IoError, match="cannot write"):
+            snapshots.save(make(), blocker / "snap.dsmcf")
+
+
+@pytest.fixture(scope="module")
+def snapshot_files(tmp_path_factory):
+    """Bytes of a radial state, a 2-d Cartesian state whose boundary heights
+    vary, and a radial trajectory that records a failure; and a scratch path."""
+    root = tmp_path_factory.mktemp("snapshots")
+    grid = grids.Grid(grids.CARTESIAN, 2, extent=1.0, resolution=5)
+    bump = flow.GraphState(
+        u=grids.Field(grid, np.exp(-grid.radius_squared())),
+        s=0.5,
+        bc=flow.BoundaryCondition(flow.SLICING),
+    )
+    stopped = flow.run(
+        small_state(resolution=9),
+        flow.FlowConfig(cfl_safety=0.5, s_end=0.05, snapshot_stride=2, max_steps=5),
+    )
+    objects = {"state": small_state(resolution=9), "cartesian": bump, "trajectory": stopped}
+    blobs = {}
+    for kind, obj in objects.items():
+        snapshots.save(obj, root / kind)
+        blobs[kind] = (root / kind).read_bytes()
+    return blobs, root / "corrupted.dsmcf"
+
+
+# Header offsets: dimension 13, bc kind 14, resolution 16, extent 20-27; a
+# state's s 28-35; a trajectory's failure text from 52.
+@settings(max_examples=400, deadline=None, database=None)
+@given(
+    kind=st.sampled_from(["state", "cartesian", "trajectory"]),
+    edits=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 255)), min_size=1, max_size=3),
+    cut=st.none() | st.integers(0, 400),
+)
+@example(kind="state", edits=[(13, 0)], cut=None)
+@example(kind="state", edits=[(16, 3)], cut=None)
+@example(kind="state", edits=[(34, 0xF8), (35, 0x7F)], cut=None)
+@example(kind="cartesian", edits=[(14, 1)], cut=None)
+@example(kind="trajectory", edits=[(26, 0xF8), (27, 0x7F)], cut=None)
+@example(kind="trajectory", edits=[(16, 8)], cut=None)
+@example(kind="trajectory", edits=[(52, 0xFF)], cut=None)
+def test_corrupted_snapshot_loads_or_raises_a_file_error(snapshot_files, kind, edits, cut):
+    """Overwritten bytes and truncations either load as a state with a
+    finite flow time or raise CorruptFileError or VersionMismatchError."""
+    blobs, path = snapshot_files
+    blob = bytearray(blobs[kind])
+    for pos, value in edits:
+        blob[pos % len(blob)] = value
+    path.write_bytes(bytes(blob[:cut]))
+    load = snapshots.load_trajectory if kind == "trajectory" else snapshots.load_state
+    try:
+        loaded = load(path)
+    except (CorruptFileError, VersionMismatchError):
+        return
+    states = loaded.snapshots if kind == "trajectory" else [loaded]
+    assert all(np.isfinite(state.s) for state in states)
+
 
 class TestReporting:
     def make_check(self, name="demo", passed=True):
@@ -377,9 +444,11 @@ class TestCli:
         cli.main(["verify", "--config", cfg, "--out", str(out), "--quiet"])
         doc = json.loads((out / "report.json").read_text())
         names = [c["name"] for c in doc["checks"]]
-        assert names and "tilt-evolution" not in names
-        skipped = [n for n in doc["notes"] if n.startswith("tilt_evolution skipped")]
-        assert len(skipped) == 1 and "dimension 3" in skipped[0] and "\n" not in skipped[0]
+        tilt = {"tilt-evolution", "tilt-dissipation-bound", "tilt-decay-bound", "pinching-bound"}
+        assert names and not tilt & set(names)
+        for check in ("tilt_evolution", "tilt_bounds"):
+            skipped = [n for n in doc["notes"] if n.startswith(f"{check} skipped")]
+            assert len(skipped) == 1 and "dimension 3" in skipped[0] and "\n" not in skipped[0]
 
     @pytest.mark.parametrize(
         "grid",
@@ -496,6 +565,41 @@ class TestCli:
         doc = json.loads((out / "report.json").read_text())
         result = doc["experiments"]["barrier"]
         assert result["monotone"] is True and result["within_bounds"] is True
+
+    def test_barrier_implicit_stall_ends_with_a_recorded_failure(self, tmp_path, capsys):
+        # At 65 nodes the margin beside the rim collapses near s = 0.74, where
+        # steps that move the heights by less than Newton's tolerance used to
+        # be accepted without end.
+        cfg = self.write_config(
+            tmp_path,
+            {
+                "grid": {"resolution": 65, "extent": 4.0},
+                "bc": "pinned",
+                "flow": {"integrator": "implicit", "s_end": 1.2, "max_steps": 500},
+                "experiment": {"disk_radius": 4.0},
+            },
+        )
+        assert cli.main(["barrier", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ") and err.count("\n") == 1
+        assert "step size fell below" in err and "Newton tolerance" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "refine"])
+    def test_out_path_that_is_a_file_exits_one(self, tmp_path, capsys, command):
+        cfg = self.write_config(tmp_path, {"grid": {"resolution": 17}, "flow": {"s_end": 0.02}})
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        assert cli.main([command, "--config", cfg, "--out", str(blocker), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ") and err.count("\n") == 1
+        assert "output directory" in err
+
+    def test_help_describes_every_command(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        for fn in cli.COMMANDS.values():
+            assert fn.__doc__ and " ".join(fn.__doc__.split()) in out
 
     def test_rescale_flat_defaults_pass(self, tmp_path):
         cfg = self.write_config(
