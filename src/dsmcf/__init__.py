@@ -14,19 +14,17 @@ from .geometry import (
     GraphSample,
     SurfaceGeometry,
     ambient_metric,
-    cutoff_value_and_bounds,
     isometry_shift_point,
     surface_geometry,
     tangential_projection,
 )
-from .grids import Field, Grid, differentiate, interpolate, refinement_order
+from .grids import Field, Grid, interpolate, refinement_order
 from .flow import (
     BoundaryCondition,
     FlowConfig,
     GraphState,
     Trajectory,
     isometry_shift_state,
-    mean_convexity_report,
     run,
     stable_dt,
     step,

@@ -42,6 +42,7 @@ class _Inputs:
     """The states and windows the checks read, each built on first use."""
 
     config: RunConfig
+    notes: list  # the report's notes: a clamped window step adds one
 
     @cached_property
     def state(self) -> flow.GraphState:
@@ -52,12 +53,26 @@ class _Inputs:
         return replace(self.config, grid=self.config.grid.refined()).initial_state()
 
     @cached_property
+    def dt(self) -> float:
+        """``checks.dt``, clamped to the stable step of an explicit integrator."""
+        dt, settings = self.config.checks.dt, self.config.flow
+        if settings.integrator != flow.IMPLICIT:
+            stable = flow.stable_dt(self.state, settings.cfl_safety)
+            if stable < dt:
+                self.notes.append(
+                    f"checking window dt {stable:.3g}: checks.dt {dt:.3g} exceeds "
+                    f"the {settings.integrator} stable step"
+                )
+                dt = stable
+        return dt
+
+    @cached_property
     def window(self) -> flow.TrajectoryWindow:
-        return flow.evolve_window(self.state, self.config.checks.dt, self.config.flow)
+        return flow.evolve_window(self.state, self.dt, self.config.flow)
 
     @cached_property
     def fine_window(self) -> flow.TrajectoryWindow:
-        return flow.evolve_window(self.fine, self.config.checks.dt / 4.0, self.config.flow)
+        return flow.evolve_window(self.fine, self.dt / 4.0, self.config.flow)
 
 
 #: Each boolean ``CheckSpec`` field and its oracle call, in report order.
@@ -75,31 +90,40 @@ _CHECKS = {
     "jet_sampling": lambda i: oracles.check_random_jets(i.config.seed, i.config.checks.jet_count),
 }
 
+#: The checks that apply only on some grids, each with its grid guard.
+_GUARDS = {
+    "tilt_evolution": oracles.tilt_evolution_guard,
+    "tilt_bounds": oracles.tilt_bounds_guard,
+    "curvature_evolution": oracles.curvature_evolution_guard,
+}
 
-def _run_checks(config: RunConfig, names) -> tuple[reporting.Report, bool]:
+
+def _run_checks(config: RunConfig, names) -> reporting.Report:
     """Run the named checks in table order; a check that does not apply to
-    this grid leaves a note instead of reports."""
+    this grid leaves a note instead of reports, and its inputs are not built."""
     report = _new_report(config)
-    inputs = _Inputs(config)
+    inputs = _Inputs(config, report.notes)
     for name, check in _CHECKS.items():
         if name not in names:
             continue
         try:
+            if name in _GUARDS:
+                _GUARDS[name](inputs.state.grid)
             outcome = check(inputs)
         except ModeUnsupportedError as exc:
             report.notes.append(f"{name} skipped: {exc}")
             continue
         for entry in outcome if isinstance(outcome, (list, tuple)) else [outcome]:
             report.add_check(entry)
-    return report, report.all_passed()
+    return report
 
 
-def _cmd_verify(config: RunConfig) -> tuple[reporting.Report, bool]:
+def _cmd_verify(config: RunConfig) -> reporting.Report:
     """Run the enabled identity and inequality checks on the initial state."""
     return _run_checks(config, [name for name in _CHECKS if getattr(config.checks, name)])
 
 
-def _cmd_simulate(config: RunConfig) -> tuple[reporting.Report, bool]:
+def _cmd_simulate(config: RunConfig) -> reporting.Report:
     """Flow the configured initial state and save the trajectory."""
     report = _new_report(config)
     traj = flow.run(config.initial_state(), config.flow)
@@ -111,11 +135,11 @@ def _cmd_simulate(config: RunConfig) -> tuple[reporting.Report, bool]:
     report.add_series("center_height", ("s", "value"), [list(s), centers])
     snapshots.save_trajectory(traj, reporting.output_dir(config.out) / "trajectory.dsmcf")
     if traj.failure is not None:
-        report.notes.append(f"flow run failed: {traj.failure}")
-    return report, traj.failure is None
+        report.record_failure(f"flow run failed: {traj.failure}")
+    return report
 
 
-def _cmd_barrier(config: RunConfig) -> tuple[reporting.Report, bool]:
+def _cmd_barrier(config: RunConfig) -> reporting.Report:
     """Run the pinned disk between its flat-slice barriers."""
     if config.grid.extent != config.experiment.disk_radius:
         raise ValidationError(
@@ -132,22 +156,24 @@ def _cmd_barrier(config: RunConfig) -> tuple[reporting.Report, bool]:
         ("s", "w0", "bound_3s"),
         [list(result.s), list(result.center_height), list(result.upper_bound)],
     )
-    ok = result.monotone and result.within_bounds
     if len(result.translation_slack) > 0:
         report.add_series(
             "barrier_translation_slack",
             ("s", "value"),
             [list(result.translation_s), list(result.translation_slack)],
         )
-        ok = ok and float(np.min(result.translation_slack)) >= -result.tolerance
     else:
-        report.notes.append(
-            "translation inequality skipped: run shorter than the unit stepping horizon"
+        radius = config.experiment.disk_radius
+        cause = (
+            f"disk radius {radius:g} <= 1 leaves no radius inside the disk after the e^c stretch"
+            if radius <= 1.0
+            else "run shorter than the unit stepping horizon"
         )
-    return report, ok
+        report.notes.append(f"translation inequality skipped: {cause}")
+    return report
 
 
-def _cmd_flatness(config: RunConfig) -> tuple[reporting.Report, bool]:
+def _cmd_flatness(config: RunConfig) -> reporting.Report:
     """Flow a perturbed slice until its inner region is theta-flat."""
     report = _new_report(config)
     result = experiments.flatness_run(
@@ -163,17 +189,17 @@ def _cmd_flatness(config: RunConfig) -> tuple[reporting.Report, bool]:
         ("s", "value"),
         [list(result.s), list(result.height_spread)],
     )
-    return report, result.reached and result.eventually_decreasing
+    return report
 
 
-def _cmd_rescale(config: RunConfig) -> tuple[reporting.Report, bool]:
+def _cmd_rescale(config: RunConfig) -> reporting.Report:
     """Tabulate recentred convergence over the configured lambdas."""
     report = _new_report(config)
     traj = flow.run(config.initial_state(), config.flow)
     report.steps = traj.steps
     if traj.failure is not None:
-        report.notes.append(f"flow run failed: {traj.failure}")
-        return report, False
+        report.record_failure(f"flow run failed: {traj.failure}")
+        return report
     table = experiments.convergence_table(
         traj, np.asarray(config.experiment.lambdas), config.experiment.rho
     )
@@ -183,19 +209,15 @@ def _cmd_rescale(config: RunConfig) -> tuple[reporting.Report, bool]:
         ("lambda", "sup_u_err", "sup_v_err"),
         [list(table.lambdas), list(table.height_error), list(table.tilt_error)],
     )
-    already_flat = (
-        float(np.max(table.height_error)) < 1e-12
-        and float(np.max(table.tilt_error)) < 1e-12
-    )
-    if already_flat and not table.decreasing:
+    if table.passed and not table.decreasing:
         report.notes.append(
             "recentred errors at machine zero for every lambda; "
             "monotone decrease not applicable"
         )
-    return report, table.decreasing or already_flat
+    return report
 
 
-def _cmd_refine(config: RunConfig) -> tuple[reporting.Report, bool]:
+def _cmd_refine(config: RunConfig) -> reporting.Report:
     """Measure refinement orders of the checks that compare a coarse/fine pair."""
     return _run_checks(config, ("coordinate_laplacians", "tilt_gradient", "tilt_evolution"))
 
@@ -241,9 +263,8 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     try:
-        report, ok = COMMANDS[args.command](config)
+        report = COMMANDS[args.command](config)
         report.wall_seconds = time.perf_counter() - started
-        report.outcome = ok
         written = reporting.emit_report(report, config.out)
     except ValidationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -252,6 +273,7 @@ def main(argv=None) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 
+    ok = report.all_passed()
     if not args.quiet:
         for entry in report.checks:
             print(entry["summary"])

@@ -294,9 +294,3 @@ def load_config(path) -> RunConfig:
     """Read, parse, and range-check a config file."""
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def save_config(config: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.as_dict(), fh, indent=2)
-        fh.write("\n")

@@ -1,8 +1,8 @@
 """Desk-scale reproductions of the qualitative flow phenomena: a pinned
-disk whose center climbs without bound between its barriers, bounded tilt
-on steep mean-convex data, flattening of perturbed slices, recentred
-convergence to the uniformly climbing profile, and the discrete ordering
-principle the other runs lean on."""
+disk whose center climbs without bound between its barriers, flattening
+of perturbed and steep slices, recentred convergence to the uniformly
+climbing profile, and the discrete ordering principle the other runs lean
+on.  Each result's ``passed`` is its one verdict."""
 
 import dataclasses
 import math
@@ -80,6 +80,7 @@ class BarrierResult(_Result):
     shift_constant: float
     translation_s: np.ndarray
     translation_slack: np.ndarray
+    passed: bool
     steps: int = 0
 
     def __post_init__(self):
@@ -160,6 +161,7 @@ def barrier_run(
     )
     monotone = bool(np.all(np.diff(center) >= -1e-12))
     c, ts, slack = _translation_series(s, profiles, grid, R2)
+    translation_holds = len(slack) == 0 or bool(np.min(slack) >= -tol)
     return BarrierResult(
         s=s,
         center_height=center,
@@ -170,64 +172,7 @@ def barrier_run(
         shift_constant=c,
         translation_s=ts,
         translation_slack=slack,
-        steps=traj.steps,
-    )
-
-
-# ---------------------------------------------------------------------------
-# tilt bound on steep data
-
-
-@dataclass(frozen=True)
-class GradientBoundResult(_Result):
-    """Supremum of v over the comoving window, per snapshot."""
-
-    s: np.ndarray
-    sup_tilt: np.ndarray
-    alpha: float
-    region: float
-    bounded: bool
-    steps: int = 0
-
-
-def _no_growth_trend(series: np.ndarray) -> bool:
-    """True when the final third never rises above the earlier maximum."""
-    cut = max(1, (2 * len(series)) // 3)
-    if cut >= len(series):
-        return True
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(series))))
-    return bool(np.max(series[cut:]) <= np.max(series[:cut]) + tol)
-
-
-def gradient_bound_run(
-    initial: flow.GraphState, alpha: float, R: float, config: flow.FlowConfig
-) -> GradientBoundResult:
-    """Track sup v over the shrinking window e^{alpha u} |x|^2 <= R/2.
-
-    The window follows the surface upward: as the height climbs the
-    admissible radius contracts, which is what lets steep initial data
-    settle to a bounded tilt there.  The result flags whether the series
-    stopped growing over the final third of the run.  Mean convexity of
-    the initial data is the caller's responsibility; runs violating it
-    are reported, not rejected.
-    """
-    if not (0.0 < alpha < 2.0):
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    if R <= 0.0:
-        raise ValueError(f"window size must be positive, got {R}")
-    traj = _completed(flow.run(initial, config))
-    radius_sq = initial.grid.radius_squared()
-    sup = np.empty(len(traj.snapshots))
-    for k, st in enumerate(traj.snapshots):
-        geom = geometry.GeometryFields(st.grid, st.u.values)
-        inside = np.exp(alpha * geom.u) * radius_sq <= 0.5 * R
-        sup[k] = float(np.max(geom.v[inside]))
-    return GradientBoundResult(
-        s=traj.s_values(),
-        sup_tilt=sup,
-        alpha=alpha,
-        region=R,
-        bounded=_no_growth_trend(sup),
+        passed=monotone and within and translation_holds,
         steps=traj.steps,
     )
 
@@ -247,6 +192,7 @@ class FlatnessResult(_Result):
     flattening_time: float | None
     reached: bool
     eventually_decreasing: bool
+    passed: bool
     steps: int = 0
 
     def __post_init__(self):
@@ -294,6 +240,7 @@ def flatness_run(
         flattening_time=flattening,
         reached=reached,
         eventually_decreasing=decreasing,
+        passed=reached and decreasing,
         steps=traj.steps,
     )
 
@@ -419,6 +366,7 @@ class RescaleTable(_Result):
     tilt_error: np.ndarray
     rho: float
     decreasing: bool
+    passed: bool
 
     def __post_init__(self):
         if not (len(self.lambdas) == len(self.height_error) == len(self.tilt_error)):
@@ -448,12 +396,15 @@ def convergence_table(
         height[k] = window.height_error()
         tilt[k] = window.tilt_error()
     decreasing = bool(np.all(np.diff(height) < 0.0) and np.all(np.diff(tilt) < 0.0))
+    # errors at machine zero for every lambda cannot decrease strictly
+    already_flat = bool(np.max(height) < 1e-12 and np.max(tilt) < 1e-12)
     return RescaleTable(
         lambdas=lams,
         height_error=height,
         tilt_error=tilt,
         rho=rho,
         decreasing=decreasing,
+        passed=decreasing or already_flat,
     )
 
 
@@ -469,6 +420,7 @@ class ComparisonResult(_Result):
     worst_gap: np.ndarray
     tolerance: float
     ordered: bool
+    passed: bool
     steps: int = 0
 
 
@@ -505,10 +457,12 @@ def comparison_run(
         tau = min(max(float(s_lo[k]), float(s_hi[0])), float(s_hi[-1]))
         upper = _profile_at(s_hi, hi_profiles, tau)
         gaps[k] = float(np.max(st.u.values - upper))
+    ordered = bool(np.all(gaps <= tol))
     return ComparisonResult(
         s=s_lo,
         worst_gap=gaps,
         tolerance=tol,
-        ordered=bool(np.all(gaps <= tol)),
+        ordered=ordered,
+        passed=ordered,
         steps=lo.steps + hi.steps,
     )

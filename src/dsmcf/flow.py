@@ -493,8 +493,8 @@ def run(state: GraphState, config: FlowConfig) -> Trajectory:
     long run is never lost to its last step.  The implicit integrator
     counts accepted steps only.
 
-    An explicit step evaluates the kernel once at its start, for both dt
-    and its first stage, and builds diagnostics only for recorded steps.
+    A fixed or stability-limited step evaluates the kernel once at its
+    start, for dt and the first stage, and diagnoses recorded steps only.
     """
     bc = state.bc.bound_to(state)
     current = GraphState(u=state.u.copy(), s=state.s, bc=bc)
@@ -512,17 +512,15 @@ def run(state: GraphState, config: FlowConfig) -> Trajectory:
             if steps >= config.max_steps:
                 traj.failure = f"max_steps ({config.max_steps}) exceeded"
                 break
-            if config.dt_fixed is not None:
-                dt = min(config.dt_fixed, config.s_end - current.s)
-                record = _records(steps + 1, current.s + dt, config)
-                current, diag = step(current, dt, config, diagnose=record)
-            elif config.integrator == IMPLICIT:
+            if config.integrator == IMPLICIT and config.dt_fixed is None:
                 current, diag, dt, dt_next = _doubling_step(current, dt_next, config)
                 record = _records(steps + 1, current.s, config)
             else:
                 fields = _speed_or_abort(current.u.values, current.grid, current.s)
-                dt = stable_dt(current, config.cfl_safety, margin=fields[3])
-                dt = min(dt, config.dt_max, config.s_end - current.s)
+                dt = config.dt_fixed or min(
+                    stable_dt(current, config.cfl_safety, margin=fields[3]), config.dt_max
+                )
+                dt = min(dt, config.s_end - current.s)
                 record = _records(steps + 1, current.s + dt, config)
                 current, diag = step(current, dt, config, fields=fields, diagnose=record)
             steps += 1
@@ -567,31 +565,3 @@ def isometry_shift_state(state: GraphState, a: float) -> GraphState:
     new_state = GraphState(u=grids.Field(grid, values), s=state.s, bc=bc)
     new_state.bc = bc.bound_to(new_state)
     return new_state
-
-
-@dataclass(frozen=True)
-class MeanConvexityReport:
-    """Where (if anywhere) the mean curvature dips below -tolerance."""
-
-    violation_count: int
-    min_H: float
-    tolerance: float
-    locations: tuple
-
-
-def mean_convexity_report(
-    state: GraphState, tolerance: float = MEAN_CONVEXITY_TOL, max_locations: int = 8
-) -> MeanConvexityReport:
-    """Diagnostic scan for loss of mean convexity on interior nodes."""
-    grid = state.grid
-    _, _, H, _ = geometry.graph_speed_fields(state.u.values, grid)
-    interior = grid.interior_mask(1)
-    bad = (H < -tolerance) & interior
-    count = int(np.sum(bad))
-    locations = tuple(zip(*np.nonzero(bad)))[:max_locations]
-    return MeanConvexityReport(
-        violation_count=count,
-        min_H=float(np.min(H[interior])),
-        tolerance=tolerance,
-        locations=locations,
-    )

@@ -44,14 +44,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from . import grids
-from .errors import (
-    BelowThresholdError,
-    NonSpacelikeError,
-    SingularMetricError,
-)
+from .errors import NonSpacelikeError, SingularMetricError
 
 DEFAULT_DIMENSION = 3
 
@@ -270,14 +265,6 @@ def coordinate_laplacian_values(H, v, t, nu_inner, dimension: int = DEFAULT_DIME
     return lap_x, lap_t
 
 
-def coordinate_laplacians_closed_form(geom: SurfaceGeometry):
-    """(Lap x_i per axis, Lap t) for the graph at ``geom``'s base point."""
-    n = geom.sample.dimension
-    u = geom.sample.u
-    nu_inner = math.exp(2.0 * u) * geom.nu[:n]
-    return coordinate_laplacian_values(geom.H, geom.v, u, nu_inner, dimension=n)
-
-
 def coordinate_laplacian_wave_values(H, nu_sp, nu_t, t, dimension: int = DEFAULT_DIMENSION):
     """Same Laplacians assembled from the ambient wave-operator identity.
 
@@ -294,14 +281,6 @@ def coordinate_laplacian_wave_values(H, nu_sp, nu_t, t, dimension: int = DEFAULT
     lap_x = H * nu_sp - 2.0 * nu_sp * nu_t
     lap_t = -float(dimension) + H * nu_t - e2t * np.einsum("i...,i...->...", nu_sp, nu_sp)
     return lap_x, lap_t
-
-
-def coordinate_laplacians_wave_route(geom: SurfaceGeometry):
-    """Wave-route (Lap x_i per axis, Lap t) at ``geom``'s base point."""
-    n = geom.sample.dimension
-    return coordinate_laplacian_wave_values(
-        geom.H, geom.nu[:n], geom.nu[-1], geom.sample.u, dimension=n
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -330,19 +309,8 @@ class CutoffSpec:
             raise ValueError("epsilon must be positive")
 
 
-@dataclass(frozen=True)
-class CutoffBounds:
-    """Value and guaranteed bounds for the weight at one point."""
-
-    value: float
-    in_region: bool
-    grad_sq_lower: float
-    grad_sq_upper: float
-    evolution_lower: float
-
-
 def cutoff_arrays(t, radius_sq, v, spec: CutoffSpec):
-    """Vectorized weight value and bounds; see ``cutoff_value_and_bounds``."""
+    """(r, lower and upper bound on |grad r|^2, lower bound on (d/ds - Lap) r) per node."""
     t = np.asarray(t, dtype=float)
     r = np.exp(spec.alpha * t) * np.asarray(radius_sq, dtype=float)
     v2 = np.asarray(v, dtype=float) ** 2
@@ -351,29 +319,6 @@ def cutoff_arrays(t, radius_sq, v, spec: CutoffSpec):
     grad_upper = 2.0 * a2r * r * (v2 - 1.0) + spec.epsilon * r * v2
     evol_lower = (-a2r - spec.epsilon) * v2
     return r, grad_lower, grad_upper, evol_lower
-
-
-def cutoff_value_and_bounds(
-    point: AmbientPoint, spec: CutoffSpec, geom: SurfaceGeometry
-) -> CutoffBounds:
-    """Weight value at ``point`` plus its gradient and evolution bounds.
-
-    The bounds only hold above the height threshold; asking below it raises
-    BelowThresholdError instead of returning vacuous numbers.
-    """
-    if point.t < spec.t_min:
-        raise BelowThresholdError(
-            f"t = {point.t:.6g} below the threshold t_min = {spec.t_min:.6g}"
-        )
-    r2 = float(np.sum(point.x**2))
-    r, glo, gup, elo = cutoff_arrays(point.t, r2, geom.v, spec)
-    return CutoffBounds(
-        value=float(r),
-        in_region=bool(r <= spec.radius),
-        grad_sq_lower=float(glo),
-        grad_sq_upper=float(gup),
-        evolution_lower=float(elo),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +419,6 @@ class JetFields:
         return np.einsum("ij...,ji...->...", self.shape_op, self.shape_op)
 
     @cached_property
-    def a2_traceless(self):
-        return self.a2 - self.H**2 / self.dimension
-
-    @cached_property
     def weight(self):
         """sqrt(det gamma) = e^{n u} / v, the volume density over dx."""
         return np.exp(self.dimension * self.u) / self.v
@@ -571,13 +512,6 @@ class GeometryFields(JetFields):
         self.grid = grid
         super().__init__(u_values, du, d2u)
 
-    @cached_property
-    def measure(self):
-        """Node measure of the induced volume used by norms and adjointness."""
-        if self.grid.mode == grids.RADIAL:
-            return grids.radial_measure(self.u, self.v, self.grid)
-        return self.weight
-
     def laplacian(self, values) -> np.ndarray:
         """Discrete surface Laplacian of a node field on this geometry."""
         if self.grid.mode == grids.RADIAL:
@@ -585,17 +519,6 @@ class GeometryFields(JetFields):
         return grids.laplace_beltrami_cartesian(
             values, self.weight, self.gamma_inv, self.grid
         )
-
-
-def laplace_beltrami(f: grids.Field, geom: GeometryFields) -> grids.Field:
-    """Discrete surface Laplacian of a field over a grid-bound geometry.
-
-    The boundary ring carries one-sided values kept only for plotting;
-    norms should mask it out via ``f.grid.interior_mask()``.
-    """
-    if f.grid != geom.grid:
-        raise ValueError("field and geometry live on different grids")
-    return grids.Field(f.grid, geom.laplacian(f.values))
 
 
 def graph_speed_fields(u_values, grid: grids.Grid):
@@ -665,13 +588,3 @@ def radial_speed_jacobian(u_values, grid: grids.Grid) -> np.ndarray:
     ab[1, 2] = near
     ab[0, 3] = -far
     return ab
-
-
-def surface_geometry_generalized_eig(sample: GraphSample) -> np.ndarray:
-    """Shape eigenvalues via the generalized symmetric problem h w = s gamma w.
-
-    Redundant with ``shape_operator_eigenvalues``; kept as an independent
-    route for cross-checking the eigenvalue solver in tests.
-    """
-    geom = surface_geometry(sample)
-    return scipy.linalg.eigh(geom.h, geom.gamma, eigvals_only=True)

@@ -258,26 +258,6 @@ def field_gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
     )
 
 
-def differentiate(f: Field):
-    """Gradient and Hessian of a field as Field objects.
-
-    Cartesian mode returns a tuple of n gradient fields and an n x n nested
-    tuple of Hessian fields.  Radial mode returns one radial-derivative
-    field and one second-derivative field.
-    """
-    grid = f.grid
-    if grid.mode == RADIAL:
-        du, d2u = radial_jet(f.values, grid)
-        return (Field(grid, du),), ((Field(grid, d2u),),)
-    grad, hess = cartesian_jet(f.values, grid)
-    n = grid.dimension
-    grad_fields = tuple(Field(grid, grad[i]) for i in range(n))
-    hess_fields = tuple(
-        tuple(Field(grid, hess[i, j]) for j in range(n)) for i in range(n)
-    )
-    return grad_fields, hess_fields
-
-
 # ---------------------------------------------------------------------------
 # surface Laplacian in divergence form
 
@@ -426,16 +406,6 @@ def interpolate(f: Field, points: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # norms and refinement
-
-
-def masked_norms(residual: np.ndarray, mask: np.ndarray):
-    """(L_inf, root-mean-square, node count) over the masked region."""
-    vals = residual[mask]
-    if vals.size == 0:
-        raise ValueError("empty mask")
-    linf = float(np.max(np.abs(vals)))
-    l2 = float(np.sqrt(np.mean(vals**2)))
-    return linf, l2, int(vals.size)
 
 
 def refinement_order(error_coarse: float, error_fine: float) -> float:

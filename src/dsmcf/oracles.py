@@ -171,6 +171,35 @@ def material_rate(
     return fixed_rate + drift, mid
 
 
+def _rate_mask(grid: grids.Grid) -> np.ndarray:
+    """Nodes where a ``material_rate`` check sees only the flow equation: the
+    boundary node moves by its boundary condition and the node beside it reads
+    it (a rate off by d there errs by d / h), so both modes drop two rings."""
+    return grid.interior_mask(2)
+
+
+def _require_three_dimensions(grid: grids.Grid, reason: str) -> None:
+    if grid.dimension != 3:
+        raise ModeUnsupportedError(f"{reason}, got {grid.dimension}")
+
+
+def tilt_evolution_guard(grid: grids.Grid) -> None:
+    """Raise ModeUnsupportedError on grids ``check_tilt_evolution`` skips."""
+    _require_three_dimensions(grid, "tilt evolution coefficients assume dimension 3")
+
+
+def tilt_bounds_guard(grid: grids.Grid) -> None:
+    """Raise ModeUnsupportedError on grids ``check_tilt_bounds`` skips."""
+    _require_three_dimensions(grid, "tilt bounds rest on the dimension 3 v^2 evolution")
+
+
+def curvature_evolution_guard(grid: grids.Grid) -> None:
+    """Raise ModeUnsupportedError on grids ``check_curvature_evolution`` skips."""
+    if grid.mode != grids.RADIAL:
+        raise ModeUnsupportedError("curvature evolution is only measurable on radial grids")
+    _require_three_dimensions(grid, "curvature evolution coefficients assume dimension 3")
+
+
 def grid_tolerance(h: float, *term_arrays, mask=None, tolerance=None):
     """(tolerance, scale) of a discretized check.
 
@@ -359,8 +388,7 @@ def _tilt_evolution_parts(window: flow.TrajectoryWindow):
         + 2.0 * shear_sq
         - 4.0 * grad_v_sq
     )
-    mask = grids.laplacian_mask(mid.grid)
-    return mid, mask, lhs, rhs, grad_v_sq
+    return mid, _rate_mask(mid.grid), lhs, rhs, grad_v_sq
 
 
 def check_tilt_evolution(
@@ -374,10 +402,7 @@ def check_tilt_evolution(
     a flat 2-d slice its right side is -2, not 0), so other dimensions
     raise ModeUnsupportedError.
     """
-    if window.grid.dimension != 3:
-        raise ModeUnsupportedError(
-            f"tilt evolution coefficients assume dimension 3, got {window.grid.dimension}"
-        )
+    tilt_evolution_guard(window.grid)
 
     def parts(win):
         mid, mask, lhs, rhs, _ = _tilt_evolution_parts(win)
@@ -404,10 +429,7 @@ def check_tilt_bounds(
     """
     if not (0.0 <= delta <= 1.0 / 3.0 + 1e-15):
         raise ValueError(f"delta must lie in [0, 1/3], got {delta}")
-    if window.grid.dimension != 3:
-        raise ModeUnsupportedError(
-            f"tilt bounds rest on the dimension 3 v^2 evolution, got {window.grid.dimension}"
-        )
+    tilt_bounds_guard(window.grid)
     mid, mask, lhs, _, grad_v_sq = _tilt_evolution_parts(window)
     h = mid.grid.spacing
     common = {"delta": delta, "h": h, "dt": window.dt}
@@ -526,7 +548,7 @@ def check_weight_evolution(
     _, _, _, evol_lower = geometry.cutoff_arrays(
         mid.u, mid.grid.radius_squared(), mid.v, spec
     )
-    mask = grids.laplacian_mask(mid.grid)
+    mask = _rate_mask(mid.grid)
     h = mid.grid.spacing
     tol, scale = grid_tolerance(h, evol_lower, lhs, mask=mask, tolerance=tolerance)
     params = {
@@ -630,14 +652,7 @@ def check_curvature_evolution(
     downstream flatness estimates consume.
     """
     grid = window.grid
-    if grid.mode != grids.RADIAL:
-        raise ModeUnsupportedError(
-            "curvature evolution is only measurable on radial grids"
-        )
-    if grid.dimension != 3:
-        raise ModeUnsupportedError(
-            f"curvature evolution coefficients assume dimension 3, got {grid.dimension}"
-        )
+    curvature_evolution_guard(grid)
 
     def parts(win):
         rate, mid = material_rate(win, _curvature_norm_sq)

@@ -36,7 +36,7 @@ class Report:
     notes: list = field(default_factory=list)
     wall_seconds: float = 0.0
     steps: int = 0
-    outcome: bool | None = None
+    failure: str | None = None
 
     def add_check(self, report) -> None:
         """Record one ResidualReport or InequalityReport outcome."""
@@ -58,15 +58,18 @@ class Report:
             raise ValueError(f"series {name!r}: ragged columns")
         self.series[name] = (tuple(header), [list(c) for c in columns])
 
+    def record_failure(self, message: str) -> None:
+        """Mark the run failed; ``message`` becomes a note."""
+        self.failure = message
+        self.notes.append(message)
+
     def all_passed(self) -> bool:
-        checks_ok = all(e["passed"] is not False for e in self.checks)
-        runs_ok = all(
-            ok is not False
-            for res in self.experiments.values()
-            for key, ok in res.items()
-            if isinstance(ok, bool)
+        """The one verdict: no run failure, failed check or failed experiment."""
+        return (
+            self.failure is None
+            and all(e["passed"] is not False for e in self.checks)
+            and all(res["passed"] for res in self.experiments.values())
         )
-        return checks_ok and runs_ok
 
     def as_dict(self) -> dict:
         doc = {
@@ -82,8 +85,6 @@ class Report:
                 "all_passed": self.all_passed(),
             },
         }
-        if self.outcome is not None:
-            doc["summary"]["outcome"] = self.outcome
         if not self.checks:
             doc["summary"]["marker"] = NO_CHECKS_MARKER
         return doc
@@ -105,23 +106,21 @@ def output_dir(out_dir) -> Path:
     return out
 
 
-def emit_report(report: Report, out_dir, formats=("json", "csv")) -> list:
-    """Write the report files into ``out_dir`` and return their paths."""
+def emit_report(report: Report, out_dir) -> list:
+    """Write ``report.json`` and one CSV per series into ``out_dir``; return the paths."""
     out = output_dir(out_dir)
     written = []
     try:
-        if "json" in formats:
-            path = out / "report.json"
-            path.write_text(json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8")
+        path = out / "report.json"
+        path.write_text(json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8")
+        written.append(path)
+        for name, (header, columns) in report.series.items():
+            path = out / f"{name}.csv"
+            rows = [",".join(header)]
+            for k in range(len(columns[0]) if columns else 0):
+                rows.append(",".join(_csv_cell(col[k]) for col in columns))
+            path.write_text("\n".join(rows) + "\n", encoding="utf-8")
             written.append(path)
-        if "csv" in formats:
-            for name, (header, columns) in report.series.items():
-                path = out / f"{name}.csv"
-                rows = [",".join(header)]
-                for k in range(len(columns[0]) if columns else 0):
-                    rows.append(",".join(_csv_cell(col[k]) for col in columns))
-                path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-                written.append(path)
     except OSError as exc:
         raise IoError(f"cannot write report into {out}: {exc}") from exc
     return written

@@ -188,23 +188,3 @@ def load_trajectory(path) -> flow.Trajectory:
         traj.dt_history.append(float(dts[k]))
         traj.diagnostics.append(None)
     return traj
-
-
-def save(obj, path) -> None:
-    """Write a GraphState or Trajectory to ``path`` based on its type."""
-    if isinstance(obj, flow.Trajectory):
-        save_trajectory(obj, path)
-    elif isinstance(obj, flow.GraphState):
-        save_state(obj, path)
-    else:
-        raise TypeError(f"cannot save object of type {type(obj).__name__}")
-
-
-def load(path):
-    """Read back whatever ``save`` wrote, dispatching on the file magic."""
-    data_head = _read(path)[:8]
-    if data_head == _TRAJ_MAGIC:
-        return load_trajectory(path)
-    if data_head == _STATE_MAGIC:
-        return load_state(path)
-    raise CorruptFileError(f"{path}: not a dsmcf snapshot file")

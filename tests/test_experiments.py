@@ -110,46 +110,6 @@ class TestBarrier:
         assert len(slacks) == 0
 
 
-class TestGradientBound:
-    def test_flat_slice_stays_at_one(self):
-        grid = radial_grid(33)
-        state = slicing_state(grid, np.zeros(grid.shape))
-        res = experiments.gradient_bound_run(
-            state, 0.5, 1.0, flow.FlowConfig(s_end=0.3)
-        )
-        assert res.bounded
-        assert np.max(np.abs(res.sup_tilt - 1.0)) < 1e-12
-
-    def test_steep_ramp_decays_after_transient(self):
-        # constant-boost ramp: e^{-u} = 1 - c*rho has tilt 5 at every node
-        c = np.sqrt(1.0 - 1.0 / 25.0)
-        grid = radial_grid(65, extent=0.6)
-        state = slicing_state(grid, -np.log(1.0 - c * grid.axis()))
-        res = experiments.gradient_bound_run(
-            state,
-            0.5,
-            0.36,
-            flow.FlowConfig(integrator="euler", cfl_safety=0.5, s_end=0.05),
-        )
-        assert res.sup_tilt[0] > 4.9
-        assert res.sup_tilt[-1] < 2.0
-        assert res.bounded
-        assert np.all(np.diff(res.sup_tilt[2:]) <= 1e-9)
-
-    @pytest.mark.parametrize("alpha", [0.0, 2.0, -0.3])
-    def test_rejects_alpha_outside_open_interval(self, alpha):
-        grid = radial_grid(33)
-        state = slicing_state(grid, np.zeros(grid.shape))
-        with pytest.raises(ValueError, match="alpha"):
-            experiments.gradient_bound_run(state, alpha, 1.0, flow.FlowConfig())
-
-    def test_rejects_nonpositive_region(self):
-        grid = radial_grid(33)
-        state = slicing_state(grid, np.zeros(grid.shape))
-        with pytest.raises(ValueError):
-            experiments.gradient_bound_run(state, 0.5, 0.0, flow.FlowConfig())
-
-
 class TestFlatness:
     def test_flat_slice_is_flat_immediately(self):
         grid = radial_grid(33)
@@ -159,6 +119,19 @@ class TestFlatness:
         assert res.flattening_time == 0.0
         assert np.max(res.tilt_excess) < 1e-12
         assert np.max(res.height_spread) < 1e-12
+
+    def test_steep_ramp_decays_after_transient(self):
+        # constant-boost ramp: e^{-u} = 1 - c*rho has tilt 5 at every node
+        c = np.sqrt(1.0 - 1.0 / 25.0)
+        grid = radial_grid(65, extent=0.6)
+        state = slicing_state(grid, -np.log(1.0 - c * grid.axis()))
+        res = experiments.flatness_run(
+            state, 0.5, flow.FlowConfig(integrator="euler", cfl_safety=0.5, s_end=0.05)
+        )
+        assert res.tilt_excess[0] > 3.9
+        assert res.tilt_excess[-1] < 1.0
+        assert res.reached and res.eventually_decreasing and res.passed
+        assert np.all(np.diff(res.tilt_excess[2:]) <= 1e-9)
 
     def test_wrinkled_slice_records_finite_crossing(self):
         grid = radial_grid(257)

@@ -112,6 +112,35 @@ def test_run_matches_a_loop_of_public_steps(integrator):
         np.testing.assert_array_equal(ours.u.values, theirs.u.values)
 
 
+@pytest.mark.parametrize("integrator", flow.INTEGRATORS)
+def test_fixed_step_run_matches_a_loop_of_public_steps(integrator, monkeypatch):
+    """With ``dt_fixed`` every integrator takes the explicit path of ``run``
+    (one kernel evaluation feeds ``step``) and never asks ``stable_dt``."""
+    state = radial_state(amplitude=0.4)
+    cfg = flow.FlowConfig(integrator=integrator, s_end=1e-3, snapshot_stride=3, dt_fixed=7e-5)
+    current = flow.GraphState(u=state.u.copy(), s=state.s, bc=state.bc.bound_to(state))
+    snapshots, dts = [current.copy()], [0.0]
+    steps = 0
+    while current.s < cfg.s_end - 1e-14 * max(1.0, cfg.s_end):
+        dt = min(cfg.dt_fixed, cfg.s_end - current.s)
+        current, _ = flow.step(current, dt, cfg)
+        steps += 1
+        if steps % cfg.snapshot_stride == 0 or current.s >= cfg.s_end - 1e-14:
+            snapshots.append(current.copy())
+            dts.append(dt)
+
+    def no_stable_dt(*args, **kwargs):
+        raise AssertionError("stable_dt consulted under dt_fixed")
+
+    monkeypatch.setattr(flow, "stable_dt", no_stable_dt)
+    traj = flow.run(state, cfg)
+    assert traj.failure is None and traj.steps == steps
+    assert traj.dt_history == dts
+    assert [snap.s for snap in traj.snapshots] == [snap.s for snap in snapshots]
+    for ours, theirs in zip(traj.snapshots, snapshots):
+        np.testing.assert_array_equal(ours.u.values, theirs.u.values)
+
+
 def test_step_reuses_given_fields_and_skips_diagnostics():
     state = radial_state(amplitude=0.4)
     state = flow.GraphState(u=state.u, s=0.0, bc=state.bc.bound_to(state))
@@ -450,11 +479,17 @@ def test_isometry_commutes_with_flow_on_slices():
 # mean convexity diagnostics
 
 
+def first_step_diagnostics(state):
+    """Diagnostics of one short euler step, which describe ``state``."""
+    bound = flow.GraphState(u=state.u, s=state.s, bc=state.bc.bound_to(state))
+    _, diag = flow.step(bound, 1e-6, flow.FlowConfig(integrator="euler"))
+    return diag
+
+
 def test_mean_convexity_flat_and_barrier_data():
-    state = radial_state(amplitude=0.0)
-    report = flow.mean_convexity_report(state)
-    assert report.violation_count == 0
-    assert report.min_H == pytest.approx(3.0, abs=1e-10)
+    diag = first_step_diagnostics(radial_state(amplitude=0.0))
+    assert diag.mean_convexity_violations == 0
+    assert diag.min_H == pytest.approx(3.0, abs=1e-10)
 
 
 def test_mean_convexity_violated_by_shifted_concave_bump():
@@ -465,10 +500,9 @@ def test_mean_convexity_violated_by_shifted_concave_bump():
         s=0.0,
         bc=flow.BoundaryCondition(flow.FROZEN),
     )
-    report = flow.mean_convexity_report(state)
-    assert report.violation_count > 0
-    assert report.min_H < 0
-    assert len(report.locations) > 0
+    diag = first_step_diagnostics(state)
+    assert diag.mean_convexity_violations > 0
+    assert diag.min_H < 0
 
 
 # ---------------------------------------------------------------------------

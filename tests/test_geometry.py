@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import sympy as sp
 
 from dsmcf import geometry, grids
-from dsmcf.errors import BelowThresholdError, NonSpacelikeError
+from dsmcf.errors import NonSpacelikeError
 
 
 def random_spacelike_jets(rng, count, dimension=3, min_margin=0.05, curvature=0.5):
@@ -27,6 +28,13 @@ def random_spacelike_jets(rng, count, dimension=3, min_margin=0.05, curvature=0.
 
 def sample_of(u, du, d2u, i):
     return geometry.GraphSample(u=float(u[i]), du=du[:, i], d2u=d2u[:, :, i])
+
+
+def surface_geometry_generalized_eig(sample):
+    """Shape eigenvalues via the generalized symmetric problem h w = s gamma w,
+    an independent route for cross-checking the eigenvalue solver."""
+    geom = geometry.surface_geometry(sample)
+    return scipy.linalg.eigh(geom.h, geom.gamma, eigvals_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +280,7 @@ def test_shape_eigenvalues_real_and_match_generalized_route():
         raw = np.linalg.eigvals(np.linalg.solve(geom.gamma, geom.h))
         scale = max(1.0, np.max(np.abs(raw)))
         assert np.max(np.abs(raw.imag)) < 1e-10 * scale
-        general = geometry.surface_geometry_generalized_eig(sample)
+        general = surface_geometry_generalized_eig(sample)
         mine = geometry.shape_operator_eigenvalues(geom.gamma, geom.h)
         np.testing.assert_allclose(np.sort(mine), np.sort(general), atol=1e-10 * scale)
         extreme = raw.real[np.argmax(np.abs(raw.real))]
@@ -283,7 +291,7 @@ def test_traceless_a2_nonnegative():
     rng = np.random.default_rng(5)
     u, du, d2u = random_spacelike_jets(rng, 500)
     fields = geometry.JetFields(u, du, d2u)
-    assert float(np.min(fields.a2_traceless)) >= -1e-12
+    assert float(np.min(fields.a2 - fields.H**2 / 3.0)) >= -1e-12
 
 
 def test_pinching_bound_monte_carlo():
@@ -319,7 +327,9 @@ def test_coordinate_laplacians_flat_slice():
     geom = geometry.surface_geometry(
         geometry.GraphSample(u=0.7, du=np.zeros(3), d2u=np.zeros((3, 3)))
     )
-    lap_x, lap_t = geometry.coordinate_laplacians_closed_form(geom)
+    # g(nu, d_i) = e^{2u} nu^i
+    nu_inner = math.exp(1.4) * geom.nu[:3]
+    lap_x, lap_t = geometry.coordinate_laplacian_values(geom.H, geom.v, 0.7, nu_inner)
     np.testing.assert_allclose(lap_x, 0.0, atol=1e-12)
     assert lap_t == pytest.approx(0.0, abs=1e-12)  # -3 + H v = -3 + 3
 
@@ -337,8 +347,11 @@ def test_wave_route_matches_closed_form():
     u, du, d2u = random_spacelike_jets(rng, 50)
     for i in range(50):
         geom = geometry.surface_geometry(sample_of(u, du, d2u, i))
-        a_x, a_t = geometry.coordinate_laplacians_closed_form(geom)
-        b_x, b_t = geometry.coordinate_laplacians_wave_route(geom)
+        t = geom.sample.u
+        a_x, a_t = geometry.coordinate_laplacian_values(
+            geom.H, geom.v, t, math.exp(2.0 * t) * geom.nu[:3]
+        )
+        b_x, b_t = geometry.coordinate_laplacian_wave_values(geom.H, geom.nu[:3], geom.nu[-1], t)
         scale = max(1.0, np.max(np.abs(a_x)), abs(a_t))
         np.testing.assert_allclose(a_x, b_x, atol=1e-11 * scale)
         assert a_t == pytest.approx(b_t, abs=1e-11 * scale)
@@ -350,27 +363,13 @@ def test_wave_route_matches_closed_form():
 
 def test_cutoff_frozen_values():
     spec = geometry.CutoffSpec(alpha=1.0, radius=4.0, epsilon=0.1, t_min=-5.0)
-    geom = geometry.surface_geometry(
-        geometry.GraphSample(u=0.0, du=np.zeros(3), d2u=np.zeros((3, 3)))
-    )
-    point = geometry.AmbientPoint(x=np.array([1.0, 0.0, 0.0]), t=0.0)
-    bounds = geometry.cutoff_value_and_bounds(point, spec, geom)
-    assert bounds.value == pytest.approx(1.0, abs=1e-14)
-    assert bounds.in_region
+    # the point x = (1, 0, 0) at t = 0 on a flat slice, where v = 1
+    r, grad_lower, grad_upper, evolution_lower = geometry.cutoff_arrays(0.0, 1.0, 1.0, spec)
+    assert r == pytest.approx(1.0, abs=1e-14)
     # on a flat slice v = 1: gradient bounds collapse to +-epsilon r
-    assert bounds.grad_sq_lower == pytest.approx(-0.1, abs=1e-12)
-    assert bounds.grad_sq_upper == pytest.approx(0.1, abs=1e-12)
-    assert bounds.evolution_lower == pytest.approx(-(1.0 + 0.1), abs=1e-12)
-
-
-def test_cutoff_below_threshold_raises():
-    spec = geometry.CutoffSpec(alpha=0.5, radius=4.0, epsilon=0.1, t_min=10.0)
-    geom = geometry.surface_geometry(
-        geometry.GraphSample(u=9.0, du=np.zeros(3), d2u=np.zeros((3, 3)))
-    )
-    point = geometry.AmbientPoint(x=np.array([0.5, 0.0, 0.0]), t=9.0)
-    with pytest.raises(BelowThresholdError):
-        geometry.cutoff_value_and_bounds(point, spec, geom)
+    assert grad_lower == pytest.approx(-0.1, abs=1e-12)
+    assert grad_upper == pytest.approx(0.1, abs=1e-12)
+    assert evolution_lower == pytest.approx(-(1.0 + 0.1), abs=1e-12)
 
 
 def test_cutoff_spec_validation():

@@ -5,13 +5,11 @@ exact surface Laplacians are derived independently (by hand for radial
 profiles, by sympy for cartesian graphs).
 """
 
-import math
-
 import numpy as np
 import pytest
 import sympy as sp
 
-from dsmcf import geometry, grids
+from dsmcf import geometry, grids, oracles
 from dsmcf.errors import (
     DegenerateResidualError,
     OutOfDomainError,
@@ -137,20 +135,19 @@ def test_radial_stencil_refinement_order():
     assert 1.8 <= grids.refinement_order(*errs2) <= 2.2
 
 
-def test_differentiate_wrapper():
+def test_jets_of_a_product_and_a_paraboloid():
     grid = grids.Grid(grids.CARTESIAN, 2, extent=1.0, resolution=9)
     X, Y = grid.meshes()
-    f = grids.Field(grid, X * Y)
-    grad, hess = grids.differentiate(f)
-    assert len(grad) == 2 and isinstance(grad[0], grids.Field)
-    np.testing.assert_allclose(grad[0].values, Y, atol=1e-12)
-    np.testing.assert_allclose(hess[0][1].values, 1.0, atol=1e-11)
+    grad, hess = grids.cartesian_jet(X * Y, grid)
+    assert grad.shape == (2,) + grid.shape and hess.shape == (2, 2) + grid.shape
+    np.testing.assert_allclose(grad[0], Y, atol=1e-12)
+    np.testing.assert_allclose(hess[0, 1], 1.0, atol=1e-11)
 
     rad = grids.Grid(grids.RADIAL, 3, extent=1.0, resolution=9)
     rho = rad.axis()
-    (df,), ((d2f,),) = grids.differentiate(grids.Field(rad, rho**2))
-    np.testing.assert_allclose(df.values, 2.0 * rho, atol=1e-12)
-    np.testing.assert_allclose(d2f.values, 2.0, atol=1e-11)
+    df, d2f = grids.radial_jet(rho**2, rad)
+    np.testing.assert_allclose(df, 2.0 * rho, atol=1e-12)
+    np.testing.assert_allclose(d2f, 2.0, atol=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +243,7 @@ def test_radial_laplacian_self_adjoint():
     # one bump touching the axis, one in an annulus, overlapping supports
     f = smooth_bump(rho, 0.9)
     g = smooth_bump(np.abs(rho - 0.8), 0.7)
-    mu = geom.measure
+    mu = grids.radial_measure(geom.u, geom.v, grid)
     ab = float(np.sum(mu * f * geom.laplacian(g)))
     ba = float(np.sum(mu * g * geom.laplacian(f)))
     assert abs(ab - ba) <= 1e-10 * max(1.0, abs(ab))
@@ -258,20 +255,10 @@ def test_cartesian_laplacian_self_adjoint():
     geom = geometry.GeometryFields(grid, 0.08 * np.sin(np.pi * X) * np.cos(np.pi * Y))
     f = smooth_bump(np.hypot(X + 0.2, Y - 0.1), 0.5)
     g = smooth_bump(np.hypot(X - 0.15, Y + 0.2), 0.55)
-    mu = geom.measure
+    mu = geom.weight  # sqrt(det gamma), the volume density over dx
     ab = float(np.sum(mu * f * geom.laplacian(g)))
     ba = float(np.sum(mu * g * geom.laplacian(f)))
     assert abs(ab - ba) <= 1e-10 * max(1.0, abs(ab))
-
-
-def test_laplace_beltrami_field_wrapper():
-    grid = grids.Grid(grids.RADIAL, 3, extent=1.0, resolution=17)
-    geom = geometry.GeometryFields(grid, np.zeros(grid.shape))
-    out = geometry.laplace_beltrami(grids.Field(grid, grid.axis() ** 2), geom)
-    assert isinstance(out, grids.Field)
-    other = grids.Grid(grids.RADIAL, 3, extent=2.0, resolution=17)
-    with pytest.raises(ValueError):
-        geometry.laplace_beltrami(grids.Field(other, other.axis() ** 2), geom)
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +320,16 @@ def test_interpolation_out_of_domain():
 
 
 def test_masked_norms_frozen():
+    # the residual reports' masked norms
     vals = np.array([3.0, -4.0, 0.0, 1.0])
-    linf, rms, count = grids.masked_norms(vals, np.ones(4, dtype=bool))
-    assert linf == 4.0
-    assert rms == pytest.approx(math.sqrt(26.0 / 4.0), abs=1e-14)
-    assert count == 4
+    rep = oracles._residual_report("demo", [vals], np.ones(4, dtype=bool))
+    assert rep.linf == 4.0
+    assert rep.l2 == pytest.approx(np.sqrt(26.0 / 4.0), abs=1e-14)
+    assert rep.count == 4
+    masked = oracles._residual_report("demo", [vals], np.array([True, False, True, True]))
+    assert masked.linf == 3.0 and masked.count == 3
     with pytest.raises(ValueError):
-        grids.masked_norms(vals, np.zeros(4, dtype=bool))
+        oracles._residual_report("demo", [vals], np.zeros(4, dtype=bool))
 
 
 def test_refinement_order_frozen():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dsmcf import cli, config, flow, grids, oracles, reporting, snapshots
+from dsmcf import cli, config, experiments, flow, grids, oracles, reporting, snapshots
 from dsmcf.errors import (
     CorruptFileError,
     IoError,
@@ -35,7 +35,7 @@ class TestConfig:
     def test_defaults_round_trip(self, tmp_path):
         cfg = config.RunConfig()
         path = tmp_path / "run.json"
-        config.save_config(cfg, path)
+        path.write_text(json.dumps(cfg.as_dict()))
         assert config.load_config(path) == cfg
 
     def test_round_trip_preserves_overrides(self, tmp_path):
@@ -58,7 +58,7 @@ class TestConfig:
         assert cfg.initial.amplitude == 0.15
         assert cfg.experiment.theta == 0.08
         path = tmp_path / "run.json"
-        config.save_config(cfg, path)
+        path.write_text(json.dumps(cfg.as_dict()))
         assert config.load_config(path) == cfg
 
     def test_empty_object_is_all_defaults(self):
@@ -209,19 +209,13 @@ class TestSnapshots:
         snapshots.save_trajectory(traj, path)
         assert snapshots.load_trajectory(path).failure == traj.failure
 
-    def test_dispatch_on_magic(self, tmp_path):
-        spath = tmp_path / "a.dsmcf"
-        tpath = tmp_path / "b.dsmcf"
-        snapshots.save(small_state(), spath)
-        snapshots.save(small_trajectory(), tpath)
-        assert isinstance(snapshots.load(spath), flow.GraphState)
-        assert isinstance(snapshots.load(tpath), flow.Trajectory)
-
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "junk.dsmcf"
         path.write_bytes(b"NOTADSMC" + bytes(64))
-        with pytest.raises(CorruptFileError, match="not a dsmcf"):
-            snapshots.load(path)
+        with pytest.raises(CorruptFileError, match="not a dsmcf state"):
+            snapshots.load_state(path)
+        with pytest.raises(CorruptFileError, match="not a dsmcf trajectory"):
+            snapshots.load_trajectory(path)
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "state.dsmcf"
@@ -254,7 +248,8 @@ class TestSnapshots:
         blocker = tmp_path / "file"
         blocker.write_text("x")
         with pytest.raises(IoError, match="cannot write"):
-            snapshots.save(make(), blocker / "snap.dsmcf")
+            save = snapshots.save_trajectory if make is small_trajectory else snapshots.save_state
+            save(make(), blocker / "snap.dsmcf")
 
 
 @pytest.fixture(scope="module")
@@ -275,7 +270,8 @@ def snapshot_files(tmp_path_factory):
     objects = {"state": small_state(resolution=9), "cartesian": bump, "trajectory": stopped}
     blobs = {}
     for kind, obj in objects.items():
-        snapshots.save(obj, root / kind)
+        save = snapshots.save_trajectory if kind == "trajectory" else snapshots.save_state
+        save(obj, root / kind)
         blobs[kind] = (root / kind).read_bytes()
     return blobs, root / "corrupted.dsmcf"
 
@@ -334,11 +330,20 @@ class TestReporting:
     def test_experiment_flags_feed_all_passed(self):
         class Stub:
             def as_dict(self):
-                return {"monotone": True, "within_bounds": False, "steps": 3}
+                return {"monotone": True, "within_bounds": False, "steps": 3, "passed": False}
 
         report = reporting.Report(config={})
         report.add_experiment("stub", Stub())
         assert not report.all_passed()
+
+    def test_run_failure_is_part_of_the_verdict(self):
+        report = reporting.Report(config={})
+        report.add_check(self.make_check())
+        report.record_failure("flow run failed: max_steps (5) exceeded")
+        doc = report.as_dict()
+        assert doc["summary"]["all_passed"] is False
+        assert "outcome" not in doc["summary"]
+        assert doc["notes"] == ["flow run failed: max_steps (5) exceeded"]
 
     def test_ragged_series_rejected(self):
         report = reporting.Report(config={})
@@ -383,7 +388,7 @@ class TestCli:
         assert "PASS" in out
         doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert doc["summary"]["all_passed"] is True
-        assert doc["summary"]["outcome"] is True
+        assert "outcome" not in doc["summary"]
 
     def test_simulate_writes_trajectory(self, tmp_path):
         cfg = self.write_config(
@@ -449,6 +454,41 @@ class TestCli:
         for check in ("tilt_evolution", "tilt_bounds"):
             skipped = [n for n in doc["notes"] if n.startswith(f"{check} skipped")]
             assert len(skipped) == 1 and "dimension 3" in skipped[0] and "\n" not in skipped[0]
+
+    def test_skipped_checks_build_no_windows(self, tmp_path, monkeypatch):
+        cfg = self.write_config(
+            tmp_path,
+            {
+                "grid": {"mode": "cartesian", "dimension": 2, "resolution": 25},
+                "initial": {"profile": "bump", "amplitude": 0.2, "width": 1.2},
+            },
+        )
+        built = []
+        evolve = flow.evolve_window
+        monkeypatch.setattr(flow, "evolve_window", lambda *a: built.append(a) or evolve(*a))
+        cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"])
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
+        skipped = [n.split(" ")[0] for n in doc["notes"] if " skipped: " in n]
+        assert skipped == ["tilt_evolution", "tilt_bounds", "curvature_evolution"]
+        assert built == []
+
+    @pytest.mark.parametrize("resolution", [129, 257])
+    def test_verify_radial_bump_passes_under_refinement(self, tmp_path, resolution):
+        cfg = self.write_config(
+            tmp_path,
+            {
+                "grid": {"resolution": resolution},
+                "initial": {"profile": "bump", "amplitude": 0.2, "width": 1.2},
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        (tilt,) = [c for c in doc["checks"] if c["name"] == "tilt-evolution"]
+        low, high = oracles.ORDER_WINDOW
+        assert low <= tilt["order"] <= high
+        # checks.dt = 1e-4 exceeds the rk2 stable step on these grids
+        assert any(n.startswith("checking window dt ") for n in doc["notes"])
 
     @pytest.mark.parametrize(
         "grid",
@@ -550,6 +590,57 @@ class TestCli:
         assert err.count("\n") == 1
         assert "config error" in err and "implicit" in err and "radial" in err
 
+    def test_barrier_below_unit_disk_names_the_cause(self, tmp_path):
+        cfg = self.write_config(
+            tmp_path,
+            {
+                "grid": {"resolution": 65, "extent": 0.8},
+                "bc": "pinned",
+                "flow": {"integrator": "implicit", "s_end": 1.5},
+                "experiment": {"disk_radius": 0.8},
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.main(["barrier", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        (note,) = [n for n in doc["notes"] if n.startswith("translation inequality skipped")]
+        assert "disk radius 0.8 <= 1" in note and "shorter" not in note
+
+    def test_barrier_translation_slack_is_part_of_the_verdict(self, tmp_path, monkeypatch):
+        cfg = self.write_config(
+            tmp_path,
+            {
+                "grid": {"resolution": 129, "extent": 2.0},
+                "bc": "pinned",
+                "flow": {"integrator": "implicit", "s_end": 1.05},
+                "experiment": {"disk_radius": 2.0},
+            },
+        )
+        translation_series = experiments._translation_series
+
+        def failing_slack(*args):
+            c, ts, slack = translation_series(*args)
+            assert len(slack) > 0
+            return c, ts, slack - 1.0
+
+        monkeypatch.setattr(experiments, "_translation_series", failing_slack)
+        out = tmp_path / "out"
+        assert cli.main(["barrier", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        doc = json.loads((out / "report.json").read_text())
+        result = doc["experiments"]["barrier"]
+        assert result["monotone"] and result["within_bounds"] and not result["passed"]
+        assert doc["summary"]["all_passed"] is False and "outcome" not in doc["summary"]
+
+    def test_failed_simulate_has_one_false_verdict(self, tmp_path):
+        cfg = self.write_config(
+            tmp_path, {"grid": {"resolution": 17}, "flow": {"s_end": 0.02, "max_steps": 5}}
+        )
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["summary"]["all_passed"] is False and "outcome" not in doc["summary"]
+        assert any(n.startswith("flow run failed: max_steps (5)") for n in doc["notes"])
+
     def test_barrier_implicit_run(self, tmp_path):
         cfg = self.write_config(
             tmp_path,
@@ -608,7 +699,8 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["rescale", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         doc = json.loads((out / "report.json").read_text())
-        assert doc["summary"]["outcome"] is True
+        assert doc["summary"]["all_passed"] is True
+        assert doc["experiments"]["convergence"]["passed"] is True
         header = (out / "convergence.csv").read_text().splitlines()[0]
         assert header == "lambda,sup_u_err,sup_v_err"
 

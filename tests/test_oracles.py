@@ -213,6 +213,30 @@ def test_tilt_evolution_bump_refinement():
     assert rep.linf < 5e-2
 
 
+def test_rate_checks_leave_out_the_node_beside_the_boundary():
+    """The boundary node moves at the slicing rate 3, not by the equation.
+    A bump of width 0.6 has rim speed 3 to 1e-9, and the v^2 identity holds
+    to rounding at the node beside the rim; a bump of width 1.2 has rim
+    speed 3.005, and that node's residual grows like 1/h.  So the mask, not
+    the kernel, has to drop that node."""
+    beside = {}
+    for width in (0.6, 1.2):
+        for resolution in (129, 257):
+            grid = grids.Grid(grids.RADIAL, 3, extent=3.0, resolution=resolution)
+            u0 = 0.2 * np.exp(-((grid.axis() / width) ** 2))
+            state = flow.GraphState(
+                u=grids.Field(grid, u0), s=0.0, bc=flow.BoundaryCondition(flow.SLICING)
+            )
+            cfg = flow.FlowConfig()
+            win = flow.evolve_window(state, flow.stable_dt(state, cfg.cfl_safety), cfg)
+            _, mask, lhs, rhs, _ = oracles._tilt_evolution_parts(win)
+            assert not mask[-2] and mask[-3]
+            beside[width, resolution] = abs(float((lhs - rhs)[-2]))
+    assert beside[0.6, 129] < 1e-12 and beside[0.6, 257] < 1e-12
+    assert beside[1.2, 129] > 1e-4
+    assert 1.5 < beside[1.2, 257] / beside[1.2, 129] < 2.5
+
+
 def test_tilt_evolution_residual_scales_with_amplitude():
     big = oracles.check_tilt_evolution(window(radial_state(33, amplitude=0.2)))
     small = oracles.check_tilt_evolution(window(radial_state(33, amplitude=0.1)))

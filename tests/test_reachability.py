@@ -1,0 +1,115 @@
+"""Every module-level function and class in ``src/dsmcf`` is reached from a
+command, or is on the short list of references that tests compare against.
+
+The walk starts at ``cli.main`` (every command) and at
+``snapshots.load_trajectory`` (the reader behind the benchmark's
+post-processing).  From each reached definition it follows the names the
+definition's source mentions: module-level names of its own module, names
+imported from sibling modules, and ``module.attribute`` through sibling
+modules imported with ``from . import``.  A class counts as one
+definition, methods included.  Local names that shadow a module-level name
+make the walk reach more, never less, so the guard cannot fail falsely.
+"""
+
+import ast
+from pathlib import Path
+
+import dsmcf.errors
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dsmcf"
+ROOTS = [("cli", "main"), ("snapshots", "load_trajectory")]
+
+#: Reached from tests only, and kept on purpose.  The pointwise geometry is
+#: the independent route the batched ``JetFields`` is tested against, the
+#: isometries test the flow's equivariance, ``comparison_run`` is acceptance
+#: criterion 9, and the state-file kind waits on the next snapshot format.
+#: Whatever these reach is allowed with them.
+REFERENCE = [
+    ("geometry", "GraphSample"),
+    ("geometry", "SurfaceGeometry"),
+    ("geometry", "surface_geometry"),
+    ("geometry", "ambient_metric"),
+    ("geometry", "ambient_inner"),
+    ("geometry", "tangential_projection"),
+    ("geometry", "jet_after_isometry"),
+    ("geometry", "isometry_shift_point"),
+    ("flow", "isometry_shift_state"),
+    ("experiments", "comparison_run"),
+    ("snapshots", "save_state"),
+    ("snapshots", "load_state"),
+]
+
+
+class Package:
+    """Module-level definitions of the package and the names they mention."""
+
+    def __init__(self, root: Path):
+        self.defs = {}  # (module, name) -> defining statement
+        self.modules = {}  # module -> {local name: sibling module}
+        self.imported = {}  # module -> {local name: (sibling module, name)}
+        for path in sorted(root.glob("*.py")):
+            module = path.stem
+            self.modules[module], self.imported[module] = {}, {}
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                self._add(module, node)
+
+    def _add(self, module, node):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            self.defs[module, node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    self.defs[module, target.id] = node
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module is None:
+                    self.modules[module][local] = alias.name
+                else:
+                    self.imported[module][local] = (node.module, alias.name)
+
+    def mentions(self, key):
+        module = key[0]
+        for node in ast.walk(self.defs[key]):
+            if isinstance(node, ast.Name):
+                if (module, node.id) in self.defs:
+                    yield module, node.id
+                elif node.id in self.imported[module]:
+                    yield self.imported[module][node.id]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                sibling = self.modules[module].get(node.value.id)
+                if sibling is not None:
+                    yield sibling, node.attr
+
+    def reached(self, roots) -> set:
+        seen, todo = set(), list(roots)
+        while todo:
+            key = todo.pop()
+            if key not in seen and key in self.defs:
+                seen.add(key)
+                todo.extend(self.mentions(key))
+        return seen
+
+    def functions_and_classes(self) -> set:
+        kinds = (ast.FunctionDef, ast.ClassDef)
+        return {key for key, node in self.defs.items() if isinstance(node, kinds)}
+
+
+def test_src_holds_no_code_that_only_tests_use():
+    package = Package(SRC)
+    from_commands = package.reached(ROOTS)
+    allowed = package.reached(REFERENCE) | {("errors", name) for name in dsmcf.errors.__all__}
+    orphans = package.functions_and_classes() - from_commands - allowed
+    assert not orphans, (
+        f"no command reaches {sorted('.'.join(key) for key in orphans)}; "
+        "delete them, or move what only tests use into the tests"
+    )
+
+
+def test_reference_list_is_current():
+    package = Package(SRC)
+    missing = [key for key in REFERENCE if key not in package.defs]
+    assert not missing, f"{missing} no longer exist"
+    reached = sorted(set(REFERENCE) & package.reached(ROOTS))
+    assert not reached, f"commands now reach {reached}; drop them from REFERENCE"
