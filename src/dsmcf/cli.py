@@ -82,7 +82,7 @@ _CHECKS = {
     "tilt_gradient": lambda i: oracles.check_tilt_gradient(i.state, i.fine),
     "tilt_evolution": lambda i: oracles.check_tilt_evolution(i.window, i.fine_window),
     "tilt_bounds": lambda i: oracles.check_tilt_bounds(i.window, i.config.checks.delta),
-    "curvature_evolution": lambda i: oracles.check_curvature_evolution(i.window),
+    "curvature_evolution": lambda i: oracles.check_curvature_evolution(i.window, i.fine_window),
     "weight_evolution": lambda i: oracles.check_weight_evolution(
         i.window, i.config.checks.cutoff()
     ),

@@ -96,14 +96,11 @@ class CheckSpec:
     alpha: float = 0.5
     epsilon: float = 0.1
     t_min: float = 10.0
-    weight_radius: float = 100.0
     dt: float = 1e-4
     jet_count: int = 20_000
 
     def cutoff(self) -> geometry.CutoffSpec:
-        return geometry.CutoffSpec(
-            alpha=self.alpha, radius=self.weight_radius, epsilon=self.epsilon, t_min=self.t_min
-        )
+        return geometry.CutoffSpec(alpha=self.alpha, epsilon=self.epsilon, t_min=self.t_min)
 
 
 @dataclass(frozen=True)
@@ -134,11 +131,16 @@ class RunConfig:
             raise ValidationError(
                 f"initial profile '{self.initial.profile}' is not finite on the grid"
             )
-        return flow.GraphState(
-            u=grids.Field(grid, values),
-            s=0.0,
-            bc=flow.BoundaryCondition(self.bc),
+        state = flow.GraphState(
+            u=grids.Field(grid, values), s=0.0, bc=flow.BoundaryCondition(self.bc)
         )
+        try:
+            state.bc.check(state)
+        except ValueError as exc:
+            raise ValidationError(
+                f"bc '{self.bc}' on initial profile '{self.initial.profile}': {exc}"
+            ) from exc
+        return state
 
     def as_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -217,7 +219,7 @@ def _section(raw: dict, name: str, text: str) -> dict:
 def _validate(config: RunConfig) -> RunConfig:
     if config.kind not in KINDS:
         raise ValidationError(f"kind must be one of {KINDS}, got '{config.kind}'")
-    if config.bc not in (flow.SLICING, flow.PINNED, flow.FROZEN):
+    if config.bc not in flow.BC_KINDS:
         raise ValidationError(f"unknown boundary kind '{config.bc}'")
     if config.initial.profile not in PROFILES:
         raise ValidationError(f"profile must be one of {PROFILES}, got '{config.initial.profile}'")
@@ -232,7 +234,6 @@ def _validate(config: RunConfig) -> RunConfig:
         ("grid.extent", config.grid.extent),
         ("initial.width", config.initial.width),
         ("checks.epsilon", config.checks.epsilon),
-        ("checks.weight_radius", config.checks.weight_radius),
         ("checks.dt", config.checks.dt),
         ("checks.jet_count", config.checks.jet_count),
         ("experiment.rho", config.experiment.rho),

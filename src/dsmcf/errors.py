@@ -15,8 +15,6 @@ __all__ = [
     "OutOfDomainError",
     "ResolutionTooLowError",
     "DegenerateResidualError",
-    "WindowTooShortError",
-    "NonUniformWindowError",
     "ModeUnsupportedError",
     "BlowupError",
     "ConvergenceError",
@@ -63,14 +61,6 @@ class ResolutionTooLowError(DsmcfError):
 
 class DegenerateResidualError(DsmcfError):
     """Refinement order is meaningless because an error is at rounding level."""
-
-
-class WindowTooShortError(DsmcfError):
-    """A trajectory does not contain three consecutive snapshots."""
-
-
-class NonUniformWindowError(DsmcfError):
-    """Snapshot spacing in a checking window is not uniform."""
 
 
 class ModeUnsupportedError(DsmcfError):

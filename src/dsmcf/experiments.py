@@ -89,18 +89,6 @@ class BarrierResult(_Result):
         if len(self.translation_s) != len(self.translation_slack):
             raise ValueError("translation series lengths must match")
 
-    def first_crossing(self, level: float) -> float | None:
-        """First flow time at which the center height reaches ``level``."""
-        above = np.nonzero(self.center_height >= level)[0]
-        if len(above) == 0:
-            return None
-        k = int(above[0])
-        if k == 0:
-            return float(self.s[0])
-        w0, w1 = self.center_height[k - 1], self.center_height[k]
-        frac = (level - w0) / (w1 - w0) if w1 > w0 else 1.0
-        return float(self.s[k - 1] + frac * (self.s[k] - self.s[k - 1]))
-
 
 def _translation_series(s, profiles, grid: grids.Grid, disk_radius: float):
     """Shift constant c and the slack of w(x, 1+s) >= w(e^c x, s) + c.

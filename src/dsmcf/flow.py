@@ -11,24 +11,29 @@ grows at the faster material rate H v, see the oracles module).  Flat
 slices u = c + n s solve the equation exactly, also discretely, because
 every stencil annihilates constants.
 
-The explicit integrators (euler, rk2 midpoint, classical rk4) re-impose
-boundary values after every stage at the stage time, so the slicing
-boundary condition does not degrade their order.  Their step is bounded by
-the parabolic limit h^2 e^{2u} margin, which collapses with the margin.
+Every boundary condition moves the boundary heights at a constant speed
+(see ``BoundaryCondition``), so the flow's kernel wrapper writes that speed
+into the boundary entries of the speed array and every integrator carries
+the boundary exactly, with nothing re-imposed afterwards.
+
+The explicit integrators are euler, rk2 midpoint and classical rk4.  Their
+step is bounded by the parabolic limit h^2 e^{2u} margin, which collapses
+with the margin.
 
 The radial-only ``implicit`` integrator is backward Euler on the same
 kernel speed (the implicit graph stepping of Deckelnick, Dziuk and Elliott,
 Acta Numerica 14, 2005).  Each step solves u - dt S(u) = u_old by Newton
-iteration with the exact banded Jacobian of the radial kernel, the
-boundary row imposing the boundary value at the new time.  A Newton update
-whose iterate fails the kernel's margin check is halved, never clamped.
+iteration with the exact banded Jacobian of the radial kernel; the boundary
+row of that Jacobian is zero, so the boundary row of the system moves the
+boundary node by dt times its boundary speed.  A Newton update whose
+iterate fails the kernel's margin check is halved, never clamped.
 Without ``dt_fixed`` the step size follows an accuracy control (step
 doubling) instead of the parabolic limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -37,12 +42,9 @@ from . import geometry, grids
 from .errors import (
     BlowupError,
     ConvergenceError,
-    DsmcfError,
     ModeUnsupportedError,
     NonSpacelikeError,
-    NonUniformWindowError,
     OutOfDomainError,
-    WindowTooShortError,
 )
 
 PINNED = "pinned"
@@ -76,41 +78,28 @@ class BoundaryCondition:
     * ``slicing``: boundary follows the flat-slice motion u0 + n (s - s0).
     * ``frozen``: boundary keeps its (possibly non-constant) initial values.
 
-    ``values`` holds the bound boundary data (in boundary-mask order); an
-    unbound condition (values None) is bound by ``run`` from the initial
-    state.
+    Each rule is affine in s, so it is fully given by the boundary speed
+    it implies: 0 for ``pinned`` and ``frozen``, n for ``slicing``.  The
+    heights a state carries at its boundary are the rule's data.
     """
 
     kind: str
-    values: np.ndarray | float | None = None
-    s0: float = 0.0
 
     def __post_init__(self):
         if self.kind not in BC_KINDS:
             raise ValueError(f"unknown boundary kind {self.kind!r}")
 
-    def bound_to(self, state: "GraphState") -> "BoundaryCondition":
-        if self.values is not None:
-            return self
-        bvals = state.u.values[state.grid.boundary_mask()]
-        if self.kind == PINNED:
-            const = float(bvals[0])
-            if np.max(np.abs(bvals - const)) > 1e-12 * max(1.0, abs(const)):
-                raise ValueError(
-                    "pinned boundary requires constant initial boundary values"
-                )
-            return replace(self, values=const, s0=state.s)
-        return replace(self, values=bvals.copy(), s0=state.s)
+    def speed(self, dimension: int) -> float:
+        return float(dimension) if self.kind == SLICING else 0.0
 
-    def apply(self, values: np.ndarray, s: float, grid: grids.Grid) -> None:
-        """Overwrite boundary nodes of ``values`` in place for time s."""
-        if self.values is None:
-            raise DsmcfError("boundary condition was never bound to a state")
-        mask = grid.boundary_mask()
-        if self.kind == SLICING:
-            values[mask] = self.values + grid.dimension * (s - self.s0)
-        else:  # pinned and frozen keep their bound values
-            values[mask] = self.values
+    def check(self, state: "GraphState") -> None:
+        """Raise ValueError when a pinned ``state`` has non-constant boundary heights."""
+        if self.kind != PINNED:
+            return
+        bvals = state.u.values[state.grid.boundary_mask()]
+        const = float(bvals[0])
+        if np.max(np.abs(bvals - const)) > 1e-12 * max(1.0, abs(const)):
+            raise ValueError("pinned boundary requires constant initial boundary values")
 
 
 @dataclass
@@ -200,23 +189,6 @@ class Trajectory:
     def s_values(self) -> np.ndarray:
         return np.array([st.s for st in self.snapshots])
 
-    def window(self, index: int) -> "TrajectoryWindow":
-        """Three consecutive snapshots centered at ``index``."""
-        if len(self.snapshots) < 3:
-            raise WindowTooShortError(
-                f"need 3 snapshots, trajectory has {len(self.snapshots)}"
-            )
-        if not (1 <= index <= len(self.snapshots) - 2):
-            raise IndexError(f"window index {index} out of range")
-        before, mid, after = self.snapshots[index - 1 : index + 2]
-        dt1 = mid.s - before.s
-        dt2 = after.s - mid.s
-        if abs(dt1 - dt2) > 1e-9 * max(dt1, dt2):
-            raise NonUniformWindowError(
-                f"snapshot spacing not uniform: {dt1:.6g} vs {dt2:.6g}"
-            )
-        return TrajectoryWindow(before=before, mid=mid, after=after, dt=0.5 * (dt1 + dt2))
-
 
 @dataclass(frozen=True)
 class TrajectoryWindow:
@@ -252,9 +224,22 @@ def stable_dt(state: GraphState, cfl_safety: float = 0.25, margin=None) -> float
     return cfl_safety * grid.spacing**2 * tightest / (2.0 * grid.dimension)
 
 
-def _speed_or_abort(values, grid, s):
+def _kernel(values, grid, bc: BoundaryCondition):
+    """The kernel's (speed, v^2, H, margin) at ``values``, with the boundary
+    entries of the speed set to the boundary speed of ``bc``.
+
+    This is the one place the boundary condition enters the stepping: every
+    integrator combines these speeds, so its stages, its result and the
+    backward-Euler residual all move the boundary at that speed.
+    """
+    speed, v2, H, margin = geometry.graph_speed_fields(values, grid)
+    speed[grid.boundary_mask()] = bc.speed(grid.dimension)
+    return speed, v2, H, margin
+
+
+def _speed_or_abort(values, grid, bc, s):
     try:
-        return geometry.graph_speed_fields(values, grid)
+        return _kernel(values, grid, bc)
     except NonSpacelikeError as exc:
         raise NonSpacelikeError(f"at s = {s:.6g}: {exc}", location=exc.location)
 
@@ -262,46 +247,29 @@ def _speed_or_abort(values, grid, s):
 def step(state: GraphState, dt: float, config: FlowConfig, fields=None, diagnose=True):
     """One step of size dt.  Returns (new state, diagnostics or None).
 
-    The boundary condition must already be bound.  Every explicit stage
-    sees boundary values imposed at its own stage time; the implicit step
-    imposes them at the new time.  ``fields`` are the kernel's
-    (speed, v^2, H, margin) at ``state`` when the caller already has them;
-    otherwise the kernel is evaluated here.  With ``diagnose`` false no
+    ``fields`` are the ``_kernel`` fields (speed, v^2, H, margin) at
+    ``state``, boundary speed included, when the caller already has them;
+    otherwise they are evaluated here.  With ``diagnose`` false no
     ``StepDiagnostics`` is built and None takes its place.
     """
+    grid, u0, s, bc = state.grid, state.u.values, state.s, state.bc
     if fields is None:
-        fields = _speed_or_abort(state.u.values, state.grid, state.s)
+        fields = _speed_or_abort(u0, grid, bc, s)
     if config.integrator == IMPLICIT:
         return _implicit_step(state, dt, config, fields, diagnose)
-    grid = state.grid
-    u0 = state.u.values
-    s = state.s
-    bc = state.bc
-
-    def staged(base, coeff, k, stage_s):
-        vals = base + (coeff * dt) * k
-        bc.apply(vals, stage_s, grid)
-        return vals
 
     speed, v2, H, margin = fields
     if config.integrator == "euler":
         unew = u0 + dt * speed
     elif config.integrator == "rk2":
-        u1 = staged(u0, 0.5, speed, s + 0.5 * dt)
-        k2, _, _, _ = _speed_or_abort(u1, grid, s + 0.5 * dt)
+        k2, _, _, _ = _speed_or_abort(u0 + (0.5 * dt) * speed, grid, bc, s + 0.5 * dt)
         unew = u0 + dt * k2
     else:  # rk4
-        u1 = staged(u0, 0.5, speed, s + 0.5 * dt)
-        k2, _, _, _ = _speed_or_abort(u1, grid, s + 0.5 * dt)
-        u2 = staged(u0, 0.5, k2, s + 0.5 * dt)
-        k3, _, _, _ = _speed_or_abort(u2, grid, s + 0.5 * dt)
-        u3 = staged(u0, 1.0, k3, s + dt)
-        k4, _, _, _ = _speed_or_abort(u3, grid, s + dt)
+        k2, _, _, _ = _speed_or_abort(u0 + (0.5 * dt) * speed, grid, bc, s + 0.5 * dt)
+        k3, _, _, _ = _speed_or_abort(u0 + (0.5 * dt) * k2, grid, bc, s + 0.5 * dt)
+        k4, _, _, _ = _speed_or_abort(u0 + dt * k3, grid, bc, s + dt)
         unew = u0 + (dt / 6.0) * (speed + 2.0 * k2 + 2.0 * k3 + k4)
-
-    s_new = s + dt
-    bc.apply(unew, s_new, grid)
-    return _finish_step(grid, unew, s_new, dt, bc, (v2, H, margin), config, diagnose)
+    return _finish_step(grid, unew, s + dt, dt, bc, (v2, H, margin), config, diagnose)
 
 
 def _finish_step(grid, unew, s_new, dt, bc, fields, config, diagnose=True):
@@ -344,17 +312,17 @@ def _require_radial(grid: grids.Grid) -> None:
         )
 
 
-def _damped_update(u, update, grid, s):
+def _damped_update(u, update, grid, bc, s):
     """u - lam * update for the largest lam = 2^-k whose iterate is spacelike.
 
-    Returns (iterate, lam, kernel fields at the iterate).  The margin floor
-    is checked on every node of every trial; nothing is clamped.
+    Returns (iterate, lam, ``_kernel`` fields at the iterate).  The margin
+    floor is checked on every node of every trial; nothing is clamped.
     """
     lam = 1.0
     for _ in range(NEWTON_MAX_HALVINGS):
         trial = u - lam * update
         try:
-            return trial, lam, geometry.graph_speed_fields(trial, grid)
+            return trial, lam, _kernel(trial, grid, bc)
         except NonSpacelikeError as exc:
             last = exc
             lam *= 0.5
@@ -365,28 +333,20 @@ def _damped_update(u, update, grid, s):
     )
 
 
-def _backward_euler(grid, u_old, fields, jac, s_new, dt, bc, config):
+def _backward_euler(grid, u_old, fields, jac, s_new, dt, bc):
     """Solve u - dt S(u) = u_old by damped Newton; return (u, fields at u).
 
-    ``fields`` are the kernel's (speed, v^2, H, margin) at ``u_old`` and
-    ``jac`` its ``radial_speed_jacobian`` there, or None.
-    Interior rows carry the kernel speed S; the boundary row asks for the
-    boundary value at s_new, which the converged iterate then gets exactly.
-    Newton stops when its full update, or the residual, falls below
-    NEWTON_TOL (1 + max|u|); a residual that small makes u the exact step
-    from heights that differ from u_old by no more than that.
+    ``fields`` are the ``_kernel`` fields (speed, v^2, H, margin) at
+    ``u_old`` and ``jac`` its ``radial_speed_jacobian`` there, or None.
+    S carries the boundary speed, on which the Jacobian's zero boundary row
+    agrees, so the first Newton update already puts the boundary node at
+    u_old + dt S there.  Newton stops when its full update, or the residual,
+    falls below NEWTON_TOL (1 + max|u_old|); a residual that small makes u
+    the exact step from heights that differ from u_old by no more than that.
     """
-    target = u_old.copy()
-    bc.apply(target, s_new, grid)
-    tol = NEWTON_TOL * (1.0 + float(np.max(np.abs(target))))
-
-    def residual_at(u, speed):
-        out = u - u_old - dt * speed
-        out[-1] = u[-1] - target[-1]
-        return out
-
+    tol = NEWTON_TOL * (1.0 + float(np.max(np.abs(u_old))))
     u = u_old
-    residual = residual_at(u, fields[0])
+    residual = u - u_old - dt * fields[0]
     for _ in range(NEWTON_MAX_ITER):
         if jac is None:
             jac = geometry.radial_speed_jacobian(u, grid)
@@ -398,9 +358,9 @@ def _backward_euler(grid, u_old, fields, jac, s_new, dt, bc, config):
             raise ConvergenceError(
                 f"singular Newton matrix at s = {s_new:.6g}, dt = {dt:.3g}"
             ) from exc
-        u, lam, fields = _damped_update(u, update, grid, s_new)
+        u, lam, fields = _damped_update(u, update, grid, bc, s_new)
         jac = None
-        residual = residual_at(u, fields[0])
+        residual = u - u_old - dt * fields[0]
         full_step_small = lam == 1.0 and float(np.max(np.abs(update))) <= tol
         if full_step_small or float(np.max(np.abs(residual))) <= tol:
             break
@@ -409,7 +369,6 @@ def _backward_euler(grid, u_old, fields, jac, s_new, dt, bc, config):
             f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
             f"at s = {s_new:.6g}, dt = {dt:.3g}"
         )
-    bc.apply(u, s_new, grid)
     return u, fields
 
 
@@ -418,9 +377,7 @@ def _implicit_step(state: GraphState, dt: float, config: FlowConfig, fields, dia
     grid = state.grid
     _require_radial(grid)
     s_new = state.s + dt
-    unew, fields = _backward_euler(
-        grid, state.u.values, fields, None, s_new, dt, state.bc, config
-    )
+    unew, fields = _backward_euler(grid, state.u.values, fields, None, s_new, dt, state.bc)
     return _finish_step(grid, unew, s_new, dt, state.bc, fields[1:], config, diagnose)
 
 
@@ -430,16 +387,16 @@ def _doubling_step(state: GraphState, dt: float, config: FlowConfig):
     A step of dt is compared with two steps of dt/2; their difference,
     relative to 1 + max|u|, estimates the local error of the full step.
     The two half steps are kept when the estimate is within STEP_TOL;
-    otherwise, or when a solve fails, or when the update dt max|S| is
-    within Newton's tolerance (except on the step landing on ``s_end``), dt
-    shrinks and the step is retried.
+    otherwise, or when a solve fails, or when the update dt max|S| of a
+    step shorter than ``dt_max`` is within Newton's tolerance (except on the
+    step landing on ``s_end``), dt shrinks and the step is retried.
     The full step, the first half step and every retry start from the same
     heights, so they share one kernel evaluation and one Jacobian there.
     The last step lands exactly on ``s_end``.  Returns (new state,
     diagnostics, dt taken, suggested next dt).
     """
     grid, bc, s, u0 = state.grid, state.bc, state.s, state.u.values
-    fields0 = _speed_or_abort(u0, grid, s)
+    fields0 = _speed_or_abort(u0, grid, bc, s)
     jac0 = geometry.radial_speed_jacobian(u0, grid)
     floor_dt = 1e-12 * max(1.0, config.s_end)
     while True:
@@ -447,13 +404,9 @@ def _doubling_step(state: GraphState, dt: float, config: FlowConfig):
         dt = min(dt, remaining)
         s_new = config.s_end if dt == remaining else s + dt
         try:
-            full, _ = _backward_euler(grid, u0, fields0, jac0, s_new, dt, bc, config)
-            half, fields = _backward_euler(
-                grid, u0, fields0, jac0, s + 0.5 * dt, 0.5 * dt, bc, config
-            )
-            unew, fields = _backward_euler(
-                grid, half, fields, None, s_new, 0.5 * dt, bc, config
-            )
+            full, _ = _backward_euler(grid, u0, fields0, jac0, s_new, dt, bc)
+            half, fields = _backward_euler(grid, u0, fields0, jac0, s + 0.5 * dt, 0.5 * dt, bc)
+            unew, fields = _backward_euler(grid, half, fields, None, s_new, 0.5 * dt, bc)
         except (NonSpacelikeError, ConvergenceError) as exc:
             reason, err = exc, np.inf
         else:
@@ -461,9 +414,13 @@ def _doubling_step(state: GraphState, dt: float, config: FlowConfig):
             err = float(np.max(np.abs(unew - full))) / scale
             reason = f"local error {err:.3g} above {STEP_TOL:.0e}"
             update = dt * float(np.max(np.abs(fields[0])))
-            if update <= NEWTON_TOL * scale and s_new != config.s_end:
+            stalled = update <= NEWTON_TOL * scale and dt < config.dt_max
+            if stalled and s_new != config.s_end:
                 # Newton's stopping test holds for any iterate this close to
                 # u0, so such a step shows nothing and the run would stall.
+                # A full-size step is exempt: a state at rest (a small pinned
+                # disk near its stationary profile, rim speed 0) takes full
+                # steps and moves on.
                 reason, err = f"step update {update:.3g} within the Newton tolerance", np.inf
         if err == 0.0:
             grow = 2.0
@@ -495,9 +452,10 @@ def run(state: GraphState, config: FlowConfig) -> Trajectory:
 
     A fixed or stability-limited step evaluates the kernel once at its
     start, for dt and the first stage, and diagnoses recorded steps only.
+    A pinned ``state`` whose boundary heights differ raises ValueError.
     """
-    bc = state.bc.bound_to(state)
-    current = GraphState(u=state.u.copy(), s=state.s, bc=bc)
+    state.bc.check(state)
+    current = state.copy()
     if config.integrator == IMPLICIT:
         _require_radial(current.grid)
     traj = Trajectory()
@@ -516,7 +474,7 @@ def run(state: GraphState, config: FlowConfig) -> Trajectory:
                 current, diag, dt, dt_next = _doubling_step(current, dt_next, config)
                 record = _records(steps + 1, current.s, config)
             else:
-                fields = _speed_or_abort(current.u.values, current.grid, current.s)
+                fields = _speed_or_abort(current.u.values, current.grid, current.bc, current.s)
                 dt = config.dt_fixed or min(
                     stable_dt(current, config.cfl_safety, margin=fields[3]), config.dt_max
                 )
@@ -536,8 +494,8 @@ def run(state: GraphState, config: FlowConfig) -> Trajectory:
 
 def evolve_window(state: GraphState, dt: float, config: FlowConfig) -> TrajectoryWindow:
     """Two fixed-size steps from ``state``, packaged for time-derivative checks."""
-    bc = state.bc.bound_to(state)
-    s0 = GraphState(u=state.u.copy(), s=state.s, bc=bc)
+    state.bc.check(state)
+    s0 = state.copy()
     s1, _ = step(s0, dt, config, diagnose=False)
     s2, _ = step(s1, dt, config, diagnose=False)
     return TrajectoryWindow(before=s0, mid=s1, after=s2, dt=dt)
@@ -561,7 +519,6 @@ def isometry_shift_state(state: GraphState, a: float) -> GraphState:
     except OutOfDomainError as exc:
         raise OutOfDomainError(f"isometry shift a = {a:.6g}: {exc}") from exc
     values = np.asarray(pulled).reshape(grid.shape) - a
-    bc = replace(state.bc, values=None)
-    new_state = GraphState(u=grids.Field(grid, values), s=state.s, bc=bc)
-    new_state.bc = bc.bound_to(new_state)
+    new_state = GraphState(u=grids.Field(grid, values), s=state.s, bc=state.bc)
+    state.bc.check(new_state)
     return new_state

@@ -291,20 +291,17 @@ def coordinate_laplacian_wave_values(H, nu_sp, nu_t, t, dimension: int = DEFAULT
 class CutoffSpec:
     """Parameters of the localization weight r = e^{alpha t} |x|^2.
 
-    ``radius`` bounds the region {r <= radius}; ``epsilon`` is the slack the
-    height threshold ``t_min`` buys in the bounds below.
+    ``epsilon`` is the slack the height threshold ``t_min`` buys in the
+    bounds below.
     """
 
     alpha: float
-    radius: float
     epsilon: float
     t_min: float
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 2.0):
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if not (self.radius > 0.0):
-            raise ValueError("radius must be positive")
         if not (self.epsilon > 0.0):
             raise ValueError("epsilon must be positive")
 

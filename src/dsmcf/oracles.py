@@ -663,13 +663,14 @@ def check_curvature_evolution(
             + 4.0 * mid.H**2
             - 2.0 * a2 * (3.0 + a2)
         )
-        # Curvature fields sit two derivatives deep in u, so the boundary
-        # node's one-sided values (and whatever the boundary condition
-        # pinned there) reach two nodes further in than for first-order
-        # fields, with 1/h^2 amplification.  Masking a three-node collar
-        # keeps the report about the resolved interior.
-        mask = grids.laplacian_mask(mid.grid).copy()
-        mask[-3:] = False
+        # Curvature fields sit two derivatives deep in u, and the identity
+        # differentiates them twice more (the Laplacian, |grad A|^2), so the
+        # boundary node's one-sided values (and whatever the boundary
+        # condition imposed there) reach four nodes in, with 1/h^2
+        # amplification: behind a three-node collar the residual peaks at
+        # the nodes N-5 and N-4 and grows 4x per halving of h.  Masking a
+        # five-node collar keeps the report about the resolved interior.
+        mask = mid.grid.interior_mask(5)
         return mid, mask, [[lhs - rhs]]
 
     coarse = parts(window)

@@ -109,7 +109,7 @@ def _write(path, *chunks: bytes) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _rebound(grid: grids.Grid, values: np.ndarray, bc_kind: str, s: float, path) -> flow.GraphState:
+def _as_state(grid: grids.Grid, values: np.ndarray, bc_kind: str, s: float, path):
     if values.size != grid.node_count:
         raise CorruptFileError(
             f"{path}: profile holds {values.size} values, grid needs {grid.node_count}"
@@ -120,10 +120,10 @@ def _rebound(grid: grids.Grid, values: np.ndarray, bc_kind: str, s: float, path)
         bc=flow.BoundaryCondition(bc_kind),
     )
     try:
-        bc = state.bc.bound_to(state)
+        state.bc.check(state)
     except ValueError as exc:  # a pinned boundary with varying heights
         raise CorruptFileError(f"{path}: {exc}") from exc
-    return flow.GraphState(u=state.u, s=s, bc=bc)
+    return state
 
 
 def save_state(state: flow.GraphState, path) -> None:
@@ -141,7 +141,7 @@ def load_state(path) -> flow.GraphState:
     if not math.isfinite(s):
         raise CorruptFileError(f"{path}: invalid flow time {s}")
     values = _payload(data, _PREFIX.size + _STATE_TAIL.size, count, crc, path)
-    return _rebound(grid, values, bc_kind, s, path)
+    return _as_state(grid, values, bc_kind, s, path)
 
 
 def save_trajectory(traj: flow.Trajectory, path) -> None:
@@ -184,7 +184,7 @@ def load_trajectory(path) -> flow.Trajectory:
     profiles = flat[2 * count :].reshape(count, per)
     traj = flow.Trajectory(failure=failure)
     for k in range(count):
-        traj.snapshots.append(_rebound(grid, profiles[k], bc_kind, float(s_values[k]), path))
+        traj.snapshots.append(_as_state(grid, profiles[k], bc_kind, float(s_values[k]), path))
         traj.dt_history.append(float(dts[k]))
         traj.diagnostics.append(None)
     return traj

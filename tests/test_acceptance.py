@@ -178,12 +178,12 @@ def test_5_inequality_suite_with_negative_control():
         bump_state(65, amplitude=0.0, extent=2.0, height=10.0), dt=1e-3
     )
     for alpha in (0.5, 1.0):
-        spec = geometry.CutoffSpec(alpha=alpha, radius=100.0, epsilon=0.1, t_min=10.0)
+        spec = geometry.CutoffSpec(alpha=alpha, epsilon=0.1, t_min=10.0)
         evo = oracles.check_weight_evolution(high_win, spec)
         grad = oracles.check_weight_gradient(high_win.mid, spec)
         assert evo.passed and evo.violations == 0, evo.summary()
         assert grad.passed and grad.violations == 0, grad.summary()
-    control = geometry.CutoffSpec(alpha=1.9, radius=100.0, epsilon=0.1, t_min=0.5)
+    control = geometry.CutoffSpec(alpha=1.9, epsilon=0.1, t_min=0.5)
     low_win = window(bump_state(129, amplitude=0.0, height=1.0), dt=1e-4)
     evo = oracles.check_weight_evolution(low_win, control)
     grad = oracles.check_weight_gradient(low_win.mid, control)

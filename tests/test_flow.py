@@ -1,18 +1,14 @@
 """Time stepping: exactness on slices, integrator orders, boundary rules,
 failure handling, and the radial/cartesian cross-mode oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from dsmcf import flow, geometry, grids
-from dsmcf.errors import (
-    ModeUnsupportedError,
-    NonUniformWindowError,
-    OutOfDomainError,
-    WindowTooShortError,
-)
+from dsmcf.errors import ModeUnsupportedError, OutOfDomainError
 
 
 def radial_state(resolution=33, extent=2.0, amplitude=0.2, kind=flow.PINNED):
@@ -88,7 +84,7 @@ def test_run_matches_a_loop_of_public_steps(integrator):
     cfg = flow.FlowConfig(integrator=integrator, s_end=4e-3, snapshot_stride=7)
     traj = flow.run(state, cfg)
 
-    current = flow.GraphState(u=state.u.copy(), s=state.s, bc=state.bc.bound_to(state))
+    current = state.copy()
     snapshots, dts, diags = [current.copy()], [0.0], [None]
     steps = 0
     while current.s < cfg.s_end - 1e-14 * max(1.0, cfg.s_end):
@@ -118,7 +114,7 @@ def test_fixed_step_run_matches_a_loop_of_public_steps(integrator, monkeypatch):
     (one kernel evaluation feeds ``step``) and never asks ``stable_dt``."""
     state = radial_state(amplitude=0.4)
     cfg = flow.FlowConfig(integrator=integrator, s_end=1e-3, snapshot_stride=3, dt_fixed=7e-5)
-    current = flow.GraphState(u=state.u.copy(), s=state.s, bc=state.bc.bound_to(state))
+    current = state.copy()
     snapshots, dts = [current.copy()], [0.0]
     steps = 0
     while current.s < cfg.s_end - 1e-14 * max(1.0, cfg.s_end):
@@ -143,9 +139,9 @@ def test_fixed_step_run_matches_a_loop_of_public_steps(integrator, monkeypatch):
 
 def test_step_reuses_given_fields_and_skips_diagnostics():
     state = radial_state(amplitude=0.4)
-    state = flow.GraphState(u=state.u, s=0.0, bc=state.bc.bound_to(state))
     cfg = flow.FlowConfig(integrator="rk2")
-    fields = geometry.graph_speed_fields(state.u.values, state.grid)
+    # the fields ``run`` hands to ``step``: the kernel's, with the boundary speed
+    fields = flow._speed_or_abort(state.u.values, state.grid, state.bc, state.s)
     dt = flow.stable_dt(state, cfg.cfl_safety)
     assert flow.stable_dt(state, cfg.cfl_safety, margin=fields[3]) == dt
     plain, diag = flow.step(state, dt, cfg)
@@ -178,8 +174,6 @@ def test_flat_slice_evolves_exactly(integrator):
 
 def test_single_step_on_slice_is_exact():
     state = radial_state(amplitude=0.0, kind=flow.SLICING)
-    bc = state.bc.bound_to(state)
-    state = flow.GraphState(u=state.u, s=0.0, bc=bc)
     new, diag = flow.step(state, 0.01, flow.FlowConfig(integrator="euler"))
     np.testing.assert_allclose(new.u.values, 0.03, atol=1e-15)
     assert diag.min_margin == pytest.approx(1.0, abs=1e-14)
@@ -297,6 +291,22 @@ def test_implicit_run_lands_on_s_end_with_accuracy_control(monkeypatch):
     assert errors[1] < errors[0] < 1e-3
 
 
+def test_implicit_pinned_small_disk_reaches_s_end():
+    """The pinned disk of radius 0.5 settles to a stationary profile, where
+    dt max|S| falls within Newton's tolerance; full-size steps still count,
+    so the run reaches s_end instead of stalling."""
+    grid = grids.Grid(grids.RADIAL, 3, extent=0.5, resolution=65)
+    state = flow.GraphState(
+        u=grids.Field(grid, np.zeros(grid.shape)),
+        s=0.0,
+        bc=flow.BoundaryCondition(flow.PINNED),
+    )
+    traj = flow.run(state, flow.FlowConfig(integrator="implicit", s_end=3.0))
+    assert traj.failure is None
+    assert traj.final.s == 3.0 and traj.steps == 99
+    assert traj.final.u.values[0] == pytest.approx(0.14385037138780454, rel=1e-12)
+
+
 @pytest.mark.parametrize("bad", [{"dt_max": 0.0}, {"dt_fixed": -1e-3}])
 def test_flow_config_rejects_nonpositive_steps(bad):
     with pytest.raises(ValueError):
@@ -307,7 +317,7 @@ def test_flow_config_rejects_nonpositive_steps(bad):
 # trajectories, snapshots, windows
 
 
-def test_trajectory_snapshots_and_windows():
+def test_trajectory_snapshot_times():
     state = radial_state()
     cfg = flow.FlowConfig(dt_fixed=1e-3, s_end=0.02, snapshot_stride=5)
     traj = flow.run(state, cfg)
@@ -315,27 +325,6 @@ def test_trajectory_snapshots_and_windows():
     s_vals = traj.s_values()
     assert np.all(np.diff(s_vals) > 0)
     np.testing.assert_allclose(s_vals, [0.0, 5e-3, 1e-2, 1.5e-2, 2e-2], atol=1e-12)
-    win = traj.window(2)
-    assert win.dt == pytest.approx(5e-3, abs=1e-12)
-    assert win.mid.s == pytest.approx(1e-2, abs=1e-12)
-
-
-def test_window_rejects_nonuniform_spacing():
-    state = radial_state()
-    # final partial step makes the last interval shorter than the stride
-    cfg = flow.FlowConfig(dt_fixed=1e-3, s_end=6.3e-3, snapshot_stride=5)
-    traj = flow.run(state, cfg)
-    with pytest.raises(NonUniformWindowError):
-        traj.window(1)
-
-
-def test_window_requires_three_snapshots():
-    state = radial_state()
-    cfg = flow.FlowConfig(dt_fixed=1e-3, s_end=3e-3, snapshot_stride=100)
-    traj = flow.run(state, cfg)
-    assert len(traj.snapshots) == 2
-    with pytest.raises(WindowTooShortError):
-        traj.window(1)
 
 
 def test_evolve_window():
@@ -398,6 +387,25 @@ def test_max_steps_guard():
 # boundary conditions
 
 
+def test_boundary_condition_is_a_kind_and_its_speed():
+    assert [f.name for f in dataclasses.fields(flow.BoundaryCondition)] == ["kind"]
+    speeds = {kind: flow.BoundaryCondition(kind).speed(3) for kind in flow.BC_KINDS}
+    assert speeds == {flow.PINNED: 0.0, flow.SLICING: 3.0, flow.FROZEN: 0.0}
+
+
+@pytest.mark.parametrize("kind", flow.BC_KINDS)
+@pytest.mark.parametrize("integrator", flow.INTEGRATORS)
+def test_step_moves_the_boundary_at_its_speed(integrator, kind):
+    """``step`` takes a state as constructed, and every integrator moves the
+    boundary node by dt times the boundary speed."""
+    state = radial_state(amplitude=0.4, kind=kind)
+    dt = 1e-4
+    new, _ = flow.step(state, dt, flow.FlowConfig(integrator=integrator))
+    expected = state.u.values[-1] + dt * state.bc.speed(3)
+    assert new.s == dt
+    assert new.u.values[-1] == pytest.approx(expected, abs=1e-15)
+
+
 def test_pinned_boundary_stays_constant():
     state = radial_state(kind=flow.PINNED)
     boundary_value = float(state.u.values[-1])
@@ -415,7 +423,7 @@ def test_pinned_rejects_nonconstant_boundary():
         bc=flow.BoundaryCondition(flow.PINNED),
     )
     with pytest.raises(ValueError):
-        state.bc.bound_to(state)
+        state.bc.check(state)
 
 
 def test_frozen_boundary_keeps_initial_profile():
@@ -481,8 +489,7 @@ def test_isometry_commutes_with_flow_on_slices():
 
 def first_step_diagnostics(state):
     """Diagnostics of one short euler step, which describe ``state``."""
-    bound = flow.GraphState(u=state.u, s=state.s, bc=state.bc.bound_to(state))
-    _, diag = flow.step(bound, 1e-6, flow.FlowConfig(integrator="euler"))
+    _, diag = flow.step(state, 1e-6, flow.FlowConfig(integrator="euler"))
     return diag
 
 

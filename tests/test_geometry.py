@@ -362,7 +362,7 @@ def test_wave_route_matches_closed_form():
 
 
 def test_cutoff_frozen_values():
-    spec = geometry.CutoffSpec(alpha=1.0, radius=4.0, epsilon=0.1, t_min=-5.0)
+    spec = geometry.CutoffSpec(alpha=1.0, epsilon=0.1, t_min=-5.0)
     # the point x = (1, 0, 0) at t = 0 on a flat slice, where v = 1
     r, grad_lower, grad_upper, evolution_lower = geometry.cutoff_arrays(0.0, 1.0, 1.0, spec)
     assert r == pytest.approx(1.0, abs=1e-14)
@@ -374,9 +374,9 @@ def test_cutoff_frozen_values():
 
 def test_cutoff_spec_validation():
     with pytest.raises(ValueError):
-        geometry.CutoffSpec(alpha=2.0, radius=1.0, epsilon=0.1, t_min=0.0)
+        geometry.CutoffSpec(alpha=2.0, epsilon=0.1, t_min=0.0)
     with pytest.raises(ValueError):
-        geometry.CutoffSpec(alpha=0.5, radius=1.0, epsilon=0.0, t_min=0.0)
+        geometry.CutoffSpec(alpha=0.5, epsilon=0.0, t_min=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,10 @@ class TestConfig:
         with pytest.raises(ValidationError, match="ramp tilt must exceed 1"):
             config.parse_config('{"initial": {"profile": "ramp", "tilt": 0.5}}')
 
+    def test_weight_radius_is_not_a_config_key(self):
+        with pytest.raises(ParseError, match="unknown key 'weight_radius' in checks"):
+            config.parse_config('{"checks": {"weight_radius": 100.0}}')
+
     def test_initial_state_matches_grid(self):
         cfg = config.parse_config('{"grid": {"resolution": 17}}')
         state = cfg.initial_state()
@@ -472,7 +476,7 @@ class TestCli:
         assert skipped == ["tilt_evolution", "tilt_bounds", "curvature_evolution"]
         assert built == []
 
-    @pytest.mark.parametrize("resolution", [129, 257])
+    @pytest.mark.parametrize("resolution", [65, 129, 257])
     def test_verify_radial_bump_passes_under_refinement(self, tmp_path, resolution):
         cfg = self.write_config(
             tmp_path,
@@ -484,11 +488,30 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         doc = json.loads((out / "report.json").read_text())
-        (tilt,) = [c for c in doc["checks"] if c["name"] == "tilt-evolution"]
         low, high = oracles.ORDER_WINDOW
-        assert low <= tilt["order"] <= high
+        for name in ("tilt-evolution", "curvature-evolution"):
+            (check,) = [c for c in doc["checks"] if c["name"] == name]
+            assert check["passed"] is True and low <= check["order"] <= high
         # checks.dt = 1e-4 exceeds the rk2 stable step on these grids
         assert any(n.startswith("checking window dt ") for n in doc["notes"])
+
+    @pytest.mark.parametrize("command", ["simulate", "flatness", "rescale", "verify"])
+    def test_pinned_nonconstant_boundary_is_a_config_error(self, tmp_path, capsys, command):
+        # verify runs its time-derivative checks only in three dimensions
+        dimension = 3 if command == "verify" else 2
+        cfg = self.write_config(
+            tmp_path,
+            {
+                "grid": {"mode": "cartesian", "dimension": dimension, "resolution": 9},
+                "bc": "pinned",
+                "initial": {"profile": "bump"},
+                "flow": {"s_end": 0.01},
+            },
+        )
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "pinned boundary requires constant" in err
 
     @pytest.mark.parametrize(
         "grid",

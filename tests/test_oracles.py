@@ -310,7 +310,7 @@ def high_slice_window(height=10.0):
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_weight_bounds_hold_high_on_slices(alpha):
-    spec = geometry.CutoffSpec(alpha=alpha, radius=100.0, epsilon=0.1, t_min=10.0)
+    spec = geometry.CutoffSpec(alpha=alpha, epsilon=0.1, t_min=10.0)
     win = high_slice_window()
     evo = oracles.check_weight_evolution(win, spec)
     assert evo.passed and evo.violations == 0
@@ -321,7 +321,7 @@ def test_weight_bounds_hold_high_on_slices(alpha):
 
 
 def test_weight_checks_guard_the_height_threshold():
-    spec = geometry.CutoffSpec(alpha=1.0, radius=100.0, epsilon=0.1, t_min=10.0)
+    spec = geometry.CutoffSpec(alpha=1.0, epsilon=0.1, t_min=10.0)
     low = window(radial_state(33, amplitude=0.0, height=0.0), dt=1e-3)
     with pytest.raises(BelowThresholdError):
         oracles.check_weight_evolution(low, spec)
@@ -332,7 +332,7 @@ def test_weight_checks_guard_the_height_threshold():
 def test_weight_negative_control_shows_violations():
     """Steep weight exponents at moderate heights genuinely break the
     bounds; the checks must report that instead of passing vacuously."""
-    spec = geometry.CutoffSpec(alpha=1.9, radius=100.0, epsilon=0.1, t_min=0.5)
+    spec = geometry.CutoffSpec(alpha=1.9, epsilon=0.1, t_min=0.5)
     win = window(radial_state(129, amplitude=0.0, height=1.0))
     evo = oracles.check_weight_evolution(win, spec)
     assert not evo.passed

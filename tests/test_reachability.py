@@ -1,14 +1,19 @@
-"""Every module-level function and class in ``src/dsmcf`` is reached from a
-command, or is on the short list of references that tests compare against.
+"""Every module-level function and class in ``src/dsmcf``, and every method,
+is reached from a command, or from the short list of references that tests
+compare against.
 
 The walk starts at ``cli.main`` (every command) and at
 ``snapshots.load_trajectory`` (the reader behind the benchmark's
 post-processing).  From each reached definition it follows the names the
 definition's source mentions: module-level names of its own module, names
 imported from sibling modules, and ``module.attribute`` through sibling
-modules imported with ``from . import``.  A class counts as one
-definition, methods included.  Local names that shadow a module-level name
-make the walk reach more, never less, so the guard cannot fail falsely.
+modules imported with ``from . import``.  A method counts as its own
+definition: it is reached when its class is and some reached definition
+names it as an attribute (``x.name``, on any object), or when it is a
+dunder, which Python calls for the class.  Local names that shadow a
+module-level name, and attributes of other objects that share a method's
+name, make the walk reach more, never less, so the guard cannot fail
+falsely.
 """
 
 import ast
@@ -40,11 +45,24 @@ REFERENCE = [
 ]
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def method_name(key) -> str:
+    return key[1].rpartition(".")[2]
+
+
 class Package:
-    """Module-level definitions of the package and the names they mention."""
+    """Module-level definitions of the package and the names they mention.
+
+    Methods are keyed ``(module, "Class.method")``; a class's own entry
+    stands for its body without its methods.
+    """
 
     def __init__(self, root: Path):
         self.defs = {}  # (module, name) -> defining statement
+        self.methods = {}  # (module, class) -> its method keys
         self.modules = {}  # module -> {local name: sibling module}
         self.imported = {}  # module -> {local name: (sibling module, name)}
         for path in sorted(root.glob("*.py")):
@@ -56,6 +74,11 @@ class Package:
     def _add(self, module, node):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             self.defs[module, node.name] = node
+            if isinstance(node, ast.ClassDef):
+                methods = [item for item in node.body if isinstance(item, ast.FunctionDef)]
+                keys = [(module, f"{node.name}.{m.name}") for m in methods]
+                self.methods[module, node.name] = keys
+                self.defs.update(zip(keys, methods))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -69,9 +92,20 @@ class Package:
                 else:
                     self.imported[module][local] = (node.module, alias.name)
 
+    def nodes(self, key):
+        """Every AST node of a definition; a class's methods are left out."""
+        top = self.defs[key]
+        if not isinstance(top, ast.ClassDef):
+            yield from ast.walk(top)
+            return
+        parts = top.bases + top.keywords + top.decorator_list
+        parts += [item for item in top.body if not isinstance(item, ast.FunctionDef)]
+        for part in parts:
+            yield from ast.walk(part)
+
     def mentions(self, key):
         module = key[0]
-        for node in ast.walk(self.defs[key]):
+        for node in self.nodes(key):
             if isinstance(node, ast.Name):
                 if (module, node.id) in self.defs:
                     yield module, node.id
@@ -84,11 +118,23 @@ class Package:
 
     def reached(self, roots) -> set:
         seen, todo = set(), list(roots)
+        attributes, methods = set(), []  # names used as x.name; methods of reached classes
         while todo:
             key = todo.pop()
             if key not in seen and key in self.defs:
                 seen.add(key)
                 todo.extend(self.mentions(key))
+                methods.extend(self.methods.get(key, []))
+                attributes.update(
+                    node.attr for node in self.nodes(key) if isinstance(node, ast.Attribute)
+                )
+            if not todo:
+                todo = [
+                    key
+                    for key in methods
+                    if key not in seen
+                    and (is_dunder(method_name(key)) or method_name(key) in attributes)
+                ]
         return seen
 
     def functions_and_classes(self) -> set:
@@ -99,7 +145,7 @@ class Package:
 def test_src_holds_no_code_that_only_tests_use():
     package = Package(SRC)
     from_commands = package.reached(ROOTS)
-    allowed = package.reached(REFERENCE) | {("errors", name) for name in dsmcf.errors.__all__}
+    allowed = package.reached(REFERENCE + [("errors", name) for name in dsmcf.errors.__all__])
     orphans = package.functions_and_classes() - from_commands - allowed
     assert not orphans, (
         f"no command reaches {sorted('.'.join(key) for key in orphans)}; "
