@@ -13,6 +13,13 @@ Every command reads one config file (defaults apply when ``--config`` is
 omitted), writes ``report.json`` plus CSV series into the output
 directory, and exits 0 when everything passed, 1 when a check or run
 failed, and 2 on a configuration problem.
+
+This is the one layer that runs flows: ``simulate``, ``barrier``,
+``flatness`` and ``rescale`` each go through ``_flow``, which records a
+failed run in the report, and hand the trajectory to the analyses in
+``experiments``.  A failed run still writes its report, with whatever
+series the recorded part of the run gives, and ``main`` prints one
+``run failed:`` line for it.
 """
 
 from __future__ import annotations
@@ -25,8 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import experiments, flow, oracles, reporting, snapshots
-from .config import RunConfig, load_config
+from . import experiments, flow, grids, oracles, reporting, snapshots
+from .config import InitialSpec, RunConfig, load_config
 from .errors import DsmcfError, ModeUnsupportedError, ParseError, ValidationError
 
 
@@ -35,6 +42,17 @@ def _new_report(config: RunConfig) -> reporting.Report:
     if config.bc == flow.SLICING:
         report.notes.append(reporting.SLICING_NOTE)
     return report
+
+
+def _flow(
+    config: RunConfig, report: reporting.Report, state: flow.GraphState
+) -> flow.Trajectory:
+    """Run the configured flow from ``state``; a failed run is recorded in ``report``."""
+    traj = flow.run(state, config.flow)
+    report.steps = traj.steps
+    if traj.failure is not None:
+        report.record_failure(f"flow run failed: {traj.failure}")
+    return traj
 
 
 @dataclass
@@ -126,30 +144,30 @@ def _cmd_verify(config: RunConfig) -> reporting.Report:
 def _cmd_simulate(config: RunConfig) -> reporting.Report:
     """Flow the configured initial state and save the trajectory."""
     report = _new_report(config)
-    traj = flow.run(config.initial_state(), config.flow)
-    report.steps = traj.steps
+    traj = _flow(config, report, config.initial_state())
     s = traj.s_values()
     grid = traj.snapshots[0].u.grid
     center = int(np.argmin(np.ravel(grid.radius_squared())))
     centers = [float(np.ravel(snap.u.values)[center]) for snap in traj.snapshots]
     report.add_series("center_height", ("s", "value"), [list(s), centers])
     snapshots.save_trajectory(traj, reporting.output_dir(config.out) / "trajectory.dsmcf")
-    if traj.failure is not None:
-        report.record_failure(f"flow run failed: {traj.failure}")
     return report
 
 
 def _cmd_barrier(config: RunConfig) -> reporting.Report:
     """Run the pinned disk between its flat-slice barriers."""
+    if config.grid.mode != grids.RADIAL:
+        raise ValidationError(
+            f"barrier runs need grid.mode '{grids.RADIAL}', got '{config.grid.mode}'"
+        )
     if config.grid.extent != config.experiment.disk_radius:
         raise ValidationError(
             f"barrier runs need grid.extent == experiment.disk_radius, "
             f"got {config.grid.extent} and {config.experiment.disk_radius}"
         )
     report = _new_report(config)
-    grid = config.grid.build()
-    result = experiments.barrier_run(config.experiment.disk_radius, grid, config.flow)
-    report.steps = result.steps
+    disk = replace(config, bc=flow.PINNED, initial=InitialSpec()).initial_state()
+    result = experiments.barrier_run(_flow(config, report, disk))
     report.add_experiment("barrier", result)
     report.add_series(
         "barrier",
@@ -176,10 +194,8 @@ def _cmd_barrier(config: RunConfig) -> reporting.Report:
 def _cmd_flatness(config: RunConfig) -> reporting.Report:
     """Flow a perturbed slice until its inner region is theta-flat."""
     report = _new_report(config)
-    result = experiments.flatness_run(
-        config.initial_state(), config.experiment.theta, config.flow
-    )
-    report.steps = result.steps
+    traj = _flow(config, report, config.initial_state())
+    result = experiments.flatness_run(traj, config.experiment.theta)
     report.add_experiment("flatness", result)
     report.add_series(
         "flatness_tilt_excess", ("s", "value"), [list(result.s), list(result.tilt_excess)]
@@ -194,11 +210,14 @@ def _cmd_flatness(config: RunConfig) -> reporting.Report:
 
 def _cmd_rescale(config: RunConfig) -> reporting.Report:
     """Tabulate recentred convergence over the configured lambdas."""
+    if config.experiment.rho > config.grid.extent:
+        raise ValidationError(
+            f"experiment.rho {config.experiment.rho:g} exceeds grid.extent "
+            f"{config.grid.extent:g}"
+        )
     report = _new_report(config)
-    traj = flow.run(config.initial_state(), config.flow)
-    report.steps = traj.steps
+    traj = _flow(config, report, config.initial_state())
     if traj.failure is not None:
-        report.record_failure(f"flow run failed: {traj.failure}")
         return report
     table = experiments.convergence_table(
         traj, np.asarray(config.experiment.lambdas), config.experiment.rho
@@ -272,6 +291,8 @@ def main(argv=None) -> int:
     except DsmcfError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
+    if report.failure is not None:
+        print(f"run failed: {report.failure}", file=sys.stderr)
 
     ok = report.all_passed()
     if not args.quiet:

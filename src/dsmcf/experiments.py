@@ -1,8 +1,10 @@
-"""Desk-scale reproductions of the qualitative flow phenomena: a pinned
-disk whose center climbs without bound between its barriers, flattening
-of perturbed and steep slices, recentred convergence to the uniformly
-climbing profile, and the discrete ordering principle the other runs lean
-on.  Each result's ``passed`` is its one verdict."""
+"""Analyses of recorded trajectories that reproduce the qualitative flow
+phenomena: a pinned disk whose center climbs without bound between its
+barriers, flattening of perturbed and steep slices, recentred convergence
+to the uniformly climbing profile, and the discrete ordering principle the
+other runs lean on.  The commands in ``cli`` run the flows; the functions
+here only read the trajectories they record, failed runs included.  Each
+result's ``passed`` is its one verdict."""
 
 import dataclasses
 import math
@@ -11,12 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow, geometry, grids, oracles
-from .errors import (
-    DsmcfError,
-    ModeUnsupportedError,
-    OutOfDomainError,
-    SpanTooShortError,
-)
+from .errors import OutOfDomainError, SpanTooShortError
 
 # Fraction of the box size used as the recentred time half-window.  The
 # box bounds the height; the limiting profile climbs at rate n, so a full
@@ -24,12 +21,6 @@ from .errors import (
 # staying strictly inside that keeps converged runs clear of the height
 # clip at the window ends.
 RESCALE_TIME_FRACTION = 0.3
-
-
-def _completed(traj: flow.Trajectory) -> flow.Trajectory:
-    if traj.failure is not None:
-        raise DsmcfError(f"flow run failed: {traj.failure}")
-    return traj
 
 
 def _profile_at(s_values: np.ndarray, profiles: np.ndarray, tau: float) -> np.ndarray:
@@ -81,7 +72,6 @@ class BarrierResult(_Result):
     translation_s: np.ndarray
     translation_slack: np.ndarray
     passed: bool
-    steps: int = 0
 
     def __post_init__(self):
         if not (len(self.s) == len(self.center_height) == len(self.upper_bound)):
@@ -90,14 +80,15 @@ class BarrierResult(_Result):
             raise ValueError("translation series lengths must match")
 
 
-def _translation_series(s, profiles, grid: grids.Grid, disk_radius: float):
+def _translation_series(s, profiles, grid: grids.Grid):
     """Shift constant c and the slack of w(x, 1+s) >= w(e^c x, s) + c.
 
     c is the measured center height at unit flow time.  The comparison
-    only makes sense at radii that stay inside the disk after stretching
-    by e^c, and needs the run to cover [s, 1+s]; outside that, the series
-    is empty and c is nan.
+    only makes sense at radii that stay inside the disk (the grid extent)
+    after stretching by e^c, and needs the run to cover [s, 1+s]; outside
+    that, the series is empty and c is nan.
     """
+    disk_radius = grid.extent
     if s[-1] < 1.0 or disk_radius <= 1.0:
         return math.nan, np.empty(0), np.empty(0)
     c = float(np.interp(1.0, s, profiles[:, 0]))
@@ -115,29 +106,16 @@ def _translation_series(s, profiles, grid: grids.Grid, disk_radius: float):
     return c, np.array(out_s), np.array(out_slack)
 
 
-def barrier_run(
-    R2: float, grid: grids.Grid, config: flow.FlowConfig
-) -> BarrierResult:
-    """Evolve the flat disk of radius R2 pinned to height zero at its rim.
+def barrier_run(traj: flow.Trajectory) -> BarrierResult:
+    """Read the pinned-disk run: a radial flat disk, pinned at its rim.
 
-    Starts from u = 0 with a pinned boundary and records the center
-    height, validating 0 <= u <= n*s + tol at every snapshot (tol is the
-    10 h^2 discretization allowance) and the monotone growth of the
+    The disk radius is the grid extent.  The center height is validated
+    against 0 <= u <= n*s + tol at every snapshot (tol is the 10 h^2
+    discretization allowance), together with the monotone growth of the
     center.  The translation slack series quantifies the stepping
     inequality that forces the center to infinity.
     """
-    if grid.mode != grids.RADIAL:
-        raise ModeUnsupportedError("the pinned-disk run needs a radial grid")
-    if abs(grid.extent - R2) > 1e-9 * max(1.0, R2):
-        raise ValueError(
-            f"grid extent {grid.extent:.6g} must equal the disk radius {R2:.6g}"
-        )
-    state = flow.GraphState(
-        u=grids.Field(grid, np.zeros(grid.shape)),
-        s=0.0,
-        bc=flow.BoundaryCondition(flow.PINNED),
-    )
-    traj = _completed(flow.run(state, config))
+    grid = traj.final.grid
     s = traj.s_values()
     profiles = _snapshot_profiles(traj)
     center = profiles[:, 0].copy()
@@ -148,7 +126,7 @@ def barrier_run(
         and np.all(profiles.max(axis=1) <= upper + tol)
     )
     monotone = bool(np.all(np.diff(center) >= -1e-12))
-    c, ts, slack = _translation_series(s, profiles, grid, R2)
+    c, ts, slack = _translation_series(s, profiles, grid)
     translation_holds = len(slack) == 0 or bool(np.min(slack) >= -tol)
     return BarrierResult(
         s=s,
@@ -161,7 +139,6 @@ def barrier_run(
         translation_s=ts,
         translation_slack=slack,
         passed=monotone and within and translation_holds,
-        steps=traj.steps,
     )
 
 
@@ -181,17 +158,14 @@ class FlatnessResult(_Result):
     reached: bool
     eventually_decreasing: bool
     passed: bool
-    steps: int = 0
 
     def __post_init__(self):
         if not (len(self.s) == len(self.tilt_excess) == len(self.height_spread)):
             raise ValueError("series lengths must match")
 
 
-def flatness_run(
-    initial: flow.GraphState, theta: float, config: flow.FlowConfig
-) -> FlatnessResult:
-    """Flow a perturbed slice and record when it is theta-flat inside.
+def flatness_run(traj: flow.Trajectory, theta: float) -> FlatnessResult:
+    """Read when a flowed perturbed slice is theta-flat inside.
 
     Per snapshot, the tilt excess sup(v - 1) and the height spread
     sup |u - mean u| are taken over the inner half-region (radius up to
@@ -201,8 +175,7 @@ def flatness_run(
     """
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    traj = _completed(flow.run(initial, config))
-    grid = initial.grid
+    grid = traj.final.grid
     inner = grid.radius_squared() <= (0.5 * grid.extent) ** 2
     excess = np.empty(len(traj.snapshots))
     spread = np.empty(len(traj.snapshots))
@@ -229,7 +202,6 @@ def flatness_run(
         reached=reached,
         eventually_decreasing=decreasing,
         passed=reached and decreasing,
-        steps=traj.steps,
     )
 
 
@@ -409,19 +381,21 @@ class ComparisonResult(_Result):
     tolerance: float
     ordered: bool
     passed: bool
-    steps: int = 0
 
 
-def comparison_run(
-    low: flow.GraphState, high: flow.GraphState, config: flow.FlowConfig
-) -> ComparisonResult:
-    """Evolve two ordered initial states and check they stay ordered.
+def comparison_run(lo: flow.Trajectory, hi: flow.Trajectory) -> ComparisonResult:
+    """Check that two flows from ordered initial states stay ordered.
 
-    Both states must share a grid and boundary kind, with the first below
-    the second.  The upper run is interpolated in time onto the lower
-    run's snapshot times, and the flows count as ordered when the lower
-    one never exceeds the upper by more than the 10 h^2 allowance.
+    Both runs must have ended without failure, and their initial states
+    must share a grid and boundary kind, with the first below the second.
+    The upper run is interpolated in time onto the lower run's snapshot
+    times, and the flows count as ordered when the lower one never exceeds
+    the upper by more than the 10 h^2 allowance.
     """
+    for traj in (lo, hi):
+        if traj.failure is not None:
+            raise ValueError(f"comparison runs must end without failure: {traj.failure}")
+    low, high = lo.snapshots[0], hi.snapshots[0]
     if (
         low.grid.mode != high.grid.mode
         or low.grid.dimension != high.grid.dimension
@@ -434,8 +408,6 @@ def comparison_run(
     if np.any(low.u.values > high.u.values + 1e-12):
         raise ValueError("initial data must be ordered: first below second")
 
-    lo = _completed(flow.run(low, config))
-    hi = _completed(flow.run(high, config))
     s_lo = lo.s_values()
     s_hi = hi.s_values()
     hi_profiles = _snapshot_profiles(hi)
@@ -452,5 +424,4 @@ def comparison_run(
         tolerance=tol,
         ordered=ordered,
         passed=ordered,
-        steps=lo.steps + hi.steps,
     )

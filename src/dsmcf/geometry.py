@@ -501,9 +501,6 @@ class GeometryFields(JetFields):
             d2u[0, 0] = u_rhorho
             for k in range(1, n):
                 d2u[k, k] = sor
-            self.u_rho = u_rho
-            self.u_rhorho = u_rhorho
-            self.slope_over_rho = sor
         else:
             du, d2u = grids.cartesian_jet(u_values, grid)
         self.grid = grid

@@ -595,16 +595,11 @@ def check_weight_gradient(
 
 def radial_curvatures(geom: geometry.GeometryFields) -> tuple[np.ndarray, np.ndarray]:
     """(radial, angular) principal curvatures of a rotationally symmetric
-    graph, with the L'Hopital limit on the axis."""
+    graph: the diagonal of the shape operator of the radial embedding,
+    whose axis value of u'/rho gives the L'Hopital limit there."""
     if geom.grid.mode != grids.RADIAL:
         raise ModeUnsupportedError("principal curvature profiles need a radial grid")
-    kappa_r = (
-        geom.v
-        * (geom.u_rhorho + geom.e2u - 2.0 * geom.u_rho**2)
-        / (geom.e2u - geom.u_rho**2)
-    )
-    kappa_a = geom.v * (geom.slope_over_rho + geom.e2u) * geom.em2u
-    return kappa_r, kappa_a
+    return geom.shape_op[0, 0], geom.shape_op[1, 1]
 
 
 def _curvature_norm_sq(geom: geometry.GeometryFields) -> np.ndarray:
@@ -623,7 +618,7 @@ def _curvature_gradient_sq(geom: geometry.GeometryFields) -> np.ndarray:
     ka_s = arc * grids.radial_first_derivative(ka, grid.spacing)
     rho = grid.axis()
     warp = np.zeros_like(kr)
-    warp[1:] = arc[1:] * (geom.u_rho[1:] + 1.0 / rho[1:]) * (kr[1:] - ka[1:])
+    warp[1:] = arc[1:] * (geom.du[0, 1:] + 1.0 / rho[1:]) * (kr[1:] - ka[1:])
     return kr_s**2 + (n - 1.0) * ka_s**2 + 2.0 * (n - 1.0) * warp**2
 
 

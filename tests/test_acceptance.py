@@ -264,8 +264,8 @@ def test_7_flattening_time_stable_under_refinement():
     started = time.perf_counter()
     cfg_lo = flow.FlowConfig(cfl_safety=0.5, s_end=1.6, snapshot_stride=20)
     cfg_hi = flow.FlowConfig(cfl_safety=0.5, s_end=0.25, snapshot_stride=50)
-    lo = experiments.flatness_run(wrinkled_state(513), 0.05, cfg_lo)
-    hi = experiments.flatness_run(wrinkled_state(1025), 0.05, cfg_hi)
+    lo = experiments.flatness_run(flow.run(wrinkled_state(513), cfg_lo), 0.05)
+    hi = experiments.flatness_run(flow.run(wrinkled_state(1025), cfg_hi), 0.05)
     elapsed = time.perf_counter() - started
     rel = abs(lo.flattening_time - hi.flattening_time) / lo.flattening_time
     ok = lo.reached and hi.reached and rel < 0.05 and elapsed < 600.0
@@ -313,7 +313,7 @@ def test_9_ordered_pairs_stay_ordered():
     low = slicing_state(grid, 0.15 * np.exp(-(rho**2)) - 0.15)
     high = slicing_state(grid, 0.1 + 0.05 * np.cos(rho))
     cfg = flow.FlowConfig(cfl_safety=0.5, s_end=1.0)
-    result = experiments.comparison_run(low, high, cfg)
+    result = experiments.comparison_run(flow.run(low, cfg), flow.run(high, cfg))
     elapsed = time.perf_counter() - started
     worst = float(np.max(result.worst_gap))
     ok = result.ordered and worst <= result.tolerance and elapsed < 300.0

@@ -6,11 +6,7 @@ import numpy as np
 import pytest
 
 from dsmcf import experiments, flow, grids
-from dsmcf.errors import (
-    ModeUnsupportedError,
-    OutOfDomainError,
-    SpanTooShortError,
-)
+from dsmcf.errors import OutOfDomainError, SpanTooShortError
 
 
 def radial_grid(resolution, extent=3.0):
@@ -20,6 +16,15 @@ def radial_grid(resolution, extent=3.0):
 def slicing_state(grid, u0):
     return flow.GraphState(
         u=grids.Field(grid, u0), s=0.0, bc=flow.BoundaryCondition(flow.SLICING)
+    )
+
+
+def pinned_disk(grid):
+    """The flat disk u = 0 over the whole grid, pinned at its rim."""
+    return flow.GraphState(
+        u=grids.Field(grid, np.zeros(grid.shape)),
+        s=0.0,
+        bc=flow.BoundaryCondition(flow.PINNED),
     )
 
 
@@ -71,7 +76,7 @@ class TestBarrier:
     def test_pinned_disk_climbs_between_barriers(self):
         grid = radial_grid(65, extent=4.0)
         cfg = flow.FlowConfig(integrator="euler", cfl_safety=0.5, s_end=0.45)
-        res = experiments.barrier_run(4.0, grid, cfg)
+        res = experiments.barrier_run(flow.run(pinned_disk(grid), cfg))
 
         assert res.s[0] == 0.0
         assert res.center_height[0] == 0.0
@@ -86,19 +91,10 @@ class TestBarrier:
     def test_short_run_has_no_shift_constant(self):
         grid = radial_grid(33, extent=4.0)
         cfg = flow.FlowConfig(integrator="euler", cfl_safety=0.5, s_end=0.3)
-        res = experiments.barrier_run(4.0, grid, cfg)
+        res = experiments.barrier_run(flow.run(pinned_disk(grid), cfg))
         assert np.isnan(res.shift_constant)
         assert len(res.translation_s) == 0
         assert len(res.translation_slack) == 0
-
-    def test_rejects_cartesian_grid(self):
-        grid = grids.Grid(grids.CARTESIAN, 2, extent=4.0, resolution=9)
-        with pytest.raises(ModeUnsupportedError):
-            experiments.barrier_run(4.0, grid, flow.FlowConfig())
-
-    def test_rejects_mismatched_extent(self):
-        with pytest.raises(ValueError, match="extent"):
-            experiments.barrier_run(4.0, radial_grid(33), flow.FlowConfig())
 
     def test_translation_slack_vanishes_for_flat_family(self):
         # the stepped inequality holds with equality when every profile is a
@@ -106,9 +102,7 @@ class TestBarrier:
         grid = radial_grid(129, extent=4.0)
         s_values = np.linspace(0.0, 1.5, 61)
         profiles = np.stack([3.0 * s + np.zeros(grid.shape) for s in s_values])
-        c, slack_s, slacks = experiments._translation_series(
-            s_values, profiles, grid, 4.0
-        )
+        c, slack_s, slacks = experiments._translation_series(s_values, profiles, grid)
         assert c == pytest.approx(3.0)
         assert len(slack_s) == len(slacks) > 0
         assert np.max(np.abs(slacks)) < 1e-12
@@ -117,9 +111,7 @@ class TestBarrier:
         grid = radial_grid(33, extent=0.8)
         s_values = np.linspace(0.0, 1.5, 16)
         profiles = np.zeros((16, grid.shape[0]))
-        c, _, slacks = experiments._translation_series(
-            s_values, profiles, grid, 0.8
-        )
+        c, _, slacks = experiments._translation_series(s_values, profiles, grid)
         assert np.isnan(c)
         assert len(slacks) == 0
 
@@ -128,7 +120,7 @@ class TestFlatness:
     def test_flat_slice_is_flat_immediately(self):
         grid = radial_grid(33)
         state = slicing_state(grid, np.zeros(grid.shape))
-        res = experiments.flatness_run(state, 0.05, flow.FlowConfig(s_end=0.2))
+        res = experiments.flatness_run(flow.run(state, flow.FlowConfig(s_end=0.2)), 0.05)
         assert res.reached
         assert res.flattening_time == 0.0
         assert np.max(res.tilt_excess) < 1e-12
@@ -139,9 +131,8 @@ class TestFlatness:
         c = np.sqrt(1.0 - 1.0 / 25.0)
         grid = radial_grid(65, extent=0.6)
         state = slicing_state(grid, -np.log(1.0 - c * grid.axis()))
-        res = experiments.flatness_run(
-            state, 0.5, flow.FlowConfig(integrator="euler", cfl_safety=0.5, s_end=0.05)
-        )
+        cfg = flow.FlowConfig(integrator="euler", cfl_safety=0.5, s_end=0.05)
+        res = experiments.flatness_run(flow.run(state, cfg), 0.5)
         assert res.tilt_excess[0] > 3.9
         assert res.tilt_excess[-1] < 1.0
         assert res.reached and res.eventually_decreasing and res.passed
@@ -150,9 +141,8 @@ class TestFlatness:
     def test_wrinkled_slice_records_finite_crossing(self):
         grid = radial_grid(257)
         state = slicing_state(grid, wrinkled_profile(grid.axis()))
-        res = experiments.flatness_run(
-            state, 0.05, flow.FlowConfig(cfl_safety=0.5, s_end=0.25)
-        )
+        cfg = flow.FlowConfig(cfl_safety=0.5, s_end=0.25)
+        res = experiments.flatness_run(flow.run(state, cfg), 0.05)
         assert res.tilt_excess[0] > 0.3
         assert res.reached
         assert 0.005 < res.flattening_time < 0.05
@@ -164,11 +154,8 @@ class TestFlatness:
         for resolution in (129, 257):
             grid = radial_grid(resolution)
             state = slicing_state(grid, wrinkled_profile(grid.axis()))
-            res = experiments.flatness_run(
-                state,
-                0.05,
-                flow.FlowConfig(cfl_safety=0.5, s_end=0.25, snapshot_stride=20),
-            )
+            cfg = flow.FlowConfig(cfl_safety=0.5, s_end=0.25, snapshot_stride=20)
+            res = experiments.flatness_run(flow.run(state, cfg), 0.05)
             assert res.reached
             times.append(res.flattening_time)
         assert abs(times[1] - times[0]) < 0.05 * times[0]
@@ -176,9 +163,8 @@ class TestFlatness:
     def test_unreached_threshold_is_reported_not_fatal(self):
         grid = radial_grid(129)
         state = slicing_state(grid, wrinkled_profile(grid.axis()))
-        res = experiments.flatness_run(
-            state, 1e-4, flow.FlowConfig(cfl_safety=0.5, s_end=0.03)
-        )
+        cfg = flow.FlowConfig(cfl_safety=0.5, s_end=0.03)
+        res = experiments.flatness_run(flow.run(state, cfg), 1e-4)
         assert not res.reached
         assert res.flattening_time is None
 
@@ -186,8 +172,9 @@ class TestFlatness:
     def test_rejects_theta_outside_open_interval(self, theta):
         grid = radial_grid(33)
         state = slicing_state(grid, np.zeros(grid.shape))
+        traj = flow.run(state, flow.FlowConfig(s_end=0.01))
         with pytest.raises(ValueError, match="theta"):
-            experiments.flatness_run(state, theta, flow.FlowConfig())
+            experiments.flatness_run(traj, theta)
 
 
 class TestRescale:
@@ -284,21 +271,25 @@ class TestComparison:
         high = slicing_state(grid, 0.1 + 0.05 * np.cos(rho))
         return low, high
 
-    def test_ordered_pair_stays_ordered(self):
+    @pytest.mark.parametrize("integrator", ["rk2", "implicit"])
+    def test_ordered_pair_stays_ordered(self, integrator):
         low, high = self.make_pair()
-        res = experiments.comparison_run(
-            low, high, flow.FlowConfig(cfl_safety=0.5, s_end=1.0)
-        )
+        cfg = flow.FlowConfig(integrator=integrator, cfl_safety=0.5, s_end=1.0)
+        res = experiments.comparison_run(flow.run(low, cfg), flow.run(high, cfg))
         assert res.ordered
         assert np.all(res.worst_gap <= res.tolerance)
         assert res.tolerance == pytest.approx(10.0 * low.grid.spacing**2)
+
+    # The rejections read short runs: the frozen-boundary pair below loses
+    # its margin at the rim long before the default s_end.
+    SHORT = flow.FlowConfig(s_end=0.01)
 
     def test_rejects_mismatched_grids(self):
         low, _ = self.make_pair()
         other = radial_grid(65)
         high = slicing_state(other, np.full(other.shape, 0.2))
         with pytest.raises(ValueError, match="share a grid"):
-            experiments.comparison_run(low, high, flow.FlowConfig())
+            experiments.comparison_run(flow.run(low, self.SHORT), flow.run(high, self.SHORT))
 
     def test_rejects_mismatched_boundary_kinds(self):
         low, high = self.make_pair()
@@ -306,12 +297,19 @@ class TestComparison:
             u=high.u, s=0.0, bc=flow.BoundaryCondition(flow.FROZEN)
         )
         with pytest.raises(ValueError, match="boundary kind"):
-            experiments.comparison_run(low, high, flow.FlowConfig())
+            experiments.comparison_run(flow.run(low, self.SHORT), flow.run(high, self.SHORT))
 
     def test_rejects_unordered_initial_data(self):
         low, high = self.make_pair()
         with pytest.raises(ValueError, match="ordered"):
-            experiments.comparison_run(high, low, flow.FlowConfig())
+            experiments.comparison_run(flow.run(high, self.SHORT), flow.run(low, self.SHORT))
+
+    def test_rejects_a_failed_run(self):
+        low, high = self.make_pair()
+        stopped = flow.run(high, flow.FlowConfig(s_end=0.01, max_steps=1))
+        assert stopped.failure is not None
+        with pytest.raises(ValueError, match="max_steps"):
+            experiments.comparison_run(flow.run(low, self.SHORT), stopped)
 
 
 def test_halving_cfl_changes_less_than_grid_error():

@@ -541,6 +541,8 @@ class TestCli:
             {"grid": {"resolution": 7.5}},
             {"grid": {"extent": -1}},
             {"experiment": {"lambdas": []}},
+            # checked before the run: the default grid has 1024 nodes
+            {"experiment": {"rho": 5.0}},
         ],
     )
     def test_bad_config_values_exit_two(self, tmp_path, capsys, doc):
@@ -582,6 +584,22 @@ class TestCli:
         code = cli.main(["barrier", "--out", str(tmp_path / "out")])
         assert code == 2
         assert "grid.extent == experiment.disk_radius" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid, cause",
+        [
+            ({"mode": "cartesian", "dimension": 2, "resolution": 9, "extent": 4.0}, "radial"),
+            ({"resolution": 33, "extent": 3.0}, "grid.extent"),
+        ],
+        ids=["cartesian", "extent"],
+    )
+    def test_barrier_needs_the_radial_disk_grid(self, tmp_path, capsys, grid, cause):
+        cfg = self.write_config(tmp_path, {"grid": grid, "experiment": {"disk_radius": 4.0}})
+        assert cli.main(["barrier", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert cause in err
+        assert not (tmp_path / "out").exists()
 
     def test_barrier_small_run(self, tmp_path):
         cfg = self.write_config(
@@ -664,6 +682,33 @@ class TestCli:
         assert doc["summary"]["all_passed"] is False and "outcome" not in doc["summary"]
         assert any(n.startswith("flow run failed: max_steps (5)") for n in doc["notes"])
 
+    @pytest.mark.parametrize(
+        "command, series",
+        [
+            ("simulate", ["center_height.csv"]),
+            ("flatness", ["flatness_tilt_excess.csv", "flatness_height_spread.csv"]),
+            ("rescale", []),
+        ],
+        ids=["simulate", "flatness", "rescale"],
+    )
+    def test_failed_run_writes_its_report(self, tmp_path, capsys, command, series):
+        cfg = self.write_config(
+            tmp_path,
+            {
+                "grid": {"resolution": 17},
+                "initial": {"profile": "wrinkled"},
+                "flow": {"s_end": 0.02, "max_steps": 5},
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == "run failed: flow run failed: max_steps (5) exceeded\n"
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["summary"]["all_passed"] is False and doc["steps"] == 5
+        assert "flow run failed: max_steps (5) exceeded" in doc["notes"]
+        for name in series:
+            assert len((out / name).read_text().splitlines()) == 2  # header, s = 0
+
     def test_barrier_implicit_run(self, tmp_path):
         cfg = self.write_config(
             tmp_path,
@@ -693,10 +738,17 @@ class TestCli:
                 "experiment": {"disk_radius": 4.0},
             },
         )
-        assert cli.main(["barrier", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        out = tmp_path / "out"
+        assert cli.main(["barrier", "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("run failed: ") and err.count("\n") == 1
+        assert err.startswith("run failed: flow run failed: ") and err.count("\n") == 1
         assert "step size fell below" in err and "Newton tolerance" in err
+        # the report holds the failure and the series recorded up to it
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["summary"]["all_passed"] is False
+        assert err.removeprefix("run failed: ").strip() in doc["notes"]
+        rows = (out / "barrier.csv").read_text().splitlines()
+        assert len(rows) > 2 and 0.7 < float(rows[-1].split(",")[0]) < 0.75
 
     @pytest.mark.parametrize("command", ["simulate", "refine"])
     def test_out_path_that_is_a_file_exits_one(self, tmp_path, capsys, command):

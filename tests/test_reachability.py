@@ -14,6 +14,9 @@ dunder, which Python calls for the class.  Local names that shadow a
 module-level name, and attributes of other objects that share a method's
 name, make the walk reach more, never less, so the guard cannot fail
 falsely.
+
+The same walk keeps the layering: ``cli`` is the one module that runs
+flows, and the experiments only read the trajectories it hands them.
 """
 
 import ast
@@ -159,3 +162,13 @@ def test_reference_list_is_current():
     assert not missing, f"{missing} no longer exist"
     reached = sorted(set(REFERENCE) & package.reached(ROOTS))
     assert not reached, f"commands now reach {reached}; drop them from REFERENCE"
+
+
+def test_only_cli_runs_flows():
+    package = Package(SRC)
+    runners = sorted(
+        ".".join(key)
+        for key in package.defs
+        if key[0] != "cli" and ("flow", "run") in set(package.mentions(key))
+    )
+    assert not runners, f"{runners} call flow.run; only cli runs flows"
