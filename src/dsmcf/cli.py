@@ -165,8 +165,9 @@ def _cmd_barrier(config: RunConfig) -> reporting.Report:
             f"barrier runs need grid.extent == experiment.disk_radius, "
             f"got {config.grid.extent} and {config.experiment.disk_radius}"
         )
+    config = replace(config, bc=flow.PINNED)
     report = _new_report(config)
-    disk = replace(config, bc=flow.PINNED, initial=InitialSpec()).initial_state()
+    disk = replace(config, initial=InitialSpec()).initial_state()
     result = experiments.barrier_run(_flow(config, report, disk))
     report.add_experiment("barrier", result)
     report.add_series(

@@ -361,6 +361,22 @@ class JetFields:
     (n, n, ...) over an arbitrary batch shape.  Everything heavier than the
     core scalars (v, H, margin) is a cached property, so cheap consumers
     stay cheap.  ``speed`` is H / v, the vertical speed of the graph flow.
+
+    gamma = e^{2u} I - du du^T is a rank-one update of a multiple of the
+    identity, so every contraction the checks take has a closed form in
+    du and d2u (c = v^2 e^{-2u}, M = d2u + e^{2u} I - 2 du du^T = h / v):
+
+        gamma^{-1} X       = e^{-2u} (X + c (du.X) du)
+        |X|^2_gamma        = e^{2u} |X|^2 - (du.X)^2
+        gamma^{ij} X_i X_j = e^{-2u} (|X|^2 + c (du.X)^2)
+        h(X)               = v M X
+        |A|^2              = e^{-4u} v^2 (tr M^2 + 2 c |M du|^2 + c^2 (du.M.du)^2).
+
+    They build no (n, n, ...) node tensor; only the eigenvalue solve builds
+    the one (..., n, n) array ``eigvalsh`` reads.  The tensors ``outer``,
+    ``gamma_inv``, ``hmat`` and ``shape_op`` remain for the consumers that
+    read the tensor itself: the restriction-gradient residuals and the
+    radial principal curvatures.
     """
 
     def __init__(self, u, du, d2u):
@@ -383,14 +399,6 @@ class JetFields:
         return np.einsum("i...,j...->ij...", self.du, self.du)
 
     @cached_property
-    def gamma(self):
-        n = self.dimension
-        g = -self.outer.copy()
-        idx = np.arange(n)
-        g[idx, idx] += self.e2u
-        return g
-
-    @cached_property
     def gamma_inv(self):
         n = self.dimension
         g = (self.v2 * self.em2u) * self.outer
@@ -411,9 +419,47 @@ class JetFields:
     def shape_op(self):
         return np.einsum("ik...,kj...->ij...", self.gamma_inv, self.hmat)
 
+    def _du_dot(self, X):
+        return np.einsum("i...,i...->...", self.du, X)
+
+    def _m_entry(self, i, j):
+        """M_ij = d2u_ij + e^{2u} delta_ij - 2 u_i u_j, one node array."""
+        m = self.d2u[i, j] - 2.0 * self.du[i] * self.du[j]
+        if i == j:
+            m += self.e2u
+        return m
+
+    def _m_dot(self, X):
+        """M X = d2u.X + e^{2u} X - 2 (du.X) du for X of shape (n, ...)."""
+        out = np.einsum("ij...,j...->i...", self.d2u, X)
+        out += self.e2u * X
+        out -= 2.0 * self._du_dot(X) * self.du
+        return out
+
+    def raise_index(self, X):
+        """gamma^{ij} X_j for covector components X of shape (n, ...)."""
+        out = (self.v2 * self.em2u * self._du_dot(X)) * self.du
+        out += X
+        out *= self.em2u
+        return out
+
+    def second_form(self, X):
+        """h_ij X^j for tangent components X of shape (n, ...)."""
+        return self.v * self._m_dot(X)
+
     @cached_property
     def a2(self):
-        return np.einsum("ij...,ji...->...", self.shape_op, self.shape_op)
+        """|A|^2 = tr((gamma^{-1} h)^2), by the closed form in the class docstring."""
+        n = self.dimension
+        c = self.v2 * self.em2u
+        m_du = self._m_dot(self.du)
+        tr_m2 = np.zeros(self.u.shape)
+        for i in range(n):
+            for j in range(i, n):
+                tr_m2 += (1.0 if i == j else 2.0) * self._m_entry(i, j) ** 2
+        cross = np.einsum("i...,i...->...", m_du, m_du)
+        quad = self._du_dot(m_du)
+        return self.em2u**2 * self.v2 * (tr_m2 + 2.0 * c * cross + (c * quad) ** 2)
 
     @cached_property
     def weight(self):
@@ -428,7 +474,7 @@ class JetFields:
     @cached_property
     def sheared_tilt(self):
         """Shape operator applied to the tangential part of d_t."""
-        return np.einsum("ij...,j...->i...", self.shape_op, self.tilt_tangent)
+        return self.raise_index(self.second_form(self.tilt_tangent))
 
     @cached_property
     def dv(self):
@@ -440,10 +486,26 @@ class JetFields:
         return -0.5 * self.v**3 * dm
 
     def eigenvalues(self):
-        """Shape-operator eigenvalues, ascending along the last axis."""
-        gam = np.moveaxis(self.gamma, (0, 1), (-2, -1))
-        h = np.moveaxis(self.hmat, (0, 1), (-2, -1))
-        return shape_operator_eigenvalues(gam, h)
+        """Shape-operator eigenvalues, ascending along the last axis.
+
+        They are those of the symmetric W = gamma^{-1/2} h gamma^{-1/2}, with
+        gamma^{-1/2} = e^{-u} (I + k du du^T) and k = e^{-2u} v^2 / (v + 1)
+        (k |du|^2 = v - 1, so flat nodes need no care).  W is assembled
+        entry by entry, batch axes first, as ``eigvalsh`` wants it.
+        """
+        n = self.dimension
+        k = self.em2u * self.v2 / (self.v + 1.0)
+        m_du = self._m_dot(self.du)
+        kq = k * self._du_dot(m_du)
+        scale = self.v * self.em2u
+        W = np.empty(self.u.shape + (n, n))
+        for i in range(n):
+            for j in range(i, n):
+                w = self._m_entry(i, j)
+                w += k * (m_du[i] * self.du[j] + self.du[i] * m_du[j])
+                w += (k * kq) * self.du[i] * self.du[j]
+                W[..., i, j] = W[..., j, i] = scale * w
+        return np.linalg.eigvalsh(W)
 
     def extremal_curvature(self):
         """Principal curvature of largest magnitude at each point, sign kept."""
@@ -453,11 +515,14 @@ class JetFields:
 
     def gamma_norm_sq(self, X):
         """|X|^2_gamma for tangent components X of shape (n, ...)."""
-        return np.einsum("i...,ij...,j...->...", X, self.gamma, X)
+        return self.e2u * np.einsum("i...,i...->...", X, X) - self._du_dot(X) ** 2
 
     def gamma_inv_norm_sq(self, X):
         """gamma^{ij} X_i X_j for covector components X of shape (n, ...)."""
-        return np.einsum("i...,ij...,j...->...", X, self.gamma_inv, X)
+        dot = self._du_dot(X)
+        return self.em2u * (
+            np.einsum("i...,i...->...", X, X) + self.v2 * self.em2u * dot * dot
+        )
 
 
 def _radial_jet(u, grid: grids.Grid):
@@ -486,8 +551,8 @@ class GeometryFields(JetFields):
 
     Radial profiles are embedded as jets along the first coordinate axis:
     du = (u', 0, ..., 0) and d2u = diag(u'', u'/rho, ..., u'/rho), with the
-    axis value of u'/rho filled by even extrapolation.  The generic tensor
-    formulas then apply unchanged in both modes.
+    axis value of u'/rho filled by even extrapolation.  The generic closed
+    forms then apply unchanged in both modes.
     """
 
     def __init__(self, grid: grids.Grid, u_values):
@@ -511,14 +576,18 @@ class GeometryFields(JetFields):
         if self.grid.mode == grids.RADIAL:
             return grids.laplace_beltrami_radial(values, self.u, self.v, self.grid)
         return grids.laplace_beltrami_cartesian(
-            values, self.weight, self.gamma_inv, self.grid
+            values, self.weight, self.raise_index, self.grid
         )
 
 
 def graph_speed_fields(u_values, grid: grids.Grid):
     """Lean flow kernel: (H/v, v^2, H, margin) without tensor assembly.
 
-    This is the hot path of the solver; it only touches scalar node arrays.
+    This is the hot path of the solver.  It needs only the jet invariants
+    |du|^2, tr d2u and du.d2u.du: the radial profile gives them from its
+    three stencil arrays, and a Cartesian field sums them Hessian entry by
+    entry (``grids.cartesian_invariants``), so no (n, n, ...) tensor is
+    stored and ``grids.cartesian_jet`` is never called.
     """
     u = np.asarray(u_values, dtype=float)
     n = grid.dimension
@@ -528,10 +597,7 @@ def graph_speed_fields(u_values, grid: grids.Grid):
         trace = u_rhorho + (n - 1.0) * sor
         quad = grad_sq * u_rhorho
     else:
-        du, d2u = grids.cartesian_jet(u, grid)
-        grad_sq = np.einsum("i...,i...->...", du, du)
-        trace = np.einsum("ii...->...", d2u)
-        quad = np.einsum("i...,ij...,j...->...", du, d2u, du)
+        grad_sq, trace, quad = grids.cartesian_invariants(u, grid)
     _, margin, v2, _, speed, H = _speed_core(u, grad_sq, trace, quad, n)
     return speed, v2, H, margin
 

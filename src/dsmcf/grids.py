@@ -222,19 +222,51 @@ def radial_second_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
+def _hessian_entries(values: np.ndarray, grad, grid: Grid):
+    """(i, j, d2u_ij) for i <= j of a cartesian field, each a new array.
+
+    The diagonal is the direct second difference, the mixed entries the
+    first difference of the gradient ``grad``.
+    """
+    h = grid.spacing
+    for i in range(grid.dimension):
+        yield i, i, second_derivative(values, h, axis=i)
+        for j in range(i + 1, grid.dimension):
+            yield i, j, first_derivative(grad[i], h, axis=j)
+
+
 def cartesian_jet(values: np.ndarray, grid: Grid):
     """Gradient (n, *shape) and Hessian (n, n, *shape) of a cartesian field."""
     n = grid.dimension
-    h = grid.spacing
-    grad = np.stack([first_derivative(values, h, axis=i) for i in range(n)])
+    grad = field_gradient(values, grid)
     hess = np.empty((n, n) + grid.shape)
-    for i in range(n):
-        hess[i, i] = second_derivative(values, h, axis=i)
-        for j in range(i + 1, n):
-            mixed = first_derivative(grad[i], h, axis=j)
-            hess[i, j] = mixed
-            hess[j, i] = mixed
+    for i, j, entry in _hessian_entries(values, grad, grid):
+        hess[i, j] = entry
+        hess[j, i] = entry
     return grad, hess
+
+
+def cartesian_invariants(values: np.ndarray, grid: Grid):
+    """(|du|^2, tr d2u, du.d2u.du) of a cartesian field.
+
+    The stencils are those of ``cartesian_jet``, but the Hessian is summed
+    entry by entry and never stored, so only scalar node arrays are built.
+    """
+    grad = [first_derivative(values, grid.spacing, axis=i) for i in range(grid.dimension)]
+    grad_sq = np.zeros(grid.shape)
+    trace = np.zeros(grid.shape)
+    quad = np.zeros(grid.shape)
+    for g in grad:
+        grad_sq += g * g
+    for i, j, entry in _hessian_entries(values, grad, grid):
+        if i == j:
+            trace += entry
+        else:
+            entry *= 2.0
+        entry *= grad[i]
+        entry *= grad[j]
+        quad += entry
+    return grad_sq, trace, quad
 
 
 def radial_jet(values: np.ndarray, grid: Grid):
@@ -273,22 +305,23 @@ def laplacian_mask(grid: Grid) -> np.ndarray:
 
 
 def laplace_beltrami_cartesian(
-    values: np.ndarray, weight: np.ndarray, gamma_inv: np.ndarray, grid: Grid
+    values: np.ndarray, weight: np.ndarray, raise_index, grid: Grid
 ) -> np.ndarray:
     """(1/w) d_i(w gamma^{ij} d_j f) with w = sqrt(det gamma).
 
-    Central differences throughout the interior keep the operator
-    self-adjoint in the w-weighted inner product.  Boundary values fall
-    back to one-sided stencils, which contaminates the outermost two node
-    rings; norms should mask with ``laplacian_mask``.
+    ``raise_index`` maps a covector (n, *shape) to its gamma-raised vector
+    gamma^{ij} X_j; the flux is w times the raised gradient of f, so the
+    metric enters only through that map.  Central differences throughout
+    the interior keep the operator self-adjoint in the w-weighted inner
+    product.  Boundary values fall back to one-sided stencils, which
+    contaminates the outermost two node rings; norms should mask with
+    ``laplacian_mask``.
     """
-    n = grid.dimension
-    h = grid.spacing
-    grad = np.stack([first_derivative(values, h, axis=j) for j in range(n)])
+    flux = raise_index(field_gradient(values, grid))
     out = np.zeros(grid.shape)
-    for i in range(n):
-        flux = weight * np.einsum("j...,j...->...", gamma_inv[i], grad)
-        out += first_derivative(flux, h, axis=i)
+    for i in range(grid.dimension):
+        flux[i] *= weight
+        out += first_derivative(flux[i], grid.spacing, axis=i)
     return out / weight
 
 

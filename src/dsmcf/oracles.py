@@ -154,18 +154,15 @@ def material_rate(
 
     ``values_of(geom)`` maps a snapshot geometry to a node array.  Returns
     the advected central difference on the middle snapshot together with
-    that snapshot's geometry, so callers can reuse it.
+    that snapshot's geometry, so callers can reuse it.  The outer snapshots'
+    geometries are built one at a time and dropped once read.
     """
-    geoms = [
-        snapshot_geometry(window.before),
-        mid_geom if mid_geom is not None else snapshot_geometry(window.mid),
-        snapshot_geometry(window.after),
-    ]
-    f_before = values_of(geoms[0])
-    f_mid = values_of(geoms[1])
-    f_after = values_of(geoms[2])
-    fixed_rate = (f_after - f_before) / (2.0 * window.dt)
-    mid = geoms[1]
+    fixed_rate = (
+        values_of(snapshot_geometry(window.after))
+        - values_of(snapshot_geometry(window.before))
+    ) / (2.0 * window.dt)
+    mid = mid_geom if mid_geom is not None else snapshot_geometry(window.mid)
+    f_mid = values_of(mid)
     grad_f = grids.field_gradient(f_mid, mid.grid)
     drift = mid.H * mid.v * mid.em2u * np.einsum("i...,i...->...", mid.du, grad_f)
     return fixed_rate + drift, mid
@@ -331,13 +328,13 @@ def tilt_gradient_residuals(fields: geometry.JetFields, dv_covector) -> tuple:
     d_i v, either analytic (exact) or from finite differences (O(h^2)).
     """
     dv = np.asarray(dv_covector, dtype=float)
-    grad_vec = np.einsum("ij...,j...->i...", fields.gamma_inv, dv)
+    grad_vec = fields.raise_index(dv)
     target = fields.v * fields.tilt_tangent - fields.sheared_tilt
     vec_residual = np.sqrt(
         np.maximum(fields.gamma_norm_sq(grad_vec - target), 0.0)
     )
     tilt = fields.tilt_tangent
-    a_pp = np.einsum("i...,ij...,j...->...", tilt, fields.hmat, tilt)
+    a_pp = np.einsum("i...,i...->...", tilt, fields.second_form(tilt))
     closed_norm = (
         fields.v2 * (fields.v2 - 1.0)
         - 2.0 * fields.v * a_pp

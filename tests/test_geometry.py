@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 import sympy as sp
 
-from dsmcf import geometry, grids
+from dsmcf import geometry, grids, oracles
 from dsmcf.errors import NonSpacelikeError
 
 
@@ -393,6 +393,74 @@ def test_jet_fields_match_pointwise_geometry():
         assert fields.v[i] == pytest.approx(geom.v, rel=1e-13)
         assert fields.H[i] == pytest.approx(geom.H, rel=1e-11, abs=1e-11)
         assert fields.a2[i] == pytest.approx(geom.a2, rel=1e-10, abs=1e-10)
-        np.testing.assert_allclose(fields.gamma[:, :, i], geom.gamma, rtol=1e-13)
+        gamma = np.exp(2.0 * u[i]) * np.eye(3) - fields.outer[:, :, i]
+        np.testing.assert_allclose(gamma, geom.gamma, rtol=1e-13)
         np.testing.assert_allclose(fields.hmat[:, :, i], geom.h, rtol=1e-12, atol=1e-12)
         assert extreme[i] == pytest.approx(geom.lambda1, rel=1e-9, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# rank-one closed forms against the tensor forms
+
+
+def cartesian_bump_fields(resolution=17):
+    """Geometry of a bump with no symmetry on a cartesian 3-d grid."""
+    grid = grids.Grid(grids.CARTESIAN, 3, extent=2.0, resolution=resolution)
+    x, y, z = grid.meshes()
+    u = 0.3 * np.exp(-(x**2 + 2.0 * y**2 + 0.5 * z**2)) + 0.05 * x * y - 0.1 * z
+    return geometry.GeometryFields(grid, u)
+
+
+def random_jet_fields():
+    return oracles._random_jets(np.random.default_rng(8), 500)
+
+
+def assert_rel_close(actual, desired, rel=1e-12):
+    scale = max(1.0, float(np.max(np.abs(desired))))
+    assert float(np.max(np.abs(actual - desired))) <= rel * scale
+
+
+@pytest.mark.parametrize("make", [random_jet_fields, cartesian_bump_fields], ids=["jets", "bump"])
+def test_rank_one_forms_equal_the_tensor_forms(make):
+    fields = make()
+    n = fields.dimension
+    X = np.random.default_rng(3).normal(size=fields.du.shape)
+    gamma = -fields.outer
+    gamma[np.arange(n), np.arange(n)] += fields.e2u
+    gamma_inv, h, shape_op = fields.gamma_inv, fields.hmat, fields.shape_op
+
+    assert_rel_close(fields.raise_index(X), np.einsum("ij...,j...->i...", gamma_inv, X))
+    assert_rel_close(fields.second_form(X), np.einsum("ij...,j...->i...", h, X))
+    assert_rel_close(fields.gamma_norm_sq(X), np.einsum("i...,ij...,j...->...", X, gamma, X))
+    assert_rel_close(
+        fields.gamma_inv_norm_sq(X), np.einsum("i...,ij...,j...->...", X, gamma_inv, X)
+    )
+    assert_rel_close(
+        fields.sheared_tilt, np.einsum("ij...,j...->i...", shape_op, fields.tilt_tangent)
+    )
+    assert_rel_close(fields.a2, np.einsum("ij...,ji...->...", shape_op, shape_op))
+    tensor_route = geometry.shape_operator_eigenvalues(
+        np.moveaxis(gamma, (0, 1), (-2, -1)), np.moveaxis(h, (0, 1), (-2, -1))
+    )
+    assert_rel_close(fields.eigenvalues(), tensor_route)
+
+
+def test_cartesian_kernel_matches_the_hessian_tensor_route(monkeypatch):
+    """The kernel sums the Hessian entry by entry; it never builds the jet."""
+    fields = cartesian_bump_fields()
+    du, d2u = grids.cartesian_jet(fields.u, fields.grid)
+    _, margin, v2, _, speed, H = geometry._speed_core(
+        fields.u,
+        np.einsum("i...,i...->...", du, du),
+        np.einsum("ii...->...", d2u),
+        np.einsum("i...,ij...,j...->...", du, d2u, du),
+        fields.dimension,
+    )
+
+    def no_jet(*args):
+        raise AssertionError("the kernel built the cartesian jet")
+
+    monkeypatch.setattr(grids, "cartesian_jet", no_jet)
+    kernel = geometry.graph_speed_fields(fields.u, fields.grid)
+    for actual, desired in zip(kernel, (speed, v2, H, margin)):
+        assert_rel_close(actual, desired)

@@ -616,6 +616,22 @@ class TestCli:
         header = (out / "barrier.csv").read_text().splitlines()[0]
         assert header == "s,w0,bound_3s"
 
+    def test_barrier_report_describes_the_pinned_run(self, tmp_path):
+        # no bc key: the config says slicing, but the barrier disk is pinned
+        cfg = self.write_config(
+            tmp_path,
+            {
+                "grid": {"resolution": 65, "extent": 4.0},
+                "flow": {"integrator": "euler", "cfl_safety": 0.5, "s_end": 0.05},
+                "experiment": {"disk_radius": 4.0},
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.main(["barrier", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["config"]["bc"] == flow.PINNED
+        assert reporting.SLICING_NOTE not in doc["notes"]
+
     @pytest.mark.parametrize("command", ["barrier", "simulate"])
     def test_implicit_on_cartesian_grid_is_config_error(self, tmp_path, capsys, command):
         cfg = self.write_config(

@@ -3,11 +3,13 @@ slice arithmetic for the one-sided bounds, refinement orders on bump flows,
 negative controls, and a symbolic rederivation of every evolution identity
 the window checks measure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy as sp
 
-from dsmcf import flow, geometry, grids, oracles
+from dsmcf import cli, config, flow, geometry, grids, oracles
 from dsmcf.errors import BelowThresholdError, ModeUnsupportedError
 
 ORDER_LO, ORDER_HI = 1.7, 2.3
@@ -535,3 +537,70 @@ def test_flipped_reaction_terms_break_the_identity(symbolic_identity_residuals):
     flipped = residuals["curvature-norm"] + correct_reaction - flipped_reaction
     point = exact_point(np.random.default_rng(37), symbols)
     assert sp.simplify(flipped.subs(point)) != 0
+
+
+# ---------------------------------------------------------------------------
+# cartesian checks contract through the rank-one forms
+
+
+def cartesian_verify_inputs(resolution):
+    """The states and windows ``verify`` checks on a cartesian 3-d bump, built."""
+    cfg = config.RunConfig(
+        grid=config.GridSpec(mode=grids.CARTESIAN, dimension=3, extent=3.0, resolution=resolution),
+        initial=config.InitialSpec(profile="bump", amplitude=0.2, width=1.2),
+    )
+    inputs = cli._Inputs(cfg, [])
+    for name in ("state", "fine", "window", "fine_window"):
+        getattr(inputs, name)
+    return inputs
+
+
+CARTESIAN_CHECKS = {
+    "coordinate_laplacians": lambda i: oracles.check_coordinate_laplacians(i.state, i.fine),
+    "tilt_gradient": lambda i: oracles.check_tilt_gradient(i.state, i.fine),
+    "tilt_evolution": lambda i: oracles.check_tilt_evolution(i.window, i.fine_window),
+}
+
+
+def test_cartesian_checks_build_no_node_tensors(monkeypatch):
+    inputs = cartesian_verify_inputs(9)
+
+    def refuse(name):
+        def built(self):
+            raise AssertionError(f"JetFields.{name} was built")
+
+        return property(built)
+
+    for name in ("outer", "gamma_inv", "hmat", "shape_op"):
+        monkeypatch.setattr(geometry.JetFields, name, refuse(name))
+    for check in CARTESIAN_CHECKS.values():
+        check(inputs)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that ``call()`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cartesian_checks_stay_within_their_memory_budget():
+    """Peak allocation of each cartesian check on a 33^3 grid (refined 65^3),
+    in fine node arrays: the checks hold no (n, n, N) node tensors, so each
+    peak stays below 60 arrays, and the kernel's below 16."""
+    inputs = cartesian_verify_inputs(33)
+    fine = inputs.fine
+    node_array = fine.u.values.nbytes
+    peaks = {
+        name: traced_peak(lambda: check(inputs)) / node_array
+        for name, check in CARTESIAN_CHECKS.items()
+    }
+    peaks["kernel"] = (
+        traced_peak(lambda: geometry.graph_speed_fields(fine.u.values, fine.grid)) / node_array
+    )
+    budget = {"coordinate_laplacians": 60, "tilt_gradient": 60, "tilt_evolution": 60, "kernel": 16}
+    over = {name: round(peaks[name], 1) for name in budget if peaks[name] >= budget[name]}
+    assert not over, f"peak node arrays {over} exceed {budget}"
