@@ -33,6 +33,7 @@ doubling) instead of the parabolic limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,15 +214,22 @@ def stable_dt(state: GraphState, cfl_safety: float = 0.25, margin=None) -> float
 
     The principal part of the flow operator scales like v^2 e^{-2u} per
     axis, so this is the classical explicit-Euler bound with the worst node
-    deciding.  min(e^{2u}/v^2) equals min(e^{2u} * margin).  ``margin`` is
-    the kernel's margin at ``state`` when the caller already has it;
-    otherwise the kernel is evaluated here.
+    deciding.  min(e^{2u}/v^2) equals min(e^{2u} * margin), taken in log
+    form (e^{2u} overflows past u = 354); a bound past the largest float is
+    inf.  ``margin`` is the kernel's margin at ``state`` when the caller
+    already has it; otherwise the kernel is evaluated here.
     """
     grid = state.grid
     if margin is None:
         _, _, _, margin = geometry.graph_speed_fields(state.u.values, grid)
-    tightest = float(np.min(np.exp(2.0 * state.u.values) * margin))
-    return cfl_safety * grid.spacing**2 * tightest / (2.0 * grid.dimension)
+    exponent = np.log(margin)
+    exponent += 2.0 * state.u.values
+    log_dt = math.log(cfl_safety * grid.spacing**2 / (2.0 * grid.dimension))
+    log_dt += float(exponent.min())
+    try:
+        return math.exp(log_dt)
+    except OverflowError:
+        return math.inf
 
 
 def _kernel(values, grid, bc: BoundaryCondition):
@@ -230,10 +238,12 @@ def _kernel(values, grid, bc: BoundaryCondition):
 
     This is the one place the boundary condition enters the stepping: every
     integrator combines these speeds, so its stages, its result and the
-    backward-Euler residual all move the boundary at that speed.
+    backward-Euler residual all move the boundary at that speed.  A radial
+    grid's one boundary node is its last.
     """
     speed, v2, H, margin = geometry.graph_speed_fields(values, grid)
-    speed[grid.boundary_mask()] = bc.speed(grid.dimension)
+    boundary = -1 if grid.mode == grids.RADIAL else grid.boundary_mask()
+    speed[boundary] = bc.speed(grid.dimension)
     return speed, v2, H, margin
 
 
@@ -260,32 +270,45 @@ def step(state: GraphState, dt: float, config: FlowConfig, fields=None, diagnose
 
     speed, v2, H, margin = fields
     if config.integrator == "euler":
-        unew = u0 + dt * speed
+        unew = _stage(u0, dt, speed)
     elif config.integrator == "rk2":
-        k2, _, _, _ = _speed_or_abort(u0 + (0.5 * dt) * speed, grid, bc, s + 0.5 * dt)
-        unew = u0 + dt * k2
+        k2, _, _, _ = _speed_or_abort(_stage(u0, 0.5 * dt, speed), grid, bc, s + 0.5 * dt)
+        unew = _stage(u0, dt, k2)
     else:  # rk4
-        k2, _, _, _ = _speed_or_abort(u0 + (0.5 * dt) * speed, grid, bc, s + 0.5 * dt)
-        k3, _, _, _ = _speed_or_abort(u0 + (0.5 * dt) * k2, grid, bc, s + 0.5 * dt)
-        k4, _, _, _ = _speed_or_abort(u0 + dt * k3, grid, bc, s + dt)
-        unew = u0 + (dt / 6.0) * (speed + 2.0 * k2 + 2.0 * k3 + k4)
+        k2, _, _, _ = _speed_or_abort(_stage(u0, 0.5 * dt, speed), grid, bc, s + 0.5 * dt)
+        k3, _, _, _ = _speed_or_abort(_stage(u0, 0.5 * dt, k2), grid, bc, s + 0.5 * dt)
+        k4, _, _, _ = _speed_or_abort(_stage(u0, dt, k3), grid, bc, s + dt)
+        k2 += k3
+        k2 *= 2.0
+        k2 += speed
+        k2 += k4
+        unew = _stage(u0, dt / 6.0, k2)
     return _finish_step(grid, unew, s + dt, dt, bc, (v2, H, margin), config, diagnose)
+
+
+def _stage(u0, dt, speed):
+    """u0 + dt * speed as a new array, neither input written."""
+    out = np.multiply(speed, dt)
+    out += u0
+    return out
 
 
 def _finish_step(grid, unew, s_new, dt, bc, fields, config, diagnose=True):
     """Blow-up check, new state and diagnostics shared by every integrator.
 
+    The blow-up check is the one finiteness scan of ``unew`` (max|u| is NaN
+    or inf when a height is), so ``Field.stepped`` skips a second one.
     ``fields`` holds the kernel's (v^2, H, margin) that the diagnostics
     describe; without ``diagnose`` the diagnostics are None.
     """
-    peak = float(np.max(np.abs(unew)))
+    peak = float(np.abs(unew).max())
     if not peak <= config.blowup_cap:
         if not np.isfinite(peak):
             raise BlowupError(f"non-finite heights at s = {s_new:.6g}")
         raise BlowupError(
             f"|u| reached {peak:.3g} (cap {config.blowup_cap:.3g}) at s = {s_new:.6g}"
         )
-    new_state = GraphState(u=grids.Field(grid, unew), s=s_new, bc=bc)
+    new_state = GraphState(u=grids.Field.stepped(grid, unew), s=s_new, bc=bc)
     if not diagnose:
         return new_state, None
     v2, H, margin = fields

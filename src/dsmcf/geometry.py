@@ -323,15 +323,17 @@ def cutoff_arrays(t, radius_sq, v, spec: CutoffSpec):
 
 
 def _margin_core(u, grad_sq):
-    """(e^{-2u}, margin, v^2) from the height and |du|^2.
-
-    A margin at or below MARGIN_FLOOR, or a NaN margin, raises
-    NonSpacelikeError naming the worst node (argmin finds a NaN first);
-    nothing is clamped.
-    """
+    """(e^{-2u}, margin, v^2) from the height and |du|^2."""
     em2u = np.exp(-2.0 * u)
     margin = 1.0 - em2u * grad_sq
-    worst_flat = int(np.argmin(margin))
+    _require_spacelike(margin)
+    return em2u, margin, 1.0 / margin
+
+
+def _require_spacelike(margin):
+    """Raise NonSpacelikeError naming the worst node of ``margin`` when it is
+    at or below MARGIN_FLOOR or NaN (argmin finds a NaN first); no clamping."""
+    worst_flat = int(margin.argmin())
     worst = float(margin.flat[worst_flat])
     if not worst > MARGIN_FLOOR:
         loc = tuple(int(i) for i in np.unravel_index(worst_flat, margin.shape))
@@ -339,11 +341,10 @@ def _margin_core(u, grad_sq):
             f"margin {worst:.3e} at node {loc} (floor {MARGIN_FLOOR:.0e})",
             location=loc,
         )
-    return em2u, margin, 1.0 / margin
 
 
 def _speed_core(u, grad_sq, trace, quad, n):
-    """The scalar closed forms shared by the flow kernel and ``JetFields``.
+    """The scalar closed forms shared by the Cartesian kernel and ``JetFields``.
 
     From the jet invariants |du|^2, tr d2u and du.d2u.du this gives
     (e^{-2u}, margin, v^2, v, H/v, H), with H/v from the module docstring.
@@ -526,23 +527,22 @@ class JetFields:
 
 
 def _radial_jet(u, grid: grids.Grid):
-    """(u', u'', u'/rho) of a radial profile.
+    """(u', u'', u'/rho) of a radial profile, three new arrays.
 
-    The axis value of u'/rho is filled by even extrapolation.  Filling the
-    axis node with a direct second-derivative stencil (its analytic limit)
-    gives it a truncation error of h^2 u''''/12 while the neighbouring
-    ratios carry h^2 u''''/6 from the centered first derivative.  That
-    mismatch is a genuine kink which second-difference consumers (the
-    surface Laplacian of curvature fields) amplify into an O(1) error
-    beside the axis.  Extrapolating the even profile through the first two
-    interior nodes instead keeps the discretization error a smooth function
-    of the radius.
+    u'/rho is u' times the grid's cached ``inverse_radius``; its axis value
+    is filled by even extrapolation.  Filling the axis node with a direct
+    second-derivative stencil (its analytic limit) gives it a truncation
+    error of h^2 u''''/12 while the neighbouring ratios carry h^2 u''''/6
+    from the centered first derivative.  That mismatch is a genuine kink
+    which second-difference consumers (the surface Laplacian of curvature
+    fields) amplify into an O(1) error beside the axis.  Extrapolating the
+    even profile through the first two interior nodes instead keeps the
+    discretization error a smooth function of the radius.
     """
     u_rho, u_rhorho = grids.radial_jet(u, grid)
-    rho = grid.axis()
-    sor = np.empty_like(u_rho)
-    sor[1:] = u_rho[1:] / rho[1:]
-    sor[0] = (4.0 * sor[1] - sor[2]) / 3.0
+    sor = u_rho * grid.inverse_radius
+    near, far = sor[1:3].tolist()
+    sor[0] = (4.0 * near - far) / 3.0
     return u_rho, u_rhorho, sor
 
 
@@ -581,24 +581,43 @@ class GeometryFields(JetFields):
 
 
 def graph_speed_fields(u_values, grid: grids.Grid):
-    """Lean flow kernel: (H/v, v^2, H, margin) without tensor assembly.
+    """Lean flow kernel: four new arrays (H/v, v^2, H, margin).
 
-    This is the hot path of the solver.  It needs only the jet invariants
-    |du|^2, tr d2u and du.d2u.du: the radial profile gives them from its
-    three stencil arrays, and a Cartesian field sums them Hessian entry by
-    entry (``grids.cartesian_invariants``), so no (n, n, ...) tensor is
-    stored and ``grids.cartesian_jet`` is never called.
+    This is the hot path of the solver.  A Cartesian field needs only the
+    jet invariants |du|^2, tr d2u and du.d2u.du, which
+    ``grids.cartesian_invariants`` sums Hessian entry by entry without
+    storing an (n, n, ...) tensor.  A radial
+    profile works in place on the arrays of ``grids.radial_jet``; with
+    v^2 e^{-2u} |du|^2 = v^2 - 1 its speed is
+
+        H / v = e^{-2u} (v^2 u'' + (n - 1) u'/rho) + (n + 1) - v^2,
+
+    exactly n on a flat slice wherever its stencils vanish (all but the
+    one-sided outer end).
     """
     u = np.asarray(u_values, dtype=float)
     n = grid.dimension
     if grid.mode == grids.RADIAL:
-        u_rho, u_rhorho, sor = _radial_jet(u, grid)
-        grad_sq = u_rho * u_rho
-        trace = u_rhorho + (n - 1.0) * sor
-        quad = grad_sq * u_rhorho
+        # u', u'' and u'/rho become the margin, the speed and its slope term
+        margin, speed, slope_term = _radial_jet(u, grid)
+        em2u = np.multiply(u, -2.0)
+        np.exp(em2u, out=em2u)
+        margin *= margin
+        margin *= em2u
+        np.subtract(1.0, margin, out=margin)
+        _require_spacelike(margin)
+        v2 = np.divide(1.0, margin)
+        speed *= v2
+        slope_term *= n - 1.0
+        speed += slope_term
+        speed *= em2u
+        speed += n + 1.0
+        speed -= v2
+        H = np.sqrt(v2)
+        H *= speed
     else:
         grad_sq, trace, quad = grids.cartesian_invariants(u, grid)
-    _, margin, v2, _, speed, H = _speed_core(u, grad_sq, trace, quad, n)
+        _, margin, v2, _, speed, H = _speed_core(u, grad_sq, trace, quad, n)
     return speed, v2, H, margin
 
 
@@ -634,8 +653,7 @@ def radial_speed_jacobian(u_values, grid: grids.Grid) -> np.ndarray:
 
     ab = np.zeros((5, grid.resolution))
     inner = slice(1, grid.resolution - 1)
-    rho = h * np.arange(1, grid.resolution - 1)
-    first = (d_p[inner] + d_sigma[inner] / rho) / (2.0 * h)
+    first = (d_p[inner] + d_sigma[inner] * grid.inverse_radius[inner]) / (2.0 * h)
     second = d_q[inner] / (h * h)
     ab[4, :-2] = second - first
     ab[3, inner] = d_u[inner] - 2.0 * second

@@ -152,6 +152,14 @@ class Grid:
     def _masks(self) -> dict:
         return {}
 
+    @cached_property
+    def inverse_radius(self) -> np.ndarray:
+        """1/rho at every radial node, read-only and built once; the axis
+        entry 0 stands in for the extrapolation that fills u'/rho there."""
+        inverse = np.zeros(self.resolution)
+        inverse[1:] = 1.0 / self.axis()[1:]
+        return _read_only(inverse)
+
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
@@ -174,6 +182,14 @@ class Field:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must be finite")
+
+    @classmethod
+    def stepped(cls, grid: Grid, values: np.ndarray) -> "Field":
+        """A Field of float ``values`` of the grid's shape, built without the
+        finiteness scan: a stepped state's scan is ``flow._finish_step``'s."""
+        field = cls.__new__(cls)
+        field.grid, field.values = grid, values
+        return field
 
     def copy(self) -> "Field":
         return Field(self.grid, self.values.copy())
@@ -199,27 +215,6 @@ def second_derivative(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray
         2.0 * a[..., -1] - 5.0 * a[..., -2] + 4.0 * a[..., -3] - a[..., -4]
     ) / h2
     return np.moveaxis(out, -1, axis)
-
-
-def radial_first_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """d/drho for an even profile: exact zero at the axis."""
-    out = np.empty_like(values, dtype=float)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    out[0] = 0.0
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
-    return out
-
-
-def radial_second_derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """d2/drho2 for an even profile, using the reflected ghost at the axis."""
-    out = np.empty_like(values, dtype=float)
-    h2 = h * h
-    out[1:-1] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / h2
-    out[0] = 2.0 * (values[1] - values[0]) / h2
-    out[-1] = (
-        2.0 * values[-1] - 5.0 * values[-2] + 4.0 * values[-3] - values[-4]
-    ) / h2
-    return out
 
 
 def _hessian_entries(values: np.ndarray, grad, grid: Grid):
@@ -270,9 +265,28 @@ def cartesian_invariants(values: np.ndarray, grid: Grid):
 
 
 def radial_jet(values: np.ndarray, grid: Grid):
-    """(du/drho, d2u/drho2) for a radial profile."""
+    """(du/drho, d2u/drho2) of an even radial profile: the radial stencils.
+
+    Central inside; at the axis u' = 0 and u'' reflects u(-h) = u(h); one-sided
+    at the outer end.  Both outputs are filled slice by slice in place.
+    """
     h = grid.spacing
-    return radial_first_derivative(values, h), radial_second_derivative(values, h)
+    d1 = np.empty_like(values, dtype=float)
+    d2 = np.empty_like(values, dtype=float)
+    inner1, inner2 = d1[1:-1], d2[1:-1]
+    np.subtract(values[2:], values[:-2], out=inner1)
+    inner1 *= 0.5 / h
+    np.multiply(values[1:-1], 2.0, out=inner2)
+    np.subtract(values[2:], inner2, out=inner2)
+    inner2 += values[:-2]
+    inner2 *= 1.0 / (h * h)
+    first, second = values[:2].tolist()
+    fourth, third, penult, last = values[-4:].tolist()
+    d1[0] = 0.0
+    d1[-1] = (3.0 * last - 4.0 * penult + third) / (2.0 * h)
+    d2[0] = 2.0 * (second - first) / (h * h)
+    d2[-1] = (2.0 * last - 5.0 * penult + 4.0 * third - fourth) / (h * h)
+    return d1, d2
 
 
 def field_gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -283,7 +297,7 @@ def field_gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
     """
     if grid.mode == RADIAL:
         out = np.zeros((grid.dimension,) + grid.shape)
-        out[0] = radial_first_derivative(values, grid.spacing)
+        out[0] = radial_jet(values, grid)[0]
         return out
     return np.stack(
         [first_derivative(values, grid.spacing, axis=i) for i in range(grid.dimension)]
@@ -386,7 +400,7 @@ def laplace_beltrami_radial(
     out[:-1] = (padded[1:] - padded[:-1]) / (h * measure[:-1])
 
     # outer boundary: node-centered one-sided divergence of the flux
-    df = radial_first_derivative(f, h)
+    df = radial_jet(f, grid)[0]
     node_flux = v * np.exp((n - 2.0) * u) * rho ** (n - 1) * df
     dflux_end = (3.0 * node_flux[-1] - 4.0 * node_flux[-2] + node_flux[-3]) / (2.0 * h)
     out[-1] = dflux_end / (np.exp(n * u[-1]) / v[-1] * rho[-1] ** (n - 1))

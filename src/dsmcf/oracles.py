@@ -611,8 +611,8 @@ def _curvature_gradient_sq(geom: geometry.GeometryFields) -> np.ndarray:
     grid = geom.grid
     n = geom.dimension
     arc = geom.v * np.exp(-geom.u)  # d/d(arclength) = arc * d/d(rho)
-    kr_s = arc * grids.radial_first_derivative(kr, grid.spacing)
-    ka_s = arc * grids.radial_first_derivative(ka, grid.spacing)
+    kr_s = arc * grids.radial_jet(kr, grid)[0]
+    ka_s = arc * grids.radial_jet(ka, grid)[0]
     rho = grid.axis()
     warp = np.zeros_like(kr)
     warp[1:] = arc[1:] * (geom.du[0, 1:] + 1.0 / rho[1:]) * (kr[1:] - ka[1:])

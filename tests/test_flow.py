@@ -3,6 +3,7 @@ failure handling, and the radial/cartesian cross-mode oracle."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,24 @@ def test_stable_dt_matches_formula_on_tilted_state():
         / 6.0
     )
     assert flow.stable_dt(state, 0.3) == pytest.approx(expected, rel=1e-12)
+
+
+def test_flat_slicing_run_to_huge_heights_does_not_overflow():
+    """e^{2u} overflows once u passes about 354; the stable step is taken in
+    log form, and a bound beyond the largest float is inf, so dt_max rules."""
+    grid = grids.Grid(grids.RADIAL, 3, extent=1.0, resolution=9)
+    state = flow.GraphState(
+        u=grids.Field(grid, np.zeros(grid.shape)),
+        s=0.0,
+        bc=flow.BoundaryCondition(flow.SLICING),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = flow.run(state, flow.FlowConfig(integrator="euler", s_end=130.0))
+        assert flow.stable_dt(traj.final) == math.inf
+    assert traj.failure is None
+    assert traj.final.s == pytest.approx(130.0, rel=1e-14)
+    np.testing.assert_allclose(traj.final.u.values, 390.0, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +393,31 @@ def test_run_records_non_finite_heights_instead_of_raising(monkeypatch):
     traj = flow.run(radial_state(), flow.FlowConfig(integrator="euler", s_end=1e-3))
     assert traj.failure is not None and "non-finite" in traj.failure
     assert traj.steps == 0 and len(traj.snapshots) == 1
+
+
+def test_run_scans_a_stepped_state_once(monkeypatch):
+    """The blow-up check of ``_finish_step`` is the one finiteness scan of a
+    stepped state, so a ``Field`` (which scans on construction) is built per
+    recorded snapshot, not per step."""
+    grid = grids.Grid(grids.RADIAL, 3, extent=4.0, resolution=2048)
+    state = flow.GraphState(
+        u=grids.Field(grid, np.zeros(grid.shape)),
+        s=0.0,
+        bc=flow.BoundaryCondition(flow.PINNED),
+    )
+    cfg = flow.FlowConfig(integrator="euler", cfl_safety=0.5, s_end=2e-4, snapshot_stride=100)
+    post_init = grids.Field.__post_init__
+    scans = []
+
+    def counted(field):
+        scans.append(1)
+        post_init(field)
+
+    monkeypatch.setattr(grids.Field, "__post_init__", counted)
+    traj = flow.run(state, cfg)
+    assert traj.failure is None and traj.steps > 10 * len(traj.snapshots)
+    # the run's own copy and its first snapshot, then one per recorded step
+    assert len(scans) <= len(traj.snapshots) + 1
 
 
 def test_max_steps_guard():

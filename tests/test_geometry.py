@@ -464,3 +464,100 @@ def test_cartesian_kernel_matches_the_hessian_tensor_route(monkeypatch):
     kernel = geometry.graph_speed_fields(fields.u, fields.grid)
     for actual, desired in zip(kernel, (speed, v2, H, margin)):
         assert_rel_close(actual, desired)
+
+
+# ---------------------------------------------------------------------------
+# the lean radial kernel against its closed-form reference
+
+
+def reference_radial_stencils(values, h):
+    """(u', u'') by the separate textbook stencils: central inside, zero
+    derivative and reflected ghost at the axis, one-sided at the outer end."""
+    d1 = np.empty_like(values)
+    d1[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
+    d1[0] = 0.0
+    d1[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
+    d2 = np.empty_like(values)
+    d2[1:-1] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / h**2
+    d2[0] = 2.0 * (values[1] - values[0]) / h**2
+    d2[-1] = (2.0 * values[-1] - 5.0 * values[-2] + 4.0 * values[-3] - values[-4]) / h**2
+    return d1, d2
+
+
+def reference_radial_kernel(u, grid):
+    """(speed, v^2, H, margin) from ``_speed_core`` on the invariants of the
+    radial embedding: |du|^2 = u'^2, tr d2u = u'' + (n-1) u'/rho and
+    du.d2u.du = u'^2 u''."""
+    rho = grid.axis()
+    p, q = reference_radial_stencils(u, grid.spacing)
+    sor = np.empty_like(p)
+    sor[1:] = p[1:] / rho[1:]
+    sor[0] = (4.0 * sor[1] - sor[2]) / 3.0
+    n = grid.dimension
+    _, margin, v2, _, speed, H = geometry._speed_core(
+        u, p * p, q + (n - 1.0) * sor, p * p * q, n
+    )
+    return speed, v2, H, margin
+
+
+def random_spacelike_profile(rng, grid, min_margin=0.2):
+    """A smooth random even profile, damped until its discrete margin is
+    at least ``min_margin`` everywhere."""
+    rho = grid.axis()
+    k = np.arange(1, 7)
+    modes = np.cos(np.outer(rho, k) * np.pi / grid.extent) / k
+    shape = modes @ rng.normal(size=k.size)
+    base = rng.uniform(-0.5, 0.5)
+    amplitude = 1.0
+    while True:
+        u = base + amplitude * shape
+        p, _ = reference_radial_stencils(u, grid.spacing)
+        if np.min(1.0 - np.exp(-2.0 * u) * p * p) >= min_margin:
+            return u
+        amplitude *= 0.8
+
+
+RESOLUTIONS = [65, 257, 2048]
+
+
+@pytest.mark.parametrize("resolution", RESOLUTIONS)
+def test_lean_radial_kernel_matches_the_closed_form_reference(resolution):
+    grid = grids.Grid(grids.RADIAL, 3, extent=3.0, resolution=resolution)
+    rng = np.random.default_rng(resolution)
+    for _ in range(5):
+        u = random_spacelike_profile(rng, grid)
+        lean = geometry.graph_speed_fields(u, grid)
+        for actual, desired in zip(lean, reference_radial_kernel(u, grid)):
+            assert_rel_close(actual, desired, rel=1e-13)
+
+
+@pytest.mark.parametrize("dimension", [2, 3, 5])
+@pytest.mark.parametrize("c", [0.0, 1.7, -3.25])
+def test_lean_radial_kernel_is_exact_on_flat_slices(dimension, c):
+    """Every stencil vanishes exactly on a constant, except the one-sided
+    ones at the outer end, where 3c - 4c + c can round; the flow writes the
+    boundary speed there."""
+    grid = grids.Grid(grids.RADIAL, dimension, extent=2.0, resolution=257)
+    fields = geometry.graph_speed_fields(np.full(grid.shape, c), grid)
+    speed, v2, H, margin = (field[:-1] for field in fields)
+    assert np.all(speed == dimension) and np.all(H == dimension)
+    assert np.all(margin == 1.0) and np.all(v2 == 1.0)
+
+
+@pytest.mark.parametrize("resolution", RESOLUTIONS)
+def test_lean_radial_kernel_fails_at_the_reference_node(resolution):
+    grid = grids.Grid(grids.RADIAL, 3, extent=3.0, resolution=resolution)
+    rng = np.random.default_rng(resolution + 1)
+    u = random_spacelike_profile(rng, grid)
+    steep = u.copy()
+    at = int(rng.integers(resolution // 4, 3 * resolution // 4))
+    steep[at:] += 2.0 * (grid.axis()[at:] - grid.axis()[at]) * np.exp(steep[at:])
+    nan = u.copy()
+    nan[int(rng.integers(2, resolution - 2))] = np.nan
+    for bad in (steep, nan):
+        with pytest.raises(NonSpacelikeError) as expected:
+            reference_radial_kernel(bad, grid)
+        with pytest.raises(NonSpacelikeError) as lean:
+            geometry.graph_speed_fields(bad, grid)
+        assert lean.value.location == expected.value.location
+        assert str(lean.value) == str(expected.value)

@@ -363,6 +363,14 @@ def test_masks_are_built_once_and_read_only(mode):
     np.testing.assert_array_equal(other.boundary_mask(), grid.boundary_mask())
 
 
+def test_inverse_radius_is_built_once_and_read_only():
+    grid = grids.Grid(grids.RADIAL, 3, extent=2.0, resolution=9)
+    inverse = grid.inverse_radius
+    assert grid.inverse_radius is inverse and not inverse.flags.writeable
+    assert inverse[0] == 0.0
+    np.testing.assert_allclose(inverse[1:] * grid.axis()[1:], 1.0, rtol=1e-15)
+
+
 def test_node_count_is_exact_for_huge_grids():
     grid = grids.Grid(grids.CARTESIAN, 3, extent=1.0, resolution=10_000_000)
     assert grid.node_count == 10**21
