@@ -168,7 +168,11 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Field:
-    """Scalar values, one per grid node, stored in row-major node order."""
+    """Scalar values, one per grid node, stored in row-major node order.
+
+    Building one checks the shape and scans the values for finiteness.  A
+    stepped state comes from ``stepped``: ``flow._finish_step`` scans it.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -185,8 +189,7 @@ class Field:
 
     @classmethod
     def stepped(cls, grid: Grid, values: np.ndarray) -> "Field":
-        """A Field of float ``values`` of the grid's shape, built without the
-        finiteness scan: a stepped state's scan is ``flow._finish_step``'s."""
+        """A Field of float ``values`` of the grid's shape, built unscanned."""
         field = cls.__new__(cls)
         field.grid, field.values = grid, values
         return field
