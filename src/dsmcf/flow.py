@@ -459,12 +459,6 @@ def _doubling_step(state: GraphState, dt: float, config: FlowConfig):
             )
 
 
-def _records(steps: int, s_new: float, config: FlowConfig) -> bool:
-    """Whether ``run`` records the step that makes ``steps`` steps and ends
-    at ``s_new``: every ``snapshot_stride``-th step and the last one."""
-    return steps % config.snapshot_stride == 0 or s_new >= config.s_end - 1e-14
-
-
 def run(state: GraphState, config: FlowConfig) -> Trajectory:
     """Advance to ``config.s_end``, recording snapshots every stride steps.
 
@@ -486,23 +480,27 @@ def run(state: GraphState, config: FlowConfig) -> Trajectory:
     traj.dt_history.append(0.0)
     traj.diagnostics.append(None)
 
+    s_end, stride, max_steps = config.s_end, config.snapshot_stride, config.max_steps
+    # the loop stops, and the step it stops after is recorded, past this s
+    s_stop = s_end - 1e-14 * max(1.0, s_end)
+    adaptive_implicit = config.integrator == IMPLICIT and config.dt_fixed is None
     steps = 0
     dt_next = config.dt_max
     try:
-        while current.s < config.s_end - 1e-14 * max(1.0, config.s_end):
-            if steps >= config.max_steps:
-                traj.failure = f"max_steps ({config.max_steps}) exceeded"
+        while current.s < s_stop:
+            if steps >= max_steps:
+                traj.failure = f"max_steps ({max_steps}) exceeded"
                 break
-            if config.integrator == IMPLICIT and config.dt_fixed is None:
+            if adaptive_implicit:
                 current, diag, dt, dt_next = _doubling_step(current, dt_next, config)
-                record = _records(steps + 1, current.s, config)
+                record = (steps + 1) % stride == 0 or current.s >= s_stop
             else:
                 fields = _speed_or_abort(current.u.values, current.grid, current.bc, current.s)
                 dt = config.dt_fixed or min(
                     stable_dt(current, config.cfl_safety, margin=fields[3]), config.dt_max
                 )
-                dt = min(dt, config.s_end - current.s)
-                record = _records(steps + 1, current.s + dt, config)
+                dt = min(dt, s_end - current.s)
+                record = (steps + 1) % stride == 0 or current.s + dt >= s_stop
                 current, diag = step(current, dt, config, fields=fields, diagnose=record)
             steps += 1
             if record:

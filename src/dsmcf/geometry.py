@@ -373,11 +373,10 @@ class JetFields:
         h(X)               = v M X
         |A|^2              = e^{-4u} v^2 (tr M^2 + 2 c |M du|^2 + c^2 (du.M.du)^2).
 
-    They build no (n, n, ...) node tensor; only the eigenvalue solve builds
-    the one (..., n, n) array ``eigvalsh`` reads.  The tensors ``outer``,
-    ``gamma_inv``, ``hmat`` and ``shape_op`` remain for the consumers that
-    read the tensor itself: the restriction-gradient residuals and the
-    radial principal curvatures.
+    These are the only route: no (n, n, ...) node tensor is built, except
+    the one (..., n, n) array ``eigvalsh`` reads in ``eigenvalues``.  The
+    tensor forms live in the tests, as the reference these are checked
+    against.
     """
 
     def __init__(self, u, du, d2u):
@@ -394,31 +393,6 @@ class JetFields:
             np.einsum("i...,ij...,j...->...", self.du, self.d2u, self.du),
             self.dimension,
         )
-
-    @cached_property
-    def outer(self):
-        return np.einsum("i...,j...->ij...", self.du, self.du)
-
-    @cached_property
-    def gamma_inv(self):
-        n = self.dimension
-        g = (self.v2 * self.em2u) * self.outer
-        idx = np.arange(n)
-        g[idx, idx] += 1.0
-        return self.em2u * g
-
-    @cached_property
-    def hmat(self):
-        n = self.dimension
-        h = self.d2u - 2.0 * self.outer
-        idx = np.arange(n)
-        h = h.copy()
-        h[idx, idx] += self.e2u
-        return self.v * h
-
-    @cached_property
-    def shape_op(self):
-        return np.einsum("ik...,kj...->ij...", self.gamma_inv, self.hmat)
 
     def _du_dot(self, X):
         return np.einsum("i...,i...->...", self.du, X)
@@ -592,8 +566,7 @@ def graph_speed_fields(u_values, grid: grids.Grid):
 
         H / v = e^{-2u} (v^2 u'' + (n - 1) u'/rho) + (n + 1) - v^2,
 
-    exactly n on a flat slice wherever its stencils vanish (all but the
-    one-sided outer end).
+    exactly n on a flat slice, where every stencil vanishes.
     """
     u = np.asarray(u_values, dtype=float)
     n = grid.dimension

@@ -271,7 +271,8 @@ def radial_jet(values: np.ndarray, grid: Grid):
     """(du/drho, d2u/drho2) of an even radial profile: the radial stencils.
 
     Central inside; at the axis u' = 0 and u'' reflects u(-h) = u(h); one-sided
-    at the outer end.  Both outputs are filled slice by slice in place.
+    at the outer end, in difference form so that, like the others, they vanish
+    exactly on constants.  Both outputs are filled slice by slice in place.
     """
     h = grid.spacing
     d1 = np.empty_like(values, dtype=float)
@@ -285,10 +286,11 @@ def radial_jet(values: np.ndarray, grid: Grid):
     inner2 *= 1.0 / (h * h)
     first, second = values[:2].tolist()
     fourth, third, penult, last = values[-4:].tolist()
+    near, mid, far = last - penult, penult - third, third - fourth
     d1[0] = 0.0
-    d1[-1] = (3.0 * last - 4.0 * penult + third) / (2.0 * h)
+    d1[-1] = (3.0 * near - mid) / (2.0 * h)
     d2[0] = 2.0 * (second - first) / (h * h)
-    d2[-1] = (2.0 * last - 5.0 * penult + 4.0 * third - fourth) / (h * h)
+    d2[-1] = (2.0 * near - 3.0 * mid + far) / (h * h)
     return d1, d2
 
 

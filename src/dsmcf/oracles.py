@@ -240,18 +240,24 @@ def restriction_gradient_residuals(fields: geometry.JetFields) -> dict:
     """Residual arrays of the three coordinate-gradient identities.
 
     The surface gradients of the restricted ambient coordinates have closed
-    forms in the graph data: |grad t|^2 = v^2 - 1, |grad x_i|^2 matches the
-    normal tilt g(nu, d_i), and the mixed product is e^{-2t} v g(d_i, nu).
-    All three are algebraic in the jet, so these residuals probe rounding
-    and assembly, not discretization.
+    forms in the graph data: |grad t|^2 = v^2 - 1, |grad x_i|^2 = gamma^{ii}
+    matches the normal tilt g(nu, d_i) = v u_i as e^{-2u} + e^{-4u} (v u_i)^2,
+    and the mixed product (gamma^{-1} du)_i is e^{-2t} v g(d_i, nu).  The left
+    sides contract through the rank-one gamma^{-1} X = e^{-2u} (X + v^2
+    e^{-2u} (du.X) du) of ``JetFields``.  All three are algebraic in the jet,
+    so these residuals probe rounding and assembly, not discretization.
     """
-    gi = fields.gamma_inv
     du = fields.du
-    idx = np.arange(fields.dimension)
+    n = fields.dimension
     nu_inner = fields.v * du  # g(nu, d_i)
-    height = np.einsum("i...,ij...,j...->...", du, gi, du) - (fields.v2 - 1.0)
-    coord = gi[idx, idx] - (fields.em2u + fields.em2u**2 * nu_inner**2)
-    mixed = np.einsum("ij...,j...->i...", gi, du) - fields.em2u * fields.v * nu_inner
+    height = fields.gamma_inv_norm_sq(du) - (fields.v2 - 1.0)
+    axes = np.eye(n).reshape((n, n) + (1,) * fields.u.ndim)
+    coord = np.empty_like(du)
+    for i in range(n):
+        coord[i] = fields.gamma_inv_norm_sq(axes[i])
+        coord[i] -= fields.em2u + fields.em2u**2 * nu_inner[i] ** 2
+    mixed = fields.raise_index(du)
+    mixed -= (fields.em2u * fields.v) * nu_inner
     return {"height": height, "coordinate": coord, "mixed": mixed}
 
 
@@ -592,11 +598,21 @@ def check_weight_gradient(
 
 def radial_curvatures(geom: geometry.GeometryFields) -> tuple[np.ndarray, np.ndarray]:
     """(radial, angular) principal curvatures of a rotationally symmetric
-    graph: the diagonal of the shape operator of the radial embedding,
-    whose axis value of u'/rho gives the L'Hopital limit there."""
+    graph, the diagonal of the shape operator of the radial embedding:
+
+        kappa_rho   = e^{-2u} v^3 (u'' + e^{2u} - 2 u'^2)
+        kappa_theta = e^{-2u} v (u'/rho + e^{2u}).
+
+    u'/rho is read from d2u[1, 1], whose axis value is the even
+    extrapolation of ``GeometryFields``."""
     if geom.grid.mode != grids.RADIAL:
         raise ModeUnsupportedError("principal curvature profiles need a radial grid")
-    return geom.shape_op[0, 0], geom.shape_op[1, 1]
+    u_rho = geom.du[0]
+    radial = (geom.d2u[0, 0] - 2.0 * (u_rho * u_rho) + geom.e2u) * geom.v
+    radial *= geom.em2u * geom.v2
+    angular = (geom.d2u[1, 1] + geom.e2u) * geom.v
+    angular *= geom.em2u
+    return radial, angular
 
 
 def _curvature_norm_sq(geom: geometry.GeometryFields) -> np.ndarray:

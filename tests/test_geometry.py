@@ -383,19 +383,38 @@ def test_cutoff_spec_validation():
 # batch bundle consistency
 
 
+def tensor_forms(fields):
+    """(gamma, gamma^{-1}, h, gamma^{-1} h) as (n, n, ...) node tensors, built
+    from ``fields.du`` and ``fields.d2u`` with gamma^{-1} by matrix inversion:
+    the independent reference for the rank-one closed forms of ``JetFields``."""
+    n = fields.dimension
+    du = fields.du
+    e2u = np.exp(2.0 * fields.u)
+    v = 1.0 / np.sqrt(1.0 - np.einsum("i...,i...->...", du, du) / e2u)
+    eye = np.eye(n).reshape((n, n) + (1,) * fields.u.ndim)
+    outer = np.einsum("i...,j...->ij...", du, du)
+    gamma = e2u * eye - outer
+    h = v * (fields.d2u + e2u * eye - 2.0 * outer)
+    gamma_inv = np.moveaxis(
+        np.linalg.inv(np.moveaxis(gamma, (0, 1), (-2, -1))), (-2, -1), (0, 1)
+    )
+    shape_op = np.einsum("ik...,kj...->ij...", gamma_inv, h)
+    return gamma, gamma_inv, h, shape_op
+
+
 def test_jet_fields_match_pointwise_geometry():
     rng = np.random.default_rng(41)
     u, du, d2u = random_spacelike_jets(rng, 64)
     fields = geometry.JetFields(u, du, d2u)
     extreme = fields.extremal_curvature()
+    gamma, _, h, _ = tensor_forms(fields)
     for i in (0, 7, 33, 63):
         geom = geometry.surface_geometry(sample_of(u, du, d2u, i))
         assert fields.v[i] == pytest.approx(geom.v, rel=1e-13)
         assert fields.H[i] == pytest.approx(geom.H, rel=1e-11, abs=1e-11)
         assert fields.a2[i] == pytest.approx(geom.a2, rel=1e-10, abs=1e-10)
-        gamma = np.exp(2.0 * u[i]) * np.eye(3) - fields.outer[:, :, i]
-        np.testing.assert_allclose(gamma, geom.gamma, rtol=1e-13)
-        np.testing.assert_allclose(fields.hmat[:, :, i], geom.h, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(gamma[:, :, i], geom.gamma, rtol=1e-13)
+        np.testing.assert_allclose(h[:, :, i], geom.h, rtol=1e-12, atol=1e-12)
         assert extreme[i] == pytest.approx(geom.lambda1, rel=1e-9, abs=1e-9)
 
 
@@ -423,11 +442,8 @@ def assert_rel_close(actual, desired, rel=1e-12):
 @pytest.mark.parametrize("make", [random_jet_fields, cartesian_bump_fields], ids=["jets", "bump"])
 def test_rank_one_forms_equal_the_tensor_forms(make):
     fields = make()
-    n = fields.dimension
     X = np.random.default_rng(3).normal(size=fields.du.shape)
-    gamma = -fields.outer
-    gamma[np.arange(n), np.arange(n)] += fields.e2u
-    gamma_inv, h, shape_op = fields.gamma_inv, fields.hmat, fields.shape_op
+    gamma, gamma_inv, h, shape_op = tensor_forms(fields)
 
     assert_rel_close(fields.raise_index(X), np.einsum("ij...,j...->i...", gamma_inv, X))
     assert_rel_close(fields.second_form(X), np.einsum("ij...,j...->i...", h, X))
@@ -476,11 +492,13 @@ def reference_radial_stencils(values, h):
     d1 = np.empty_like(values)
     d1[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
     d1[0] = 0.0
-    d1[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
+    # the outer end in difference form, each term exactly 0 on constants
+    near, mid, far = values[-1] - values[-2], values[-2] - values[-3], values[-3] - values[-4]
+    d1[-1] = (3.0 * near - mid) / (2.0 * h)
     d2 = np.empty_like(values)
     d2[1:-1] = (values[2:] - 2.0 * values[1:-1] + values[:-2]) / h**2
     d2[0] = 2.0 * (values[1] - values[0]) / h**2
-    d2[-1] = (2.0 * values[-1] - 5.0 * values[-2] + 4.0 * values[-3] - values[-4]) / h**2
+    d2[-1] = (2.0 * near - 3.0 * mid + far) / h**2
     return d1, d2
 
 
@@ -532,16 +550,18 @@ def test_lean_radial_kernel_matches_the_closed_form_reference(resolution):
 
 
 @pytest.mark.parametrize("dimension", [2, 3, 5])
-@pytest.mark.parametrize("c", [0.0, 1.7, -3.25])
+@pytest.mark.parametrize("c", [0.0, 1.7, -3.25, math.log(2.0)])
 def test_lean_radial_kernel_is_exact_on_flat_slices(dimension, c):
-    """Every stencil vanishes exactly on a constant, except the one-sided
-    ones at the outer end, where 3c - 4c + c can round; the flow writes the
-    boundary speed there."""
+    """Every stencil vanishes exactly on a constant, the one-sided ones at
+    the outer end included, so the kernel and the checks' geometry see a
+    flat slice at every node."""
     grid = grids.Grid(grids.RADIAL, dimension, extent=2.0, resolution=257)
-    fields = geometry.graph_speed_fields(np.full(grid.shape, c), grid)
-    speed, v2, H, margin = (field[:-1] for field in fields)
+    u = np.full(grid.shape, c)
+    speed, v2, H, margin = geometry.graph_speed_fields(u, grid)
     assert np.all(speed == dimension) and np.all(H == dimension)
     assert np.all(margin == 1.0) and np.all(v2 == 1.0)
+    fields = geometry.GeometryFields(grid, u)
+    assert np.all(fields.H == dimension) and np.all(fields.v == 1.0)
 
 
 @pytest.mark.parametrize("resolution", RESOLUTIONS)
