@@ -168,12 +168,16 @@ def _cmd_barrier(config: RunConfig) -> reporting.Report:
     config = replace(config, bc=flow.PINNED)
     report = _new_report(config)
     disk = replace(config, initial=InitialSpec()).initial_state()
-    result = experiments.barrier_run(_flow(config, report, disk))
+    traj = _flow(config, report, disk)
+    result = experiments.barrier_run(traj)
     report.add_experiment("barrier", result)
     report.add_series(
         "barrier",
         ("s", "w0", "bound_3s"),
         [list(result.s), list(result.center_height), list(result.upper_bound)],
+    )
+    report.add_series(
+        "barrier_health", experiments.HEALTH_COLUMNS, experiments.barrier_health(traj)
     )
     if len(result.translation_slack) > 0:
         report.add_series(

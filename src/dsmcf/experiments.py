@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow, geometry, grids, oracles
-from .errors import OutOfDomainError, SpanTooShortError
+from .errors import NonSpacelikeError, OutOfDomainError, SpanTooShortError
 
 # Fraction of the box size used as the recentred time half-window.  The
 # box bounds the height; the limiting profile climbs at rate n, so a full
@@ -140,6 +140,36 @@ def barrier_run(traj: flow.Trajectory) -> BarrierResult:
         translation_slack=slack,
         passed=monotone and within and translation_holds,
     )
+
+
+#: Columns of ``barrier_health``.
+HEALTH_COLUMNS = (
+    "s", "min_margin", "min_margin_rho", "max_v", "min_H", "max_H", "mean_convexity_violations"
+)
+
+
+def barrier_health(traj: flow.Trajectory) -> list:
+    """Columns (``HEALTH_COLUMNS``) of ``flow.diagnose`` on each snapshot.
+
+    The theorem assumes bounded mean curvature and tracks where the disk
+    stays spacelike, so each row gives the smallest margin and its radius,
+    the largest tilt, the range of H and the mean-convexity violations of
+    one snapshot.  The rows stop before the first snapshot that is not
+    spacelike: a failed explicit run can record one, and its failure note
+    already names the node and s.
+    """
+    rho = traj.final.grid.axis()
+    columns = [[] for _ in HEALTH_COLUMNS]
+    for state in traj.snapshots:
+        try:
+            d = flow.diagnose(state)
+        except NonSpacelikeError:
+            break
+        row = (d.s, d.min_margin, float(rho[d.min_margin_at]), d.max_v, d.min_H, d.max_H,
+               d.mean_convexity_violations)
+        for column, value in zip(columns, row):
+            column.append(value)
+    return columns
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,11 @@ boundary node by dt times its boundary speed.  A Newton update whose
 iterate fails the kernel's margin check is halved, never clamped.
 Without ``dt_fixed`` the step size follows an accuracy control (step
 doubling) instead of the parabolic limit.
+
+The steppers return bare states.  The health numbers of a state (smallest
+margin and its node, largest tilt, range of H, mean-convexity violations)
+come from ``diagnose``, one kernel evaluation on that state, so they
+always describe the state and s they are read from.
 """
 
 from __future__ import annotations
@@ -156,15 +161,13 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    """Cheap per-step health numbers, sampled at snapshot times.
+    """Cheap health numbers of the state ``diagnose`` is given, at its s.
 
-    Explicit steps report the fields they evaluate at the start of the
-    step; implicit steps report them at the solved new state.
-    ``min_margin_at`` is the node index of ``min_margin``.
+    ``min_margin_at`` is the node index of ``min_margin``; the tilt and
+    mean curvature numbers cover the interior nodes.
     """
 
     s: float
-    dt: float
     min_margin: float
     min_margin_at: tuple
     max_v: float
@@ -175,11 +178,10 @@ class StepDiagnostics:
 
 @dataclass
 class Trajectory:
-    """Recorded flow run: snapshots plus per-snapshot step data."""
+    """Recorded flow run: snapshots plus the step size that reached each."""
 
     snapshots: list = field(default_factory=list)
     dt_history: list = field(default_factory=list)
-    diagnostics: list = field(default_factory=list)
     failure: str | None = None
     steps: int = 0
 
@@ -232,58 +234,76 @@ def stable_dt(state: GraphState, cfl_safety: float = 0.25, margin=None) -> float
         return math.inf
 
 
-def _kernel(values, grid, bc: BoundaryCondition):
+def _kernel(values, grid, bc: BoundaryCondition, s: float):
     """The kernel's (speed, v^2, H, margin) at ``values``, with the boundary
     entries of the speed set to the boundary speed of ``bc``.
 
     This is the one place the boundary condition enters the stepping: every
     integrator combines these speeds, so its stages, its result and the
     backward-Euler residual all move the boundary at that speed.  A radial
-    grid's one boundary node is its last.
+    grid's one boundary node is its last.  A margin at or below the floor
+    raises NonSpacelikeError naming the node and the flow time ``s``.
     """
-    speed, v2, H, margin = geometry.graph_speed_fields(values, grid)
+    try:
+        speed, v2, H, margin = geometry.graph_speed_fields(values, grid)
+    except NonSpacelikeError as exc:
+        raise NonSpacelikeError(f"at s = {s:.6g}: {exc}", location=exc.location)
     boundary = -1 if grid.mode == grids.RADIAL else grid.boundary_mask()
     speed[boundary] = bc.speed(grid.dimension)
     return speed, v2, H, margin
 
 
-def _speed_or_abort(values, grid, bc, s):
-    try:
-        return _kernel(values, grid, bc)
-    except NonSpacelikeError as exc:
-        raise NonSpacelikeError(f"at s = {s:.6g}: {exc}", location=exc.location)
+def diagnose(state: GraphState) -> StepDiagnostics:
+    """Health numbers of ``state`` from one kernel evaluation.
+
+    A state that is not spacelike raises NonSpacelikeError naming its worst
+    node and s.
+    """
+    grid = state.grid
+    _, v2, H, margin = _kernel(state.u.values, grid, state.bc, state.s)
+    interior = grid.interior_mask(1)
+    H_int = H[interior]
+    worst = int(np.argmin(margin))
+    return StepDiagnostics(
+        s=state.s,
+        min_margin=float(margin.flat[worst]),
+        min_margin_at=tuple(int(i) for i in np.unravel_index(worst, grid.shape)),
+        max_v=float(np.sqrt(np.max(v2[interior]))),
+        min_H=float(np.min(H_int)),
+        max_H=float(np.max(H_int)),
+        mean_convexity_violations=int(np.sum(H_int < -MEAN_CONVEXITY_TOL)),
+    )
 
 
-def step(state: GraphState, dt: float, config: FlowConfig, fields=None, diagnose=True):
-    """One step of size dt.  Returns (new state, diagnostics or None).
+def step(state: GraphState, dt: float, config: FlowConfig, fields=None) -> GraphState:
+    """One step of size dt; returns the new state.
 
     ``fields`` are the ``_kernel`` fields (speed, v^2, H, margin) at
     ``state``, boundary speed included, when the caller already has them;
-    otherwise they are evaluated here.  With ``diagnose`` false no
-    ``StepDiagnostics`` is built and None takes its place.
+    otherwise they are evaluated here.
     """
     grid, u0, s, bc = state.grid, state.u.values, state.s, state.bc
     if fields is None:
-        fields = _speed_or_abort(u0, grid, bc, s)
+        fields = _kernel(u0, grid, bc, s)
+    speed = fields[0]
     if config.integrator == IMPLICIT:
-        return _implicit_step(state, dt, config, fields, diagnose)
-
-    speed, v2, H, margin = fields
-    if config.integrator == "euler":
+        _require_radial(grid)
+        unew, _ = _backward_euler(grid, u0, fields, None, s + dt, dt, bc)
+    elif config.integrator == "euler":
         unew = _stage(u0, dt, speed)
     elif config.integrator == "rk2":
-        k2, _, _, _ = _speed_or_abort(_stage(u0, 0.5 * dt, speed), grid, bc, s + 0.5 * dt)
+        k2, _, _, _ = _kernel(_stage(u0, 0.5 * dt, speed), grid, bc, s + 0.5 * dt)
         unew = _stage(u0, dt, k2)
     else:  # rk4
-        k2, _, _, _ = _speed_or_abort(_stage(u0, 0.5 * dt, speed), grid, bc, s + 0.5 * dt)
-        k3, _, _, _ = _speed_or_abort(_stage(u0, 0.5 * dt, k2), grid, bc, s + 0.5 * dt)
-        k4, _, _, _ = _speed_or_abort(_stage(u0, dt, k3), grid, bc, s + dt)
+        k2, _, _, _ = _kernel(_stage(u0, 0.5 * dt, speed), grid, bc, s + 0.5 * dt)
+        k3, _, _, _ = _kernel(_stage(u0, 0.5 * dt, k2), grid, bc, s + 0.5 * dt)
+        k4, _, _, _ = _kernel(_stage(u0, dt, k3), grid, bc, s + dt)
         k2 += k3
         k2 *= 2.0
         k2 += speed
         k2 += k4
         unew = _stage(u0, dt / 6.0, k2)
-    return _finish_step(grid, unew, s + dt, dt, bc, (v2, H, margin), config, diagnose)
+    return _finish_step(grid, unew, s + dt, bc, config)
 
 
 def _stage(u0, dt, speed):
@@ -293,13 +313,11 @@ def _stage(u0, dt, speed):
     return out
 
 
-def _finish_step(grid, unew, s_new, dt, bc, fields, config, diagnose=True):
-    """Blow-up check, new state and diagnostics shared by every integrator.
+def _finish_step(grid, unew, s_new, bc, config) -> GraphState:
+    """Blow-up check and new state shared by every integrator.
 
     The blow-up check is the one finiteness scan of ``unew`` (max|u| is NaN
     or inf when a height is), so ``Field.stepped`` skips a second one.
-    ``fields`` holds the kernel's (v^2, H, margin) that the diagnostics
-    describe; without ``diagnose`` the diagnostics are None.
     """
     peak = float(np.abs(unew).max())
     if not peak <= config.blowup_cap:
@@ -308,24 +326,7 @@ def _finish_step(grid, unew, s_new, dt, bc, fields, config, diagnose=True):
         raise BlowupError(
             f"|u| reached {peak:.3g} (cap {config.blowup_cap:.3g}) at s = {s_new:.6g}"
         )
-    new_state = GraphState(u=grids.Field.stepped(grid, unew), s=s_new, bc=bc)
-    if not diagnose:
-        return new_state, None
-    v2, H, margin = fields
-    interior = grid.interior_mask(1)
-    H_int = H[interior]
-    worst = int(np.argmin(margin))
-    diag = StepDiagnostics(
-        s=s_new,
-        dt=dt,
-        min_margin=float(margin.flat[worst]),
-        min_margin_at=tuple(int(i) for i in np.unravel_index(worst, grid.shape)),
-        max_v=float(np.sqrt(np.max(v2[interior]))),
-        min_H=float(np.min(H_int)),
-        max_H=float(np.max(H_int)),
-        mean_convexity_violations=int(np.sum(H_int < -MEAN_CONVEXITY_TOL)),
-    )
-    return new_state, diag
+    return GraphState(u=grids.Field.stepped(grid, unew), s=s_new, bc=bc)
 
 
 def _require_radial(grid: grids.Grid) -> None:
@@ -345,13 +346,12 @@ def _damped_update(u, update, grid, bc, s):
     for _ in range(NEWTON_MAX_HALVINGS):
         trial = u - lam * update
         try:
-            return trial, lam, _kernel(trial, grid, bc)
+            return trial, lam, _kernel(trial, grid, bc, s)
         except NonSpacelikeError as exc:
             last = exc
             lam *= 0.5
     raise NonSpacelikeError(
-        f"at s = {s:.6g}: no spacelike Newton iterate after "
-        f"{NEWTON_MAX_HALVINGS} halvings: {last}",
+        f"{last}, after {NEWTON_MAX_HALVINGS} halvings of the Newton update",
         location=last.location,
     )
 
@@ -395,15 +395,6 @@ def _backward_euler(grid, u_old, fields, jac, s_new, dt, bc):
     return u, fields
 
 
-def _implicit_step(state: GraphState, dt: float, config: FlowConfig, fields, diagnose):
-    """One backward-Euler step of size dt (see ``_backward_euler``)."""
-    grid = state.grid
-    _require_radial(grid)
-    s_new = state.s + dt
-    unew, fields = _backward_euler(grid, state.u.values, fields, None, s_new, dt, state.bc)
-    return _finish_step(grid, unew, s_new, dt, state.bc, fields[1:], config, diagnose)
-
-
 def _doubling_step(state: GraphState, dt: float, config: FlowConfig):
     """One accepted implicit step from ``state`` under step-doubling control.
 
@@ -415,11 +406,11 @@ def _doubling_step(state: GraphState, dt: float, config: FlowConfig):
     step landing on ``s_end``), dt shrinks and the step is retried.
     The full step, the first half step and every retry start from the same
     heights, so they share one kernel evaluation and one Jacobian there.
-    The last step lands exactly on ``s_end``.  Returns (new state,
-    diagnostics, dt taken, suggested next dt).
+    The last step lands exactly on ``s_end``.  Returns (new state, dt
+    taken, suggested next dt).
     """
     grid, bc, s, u0 = state.grid, state.bc, state.s, state.u.values
-    fields0 = _speed_or_abort(u0, grid, bc, s)
+    fields0 = _kernel(u0, grid, bc, s)
     jac0 = geometry.radial_speed_jacobian(u0, grid)
     floor_dt = 1e-12 * max(1.0, config.s_end)
     while True:
@@ -450,8 +441,8 @@ def _doubling_step(state: GraphState, dt: float, config: FlowConfig):
         else:
             grow = min(2.0, max(0.2, 0.9 * float(np.sqrt(STEP_TOL / err))))
         if err <= STEP_TOL:
-            new, diag = _finish_step(grid, unew, s_new, dt, bc, fields[1:], config)
-            return new, diag, dt, min(grow * dt, config.dt_max)
+            new = _finish_step(grid, unew, s_new, bc, config)
+            return new, dt, min(grow * dt, config.dt_max)
         dt *= grow
         if dt < floor_dt:
             raise ConvergenceError(
@@ -468,45 +459,42 @@ def run(state: GraphState, config: FlowConfig) -> Trajectory:
     counts accepted steps only.
 
     A fixed or stability-limited step evaluates the kernel once at its
-    start, for dt and the first stage, and diagnoses recorded steps only.
-    A pinned ``state`` whose boundary heights differ raises ValueError.
+    start, for dt and the first stage.  ``diagnose`` reads the health of a
+    recorded state.  A pinned ``state`` whose boundary heights differ
+    raises ValueError.
     """
     state.bc.check(state)
     current = state.copy()
+    grid, bc = current.grid, current.bc
     if config.integrator == IMPLICIT:
-        _require_radial(current.grid)
+        _require_radial(grid)
     traj = Trajectory()
     traj.snapshots.append(current.copy())
     traj.dt_history.append(0.0)
-    traj.diagnostics.append(None)
 
     s_end, stride, max_steps = config.s_end, config.snapshot_stride, config.max_steps
+    dt_fixed, cfl_safety, dt_max = config.dt_fixed, config.cfl_safety, config.dt_max
     # the loop stops, and the step it stops after is recorded, past this s
     s_stop = s_end - 1e-14 * max(1.0, s_end)
-    adaptive_implicit = config.integrator == IMPLICIT and config.dt_fixed is None
+    adaptive_implicit = config.integrator == IMPLICIT and dt_fixed is None
     steps = 0
-    dt_next = config.dt_max
+    dt_next = dt_max
     try:
         while current.s < s_stop:
             if steps >= max_steps:
                 traj.failure = f"max_steps ({max_steps}) exceeded"
                 break
             if adaptive_implicit:
-                current, diag, dt, dt_next = _doubling_step(current, dt_next, config)
-                record = (steps + 1) % stride == 0 or current.s >= s_stop
+                current, dt, dt_next = _doubling_step(current, dt_next, config)
             else:
-                fields = _speed_or_abort(current.u.values, current.grid, current.bc, current.s)
-                dt = config.dt_fixed or min(
-                    stable_dt(current, config.cfl_safety, margin=fields[3]), config.dt_max
-                )
+                fields = _kernel(current.u.values, grid, bc, current.s)
+                dt = dt_fixed or min(stable_dt(current, cfl_safety, margin=fields[3]), dt_max)
                 dt = min(dt, s_end - current.s)
-                record = (steps + 1) % stride == 0 or current.s + dt >= s_stop
-                current, diag = step(current, dt, config, fields=fields, diagnose=record)
+                current = step(current, dt, config, fields=fields)
             steps += 1
-            if record:
+            if steps % stride == 0 or current.s >= s_stop:
                 traj.snapshots.append(current.copy())
                 traj.dt_history.append(dt)
-                traj.diagnostics.append(diag)
     except (NonSpacelikeError, BlowupError, ConvergenceError) as exc:
         traj.failure = str(exc)
     traj.steps = steps
@@ -517,13 +505,13 @@ def evolve_window(state: GraphState, dt: float, config: FlowConfig) -> Trajector
     """Two fixed-size steps from ``state``, packaged for time-derivative checks."""
     state.bc.check(state)
     s0 = state.copy()
-    s1, _ = step(s0, dt, config, diagnose=False)
-    s2, _ = step(s1, dt, config, diagnose=False)
+    s1 = step(s0, dt, config)
+    s2 = step(s1, dt, config)
     return TrajectoryWindow(before=s0, mid=s1, after=s2, dt=dt)
 
 
 # ---------------------------------------------------------------------------
-# state-level isometry and diagnostics
+# state-level isometry
 
 
 def isometry_shift_state(state: GraphState, a: float) -> GraphState:

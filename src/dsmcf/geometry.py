@@ -326,21 +326,8 @@ def _margin_core(u, grad_sq):
     """(e^{-2u}, margin, v^2) from the height and |du|^2."""
     em2u = np.exp(-2.0 * u)
     margin = 1.0 - em2u * grad_sq
-    _require_spacelike(margin)
+    grids.require_spacelike(margin)
     return em2u, margin, 1.0 / margin
-
-
-def _require_spacelike(margin):
-    """Raise NonSpacelikeError naming the worst node of ``margin`` when it is
-    at or below MARGIN_FLOOR or NaN (argmin finds a NaN first); no clamping."""
-    worst_flat = int(margin.argmin())
-    worst = float(margin.flat[worst_flat])
-    if not worst > MARGIN_FLOOR:
-        loc = tuple(int(i) for i in np.unravel_index(worst_flat, margin.shape))
-        raise NonSpacelikeError(
-            f"margin {worst:.3e} at node {loc} (floor {MARGIN_FLOOR:.0e})",
-            location=loc,
-        )
 
 
 def _speed_core(u, grad_sq, trace, quad, n):
@@ -578,7 +565,7 @@ def graph_speed_fields(u_values, grid: grids.Grid):
         margin *= margin
         margin *= em2u
         np.subtract(1.0, margin, out=margin)
-        _require_spacelike(margin)
+        grids.require_spacelike(margin)
         v2 = np.divide(1.0, margin)
         speed *= v2
         slope_term *= n - 1.0

@@ -41,6 +41,19 @@ DEGENERATE_RESIDUAL_FLOOR = 1e-14
 MARGIN_FLOOR = 1e-10
 
 
+def require_spacelike(margin: np.ndarray) -> None:
+    """Raise NonSpacelikeError naming the worst node of ``margin`` when it is
+    at or below MARGIN_FLOOR or NaN (argmin finds a NaN first); no clamping."""
+    worst_flat = int(margin.argmin())
+    worst = float(margin.flat[worst_flat])
+    if not worst > MARGIN_FLOOR:
+        loc = tuple(int(i) for i in np.unravel_index(worst_flat, margin.shape))
+        raise NonSpacelikeError(
+            f"margin {worst:.3e} at node {loc} (floor {MARGIN_FLOOR:.0e})",
+            location=loc,
+        )
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid description.
@@ -379,7 +392,9 @@ def laplace_beltrami_radial(
     ``radial_measure``.  That pairing makes the operator exactly
     self-adjoint in the measure-weighted inner product and keeps the nodes
     next to the axis at full second order; the outer boundary node falls
-    back to a one-sided stencil and is excluded from norms.
+    back to a one-sided stencil and is excluded from norms.  A face margin
+    at or below the floor raises NonSpacelikeError naming the face's inner
+    node.
     """
     n = grid.dimension
     h = grid.spacing
@@ -389,11 +404,7 @@ def laplace_beltrami_radial(
     u_mid = 0.5 * (u[:-1] + u[1:])
     du_mid = (u[1:] - u[:-1]) / h
     m_mid = 1.0 - np.exp(-2.0 * u_mid) * du_mid**2
-    worst = float(np.min(m_mid))
-    if not worst > MARGIN_FLOOR:
-        raise NonSpacelikeError(
-            f"margin {worst:.3e} between nodes at or below floor {MARGIN_FLOOR:.0e}"
-        )
+    require_spacelike(m_mid)
     v_mid = 1.0 / np.sqrt(m_mid)
     rho_mid = 0.5 * (rho[:-1] + rho[1:])
     coef_mid = v_mid * np.exp((n - 2.0) * u_mid) * rho_mid ** (n - 1)

@@ -146,26 +146,32 @@ def _route_reports(names, coarse, fine_input, parts_of, tolerance) -> list[Resid
 
 
 def material_rate(
-    window: flow.TrajectoryWindow,
-    values_of,
-    mid_geom: geometry.GeometryFields | None = None,
-) -> tuple[np.ndarray, geometry.GeometryFields]:
-    """Normal-motion time derivative of a per-snapshot field.
+    window: flow.TrajectoryWindow, *values_of
+) -> tuple[list[np.ndarray], geometry.GeometryFields]:
+    """Normal-motion time derivatives of per-snapshot fields.
 
-    ``values_of(geom)`` maps a snapshot geometry to a node array.  Returns
-    the advected central difference on the middle snapshot together with
-    that snapshot's geometry, so callers can reuse it.  The outer snapshots'
-    geometries are built one at a time and dropped once read.
+    Each ``values_of`` maps a snapshot geometry to a node array.  Returns
+    the advected central differences on the middle snapshot, one per field,
+    together with that snapshot's geometry, so callers can reuse it.  Each
+    snapshot geometry is built once; the outer ones are built one at a time
+    and dropped once read.
     """
-    fixed_rate = (
-        values_of(snapshot_geometry(window.after))
-        - values_of(snapshot_geometry(window.before))
-    ) / (2.0 * window.dt)
-    mid = mid_geom if mid_geom is not None else snapshot_geometry(window.mid)
-    f_mid = values_of(mid)
-    grad_f = grids.field_gradient(f_mid, mid.grid)
-    drift = mid.H * mid.v * mid.em2u * np.einsum("i...,i...->...", mid.du, grad_f)
-    return fixed_rate + drift, mid
+
+    def values(state):
+        geom = snapshot_geometry(state)
+        return [f(geom) for f in values_of]
+
+    fixed_rates = [
+        (ahead - behind) / (2.0 * window.dt)
+        for ahead, behind in zip(values(window.after), values(window.before))
+    ]
+    mid = snapshot_geometry(window.mid)
+    slope = mid.H * mid.v * mid.em2u
+    rates = []
+    for fixed_rate, f in zip(fixed_rates, values_of):
+        grad_f = grids.field_gradient(f(mid), mid.grid)
+        rates.append(fixed_rate + slope * np.einsum("i...,i...->...", mid.du, grad_f))
+    return rates, mid
 
 
 def _rate_mask(grid: grids.Grid) -> np.ndarray:
@@ -378,7 +384,7 @@ def check_tilt_gradient(
 
 def _tilt_evolution_parts(window: flow.TrajectoryWindow):
     """(mid geometry, mask, measured lhs, identity rhs, |grad v|^2)."""
-    rate, mid = material_rate(window, lambda g: g.v2)
+    (rate,), mid = material_rate(window, lambda g: g.v2)
     lhs = rate - mid.laplacian(mid.v2)
     dv = grids.field_gradient(mid.v, mid.grid)
     grad_v_sq = mid.gamma_inv_norm_sq(dv)
@@ -545,7 +551,7 @@ def check_weight_evolution(
     raises BelowThresholdError.  Negative controls (steep alpha at low
     heights) are expected to report violations rather than raise.
     """
-    rate, mid = material_rate(window, lambda g: _weight_fields(g, spec))
+    (rate,), mid = material_rate(window, lambda g: _weight_fields(g, spec))
     r = _weight_fields(mid, spec)
     lhs = rate - mid.laplacian(r)
     _, _, _, evol_lower = geometry.cutoff_arrays(
@@ -662,8 +668,12 @@ def check_curvature_evolution(
     grid = window.grid
     curvature_evolution_guard(grid)
 
+    def traceless_of(g):
+        return _curvature_norm_sq(g) - g.H**2 / 3.0
+
     def parts(win):
-        rate, mid = material_rate(win, _curvature_norm_sq)
+        """(mid geometry, mask, identity routes, traceless rate) of a window."""
+        (rate, rate_z), mid = material_rate(win, _curvature_norm_sq, traceless_of)
         a2 = _curvature_norm_sq(mid)
         lhs = rate - mid.laplacian(a2)
         rhs = (
@@ -679,18 +689,16 @@ def check_curvature_evolution(
         # the nodes N-5 and N-4 and grows 4x per halving of h.  Masking a
         # five-node collar keeps the report about the resolved interior.
         mask = mid.grid.interior_mask(5)
-        return mid, mask, [[lhs - rhs]]
+        return mid, mask, [[lhs - rhs]], rate_z
 
-    coarse = parts(window)
+    mid, mask, routes, rate_z = parts(window)
     (identity,) = _route_reports(
-        ["curvature-evolution"], coarse, fine_window, parts, tolerance
+        ["curvature-evolution"],
+        (mid, mask, routes),
+        fine_window,
+        lambda win: parts(win)[:3],
+        tolerance,
     )
-    mid, mask, _ = coarse
-
-    def traceless_of(g):
-        return _curvature_norm_sq(g) - g.H**2 / 3.0
-
-    rate_z, _ = material_rate(window, traceless_of, mid_geom=mid)
     z = traceless_of(mid)
     lhs_z = rate_z - mid.laplacian(z)
     bound = 18.0 * z - (2.0 / 3.0) * mid.H**2 * z

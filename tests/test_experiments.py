@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dsmcf import experiments, flow, grids
-from dsmcf.errors import OutOfDomainError, SpanTooShortError
+from dsmcf.errors import NonSpacelikeError, OutOfDomainError, SpanTooShortError
 
 
 def radial_grid(resolution, extent=3.0):
@@ -60,7 +60,6 @@ def synthetic_trajectory(grid, s_values, family):
     return flow.Trajectory(
         snapshots=snaps,
         dt_history=np.diff(s_values),
-        diagnostics=[],
         failure=None,
     )
 
@@ -87,6 +86,32 @@ class TestBarrier:
         # crossing of 1.0 sits at one third
         crossing = first_crossing(res, 1.0)
         assert abs(crossing - 1.0 / 3.0) < 0.02
+
+    def test_health_stops_before_the_first_non_spacelike_snapshot(self):
+        # ramps e^{-u} = 1 - c rho have margin 1 - c^2: the last is timelike
+        grid = radial_grid(33, extent=0.5)
+        rho = grid.axis()
+        slopes = {0.0: 0.3, 0.1: 0.6, 0.2: 1.2}
+        traj = synthetic_trajectory(
+            grid, np.array(list(slopes)), lambda s: -np.log(1.0 - slopes[s] * rho)
+        )
+        columns = experiments.barrier_health(traj)
+        assert len(columns) == len(experiments.HEALTH_COLUMNS)
+        rows = list(zip(*columns))
+        assert len(rows) == 2
+        for row, state in zip(rows, traj.snapshots):
+            d = flow.diagnose(state)
+            assert row == (
+                d.s,
+                d.min_margin,
+                rho[d.min_margin_at],
+                d.max_v,
+                d.min_H,
+                d.max_H,
+                d.mean_convexity_violations,
+            )
+        with pytest.raises(NonSpacelikeError, match=r"at s = 0.2: margin .* at node \(\d+,\)"):
+            flow.diagnose(traj.final)
 
     def test_short_run_has_no_shift_constant(self):
         grid = radial_grid(33, extent=4.0)

@@ -96,32 +96,29 @@ def test_run_evaluates_the_kernel_once_per_stage(monkeypatch, integrator, stages
 
 @pytest.mark.parametrize("integrator", ["euler", "rk2", "rk4"])
 def test_run_matches_a_loop_of_public_steps(integrator):
-    """``run`` reuses one kernel evaluation for dt and the first stage and
-    diagnoses recorded steps only; a loop of the public calls, each making
-    its own evaluation and diagnostics, gives the same bits."""
+    """``run`` reuses one kernel evaluation for dt and the first stage; a
+    loop of the public calls, each making its own evaluation, gives the
+    same bits."""
     state = radial_state(amplitude=0.4)
     cfg = flow.FlowConfig(integrator=integrator, s_end=4e-3, snapshot_stride=7)
     traj = flow.run(state, cfg)
 
     current = state.copy()
-    snapshots, dts, diags = [current.copy()], [0.0], [None]
+    snapshots, dts = [current.copy()], [0.0]
     steps = 0
     while current.s < cfg.s_end - 1e-14 * max(1.0, cfg.s_end):
         dt = min(flow.stable_dt(current, cfg.cfl_safety), cfg.dt_max, cfg.s_end - current.s)
-        current, diag = flow.step(current, dt, cfg)
+        current = flow.step(current, dt, cfg)
         steps += 1
         if steps % cfg.snapshot_stride == 0 or current.s >= cfg.s_end - 1e-14:
             snapshots.append(current.copy())
             dts.append(dt)
-            diags.append(diag)
 
     assert traj.failure is None and traj.steps == steps
-    # the step landing on s_end lies off the stride and is still diagnosed
+    # the step landing on s_end lies off the stride and is still recorded
     assert steps % cfg.snapshot_stride != 0
-    assert traj.diagnostics[-1] is not None
-    assert traj.diagnostics[-1].s == current.s == traj.final.s
+    assert current.s == traj.final.s
     assert traj.dt_history == dts
-    assert traj.diagnostics == diags
     assert [snap.s for snap in traj.snapshots] == [snap.s for snap in snapshots]
     for ours, theirs in zip(traj.snapshots, snapshots):
         np.testing.assert_array_equal(ours.u.values, theirs.u.values)
@@ -138,7 +135,7 @@ def test_fixed_step_run_matches_a_loop_of_public_steps(integrator, monkeypatch):
     steps = 0
     while current.s < cfg.s_end - 1e-14 * max(1.0, cfg.s_end):
         dt = min(cfg.dt_fixed, cfg.s_end - current.s)
-        current, _ = flow.step(current, dt, cfg)
+        current = flow.step(current, dt, cfg)
         steps += 1
         if steps % cfg.snapshot_stride == 0 or current.s >= cfg.s_end - 1e-14:
             snapshots.append(current.copy())
@@ -160,12 +157,13 @@ def test_step_reuses_given_fields_and_skips_diagnostics():
     state = radial_state(amplitude=0.4)
     cfg = flow.FlowConfig(integrator="rk2")
     # the fields ``run`` hands to ``step``: the kernel's, with the boundary speed
-    fields = flow._speed_or_abort(state.u.values, state.grid, state.bc, state.s)
+    fields = flow._kernel(state.u.values, state.grid, state.bc, state.s)
     dt = flow.stable_dt(state, cfg.cfl_safety)
     assert flow.stable_dt(state, cfg.cfl_safety, margin=fields[3]) == dt
-    plain, diag = flow.step(state, dt, cfg)
-    reused, none = flow.step(state, dt, cfg, fields=fields, diagnose=False)
-    assert diag is not None and none is None
+    plain = flow.step(state, dt, cfg)
+    reused = flow.step(state, dt, cfg, fields=fields)
+    # a step returns the bare state: diagnostics come from ``diagnose``
+    assert isinstance(reused, flow.GraphState)
     np.testing.assert_array_equal(plain.u.values, reused.u.values)
 
 
@@ -193,8 +191,9 @@ def test_flat_slice_evolves_exactly(integrator):
 
 def test_single_step_on_slice_is_exact():
     state = radial_state(amplitude=0.0, kind=flow.SLICING)
-    new, diag = flow.step(state, 0.01, flow.FlowConfig(integrator="euler"))
+    new = flow.step(state, 0.01, flow.FlowConfig(integrator="euler"))
     np.testing.assert_allclose(new.u.values, 0.03, atol=1e-15)
+    diag = flow.diagnose(new)
     assert diag.min_margin == pytest.approx(1.0, abs=1e-14)
     assert diag.max_H == pytest.approx(3.0, abs=1e-12)
     assert diag.mean_convexity_violations == 0
@@ -297,7 +296,7 @@ def test_implicit_run_lands_on_s_end_with_accuracy_control(monkeypatch):
     assert traj.failure is None
     assert traj.final.s == s_end
     assert traj.steps < 100
-    diag = traj.diagnostics[-1]
+    diag = flow.diagnose(traj.final)
     margin = geometry.graph_speed_fields(traj.final.u.values, state.grid)[3]
     assert diag.s == s_end
     assert diag.min_margin == pytest.approx(float(np.min(margin)), rel=1e-12)
@@ -444,7 +443,7 @@ def test_step_moves_the_boundary_at_its_speed(integrator, kind):
     boundary node by dt times the boundary speed."""
     state = radial_state(amplitude=0.4, kind=kind)
     dt = 1e-4
-    new, _ = flow.step(state, dt, flow.FlowConfig(integrator=integrator))
+    new = flow.step(state, dt, flow.FlowConfig(integrator=integrator))
     expected = state.u.values[-1] + dt * state.bc.speed(3)
     assert new.s == dt
     assert new.u.values[-1] == pytest.approx(expected, abs=1e-15)
@@ -531,14 +530,8 @@ def test_isometry_commutes_with_flow_on_slices():
 # mean convexity diagnostics
 
 
-def first_step_diagnostics(state):
-    """Diagnostics of one short euler step, which describe ``state``."""
-    _, diag = flow.step(state, 1e-6, flow.FlowConfig(integrator="euler"))
-    return diag
-
-
 def test_mean_convexity_flat_and_barrier_data():
-    diag = first_step_diagnostics(radial_state(amplitude=0.0))
+    diag = flow.diagnose(radial_state(amplitude=0.0))
     assert diag.mean_convexity_violations == 0
     assert diag.min_H == pytest.approx(3.0, abs=1e-10)
 
@@ -551,7 +544,7 @@ def test_mean_convexity_violated_by_shifted_concave_bump():
         s=0.0,
         bc=flow.BoundaryCondition(flow.FROZEN),
     )
-    diag = first_step_diagnostics(state)
+    diag = flow.diagnose(state)
     assert diag.mean_convexity_violations > 0
     assert diag.min_H < 0
 

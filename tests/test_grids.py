@@ -12,6 +12,7 @@ import sympy as sp
 from dsmcf import geometry, grids, oracles
 from dsmcf.errors import (
     DegenerateResidualError,
+    NonSpacelikeError,
     OutOfDomainError,
     ResolutionTooLowError,
 )
@@ -166,6 +167,16 @@ def test_laplacian_flat_slice_frozen_values():
     geom2 = geometry.GeometryFields(cart, np.zeros(cart.shape))
     out2 = geom2.laplacian(X**2 + Y**2)
     np.testing.assert_allclose(out2, 4.0, atol=1e-11)
+
+
+def test_radial_laplacian_names_a_node_of_a_timelike_face():
+    """A zigzag profile has zero central slopes at the nodes and timelike
+    faces between them; the face margins raise with a location."""
+    grid = grids.Grid(grids.RADIAL, 3, extent=1.0, resolution=17)
+    u = 0.6 * grid.spacing * (-1.0) ** np.arange(grid.resolution)
+    with pytest.raises(NonSpacelikeError, match=r"at node \(0,\)") as info:
+        grids.laplace_beltrami_radial(np.zeros(grid.shape), u, np.ones(grid.shape), grid)
+    assert info.value.location == (0,)
 
 
 def test_radial_laplacian_matches_analytic_solution():

@@ -31,6 +31,12 @@ def small_trajectory(**overrides):
     return flow.run(small_state(), flow.FlowConfig(**settings))
 
 
+def one_state_trajectory(state=None):
+    """A trajectory holding one state, ``small_state()`` by default."""
+    state = small_state() if state is None else state
+    return flow.Trajectory(snapshots=[state], dt_history=[0.0])
+
+
 class TestConfig:
     def test_defaults_round_trip(self, tmp_path):
         cfg = config.RunConfig()
@@ -183,17 +189,6 @@ def test_any_config_builds_or_raises_a_config_error(doc):
 
 
 class TestSnapshots:
-    def test_state_round_trip(self, tmp_path):
-        state = small_state(bc=flow.PINNED)
-        path = tmp_path / "state.dsmcf"
-        snapshots.save_state(state, path)
-        back = snapshots.load_state(path)
-        assert np.array_equal(back.u.values, state.u.values)
-        assert back.s == state.s
-        assert back.bc.kind == flow.PINNED
-        assert back.u.grid.resolution == state.u.grid.resolution
-        assert back.u.grid.extent == state.u.grid.extent
-
     def test_trajectory_round_trip(self, tmp_path):
         traj = small_trajectory()
         path = tmp_path / "traj.dsmcf"
@@ -216,50 +211,59 @@ class TestSnapshots:
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "junk.dsmcf"
         path.write_bytes(b"NOTADSMC" + bytes(64))
-        with pytest.raises(CorruptFileError, match="not a dsmcf state"):
-            snapshots.load_state(path)
         with pytest.raises(CorruptFileError, match="not a dsmcf trajectory"):
             snapshots.load_trajectory(path)
 
     def test_truncated_file(self, tmp_path):
-        path = tmp_path / "state.dsmcf"
-        snapshots.save_state(small_state(), path)
+        path = tmp_path / "traj.dsmcf"
+        snapshots.save_trajectory(one_state_trajectory(), path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 40])
         with pytest.raises(CorruptFileError, match="truncated"):
-            snapshots.load_state(path)
+            snapshots.load_trajectory(path)
 
     def test_corrupted_payload(self, tmp_path):
-        path = tmp_path / "state.dsmcf"
-        snapshots.save_state(small_state(), path)
+        path = tmp_path / "traj.dsmcf"
+        snapshots.save_trajectory(one_state_trajectory(), path)
         blob = bytearray(path.read_bytes())
-        blob[-3] ^= 0xFF
+        blob[-7] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptFileError, match="checksum"):
-            snapshots.load_state(path)
+            snapshots.load_trajectory(path)
+
+    # a bit of the extent, and of a letter of the failure text (bytes 48-69)
+    @pytest.mark.parametrize("offset", [20, 60], ids=["header", "failure"])
+    def test_corrupted_header_or_failure_text(self, tmp_path, offset):
+        path = tmp_path / "traj.dsmcf"
+        snapshots.save_trajectory(small_trajectory(max_steps=5), path)
+        blob = bytearray(path.read_bytes())
+        blob[offset] ^= 0x01
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptFileError, match="checksum"):
+            snapshots.load_trajectory(path)
 
     def test_version_mismatch_names_both(self, tmp_path):
-        path = tmp_path / "state.dsmcf"
-        snapshots.save_state(small_state(), path)
+        path = tmp_path / "traj.dsmcf"
+        snapshots.save_trajectory(one_state_trajectory(), path)
         blob = bytearray(path.read_bytes())
-        blob[8:12] = (99).to_bytes(4, "little")
+        blob[8:12] = (1).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
-        with pytest.raises(VersionMismatchError, match="version 99.*version 1"):
-            snapshots.load_state(path)
+        with pytest.raises(VersionMismatchError, match="version 1, .*version 2"):
+            snapshots.load_trajectory(path)
 
-    @pytest.mark.parametrize("make", [small_state, small_trajectory])
+    @pytest.mark.parametrize("make", [one_state_trajectory, small_trajectory])
     def test_unwritable_path_raises_io_error(self, tmp_path, make):
         blocker = tmp_path / "file"
         blocker.write_text("x")
         with pytest.raises(IoError, match="cannot write"):
-            save = snapshots.save_trajectory if make is small_trajectory else snapshots.save_state
-            save(make(), blocker / "snap.dsmcf")
+            snapshots.save_trajectory(make(), blocker / "snap.dsmcf")
 
 
 @pytest.fixture(scope="module")
 def snapshot_files(tmp_path_factory):
-    """Bytes of a radial state, a 2-d Cartesian state whose boundary heights
-    vary, and a radial trajectory that records a failure; and a scratch path."""
+    """Bytes of one-state trajectories of a radial state and of a 2-d
+    Cartesian state whose boundary heights vary, and of a radial trajectory
+    that records a failure; and a scratch path."""
     root = tmp_path_factory.mktemp("snapshots")
     grid = grids.Grid(grids.CARTESIAN, 2, extent=1.0, resolution=5)
     bump = flow.GraphState(
@@ -271,17 +275,20 @@ def snapshot_files(tmp_path_factory):
         small_state(resolution=9),
         flow.FlowConfig(cfl_safety=0.5, s_end=0.05, snapshot_stride=2, max_steps=5),
     )
-    objects = {"state": small_state(resolution=9), "cartesian": bump, "trajectory": stopped}
+    objects = {
+        "state": one_state_trajectory(small_state(resolution=9)),
+        "cartesian": one_state_trajectory(bump),
+        "trajectory": stopped,
+    }
     blobs = {}
-    for kind, obj in objects.items():
-        save = snapshots.save_trajectory if kind == "trajectory" else snapshots.save_state
-        save(obj, root / kind)
+    for kind, traj in objects.items():
+        snapshots.save_trajectory(traj, root / kind)
         blobs[kind] = (root / kind).read_bytes()
     return blobs, root / "corrupted.dsmcf"
 
 
-# Header offsets: dimension 13, bc kind 14, resolution 16, extent 20-27; a
-# state's s 28-35; a trajectory's failure text from 52.
+# Header offsets: dimension 13, bc kind 14, resolution 16, extent 20-27; the
+# failure text from 48, so a one-state trajectory's s at 48-55.
 @settings(max_examples=400, deadline=None, database=None)
 @given(
     kind=st.sampled_from(["state", "cartesian", "trajectory"]),
@@ -290,26 +297,25 @@ def snapshot_files(tmp_path_factory):
 )
 @example(kind="state", edits=[(13, 0)], cut=None)
 @example(kind="state", edits=[(16, 3)], cut=None)
-@example(kind="state", edits=[(34, 0xF8), (35, 0x7F)], cut=None)
+@example(kind="state", edits=[(54, 0xF8), (55, 0x7F)], cut=None)
 @example(kind="cartesian", edits=[(14, 1)], cut=None)
 @example(kind="trajectory", edits=[(26, 0xF8), (27, 0x7F)], cut=None)
 @example(kind="trajectory", edits=[(16, 8)], cut=None)
-@example(kind="trajectory", edits=[(52, 0xFF)], cut=None)
+@example(kind="trajectory", edits=[(48, 0xFF)], cut=None)
 def test_corrupted_snapshot_loads_or_raises_a_file_error(snapshot_files, kind, edits, cut):
-    """Overwritten bytes and truncations either load as a state with a
-    finite flow time or raise CorruptFileError or VersionMismatchError."""
+    """Overwritten bytes and truncations either load as a trajectory whose
+    states have finite flow times or raise CorruptFileError or
+    VersionMismatchError."""
     blobs, path = snapshot_files
     blob = bytearray(blobs[kind])
     for pos, value in edits:
         blob[pos % len(blob)] = value
     path.write_bytes(bytes(blob[:cut]))
-    load = snapshots.load_trajectory if kind == "trajectory" else snapshots.load_state
     try:
-        loaded = load(path)
+        loaded = snapshots.load_trajectory(path)
     except (CorruptFileError, VersionMismatchError):
         return
-    states = loaded.snapshots if kind == "trajectory" else [loaded]
-    assert all(np.isfinite(state.s) for state in states)
+    assert all(np.isfinite(state.s) for state in loaded.snapshots)
 
 
 class TestReporting:
@@ -615,6 +621,32 @@ class TestCli:
         assert cli.main(["barrier", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         header = (out / "barrier.csv").read_text().splitlines()[0]
         assert header == "s,w0,bound_3s"
+
+    def test_barrier_health_rows_diagnose_each_snapshot(self, tmp_path, monkeypatch):
+        cfg = self.write_config(
+            tmp_path,
+            {
+                "grid": {"resolution": 33, "extent": 4.0},
+                "bc": "pinned",
+                "flow": {"integrator": "euler", "cfl_safety": 0.5, "s_end": 0.2},
+                "experiment": {"disk_radius": 4.0},
+            },
+        )
+        runs = []
+        run = flow.run
+        monkeypatch.setattr(flow, "run", lambda *args: runs.append(run(*args)) or runs[-1])
+        out = tmp_path / "out"
+        assert cli.main(["barrier", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        header, *rows = (out / "barrier_health.csv").read_text().splitlines()
+        assert tuple(header.split(",")) == experiments.HEALTH_COLUMNS
+        (traj,) = runs
+        assert len(rows) == len(traj.snapshots) > 2
+        rho = traj.final.grid.axis()
+        for row, state in zip(rows, traj.snapshots):
+            d = flow.diagnose(state)
+            expected = [d.s, d.min_margin, rho[d.min_margin_at], d.max_v, d.min_H, d.max_H]
+            assert [float(x) for x in row.split(",")[:-1]] == expected
+            assert int(row.split(",")[-1]) == d.mean_convexity_violations
 
     def test_barrier_report_describes_the_pinned_run(self, tmp_path):
         # no bc key: the config says slicing, but the barrier disk is pinned

@@ -91,15 +91,14 @@ def test_material_rate_reproduces_flow_law_on_slices():
     curvature and the tilt stays pinned at 1, so the advected rate must
     return 3 and 0 without any discretization error."""
     win = window(radial_state(65, amplitude=0.0), dt=1e-3)
-    rate_u, _ = oracles.material_rate(win, lambda g: g.u)
+    (rate_u, rate_v2), _ = oracles.material_rate(win, lambda g: g.u, lambda g: g.v2)
     assert np.max(np.abs(rate_u - 3.0)) < 1e-11
-    rate_v2, _ = oracles.material_rate(win, lambda g: g.v2)
     assert np.max(np.abs(rate_v2)) < 1e-11
 
 
 def test_material_rate_drift_vanishes_without_slope():
     win = window(radial_state(33, amplitude=0.0, height=0.7))
-    rate, mid = oracles.material_rate(win, lambda g: g.v2)
+    (rate,), mid = oracles.material_rate(win, lambda g: g.v2)
     assert np.max(np.abs(mid.du)) == 0.0
     assert np.max(np.abs(rate)) < 1e-11
 
@@ -383,6 +382,22 @@ def test_curvature_evolution_bump_refinement():
     assert ORDER_LO < ident.order < ORDER_HI
     assert traceless.passed and traceless.violations == 0
     assert traceless.worst_slack > 0.0
+
+
+def test_curvature_evolution_builds_each_snapshot_geometry_once(monkeypatch):
+    """The identity and the traceless bound read their rates from one pass
+    over each window: three geometries per window."""
+    coarse, fine = bump_window_pair()
+    built = []
+
+    class Counted(geometry.GeometryFields):
+        def __init__(self, grid, u_values):
+            built.append(grid.resolution)
+            super().__init__(grid, u_values)
+
+    monkeypatch.setattr(geometry, "GeometryFields", Counted)
+    oracles.check_curvature_evolution(coarse, fine_window=fine)
+    assert sorted(built) == [33] * 3 + [65] * 3
 
 
 def test_curvature_evolution_mode_guards():

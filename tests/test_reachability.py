@@ -29,9 +29,8 @@ ROOTS = [("cli", "main"), ("snapshots", "load_trajectory")]
 
 #: Reached from tests only, and kept on purpose.  The pointwise geometry is
 #: the independent route the batched ``JetFields`` is tested against, the
-#: isometries test the flow's equivariance, ``comparison_run`` is acceptance
-#: criterion 9, and the state-file kind waits on the next snapshot format.
-#: Whatever these reach is allowed with them.
+#: isometries test the flow's equivariance, and ``comparison_run`` is
+#: acceptance criterion 9.  Whatever these reach is allowed with them.
 REFERENCE = [
     ("geometry", "GraphSample"),
     ("geometry", "SurfaceGeometry"),
@@ -43,8 +42,6 @@ REFERENCE = [
     ("geometry", "isometry_shift_point"),
     ("flow", "isometry_shift_state"),
     ("experiments", "comparison_run"),
-    ("snapshots", "save_state"),
-    ("snapshots", "load_state"),
 ]
 
 
