@@ -240,6 +240,10 @@ def _validate(config: RunConfig) -> RunConfig:
     ):
         if not value > 0:
             raise ValidationError(f"{label} must be positive, got {value}")
+    if config.checks.jet_count > MAX_NODES:
+        raise ValidationError(
+            f"checks.jet_count must be at most {MAX_NODES}, got {config.checks.jet_count}"
+        )
     try:
         grid = config.grid.build()
         fine = config.grid.refined().build()

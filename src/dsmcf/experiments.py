@@ -303,8 +303,11 @@ def rescale_trajectory(
         )
 
     profiles = _snapshot_profiles(traj)
+    # v only on the snapshots ``_profile_at`` reads for the window's times
+    first, last = np.clip(np.searchsorted(s, [lam - half - pad, lam + half + pad]), 1, len(s) - 1)
+    near = slice(first - 1, last + 1)
     tilts = np.stack(
-        [geometry.GeometryFields(grid, st.u.values).v for st in traj.snapshots]
+        [geometry.GeometryFields(grid, st.u.values).v for st in traj.snapshots[near]]
     )
     origin = np.zeros(grid.dimension)
     offset = float(
@@ -329,7 +332,7 @@ def rescale_trajectory(
     v_out = np.empty_like(u_out)
     for j, tau in enumerate(times):
         u_prof = grids.Field(grid, _profile_at(s, profiles, tau))
-        v_prof = grids.Field(grid, _profile_at(s, tilts, tau))
+        v_prof = grids.Field(grid, _profile_at(s[near], tilts, tau))
         u_out[j] = np.asarray(grids.interpolate(u_prof, pulled)) - offset
         v_out[j] = np.asarray(grids.interpolate(v_prof, pulled))
     shifted = times - lam

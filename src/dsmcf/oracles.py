@@ -12,14 +12,13 @@ evaluated on the middle snapshot of a uniformly spaced window.  On a flat
 slicing du = 0 and the two notions coincide.
 
 The inequality checks use a grid tolerance of ``10 h^2 * scale`` with the
-scale taken from the dominant term, unless the caller passes an explicit
-tolerance.  Residual checks report the observed refinement order whenever
-a matching refined input is supplied.
+scale taken from the dominant term.  Residual checks report the observed
+refinement order whenever a matching refined input is supplied.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -32,6 +31,9 @@ from .errors import (
 
 ORDER_WINDOW = (1.7, 2.3)
 GRID_TOL_FACTOR = 10.0
+#: Tolerance of the restriction identities on a grid state
+#: (``check_restriction_gradients``), which are algebraic in the jet.
+RESTRICTION_TOL = 1e-10
 #: Tolerances of the random-jet spot checks (``check_random_jets``).
 JET_RESTRICTION_TOL = 1e-10
 JET_IDENTITY_TOL = 1e-6
@@ -86,16 +88,9 @@ def snapshot_geometry(state: flow.GraphState) -> geometry.GeometryFields:
     return geometry.GeometryFields(state.grid, state.u.values)
 
 
-def _pass_flag(linf, tolerance, order):
-    if tolerance is not None:
-        return bool(linf <= tolerance)
-    if order is not None:
-        return bool(ORDER_WINDOW[0] <= order <= ORDER_WINDOW[1])
-    return None
-
-
-def _residual_report(name, residuals, mask, tolerance=None, order=None) -> ResidualReport:
-    """Aggregate one or more residual arrays over a node mask."""
+def _residual_report(name, residuals, mask, tolerance=None) -> ResidualReport:
+    """Aggregate one or more residual arrays over a node mask; with a
+    ``tolerance`` the report passes when its max |residual| is within it."""
     parts = [np.abs(np.asarray(r)[..., mask]).reshape(-1) for r in residuals]
     flat = np.concatenate(parts)
     linf = float(np.max(flat))
@@ -106,22 +101,22 @@ def _residual_report(name, residuals, mask, tolerance=None, order=None) -> Resid
         l2=l2,
         count=int(flat.size),
         tolerance=tolerance,
-        order=order,
-        passed=_pass_flag(linf, tolerance, order),
+        passed=None if tolerance is None else bool(linf <= tolerance),
     )
 
 
-def _route_reports(names, coarse, fine_input, parts_of, tolerance) -> list[ResidualReport]:
+def _route_reports(names, coarse, fine_input, parts_of) -> list[ResidualReport]:
     """One residual report per route, each with its observed refinement order.
 
     ``parts_of(input)`` maps a state or window to (geometry, mask, routes),
     ``routes`` holding one list of residual arrays per name; ``coarse`` is
     its value on the checked input.  With ``fine_input`` (the same problem
     at half the spacing) each report carries the order log2(e_h / e_{h/2})
-    of its route, or None where either error is at rounding level.
+    of its route, or None where either error is at rounding level, and
+    passes when that order lies in ``ORDER_WINDOW``.
     """
     geom, mask, routes = coarse
-    orders = [None] * len(routes)
+    reports = [_residual_report(name, r, mask) for name, r in zip(names, routes)]
     if fine_input is not None:
         grid, fine = geom.grid, fine_input.grid
         if fine.mode != grid.mode or fine.dimension != grid.dimension:
@@ -131,18 +126,15 @@ def _route_reports(names, coarse, fine_input, parts_of, tolerance) -> list[Resid
                 f"refined spacing {fine.spacing:.6g} is not half of {grid.spacing:.6g}"
             )
         _, f_mask, f_routes = parts_of(fine_input)
-        for k, (c, f) in enumerate(zip(routes, f_routes)):
+        for k, f in enumerate(f_routes):
+            f_linf = float(np.max([np.max(np.abs(np.asarray(r)[..., f_mask])) for r in f]))
             try:
-                orders[k] = grids.refinement_order(
-                    _residual_report("c", c, mask).linf,
-                    _residual_report("f", f, f_mask).linf,
-                )
+                order = grids.refinement_order(reports[k].linf, f_linf)
             except DegenerateResidualError:
-                pass
-    return [
-        _residual_report(name, r, mask, tolerance=tolerance, order=order)
-        for name, r, order in zip(names, routes, orders)
-    ]
+                continue
+            passed = bool(ORDER_WINDOW[0] <= order <= ORDER_WINDOW[1])
+            reports[k] = replace(reports[k], order=order, passed=passed)
+    return reports
 
 
 def material_rate(
@@ -203,15 +195,9 @@ def curvature_evolution_guard(grid: grids.Grid) -> None:
     _require_three_dimensions(grid, "curvature evolution coefficients assume dimension 3")
 
 
-def grid_tolerance(h: float, *term_arrays, mask=None, tolerance=None):
-    """(tolerance, scale) of a discretized check.
-
-    An explicit ``tolerance`` is returned as given, with scale None.
-    Otherwise the tolerance is 10 h^2 times the scale, the dominant masked
-    magnitude of the term arrays (at least 1).
-    """
-    if tolerance is not None:
-        return tolerance, None
+def grid_tolerance(h: float, *term_arrays, mask=None):
+    """(tolerance, scale) of a discretized check: 10 h^2 times the scale,
+    the dominant masked magnitude of the term arrays (at least 1)."""
     scale = 1.0
     for arr in term_arrays:
         a = np.abs(np.asarray(arr))
@@ -267,14 +253,12 @@ def restriction_gradient_residuals(fields: geometry.JetFields) -> dict:
     return {"height": height, "coordinate": coord, "mixed": mixed}
 
 
-def check_restriction_gradients(
-    state: flow.GraphState, tolerance: float = 1e-10
-) -> ResidualReport:
+def check_restriction_gradients(state: flow.GraphState) -> ResidualReport:
     fields = snapshot_geometry(state)
     res = restriction_gradient_residuals(fields)
     mask = np.ones(state.grid.shape, dtype=bool)
     return _residual_report(
-        "restriction-gradients", list(res.values()), mask, tolerance=tolerance
+        "restriction-gradients", list(res.values()), mask, tolerance=RESTRICTION_TOL
     )
 
 
@@ -308,7 +292,6 @@ def _coordinate_laplacian_parts(state: flow.GraphState):
 def check_coordinate_laplacians(
     state: flow.GraphState,
     fine_state: flow.GraphState | None = None,
-    tolerance: float | None = None,
 ) -> list[ResidualReport]:
     """Discrete surface Laplacian of the coordinate restrictions vs closed
     forms, assembled both directly and through the ambient wave operator.
@@ -323,7 +306,6 @@ def check_coordinate_laplacians(
         _coordinate_laplacian_parts(state),
         fine_state,
         _coordinate_laplacian_parts,
-        tolerance,
     )
 
 
@@ -365,7 +347,6 @@ def _tilt_gradient_parts(state: flow.GraphState):
 def check_tilt_gradient(
     state: flow.GraphState,
     fine_state: flow.GraphState | None = None,
-    tolerance: float | None = None,
 ) -> ResidualReport:
     """Finite-difference gradient of v against its closed form."""
     (report,) = _route_reports(
@@ -373,7 +354,6 @@ def check_tilt_gradient(
         _tilt_gradient_parts(state),
         fine_state,
         _tilt_gradient_parts,
-        tolerance,
     )
     return report
 
@@ -403,7 +383,6 @@ def _tilt_evolution_parts(window: flow.TrajectoryWindow):
 def check_tilt_evolution(
     window: flow.TrajectoryWindow,
     fine_window: flow.TrajectoryWindow | None = None,
-    tolerance: float | None = None,
 ) -> ResidualReport:
     """Measured (d/ds - Lap) v^2 against its closed-form evolution.
 
@@ -417,17 +396,11 @@ def check_tilt_evolution(
         mid, mask, lhs, rhs, _ = _tilt_evolution_parts(win)
         return mid, mask, [[lhs - rhs]]
 
-    (report,) = _route_reports(
-        ["tilt-evolution"], parts(window), fine_window, parts, tolerance
-    )
+    (report,) = _route_reports(["tilt-evolution"], parts(window), fine_window, parts)
     return report
 
 
-def check_tilt_bounds(
-    window: flow.TrajectoryWindow,
-    delta: float,
-    tolerance: float | None = None,
-) -> list[InequalityReport]:
+def check_tilt_bounds(window: flow.TrajectoryWindow, delta: float) -> list[InequalityReport]:
     """One-sided bounds on the measured v^2 evolution, plus the pointwise
     pinching bound |A|^2 >= (4/3) lambda_1^2 - H^2.
 
@@ -449,7 +422,7 @@ def check_tilt_bounds(
         + 2.0 * mid.H**2 * mid.v2
         + 4.0 * mid.H * mid.v
     )
-    tol_a, scale_a = grid_tolerance(h, dissipation, lhs, mask=mask, tolerance=tolerance)
+    tol_a, scale_a = grid_tolerance(h, dissipation, lhs, mask=mask)
     reports = [
         _inequality_report(
             "tilt-dissipation-bound", dissipation - lhs, mask, tol_a, scale_a, common
@@ -457,14 +430,12 @@ def check_tilt_bounds(
     ]
 
     decay = -4.0 * grad_v_sq - 2.0 * (mid.v2 - 1.0)
-    tol_b, scale_b = grid_tolerance(h, decay, lhs, mask=mask, tolerance=tolerance)
+    tol_b, scale_b = grid_tolerance(h, decay, lhs, mask=mask)
     reports.append(
         _inequality_report("tilt-decay-bound", decay - lhs, mask, tol_b, scale_b, common)
     )
 
     pinching, tol_c = _pinching_slack(mid, mask)
-    if tolerance is not None:
-        tol_c = tolerance
     reports.append(
         _inequality_report("pinching-bound", pinching, mask, tol_c, None, common)
     )
@@ -540,9 +511,7 @@ def _weight_fields(geom: geometry.GeometryFields, spec: geometry.CutoffSpec):
 
 
 def check_weight_evolution(
-    window: flow.TrajectoryWindow,
-    spec: geometry.CutoffSpec,
-    tolerance: float | None = None,
+    window: flow.TrajectoryWindow, spec: geometry.CutoffSpec
 ) -> InequalityReport:
     """Measured (d/ds - Lap) of the weight e^{alpha t} |x|^2 against its
     guaranteed lower bound (-alpha^2 r - epsilon) v^2.
@@ -559,7 +528,7 @@ def check_weight_evolution(
     )
     mask = _rate_mask(mid.grid)
     h = mid.grid.spacing
-    tol, scale = grid_tolerance(h, evol_lower, lhs, mask=mask, tolerance=tolerance)
+    tol, scale = grid_tolerance(h, evol_lower, lhs, mask=mask)
     params = {
         "alpha": spec.alpha,
         "epsilon": spec.epsilon,
@@ -573,9 +542,7 @@ def check_weight_evolution(
 
 
 def check_weight_gradient(
-    state: flow.GraphState,
-    spec: geometry.CutoffSpec,
-    tolerance: float | None = None,
+    state: flow.GraphState, spec: geometry.CutoffSpec
 ) -> InequalityReport:
     """Two-sided bound on |grad r|^2 for the localization weight."""
     geom = snapshot_geometry(state)
@@ -588,7 +555,7 @@ def check_weight_gradient(
     slack = np.minimum(grad_sq - lower, upper - grad_sq)
     mask = geom.grid.interior_mask()
     h = geom.grid.spacing
-    tol, scale = grid_tolerance(h, lower, upper, grad_sq, mask=mask, tolerance=tolerance)
+    tol, scale = grid_tolerance(h, lower, upper, grad_sq, mask=mask)
     params = {
         "alpha": spec.alpha,
         "epsilon": spec.epsilon,
@@ -644,7 +611,6 @@ def _curvature_gradient_sq(geom: geometry.GeometryFields) -> np.ndarray:
 def check_curvature_evolution(
     window: flow.TrajectoryWindow,
     fine_window: flow.TrajectoryWindow | None = None,
-    tolerance: float | None = None,
 ) -> tuple[ResidualReport, InequalityReport]:
     """Measured evolution of |A|^2 on a radial surface, plus the one-sided
     bound on its traceless part.
@@ -697,13 +663,12 @@ def check_curvature_evolution(
         (mid, mask, routes),
         fine_window,
         lambda win: parts(win)[:3],
-        tolerance,
     )
     z = traceless_of(mid)
     lhs_z = rate_z - mid.laplacian(z)
     bound = 18.0 * z - (2.0 / 3.0) * mid.H**2 * z
     h = grid.spacing
-    tol, scale = grid_tolerance(h, bound, lhs_z, mask=mask, tolerance=tolerance)
+    tol, scale = grid_tolerance(h, bound, lhs_z, mask=mask)
     traceless = _inequality_report(
         "traceless-curvature-bound",
         bound - lhs_z,

@@ -5,7 +5,7 @@ to the uniformly climbing profile, and pairwise ordering of flows."""
 import numpy as np
 import pytest
 
-from dsmcf import experiments, flow, grids
+from dsmcf import experiments, flow, geometry, grids
 from dsmcf.errors import NonSpacelikeError, OutOfDomainError, SpanTooShortError
 
 
@@ -245,6 +245,35 @@ class TestRescale:
             )
             expected = np.interp(radii, rho, recentred.u.values)
             assert np.max(np.abs(field.u[i] - expected)) < 1e-12
+
+    # windows at the start, the middle and the end of the recorded span
+    @pytest.mark.parametrize("lam", [0.3, 0.8, 1.3])
+    def test_tilt_reads_only_the_snapshots_that_bracket_the_window(
+        self, flattening_trajectory, monkeypatch, lam
+    ):
+        traj = flattening_trajectory
+        grid = traj.final.grid
+        s_all = traj.s_values()
+        tilts = np.stack([geometry.GeometryFields(grid, st.u.values).v for st in traj.snapshots])
+        built = []
+
+        class Counted(geometry.GeometryFields):
+            def __init__(self, grid, u_values):
+                built.append(grid.resolution)
+                super().__init__(grid, u_values)
+
+        monkeypatch.setattr(geometry, "GeometryFields", Counted)
+        field = experiments.rescale_trajectory(traj, lam, 1.0)
+        half, pad = 0.3, 1e-12 * max(1.0, s_all[-1])
+        inside = s_all[(s_all >= lam - half - pad) & (s_all <= lam + half + pad)]
+        assert 0 < len(built) <= len(inside) + 2 < len(s_all)
+        # v equals its interpolation over every snapshot, bit for bit
+        times = np.unique(np.concatenate([inside, [lam - half, lam, lam + half]]))
+        assert np.array_equal(times - lam, field.s)
+        pulled = np.exp(-field.offset) * field.points
+        for tilt, tau in zip(field.tilt, times):
+            v_prof = grids.Field(grid, experiments._profile_at(s_all, tilts, tau))
+            assert np.array_equal(tilt, grids.interpolate(v_prof, pulled))
 
     def test_rejects_nonpositive_box(self, flattening_trajectory):
         with pytest.raises(ValueError):

@@ -99,6 +99,13 @@ class TestConfig:
         with pytest.raises(ValidationError, match=r"delta ∈ \[0,1/3\]"):
             config.parse_config('{"checks": {"delta": 0.4}}')
 
+    def test_jet_count_is_bounded_by_the_node_limit(self):
+        doc = {"checks": {"jet_count": config.MAX_NODES}}
+        assert config.parse_config(json.dumps(doc)).checks.jet_count == config.MAX_NODES
+        doc["checks"]["jet_count"] += 1
+        with pytest.raises(ValidationError, match=f"checks.jet_count .*{config.MAX_NODES}"):
+            config.parse_config(json.dumps(doc))
+
     def test_bad_cfl_wrapped(self):
         with pytest.raises(ValidationError, match="cfl_safety"):
             config.parse_config('{"flow": {"cfl_safety": 0.0}}')
@@ -534,6 +541,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert str(config.MAX_NODES) in err
+
+    def test_oversized_jet_sample_is_a_config_error(self, tmp_path, capsys):
+        # 10^12 random jets used to die allocating terabytes
+        cfg = self.write_config(
+            tmp_path, {"checks": {"jet_sampling": True, "jet_count": 10**12}}
+        )
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "checks.jet_count" in err
 
     def test_largest_grid_within_the_node_bound_parses(self):
         # 128^3 refines to 255^3 = 16,581,375 nodes, just under 2^24

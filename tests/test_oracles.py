@@ -130,9 +130,8 @@ def test_restriction_gradient_check_passes_on_state():
 
 def test_coordinate_laplacians_flat_slice_exact():
     state = radial_state(33, amplitude=0.0, height=0.4)
-    for rep in oracles.check_coordinate_laplacians(state, tolerance=1e-12):
-        assert rep.passed, rep.summary()
-        assert rep.linf < 1e-12
+    for rep in oracles.check_coordinate_laplacians(state):
+        assert rep.linf < 1e-12, rep.summary()
 
 
 def test_coordinate_laplacian_radial_orders():
@@ -199,10 +198,7 @@ def test_tilt_gradient_refinement_order():
 
 
 def test_tilt_evolution_exact_on_flat_slicing():
-    rep = oracles.check_tilt_evolution(
-        window(radial_state(33, amplitude=0.0), dt=1e-3), tolerance=1e-10
-    )
-    assert rep.passed
+    rep = oracles.check_tilt_evolution(window(radial_state(33, amplitude=0.0), dt=1e-3))
     assert rep.linf < 1e-12
 
 
@@ -362,15 +358,13 @@ def test_curvature_profiles_match_eigenvalue_route(dimension):
 
 def test_curvature_evolution_exact_on_slices():
     ident, traceless = oracles.check_curvature_evolution(
-        window(radial_state(33, amplitude=0.0), dt=1e-3), tolerance=1e-10
+        window(radial_state(33, amplitude=0.0), dt=1e-3)
     )
-    assert ident.passed
     assert ident.linf < 1e-12
-    assert traceless.violations == 0
+    assert traceless.worst_slack >= -1e-10
     # a raised slice only stresses the rounding, not the cancellation
     ident_up, _ = oracles.check_curvature_evolution(
-        window(radial_state(33, amplitude=0.0, height=0.3), dt=1e-3),
-        tolerance=1e-10,
+        window(radial_state(33, amplitude=0.0, height=0.3), dt=1e-3)
     )
     assert ident_up.linf < 1e-10
 

@@ -16,10 +16,14 @@ name, make the walk reach more, never less, so the guard cannot fail
 falsely.
 
 The same walk keeps the layering: ``cli`` is the one module that runs
-flows, and the experiments only read the trajectories it hands them.
+flows, and the experiments only read the trajectories it hands them.  And
+every defaulted parameter of a definition a command reaches is passed by
+some call in ``src``: a default no command overrides is a knob only tests
+turn, such as a tolerance that changes a check's verdict.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import dsmcf.errors
@@ -142,6 +146,53 @@ class Package:
         return {key for key, node in self.defs.items() if isinstance(node, kinds)}
 
 
+def passed_arguments(root: Path) -> dict:
+    """Called name -> [most positional arguments, keyword names] over every
+    call in the package, matched by name like the walk: ``f(...)`` and
+    ``x.f(...)`` both count for ``f``.  ``*args`` passes every position and
+    ``**kwargs`` (keyword None) every keyword; a name used as a value may be
+    called under another name, so it counts as passing everything."""
+    passed = {}
+
+    def add(name, positional, keywords):
+        entry = passed.setdefault(name, [0, set()])
+        entry[0] = max(entry[0], positional)
+        entry[1] |= keywords
+
+    for path in sorted(root.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        callees = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+        for node in nodes:
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                positional = math.inf if starred else len(node.args)
+                add(name, positional, {kw.arg for kw in node.keywords})
+            elif isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in callees:
+                add(node.id if isinstance(node, ast.Name) else node.attr, math.inf, {None})
+    return passed
+
+
+def defaulted_parameters(key, node: ast.FunctionDef):
+    """(call name, [(position in a call or None, parameter)]) of a function;
+    a method's position skips its receiver, and ``__init__`` is called by
+    its class name."""
+    owner, _, name = key[1].rpartition(".")
+    static = any(ast.unparse(d) == "staticmethod" for d in node.decorator_list)
+    receiver = 1 if owner and not static else 0
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    params = [(i - receiver, arg.arg) for i, arg in enumerate(positional) if i >= first]
+    params += [
+        (None, arg.arg)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+        if default is not None
+    ]
+    return (owner if name == "__init__" else name), params
+
+
 def test_src_holds_no_code_that_only_tests_use():
     package = Package(SRC)
     from_commands = package.reached(ROOTS)
@@ -159,6 +210,33 @@ def test_reference_list_is_current():
     assert not missing, f"{missing} no longer exist"
     reached = sorted(set(REFERENCE) & package.reached(ROOTS))
     assert not reached, f"commands now reach {reached}; drop them from REFERENCE"
+
+
+def test_src_passes_every_parameter_it_declares():
+    """``cli.main(argv)`` is the entry point tests and the shell call, and
+    what only ``REFERENCE`` reaches is not walked from the commands."""
+    package = Package(SRC)
+    passed = passed_arguments(SRC)
+    knobs = []
+    for key in sorted(package.reached(ROOTS) - {("cli", "main")}):
+        node = package.defs[key]
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        name, params = defaulted_parameters(key, node)
+        positional, keywords = passed.get(name, (0, set()))
+        knobs += [
+            f"{'.'.join(key)}({param})"
+            for index, param in params
+            if not (
+                (index is not None and positional > index)
+                or param in keywords
+                or None in keywords
+            )
+        ]
+    assert not knobs, (
+        f"no call in src passes {knobs}; make each a constant of its function, "
+        "or delete it"
+    )
 
 
 def test_only_cli_runs_flows():
