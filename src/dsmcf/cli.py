@@ -96,11 +96,17 @@ class _Inputs:
 #: Each boolean ``CheckSpec`` field and its oracle call, in report order.
 _CHECKS = {
     "restriction_gradients": lambda i: oracles.check_restriction_gradients(i.state),
-    "coordinate_laplacians": lambda i: oracles.check_coordinate_laplacians(i.state, i.fine),
-    "tilt_gradient": lambda i: oracles.check_tilt_gradient(i.state, i.fine),
-    "tilt_evolution": lambda i: oracles.check_tilt_evolution(i.window, i.fine_window),
+    "coordinate_laplacians": lambda i: oracles.refined(
+        oracles.check_coordinate_laplacians, i.state, i.fine
+    ),
+    "tilt_gradient": lambda i: oracles.refined(oracles.check_tilt_gradient, i.state, i.fine),
+    "tilt_evolution": lambda i: oracles.refined(
+        oracles.check_tilt_evolution, i.window, i.fine_window
+    ),
     "tilt_bounds": lambda i: oracles.check_tilt_bounds(i.window, i.config.checks.delta),
-    "curvature_evolution": lambda i: oracles.check_curvature_evolution(i.window, i.fine_window),
+    "curvature_evolution": lambda i: oracles.refined(
+        oracles.check_curvature_evolution, i.window, i.fine_window
+    ),
     "weight_evolution": lambda i: oracles.check_weight_evolution(
         i.window, i.config.checks.cutoff()
     ),
@@ -111,7 +117,7 @@ _CHECKS = {
 #: The checks that apply only on some grids, each with its grid guard.
 _GUARDS = {
     "tilt_evolution": oracles.tilt_evolution_guard,
-    "tilt_bounds": oracles.tilt_bounds_guard,
+    "tilt_bounds": oracles.tilt_evolution_guard,
     "curvature_evolution": oracles.curvature_evolution_guard,
 }
 
@@ -131,7 +137,7 @@ def _run_checks(config: RunConfig, names) -> reporting.Report:
         except ModeUnsupportedError as exc:
             report.notes.append(f"{name} skipped: {exc}")
             continue
-        for entry in outcome if isinstance(outcome, (list, tuple)) else [outcome]:
+        for entry in oracles.report_list(outcome):
             report.add_check(entry)
     return report
 

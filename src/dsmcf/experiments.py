@@ -73,12 +73,6 @@ class BarrierResult(_Result):
     translation_slack: np.ndarray
     passed: bool
 
-    def __post_init__(self):
-        if not (len(self.s) == len(self.center_height) == len(self.upper_bound)):
-            raise ValueError("series lengths must match")
-        if len(self.translation_s) != len(self.translation_slack):
-            raise ValueError("translation series lengths must match")
-
 
 def _translation_series(s, profiles, grid: grids.Grid):
     """Shift constant c and the slack of w(x, 1+s) >= w(e^c x, s) + c.
@@ -188,10 +182,6 @@ class FlatnessResult(_Result):
     reached: bool
     eventually_decreasing: bool
     passed: bool
-
-    def __post_init__(self):
-        if not (len(self.s) == len(self.tilt_excess) == len(self.height_spread)):
-            raise ValueError("series lengths must match")
 
 
 def flatness_run(traj: flow.Trajectory, theta: float) -> FlatnessResult:
@@ -360,12 +350,6 @@ class RescaleTable(_Result):
     rho: float
     decreasing: bool
     passed: bool
-
-    def __post_init__(self):
-        if not (len(self.lambdas) == len(self.height_error) == len(self.tilt_error)):
-            raise ValueError("table columns must have one entry per lambda")
-        if np.any(np.diff(self.lambdas) <= 0.0):
-            raise ValueError("lambda values must be strictly increasing")
 
 
 def convergence_table(

@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import geometry, grids
 from .errors import (
@@ -367,6 +366,8 @@ def _backward_euler(grid, u_old, fields, jac, s_new, dt, bc):
     falls below NEWTON_TOL (1 + max|u_old|); a residual that small makes u
     the exact step from heights that differ from u_old by no more than that.
     """
+    import scipy.linalg  # imported here: slow to import, and only implicit steps need it
+
     tol = NEWTON_TOL * (1.0 + float(np.max(np.abs(u_old))))
     u = u_old
     residual = u - u_old - dt * fields[0]

@@ -347,8 +347,8 @@ class JetFields:
 
     Index convention: tensor axes lead, so du is (n, ...) and d2u is
     (n, n, ...) over an arbitrary batch shape.  Everything heavier than the
-    core scalars (v, H, margin) is a cached property, so cheap consumers
-    stay cheap.  ``speed`` is H / v, the vertical speed of the graph flow.
+    core scalars (e^{-2u}, v^2, v, H) is a cached property, so cheap
+    consumers stay cheap.
 
     gamma = e^{2u} I - du du^T is a rank-one update of a multiple of the
     identity, so every contraction the checks take has a closed form in
@@ -373,7 +373,7 @@ class JetFields:
         self.dimension = self.du.shape[0]
         self.e2u = np.exp(2.0 * self.u)
         self.grad_sq = np.einsum("i...,i...->...", self.du, self.du)
-        (self.em2u, self.margin, self.v2, self.v, self.speed, self.H) = _speed_core(
+        (self.em2u, _, self.v2, self.v, _, self.H) = _speed_core(
             self.u,
             self.grad_sq,
             np.einsum("ii...->...", self.d2u),

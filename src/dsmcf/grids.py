@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import (
     DegenerateResidualError,
@@ -456,6 +455,8 @@ def interpolate(f: Field, points: np.ndarray) -> np.ndarray:
             raise OutOfDomainError(
                 f"coordinate {worst:.6g} outside box of half-width {grid.extent:.6g}"
             )
+        from scipy.interpolate import RegularGridInterpolator  # imported here: slow to import
+
         interp = RegularGridInterpolator(
             tuple([grid.axis()] * grid.dimension),
             f.values,

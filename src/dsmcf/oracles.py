@@ -12,8 +12,11 @@ evaluated on the middle snapshot of a uniformly spaced window.  On a flat
 slicing du = 0 and the two notions coincide.
 
 The inequality checks use a grid tolerance of ``10 h^2 * scale`` with the
-scale taken from the dominant term.  Residual checks report the observed
-refinement order whenever a matching refined input is supplied.
+scale taken from the dominant term.  Each check measures one input.  The
+observed order of a residual check is measured by ``refined(check, coarse,
+fine)``: it runs the check on both inputs of a grid-halving pair (same mode
+and dimension, half the spacing) and gives each coarse residual report the
+order log2(e_h / e_{h/2}) of its name, which passes inside ``ORDER_WINDOW``.
 """
 
 from __future__ import annotations
@@ -105,36 +108,41 @@ def _residual_report(name, residuals, mask, tolerance=None) -> ResidualReport:
     )
 
 
-def _route_reports(names, coarse, fine_input, parts_of) -> list[ResidualReport]:
-    """One residual report per route, each with its observed refinement order.
+def refined(check, coarse, fine) -> list:
+    """Run ``check`` on ``coarse`` and on ``fine`` (the same problem at half
+    the spacing) and return the coarse reports, each residual report with
+    the observed order log2(e_h / e_{h/2}) of its name.
 
-    ``parts_of(input)`` maps a state or window to (geometry, mask, routes),
-    ``routes`` holding one list of residual arrays per name; ``coarse`` is
-    its value on the checked input.  With ``fine_input`` (the same problem
-    at half the spacing) each report carries the order log2(e_h / e_{h/2})
-    of its route, or None where either error is at rounding level, and
-    passes when that order lies in ``ORDER_WINDOW``.
+    A report passes when its order lies in ``ORDER_WINDOW``; where either
+    error is at rounding level the order stays None.  Bound reports are
+    the coarse ones, unchanged.
     """
-    geom, mask, routes = coarse
-    reports = [_residual_report(name, r, mask) for name, r in zip(names, routes)]
-    if fine_input is not None:
-        grid, fine = geom.grid, fine_input.grid
-        if fine.mode != grid.mode or fine.dimension != grid.dimension:
-            raise ValueError("refined input must share mode and dimension")
-        if abs(fine.spacing * 2.0 - grid.spacing) > 1e-9 * grid.spacing:
-            raise ValueError(
-                f"refined spacing {fine.spacing:.6g} is not half of {grid.spacing:.6g}"
-            )
-        _, f_mask, f_routes = parts_of(fine_input)
-        for k, f in enumerate(f_routes):
-            f_linf = float(np.max([np.max(np.abs(np.asarray(r)[..., f_mask])) for r in f]))
-            try:
-                order = grids.refinement_order(reports[k].linf, f_linf)
-            except DegenerateResidualError:
-                continue
-            passed = bool(ORDER_WINDOW[0] <= order <= ORDER_WINDOW[1])
-            reports[k] = replace(reports[k], order=order, passed=passed)
+    grid, fine_grid = coarse.grid, fine.grid
+    if fine_grid.mode != grid.mode or fine_grid.dimension != grid.dimension:
+        raise ValueError("refined input must share mode and dimension")
+    if abs(fine_grid.spacing * 2.0 - grid.spacing) > 1e-9 * grid.spacing:
+        raise ValueError(
+            f"refined spacing {fine_grid.spacing:.6g} is not half of {grid.spacing:.6g}"
+        )
+    reports = report_list(check(coarse))
+    fine_linf = {
+        r.name: r.linf for r in report_list(check(fine)) if isinstance(r, ResidualReport)
+    }
+    for k, report in enumerate(reports):
+        if not isinstance(report, ResidualReport):
+            continue
+        try:
+            order = grids.refinement_order(report.linf, fine_linf[report.name])
+        except DegenerateResidualError:
+            continue
+        passed = bool(ORDER_WINDOW[0] <= order <= ORDER_WINDOW[1])
+        reports[k] = replace(report, order=order, passed=passed)
     return reports
+
+
+def report_list(outcome) -> list:
+    """A check's outcome, one report or a tuple or list of them, as a list."""
+    return list(outcome) if isinstance(outcome, (list, tuple)) else [outcome]
 
 
 def material_rate(
@@ -179,13 +187,9 @@ def _require_three_dimensions(grid: grids.Grid, reason: str) -> None:
 
 
 def tilt_evolution_guard(grid: grids.Grid) -> None:
-    """Raise ModeUnsupportedError on grids ``check_tilt_evolution`` skips."""
-    _require_three_dimensions(grid, "tilt evolution coefficients assume dimension 3")
-
-
-def tilt_bounds_guard(grid: grids.Grid) -> None:
-    """Raise ModeUnsupportedError on grids ``check_tilt_bounds`` skips."""
-    _require_three_dimensions(grid, "tilt bounds rest on the dimension 3 v^2 evolution")
+    """Raise ModeUnsupportedError on grids ``check_tilt_evolution`` and
+    ``check_tilt_bounds`` skip: both read the v^2 evolution identity."""
+    _require_three_dimensions(grid, "the v^2 evolution coefficients assume dimension 3")
 
 
 def curvature_evolution_guard(grid: grids.Grid) -> None:
@@ -266,8 +270,14 @@ def check_restriction_gradients(state: flow.GraphState) -> ResidualReport:
 # coordinate Laplacians, both assembly routes
 
 
-def _coordinate_laplacian_parts(state: flow.GraphState):
-    """(geometry, mask, [closed-form residuals, wave-route residuals])."""
+def check_coordinate_laplacians(state: flow.GraphState) -> list[ResidualReport]:
+    """Discrete surface Laplacian of the coordinate restrictions vs closed
+    forms, assembled both directly and through the ambient wave operator:
+    one report per route.
+
+    Radial grids can only represent rotationally symmetric fields, so they
+    check the height coordinate; Cartesian grids check all of them.
+    """
     geom = snapshot_geometry(state)
     grid = geom.grid
     n = grid.dimension
@@ -286,27 +296,11 @@ def _coordinate_laplacian_parts(state: flow.GraphState):
             lap_x = geom.laplacian(meshes[i])
             closed.append(lap_x - closed_x[i])
             wave.append(lap_x - wave_x[i])
-    return geom, grids.laplacian_mask(grid), [closed, wave]
-
-
-def check_coordinate_laplacians(
-    state: flow.GraphState,
-    fine_state: flow.GraphState | None = None,
-) -> list[ResidualReport]:
-    """Discrete surface Laplacian of the coordinate restrictions vs closed
-    forms, assembled both directly and through the ambient wave operator.
-
-    Radial grids can only represent rotationally symmetric fields, so they
-    check the height coordinate; Cartesian grids check all of them.  With
-    ``fine_state`` (same surface at half the spacing) the observed
-    refinement order is reported per route.
-    """
-    return _route_reports(
-        ["coordinate-laplacians", "coordinate-laplacians-wave-route"],
-        _coordinate_laplacian_parts(state),
-        fine_state,
-        _coordinate_laplacian_parts,
-    )
+    mask = grids.laplacian_mask(grid)
+    return [
+        _residual_report("coordinate-laplacians", closed, mask),
+        _residual_report("coordinate-laplacians-wave-route", wave, mask),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -338,24 +332,13 @@ def tilt_gradient_residuals(fields: geometry.JetFields, dv_covector) -> tuple:
     return vec_residual, scalar_residual
 
 
-def _tilt_gradient_parts(state: flow.GraphState):
+def check_tilt_gradient(state: flow.GraphState) -> ResidualReport:
+    """Finite-difference gradient of v against its closed form."""
     geom = snapshot_geometry(state)
     dv = grids.field_gradient(geom.v, geom.grid)
-    return geom, state.grid.interior_mask(), [tilt_gradient_residuals(geom, dv)]
-
-
-def check_tilt_gradient(
-    state: flow.GraphState,
-    fine_state: flow.GraphState | None = None,
-) -> ResidualReport:
-    """Finite-difference gradient of v against its closed form."""
-    (report,) = _route_reports(
-        ["tilt-gradient"],
-        _tilt_gradient_parts(state),
-        fine_state,
-        _tilt_gradient_parts,
+    return _residual_report(
+        "tilt-gradient", tilt_gradient_residuals(geom, dv), state.grid.interior_mask()
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +363,7 @@ def _tilt_evolution_parts(window: flow.TrajectoryWindow):
     return mid, _rate_mask(mid.grid), lhs, rhs, grad_v_sq
 
 
-def check_tilt_evolution(
-    window: flow.TrajectoryWindow,
-    fine_window: flow.TrajectoryWindow | None = None,
-) -> ResidualReport:
+def check_tilt_evolution(window: flow.TrajectoryWindow) -> ResidualReport:
     """Measured (d/ds - Lap) v^2 against its closed-form evolution.
 
     The identity's coefficients hold for three spatial dimensions only (on
@@ -391,13 +371,8 @@ def check_tilt_evolution(
     raise ModeUnsupportedError.
     """
     tilt_evolution_guard(window.grid)
-
-    def parts(win):
-        mid, mask, lhs, rhs, _ = _tilt_evolution_parts(win)
-        return mid, mask, [[lhs - rhs]]
-
-    (report,) = _route_reports(["tilt-evolution"], parts(window), fine_window, parts)
-    return report
+    _, mask, lhs, rhs, _ = _tilt_evolution_parts(window)
+    return _residual_report("tilt-evolution", [lhs - rhs], mask)
 
 
 def check_tilt_bounds(window: flow.TrajectoryWindow, delta: float) -> list[InequalityReport]:
@@ -411,7 +386,7 @@ def check_tilt_bounds(window: flow.TrajectoryWindow, delta: float) -> list[Inequ
     """
     if not (0.0 <= delta <= 1.0 / 3.0 + 1e-15):
         raise ValueError(f"delta must lie in [0, 1/3], got {delta}")
-    tilt_bounds_guard(window.grid)
+    tilt_evolution_guard(window.grid)
     mid, mask, lhs, _, grad_v_sq = _tilt_evolution_parts(window)
     h = mid.grid.spacing
     common = {"delta": delta, "h": h, "dt": window.dt}
@@ -610,7 +585,6 @@ def _curvature_gradient_sq(geom: geometry.GeometryFields) -> np.ndarray:
 
 def check_curvature_evolution(
     window: flow.TrajectoryWindow,
-    fine_window: flow.TrajectoryWindow | None = None,
 ) -> tuple[ResidualReport, InequalityReport]:
     """Measured evolution of |A|^2 on a radial surface, plus the one-sided
     bound on its traceless part.
@@ -637,33 +611,23 @@ def check_curvature_evolution(
     def traceless_of(g):
         return _curvature_norm_sq(g) - g.H**2 / 3.0
 
-    def parts(win):
-        """(mid geometry, mask, identity routes, traceless rate) of a window."""
-        (rate, rate_z), mid = material_rate(win, _curvature_norm_sq, traceless_of)
-        a2 = _curvature_norm_sq(mid)
-        lhs = rate - mid.laplacian(a2)
-        rhs = (
-            -2.0 * _curvature_gradient_sq(mid)
-            + 4.0 * mid.H**2
-            - 2.0 * a2 * (3.0 + a2)
-        )
-        # Curvature fields sit two derivatives deep in u, and the identity
-        # differentiates them twice more (the Laplacian, |grad A|^2), so the
-        # boundary node's one-sided values (and whatever the boundary
-        # condition imposed there) reach four nodes in, with 1/h^2
-        # amplification: behind a three-node collar the residual peaks at
-        # the nodes N-5 and N-4 and grows 4x per halving of h.  Masking a
-        # five-node collar keeps the report about the resolved interior.
-        mask = mid.grid.interior_mask(5)
-        return mid, mask, [[lhs - rhs]], rate_z
-
-    mid, mask, routes, rate_z = parts(window)
-    (identity,) = _route_reports(
-        ["curvature-evolution"],
-        (mid, mask, routes),
-        fine_window,
-        lambda win: parts(win)[:3],
+    (rate, rate_z), mid = material_rate(window, _curvature_norm_sq, traceless_of)
+    a2 = _curvature_norm_sq(mid)
+    lhs = rate - mid.laplacian(a2)
+    rhs = (
+        -2.0 * _curvature_gradient_sq(mid)
+        + 4.0 * mid.H**2
+        - 2.0 * a2 * (3.0 + a2)
     )
+    # Curvature fields sit two derivatives deep in u, and the identity
+    # differentiates them twice more (the Laplacian, |grad A|^2), so the
+    # boundary node's one-sided values (and whatever the boundary
+    # condition imposed there) reach four nodes in, with 1/h^2
+    # amplification: behind a three-node collar the residual peaks at
+    # the nodes N-5 and N-4 and grows 4x per halving of h.  Masking a
+    # five-node collar keeps the report about the resolved interior.
+    mask = mid.grid.interior_mask(5)
+    identity = _residual_report("curvature-evolution", [lhs - rhs], mask)
     z = traceless_of(mid)
     lhs_z = rate_z - mid.laplacian(z)
     bound = 18.0 * z - (2.0 / 3.0) * mid.H**2 * z

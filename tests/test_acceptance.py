@@ -127,18 +127,22 @@ def test_3_discrete_laplacian_refinement_orders():
         )
 
     orders = {}
-    closed, wave = oracles.check_coordinate_laplacians(
-        bump_state(65, amplitude=0.1), fine_state=bump_state(129, amplitude=0.1)
+    closed, wave = oracles.refined(
+        oracles.check_coordinate_laplacians,
+        bump_state(65, amplitude=0.1),
+        bump_state(129, amplitude=0.1),
     )
     orders["radial"] = closed.order
     orders["radial_dual"] = wave.order
-    closed, wave = oracles.check_coordinate_laplacians(
-        cart_state(33), fine_state=cart_state(65)
+    closed, wave = oracles.refined(
+        oracles.check_coordinate_laplacians, cart_state(33), cart_state(65)
     )
     orders["cartesian"] = closed.order
     orders["cartesian_dual"] = wave.order
-    tilt = oracles.check_tilt_gradient(
-        bump_state(65, amplitude=0.1), fine_state=bump_state(129, amplitude=0.1)
+    (tilt,) = oracles.refined(
+        oracles.check_tilt_gradient,
+        bump_state(65, amplitude=0.1),
+        bump_state(129, amplitude=0.1),
     )
     orders["radial_tilt"] = tilt.order
     elapsed = time.perf_counter() - started
@@ -152,7 +156,7 @@ def test_4_tilt_evolution_refinement():
     started = time.perf_counter()
     coarse = window(bump_state(33), dt=1e-4)
     fine = window(bump_state(65), dt=2.5e-5)
-    rep = oracles.check_tilt_evolution(coarse, fine_window=fine)
+    (rep,) = oracles.refined(oracles.check_tilt_evolution, coarse, fine)
     flat = oracles.check_tilt_evolution(window(bump_state(33, amplitude=0.0), dt=1e-3))
     elapsed = time.perf_counter() - started
     ok = rep.order >= 1.7 and flat.linf < 1e-10 and elapsed < 300.0

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -903,3 +907,14 @@ class TestCli:
         assert cli.main(["refine", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         doc = json.loads((out / "report.json").read_text())
         assert reporting.SLICING_NOTE in doc["notes"]
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        """scipy takes most of the import time; only the implicit step and
+        Cartesian interpolation need it, and they import it when they run."""
+        probe = "import sys, dsmcf.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.strip() == "[]", done.stdout

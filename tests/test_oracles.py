@@ -4,6 +4,7 @@ negative controls, and a symbolic rederivation of every evolution identity
 the window checks measure."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,7 +72,7 @@ def test_refinement_pair_is_validated():
     win = window(radial_state(33))
     bad = window(radial_state(49))  # spacing not halved
     with pytest.raises(ValueError, match="not half"):
-        oracles.check_tilt_evolution(win, fine_window=bad)
+        oracles.refined(oracles.check_tilt_evolution, win, bad)
     cart = grids.Grid(grids.CARTESIAN, 3, extent=3.0, resolution=17)
     cart_state = flow.GraphState(
         u=grids.Field(cart, np.zeros(cart.shape)),
@@ -79,7 +80,7 @@ def test_refinement_pair_is_validated():
         bc=flow.BoundaryCondition(flow.FROZEN),
     )
     with pytest.raises(ValueError, match="mode"):
-        oracles.check_tilt_gradient(radial_state(33), fine_state=cart_state)
+        oracles.refined(oracles.check_tilt_gradient, radial_state(33), cart_state)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ def test_coordinate_laplacians_flat_slice_exact():
 def test_coordinate_laplacian_radial_orders():
     coarse = radial_state(65, amplitude=0.1)
     fine = radial_state(129, amplitude=0.1)
-    closed, wave = oracles.check_coordinate_laplacians(coarse, fine_state=fine)
+    closed, wave = oracles.refined(oracles.check_coordinate_laplacians, coarse, fine)
     for rep in (closed, wave):
         assert rep.passed, rep.summary()
         assert ORDER_LO < rep.order < ORDER_HI
@@ -155,9 +156,7 @@ def test_coordinate_laplacian_cartesian_orders():
             bc=flow.BoundaryCondition(flow.FROZEN),
         )
 
-    closed, wave = oracles.check_coordinate_laplacians(
-        state(25), fine_state=state(49)
-    )
+    closed, wave = oracles.refined(oracles.check_coordinate_laplacians, state(25), state(49))
     assert ORDER_LO < closed.order < ORDER_HI
     assert ORDER_LO < wave.order < ORDER_HI
 
@@ -186,9 +185,7 @@ def test_tilt_gradient_closed_form_on_random_jets():
 
 
 def test_tilt_gradient_refinement_order():
-    rep = oracles.check_tilt_gradient(
-        radial_state(65), fine_state=radial_state(129)
-    )
+    (rep,) = oracles.refined(oracles.check_tilt_gradient, radial_state(65), radial_state(129))
     assert rep.passed, rep.summary()
     assert rep.order == pytest.approx(2.0, abs=0.3)
 
@@ -204,7 +201,7 @@ def test_tilt_evolution_exact_on_flat_slicing():
 
 def test_tilt_evolution_bump_refinement():
     coarse, fine = bump_window_pair()
-    rep = oracles.check_tilt_evolution(coarse, fine_window=fine)
+    (rep,) = oracles.refined(oracles.check_tilt_evolution, coarse, fine)
     assert rep.passed, rep.summary()
     assert ORDER_LO < rep.order < ORDER_HI
     assert rep.linf < 5e-2
@@ -371,11 +368,23 @@ def test_curvature_evolution_exact_on_slices():
 
 def test_curvature_evolution_bump_refinement():
     coarse, fine = bump_window_pair(dt=2e-5)
-    ident, traceless = oracles.check_curvature_evolution(coarse, fine_window=fine)
+    ident, traceless = oracles.refined(oracles.check_curvature_evolution, coarse, fine)
     assert ident.passed, ident.summary()
     assert ORDER_LO < ident.order < ORDER_HI
     assert traceless.passed and traceless.violations == 0
     assert traceless.worst_slack > 0.0
+
+
+def test_refined_orders_the_identity_and_keeps_the_coarse_bound():
+    """``refined`` gives the coarse identity report its order and verdict,
+    and hands the traceless bound on exactly as the coarse check gives it."""
+    coarse, fine = bump_window_pair(dt=2e-5)
+    ident, traceless = oracles.refined(oracles.check_curvature_evolution, coarse, fine)
+    plain_ident, plain_traceless = oracles.check_curvature_evolution(coarse)
+    assert traceless == plain_traceless
+    assert plain_ident.order is None and plain_ident.passed is None
+    assert ident == replace(plain_ident, order=ident.order, passed=True)
+    assert ORDER_LO < ident.order < ORDER_HI
 
 
 def test_curvature_evolution_builds_each_snapshot_geometry_once(monkeypatch):
@@ -390,7 +399,7 @@ def test_curvature_evolution_builds_each_snapshot_geometry_once(monkeypatch):
             super().__init__(grid, u_values)
 
     monkeypatch.setattr(geometry, "GeometryFields", Counted)
-    oracles.check_curvature_evolution(coarse, fine_window=fine)
+    oracles.refined(oracles.check_curvature_evolution, coarse, fine)
     assert sorted(built) == [33] * 3 + [65] * 3
 
 
@@ -567,9 +576,13 @@ def cartesian_verify_inputs(resolution):
 
 
 CARTESIAN_CHECKS = {
-    "coordinate_laplacians": lambda i: oracles.check_coordinate_laplacians(i.state, i.fine),
-    "tilt_gradient": lambda i: oracles.check_tilt_gradient(i.state, i.fine),
-    "tilt_evolution": lambda i: oracles.check_tilt_evolution(i.window, i.fine_window),
+    "coordinate_laplacians": lambda i: oracles.refined(
+        oracles.check_coordinate_laplacians, i.state, i.fine
+    ),
+    "tilt_gradient": lambda i: oracles.refined(oracles.check_tilt_gradient, i.state, i.fine),
+    "tilt_evolution": lambda i: oracles.refined(
+        oracles.check_tilt_evolution, i.window, i.fine_window
+    ),
 }
 
 
