@@ -911,7 +911,10 @@ class TestCli:
     def test_importing_the_cli_loads_no_scipy(self):
         """scipy takes most of the import time; only the implicit step and
         Cartesian interpolation need it, and they import it when they run."""
-        probe = "import sys, dsmcf.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        probe = (
+            "import sys, dsmcf.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
         src = str(pathlib.Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         done = subprocess.run(
