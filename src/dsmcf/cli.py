@@ -57,7 +57,7 @@ def _flow(
 
 @dataclass
 class _Inputs:
-    """The states and windows the checks read, each built on first use."""
+    """The states the checks read and their window step, each built on first use."""
 
     config: RunConfig
     notes: list  # the report's notes: a clamped window step adds one
@@ -84,35 +84,31 @@ class _Inputs:
                 dt = stable
         return dt
 
-    @cached_property
-    def window(self) -> flow.TrajectoryWindow:
-        return flow.evolve_window(self.state, self.dt, self.config.flow)
 
-    @cached_property
-    def fine_window(self) -> flow.TrajectoryWindow:
-        return flow.evolve_window(self.fine, self.dt / 4.0, self.config.flow)
-
-
-#: Each boolean ``CheckSpec`` field and its oracle call, in report order.
+#: Each boolean ``CheckSpec`` field and its oracle call, in report order, on
+#: ``oracles.WindowRates`` for a window check, else on the state's geometry.
 _CHECKS = {
-    "restriction_gradients": lambda i: oracles.check_restriction_gradients(i.state),
-    "coordinate_laplacians": lambda i: oracles.refined(
-        oracles.check_coordinate_laplacians, i.state, i.fine
-    ),
-    "tilt_gradient": lambda i: oracles.refined(oracles.check_tilt_gradient, i.state, i.fine),
-    "tilt_evolution": lambda i: oracles.refined(
-        oracles.check_tilt_evolution, i.window, i.fine_window
-    ),
-    "tilt_bounds": lambda i: oracles.check_tilt_bounds(i.window, i.config.checks.delta),
-    "curvature_evolution": lambda i: oracles.refined(
-        oracles.check_curvature_evolution, i.window, i.fine_window
-    ),
-    "weight_evolution": lambda i: oracles.check_weight_evolution(
-        i.window, i.config.checks.cutoff()
-    ),
-    "weight_gradient": lambda i: oracles.check_weight_gradient(i.state, i.config.checks.cutoff()),
-    "jet_sampling": lambda i: oracles.check_random_jets(i.config.seed, i.config.checks.jet_count),
+    "restriction_gradients": lambda g, c: oracles.check_restriction_gradients(g),
+    "coordinate_laplacians": lambda g, c: oracles.check_coordinate_laplacians(g),
+    "tilt_gradient": lambda g, c: oracles.check_tilt_gradient(g),
+    "tilt_evolution": lambda w, c: oracles.check_tilt_evolution(w),
+    "tilt_bounds": lambda w, c: oracles.check_tilt_bounds(w, c.checks.delta),
+    "curvature_evolution": lambda w, c: oracles.check_curvature_evolution(w),
+    "weight_evolution": lambda w, c: oracles.check_weight_evolution(w, c.checks.cutoff()),
+    "weight_gradient": lambda g, c: oracles.check_weight_gradient(g, c.checks.cutoff()),
+    "jet_sampling": lambda _, c: oracles.check_random_jets(c.seed, c.checks.jet_count),
 }
+
+#: The window checks, each with the fields whose rates it reads.
+_RATE_FIELDS = {
+    "tilt_evolution": lambda c: (oracles.tilt_squared,),
+    "tilt_bounds": lambda c: (oracles.tilt_squared,),
+    "curvature_evolution": lambda c: oracles.CURVATURE_FIELDS,
+    "weight_evolution": lambda c: (oracles.WeightField(c.checks.cutoff()),),
+}
+
+#: The checks whose orders a fine pass measures; ``refine`` runs the first three.
+_REFINED = ("coordinate_laplacians", "tilt_gradient", "tilt_evolution", "curvature_evolution")
 
 #: The checks that apply only on some grids, each with its grid guard.
 _GUARDS = {
@@ -122,23 +118,47 @@ _GUARDS = {
 }
 
 
+def _measure(config: RunConfig, names, state, dt) -> list:
+    """One grid's pass over the named checks, their reports in table order.
+    The state checks and the window's before values read the state's one
+    geometry, which is dropped before the window of two ``dt()`` steps is
+    built and its after and middle snapshots are measured, one at a time."""
+    fields = dict.fromkeys(f for n in names if n in _RATE_FIELDS for f in _RATE_FIELDS[n](config))
+    geom = oracles.snapshot_geometry(state()) if set(names) - {"jet_sampling"} else None
+    outcomes = {n: _CHECKS[n](geom, config) for n in names if n not in _RATE_FIELDS}
+    before = {f: f(geom) for f in fields}
+    del geom
+    if fields:
+        window = flow.evolve_window(state(), dt(), config.flow)
+        rates = oracles.material_rate(window, before)
+        outcomes.update((n, _CHECKS[n](rates, config)) for n in names if n in _RATE_FIELDS)
+    return [entry for n in names for entry in oracles.report_list(outcomes[n])]
+
+
 def _run_checks(config: RunConfig, names) -> reporting.Report:
-    """Run the named checks in table order; a check that does not apply to
-    this grid leaves a note instead of reports, and its inputs are not built."""
+    """Run the named checks in a coarse pass, and the refined ones in a fine
+    pass; a check that does not apply to this grid leaves a note instead of
+    reports, and its inputs are not built."""
     report = _new_report(config)
     inputs = _Inputs(config, report.notes)
-    for name, check in _CHECKS.items():
-        if name not in names:
-            continue
+    applied = []
+    for name in (n for n in _CHECKS if n in names):
         try:
             if name in _GUARDS:
                 _GUARDS[name](inputs.state.grid)
-            outcome = check(inputs)
         except ModeUnsupportedError as exc:
             report.notes.append(f"{name} skipped: {exc}")
             continue
-        for entry in oracles.report_list(outcome):
-            report.add_check(entry)
+        if name in _RATE_FIELDS:
+            inputs.dt  # a clamped window step adds its note here, in table order
+        applied.append(name)
+    reports = _measure(config, applied, lambda: inputs.state, lambda: inputs.dt)
+    fine_names = [n for n in applied if n in _REFINED]
+    if fine_names:
+        fine = _measure(config, fine_names, lambda: inputs.fine, lambda: inputs.dt / 4.0)
+        reports = oracles.refined(reports, fine, inputs.state.grid, inputs.fine.grid)
+    for entry in reports:
+        report.add_check(entry)
     return report
 
 
@@ -249,7 +269,7 @@ def _cmd_rescale(config: RunConfig) -> reporting.Report:
 
 def _cmd_refine(config: RunConfig) -> reporting.Report:
     """Measure refinement orders of the checks that compare a coarse/fine pair."""
-    return _run_checks(config, ("coordinate_laplacians", "tilt_gradient", "tilt_evolution"))
+    return _run_checks(config, _REFINED[:3])
 
 
 COMMANDS = {

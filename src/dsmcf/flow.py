@@ -201,10 +201,6 @@ class TrajectoryWindow:
     after: GraphState
     dt: float
 
-    @property
-    def grid(self) -> grids.Grid:
-        return self.mid.grid
-
 
 # ---------------------------------------------------------------------------
 # stepping

@@ -12,16 +12,17 @@ evaluated on the middle snapshot of a uniformly spaced window.  On a flat
 slicing du = 0 and the two notions coincide.
 
 The inequality checks use a grid tolerance of ``10 h^2 * scale`` with the
-scale taken from the dominant term.  Each check measures one input.  The
-observed order of a residual check is measured by ``refined(check, coarse,
-fine)``: it runs the check on both inputs of a grid-halving pair (same mode
-and dimension, half the spacing) and gives each coarse residual report the
-order log2(e_h / e_{h/2}) of its name, which passes inside ``ORDER_WINDOW``.
+scale taken from the dominant term.  A check measures a state's geometry or
+a window's ``WindowRates``.  ``refined`` pairs the reports of the same checks
+on a grid-halving pair (same mode and dimension, half the spacing) and gives
+each coarse residual report the order log2(e_h / e_{h/2}) of its name, which
+passes inside ``ORDER_WINDOW``.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -91,45 +92,53 @@ def snapshot_geometry(state: flow.GraphState) -> geometry.GeometryFields:
     return geometry.GeometryFields(state.grid, state.u.values)
 
 
+def _node_index(mask) -> tuple:
+    """Index of ``mask``'s nodes after any leading component axes: the slices
+    of their box where they fill one, as interior masks do, so reads are views."""
+    mask = np.asarray(mask)
+    axes = range(mask.ndim)
+    spans = [np.flatnonzero(mask.any(axis=tuple(j for j in axes if j != k))) for k in axes]
+    box = tuple(slice(span[0], span[-1] + 1) for span in spans if span.size)
+    return (Ellipsis, *box) if len(box) == mask.ndim and mask[box].all() else (Ellipsis, mask)
+
+
 def _residual_report(name, residuals, mask, tolerance=None) -> ResidualReport:
-    """Aggregate one or more residual arrays over a node mask; with a
+    """Aggregate residual arrays over a node mask, one array at a time, their
+    squares into one buffer so the mean sums them end to end; with a
     ``tolerance`` the report passes when its max |residual| is within it."""
-    parts = [np.abs(np.asarray(r)[..., mask]).reshape(-1) for r in residuals]
-    flat = np.concatenate(parts)
-    linf = float(np.max(flat))
-    l2 = float(np.sqrt(np.mean(flat**2)))
+    index = _node_index(mask)
+    parts = [np.asarray(r)[index] for r in residuals]
+    squares = np.empty(sum(part.size for part in parts))
+    ends = np.cumsum([part.size for part in parts])
+    for part, end in zip(parts, ends):
+        np.square(part, out=squares[end - part.size : end].reshape(part.shape))
+    linf = float(np.max([np.max(np.abs(part)) for part in parts]))
     return ResidualReport(
         name=name,
         linf=linf,
-        l2=l2,
-        count=int(flat.size),
+        l2=float(np.sqrt(np.mean(squares))),
+        count=int(squares.size),
         tolerance=tolerance,
         passed=None if tolerance is None else bool(linf <= tolerance),
     )
 
 
-def refined(check, coarse, fine) -> list:
-    """Run ``check`` on ``coarse`` and on ``fine`` (the same problem at half
-    the spacing) and return the coarse reports, each residual report with
-    the observed order log2(e_h / e_{h/2}) of its name.
-
-    A report passes when its order lies in ``ORDER_WINDOW``; where either
-    error is at rounding level the order stays None.  Bound reports are
-    the coarse ones, unchanged.
-    """
-    grid, fine_grid = coarse.grid, fine.grid
+def refined(reports, fine_reports, grid: grids.Grid, fine_grid: grids.Grid) -> list:
+    """``reports`` with each residual report that ``fine_reports``, the same
+    checks on ``fine_grid`` at half the spacing of ``grid``, also holds given
+    the observed order log2(e_h / e_{h/2}) of its name: it passes when that
+    lies in ``ORDER_WINDOW``, and where either error is at rounding level the
+    order stays None.  Other reports, bound reports among them, are kept."""
     if fine_grid.mode != grid.mode or fine_grid.dimension != grid.dimension:
         raise ValueError("refined input must share mode and dimension")
     if abs(fine_grid.spacing * 2.0 - grid.spacing) > 1e-9 * grid.spacing:
         raise ValueError(
             f"refined spacing {fine_grid.spacing:.6g} is not half of {grid.spacing:.6g}"
         )
-    reports = report_list(check(coarse))
-    fine_linf = {
-        r.name: r.linf for r in report_list(check(fine)) if isinstance(r, ResidualReport)
-    }
+    fine_linf = {r.name: r.linf for r in fine_reports if isinstance(r, ResidualReport)}
+    reports = list(reports)
     for k, report in enumerate(reports):
-        if not isinstance(report, ResidualReport):
+        if report.name not in fine_linf:
             continue
         try:
             order = grids.refinement_order(report.linf, fine_linf[report.name])
@@ -145,33 +154,49 @@ def report_list(outcome) -> list:
     return list(outcome) if isinstance(outcome, (list, tuple)) else [outcome]
 
 
-def material_rate(
-    window: flow.TrajectoryWindow, *values_of
-) -> tuple[list[np.ndarray], geometry.GeometryFields]:
-    """Normal-motion time derivatives of per-snapshot fields.
+@dataclass
+class WindowRates:
+    """What the window checks read: the middle geometry, the dt, each field's rate."""
 
-    Each ``values_of`` maps a snapshot geometry to a node array.  Returns
-    the advected central differences on the middle snapshot, one per field,
-    together with that snapshot's geometry, so callers can reuse it.  Each
-    snapshot geometry is built once; the outer ones are built one at a time
-    and dropped once read.
-    """
+    mid: geometry.GeometryFields
+    dt: float
+    rates: dict
 
-    def values(state):
-        geom = snapshot_geometry(state)
-        return [f(geom) for f in values_of]
+    @cached_property
+    def tilt(self) -> tuple:
+        """(mask, measured lhs, identity rhs, |grad v|^2) of the v^2 evolution,
+        read by ``check_tilt_evolution`` and ``check_tilt_bounds``."""
+        mid = self.mid
+        lhs = self.rates[tilt_squared] - mid.laplacian(mid.v2)
+        dv = grids.field_gradient(mid.v, mid.grid)
+        grad_v_sq = mid.gamma_inv_norm_sq(dv)
+        shear_sq = mid.gamma_norm_sq(mid.sheared_tilt)
+        rhs = (
+            4.0 * mid.H * mid.v
+            - 2.0 * mid.v2**2
+            - 4.0 * mid.v2
+            - 2.0 * mid.a2 * mid.v2
+            + 2.0 * shear_sq
+            - 4.0 * grad_v_sq
+        )
+        return _rate_mask(mid.grid), lhs, rhs, grad_v_sq
 
-    fixed_rates = [
-        (ahead - behind) / (2.0 * window.dt)
-        for ahead, behind in zip(values(window.after), values(window.before))
-    ]
+
+def material_rate(window: flow.TrajectoryWindow, before: dict) -> WindowRates:
+    """Normal-motion rates on the middle snapshot of the fields in ``before``,
+    which maps each, a function of a snapshot geometry, to its values on
+    ``window.before``, read from a geometry the caller holds.  The after
+    geometry is built, read and dropped before the middle one."""
+    after = snapshot_geometry(window.after)
+    fixed_rates = {f: (f(after) - b) / (2.0 * window.dt) for f, b in before.items()}
+    del after
     mid = snapshot_geometry(window.mid)
     slope = mid.H * mid.v * mid.em2u
-    rates = []
-    for fixed_rate, f in zip(fixed_rates, values_of):
+    rates = {}
+    for f, fixed_rate in fixed_rates.items():
         grad_f = grids.field_gradient(f(mid), mid.grid)
-        rates.append(fixed_rate + slope * np.einsum("i...,i...->...", mid.du, grad_f))
-    return rates, mid
+        rates[f] = fixed_rate + slope * np.einsum("i...,i...->...", mid.du, grad_f)
+    return WindowRates(mid, window.dt, rates)
 
 
 def _rate_mask(grid: grids.Grid) -> np.ndarray:
@@ -202,18 +227,17 @@ def curvature_evolution_guard(grid: grids.Grid) -> None:
 def grid_tolerance(h: float, *term_arrays, mask=None):
     """(tolerance, scale) of a discretized check: 10 h^2 times the scale,
     the dominant masked magnitude of the term arrays (at least 1)."""
+    index = Ellipsis if mask is None else _node_index(mask)
     scale = 1.0
     for arr in term_arrays:
-        a = np.abs(np.asarray(arr))
-        if mask is not None:
-            a = a[mask]
+        a = np.asarray(arr)[index]
         if a.size:
-            scale = max(scale, float(np.max(a)))
+            scale = max(scale, float(np.max(np.abs(a))))
     return GRID_TOL_FACTOR * h * h * scale, scale
 
 
 def _inequality_report(name, slack, mask, tolerance, scale, parameters) -> InequalityReport:
-    masked = np.asarray(slack)[mask]
+    masked = np.asarray(slack)[_node_index(mask)]
     worst = float(np.min(masked))
     violations = int(np.count_nonzero(masked < -tolerance))
     params = dict(parameters)
@@ -257,10 +281,9 @@ def restriction_gradient_residuals(fields: geometry.JetFields) -> dict:
     return {"height": height, "coordinate": coord, "mixed": mixed}
 
 
-def check_restriction_gradients(state: flow.GraphState) -> ResidualReport:
-    fields = snapshot_geometry(state)
-    res = restriction_gradient_residuals(fields)
-    mask = np.ones(state.grid.shape, dtype=bool)
+def check_restriction_gradients(geom: geometry.GeometryFields) -> ResidualReport:
+    res = restriction_gradient_residuals(geom)
+    mask = np.ones(geom.grid.shape, dtype=bool)
     return _residual_report(
         "restriction-gradients", list(res.values()), mask, tolerance=RESTRICTION_TOL
     )
@@ -270,7 +293,7 @@ def check_restriction_gradients(state: flow.GraphState) -> ResidualReport:
 # coordinate Laplacians, both assembly routes
 
 
-def check_coordinate_laplacians(state: flow.GraphState) -> list[ResidualReport]:
+def check_coordinate_laplacians(geom: geometry.GeometryFields) -> list[ResidualReport]:
     """Discrete surface Laplacian of the coordinate restrictions vs closed
     forms, assembled both directly and through the ambient wave operator:
     one report per route.
@@ -278,7 +301,6 @@ def check_coordinate_laplacians(state: flow.GraphState) -> list[ResidualReport]:
     Radial grids can only represent rotationally symmetric fields, so they
     check the height coordinate; Cartesian grids check all of them.
     """
-    geom = snapshot_geometry(state)
     grid = geom.grid
     n = grid.dimension
     lap_t = geom.laplacian(geom.u)
@@ -332,12 +354,11 @@ def tilt_gradient_residuals(fields: geometry.JetFields, dv_covector) -> tuple:
     return vec_residual, scalar_residual
 
 
-def check_tilt_gradient(state: flow.GraphState) -> ResidualReport:
+def check_tilt_gradient(geom: geometry.GeometryFields) -> ResidualReport:
     """Finite-difference gradient of v against its closed form."""
-    geom = snapshot_geometry(state)
     dv = grids.field_gradient(geom.v, geom.grid)
     return _residual_report(
-        "tilt-gradient", tilt_gradient_residuals(geom, dv), state.grid.interior_mask()
+        "tilt-gradient", tilt_gradient_residuals(geom, dv), geom.grid.interior_mask()
     )
 
 
@@ -345,37 +366,24 @@ def check_tilt_gradient(state: flow.GraphState) -> ResidualReport:
 # evolution of the squared tilt factor
 
 
-def _tilt_evolution_parts(window: flow.TrajectoryWindow):
-    """(mid geometry, mask, measured lhs, identity rhs, |grad v|^2)."""
-    (rate,), mid = material_rate(window, lambda g: g.v2)
-    lhs = rate - mid.laplacian(mid.v2)
-    dv = grids.field_gradient(mid.v, mid.grid)
-    grad_v_sq = mid.gamma_inv_norm_sq(dv)
-    shear_sq = mid.gamma_norm_sq(mid.sheared_tilt)
-    rhs = (
-        4.0 * mid.H * mid.v
-        - 2.0 * mid.v2**2
-        - 4.0 * mid.v2
-        - 2.0 * mid.a2 * mid.v2
-        + 2.0 * shear_sq
-        - 4.0 * grad_v_sq
-    )
-    return mid, _rate_mask(mid.grid), lhs, rhs, grad_v_sq
+def tilt_squared(geom: geometry.GeometryFields) -> np.ndarray:
+    """v^2, the field whose rate the tilt checks read."""
+    return geom.v2
 
 
-def check_tilt_evolution(window: flow.TrajectoryWindow) -> ResidualReport:
+def check_tilt_evolution(rates: WindowRates) -> ResidualReport:
     """Measured (d/ds - Lap) v^2 against its closed-form evolution.
 
     The identity's coefficients hold for three spatial dimensions only (on
     a flat 2-d slice its right side is -2, not 0), so other dimensions
     raise ModeUnsupportedError.
     """
-    tilt_evolution_guard(window.grid)
-    _, mask, lhs, rhs, _ = _tilt_evolution_parts(window)
+    tilt_evolution_guard(rates.mid.grid)
+    mask, lhs, rhs, _ = rates.tilt
     return _residual_report("tilt-evolution", [lhs - rhs], mask)
 
 
-def check_tilt_bounds(window: flow.TrajectoryWindow, delta: float) -> list[InequalityReport]:
+def check_tilt_bounds(rates: WindowRates, delta: float) -> list[InequalityReport]:
     """One-sided bounds on the measured v^2 evolution, plus the pointwise
     pinching bound |A|^2 >= (4/3) lambda_1^2 - H^2.
 
@@ -386,10 +394,10 @@ def check_tilt_bounds(window: flow.TrajectoryWindow, delta: float) -> list[Inequ
     """
     if not (0.0 <= delta <= 1.0 / 3.0 + 1e-15):
         raise ValueError(f"delta must lie in [0, 1/3], got {delta}")
-    tilt_evolution_guard(window.grid)
-    mid, mask, lhs, _, grad_v_sq = _tilt_evolution_parts(window)
+    tilt_evolution_guard(rates.mid.grid)
+    (mask, lhs, _, grad_v_sq), mid = rates.tilt, rates.mid
     h = mid.grid.spacing
-    common = {"delta": delta, "h": h, "dt": window.dt}
+    common = {"delta": delta, "h": h, "dt": rates.dt}
 
     dissipation = (
         -(4.0 + delta) * grad_v_sq
@@ -477,17 +485,22 @@ def check_random_jets(seed: int, count: int) -> list:
 # localization weight bounds
 
 
-def _weight_fields(geom: geometry.GeometryFields, spec: geometry.CutoffSpec):
-    if float(np.min(geom.u)) < spec.t_min:
-        raise BelowThresholdError(
-            f"height {float(np.min(geom.u)):.6g} below threshold {spec.t_min:.6g}"
-        )
-    return geom.grid.radius_squared() * np.exp(spec.alpha * geom.u)
+@dataclass(frozen=True)
+class WeightField:
+    """The weight e^{alpha t} |x|^2 of ``spec`` as a field of a snapshot
+    geometry; equal specs give equal fields, which key the same rate."""
+
+    spec: geometry.CutoffSpec
+
+    def __call__(self, geom: geometry.GeometryFields) -> np.ndarray:
+        if float(np.min(geom.u)) < self.spec.t_min:
+            raise BelowThresholdError(
+                f"height {float(np.min(geom.u)):.6g} below threshold {self.spec.t_min:.6g}"
+            )
+        return geom.grid.radius_squared() * np.exp(self.spec.alpha * geom.u)
 
 
-def check_weight_evolution(
-    window: flow.TrajectoryWindow, spec: geometry.CutoffSpec
-) -> InequalityReport:
+def check_weight_evolution(rates: WindowRates, spec: geometry.CutoffSpec) -> InequalityReport:
     """Measured (d/ds - Lap) of the weight e^{alpha t} |x|^2 against its
     guaranteed lower bound (-alpha^2 r - epsilon) v^2.
 
@@ -495,9 +508,8 @@ def check_weight_evolution(
     raises BelowThresholdError.  Negative controls (steep alpha at low
     heights) are expected to report violations rather than raise.
     """
-    (rate,), mid = material_rate(window, lambda g: _weight_fields(g, spec))
-    r = _weight_fields(mid, spec)
-    lhs = rate - mid.laplacian(r)
+    mid, weight = rates.mid, WeightField(spec)
+    lhs = rates.rates[weight] - mid.laplacian(weight(mid))
     _, _, _, evol_lower = geometry.cutoff_arrays(
         mid.u, mid.grid.radius_squared(), mid.v, spec
     )
@@ -509,7 +521,7 @@ def check_weight_evolution(
         "epsilon": spec.epsilon,
         "t_min": spec.t_min,
         "h": h,
-        "dt": window.dt,
+        "dt": rates.dt,
     }
     return _inequality_report(
         "weight-evolution-bound", lhs - evol_lower, mask, tol, scale, params
@@ -517,11 +529,10 @@ def check_weight_evolution(
 
 
 def check_weight_gradient(
-    state: flow.GraphState, spec: geometry.CutoffSpec
+    geom: geometry.GeometryFields, spec: geometry.CutoffSpec
 ) -> InequalityReport:
     """Two-sided bound on |grad r|^2 for the localization weight."""
-    geom = snapshot_geometry(state)
-    r = _weight_fields(geom, spec)
+    r = WeightField(spec)(geom)
     grad_r = grids.field_gradient(r, geom.grid)
     grad_sq = geom.gamma_inv_norm_sq(grad_r)
     _, lower, upper, _ = geometry.cutoff_arrays(
@@ -568,6 +579,14 @@ def _curvature_norm_sq(geom: geometry.GeometryFields) -> np.ndarray:
     return kr**2 + (geom.dimension - 1.0) * ka**2
 
 
+def _traceless_curvature_sq(geom: geometry.GeometryFields) -> np.ndarray:
+    return _curvature_norm_sq(geom) - geom.H**2 / 3.0
+
+
+#: The fields whose rates ``check_curvature_evolution`` reads.
+CURVATURE_FIELDS = (_curvature_norm_sq, _traceless_curvature_sq)
+
+
 def _curvature_gradient_sq(geom: geometry.GeometryFields) -> np.ndarray:
     """|grad A|^2 of a rotationally symmetric surface from its curvature
     profiles: radial arclength derivatives plus the orbit-warping term."""
@@ -583,9 +602,7 @@ def _curvature_gradient_sq(geom: geometry.GeometryFields) -> np.ndarray:
     return kr_s**2 + (n - 1.0) * ka_s**2 + 2.0 * (n - 1.0) * warp**2
 
 
-def check_curvature_evolution(
-    window: flow.TrajectoryWindow,
-) -> tuple[ResidualReport, InequalityReport]:
+def check_curvature_evolution(rates: WindowRates) -> tuple[ResidualReport, InequalityReport]:
     """Measured evolution of |A|^2 on a radial surface, plus the one-sided
     bound on its traceless part.
 
@@ -605,13 +622,9 @@ def check_curvature_evolution(
     smooth runs; the looser bound is kept because it is the one the
     downstream flatness estimates consume.
     """
-    grid = window.grid
-    curvature_evolution_guard(grid)
-
-    def traceless_of(g):
-        return _curvature_norm_sq(g) - g.H**2 / 3.0
-
-    (rate, rate_z), mid = material_rate(window, _curvature_norm_sq, traceless_of)
+    mid = rates.mid
+    curvature_evolution_guard(mid.grid)
+    rate, rate_z = (rates.rates[f] for f in CURVATURE_FIELDS)
     a2 = _curvature_norm_sq(mid)
     lhs = rate - mid.laplacian(a2)
     rhs = (
@@ -628,10 +641,10 @@ def check_curvature_evolution(
     # five-node collar keeps the report about the resolved interior.
     mask = mid.grid.interior_mask(5)
     identity = _residual_report("curvature-evolution", [lhs - rhs], mask)
-    z = traceless_of(mid)
+    z = _traceless_curvature_sq(mid)
     lhs_z = rate_z - mid.laplacian(z)
     bound = 18.0 * z - (2.0 / 3.0) * mid.H**2 * z
-    h = grid.spacing
+    h = mid.grid.spacing
     tol, scale = grid_tolerance(h, bound, lhs_z, mask=mask)
     traceless = _inequality_report(
         "traceless-curvature-bound",
@@ -639,6 +652,6 @@ def check_curvature_evolution(
         mask,
         tol,
         scale,
-        {"h": h, "dt": window.dt},
+        {"h": h, "dt": rates.dt},
     )
     return identity, traceless

@@ -50,6 +50,25 @@ def window(state, dt):
     return flow.evolve_window(state, dt, flow.FlowConfig(integrator="rk4"))
 
 
+def tilt_rates(win):
+    """``oracles.WindowRates`` of v^2 over ``win``, before values from its own geometry."""
+    before = oracles.snapshot_geometry(win.before)
+    return oracles.material_rate(win, {oracles.tilt_squared: before.v2})
+
+
+def weight_rates(win, spec):
+    before = oracles.snapshot_geometry(win.before)
+    field = oracles.WeightField(spec)
+    return oracles.material_rate(win, {field: field(before)})
+
+
+def refined(check, measure, coarse, fine):
+    """``oracles.refined`` on ``check`` of ``measure`` (a geometry or window
+    rates) over a grid-halving pair of states or windows."""
+    reports = [oracles.report_list(check(measure(x))) for x in (coarse, fine)]
+    return oracles.refined(*reports, *(getattr(x, "mid", x).grid for x in (coarse, fine)))
+
+
 def moderated_jets(rng, count):
     """Random spacelike jets kept away from the null cone (margin >= 0.4)
     with moderate curvature, where the closed forms evaluate to rounding."""
@@ -127,20 +146,25 @@ def test_3_discrete_laplacian_refinement_orders():
         )
 
     orders = {}
-    closed, wave = oracles.refined(
+    closed, wave = refined(
         oracles.check_coordinate_laplacians,
+        oracles.snapshot_geometry,
         bump_state(65, amplitude=0.1),
         bump_state(129, amplitude=0.1),
     )
     orders["radial"] = closed.order
     orders["radial_dual"] = wave.order
-    closed, wave = oracles.refined(
-        oracles.check_coordinate_laplacians, cart_state(33), cart_state(65)
+    closed, wave = refined(
+        oracles.check_coordinate_laplacians,
+        oracles.snapshot_geometry,
+        cart_state(33),
+        cart_state(65),
     )
     orders["cartesian"] = closed.order
     orders["cartesian_dual"] = wave.order
-    (tilt,) = oracles.refined(
+    (tilt,) = refined(
         oracles.check_tilt_gradient,
+        oracles.snapshot_geometry,
         bump_state(65, amplitude=0.1),
         bump_state(129, amplitude=0.1),
     )
@@ -156,8 +180,10 @@ def test_4_tilt_evolution_refinement():
     started = time.perf_counter()
     coarse = window(bump_state(33), dt=1e-4)
     fine = window(bump_state(65), dt=2.5e-5)
-    (rep,) = oracles.refined(oracles.check_tilt_evolution, coarse, fine)
-    flat = oracles.check_tilt_evolution(window(bump_state(33, amplitude=0.0), dt=1e-3))
+    (rep,) = refined(oracles.check_tilt_evolution, tilt_rates, coarse, fine)
+    flat = oracles.check_tilt_evolution(
+        tilt_rates(window(bump_state(33, amplitude=0.0), dt=1e-3))
+    )
     elapsed = time.perf_counter() - started
     ok = rep.order >= 1.7 and flat.linf < 1e-10 and elapsed < 300.0
     report_line(
@@ -170,7 +196,7 @@ def test_4_tilt_evolution_refinement():
 
 def test_5_inequality_suite_with_negative_control():
     started = time.perf_counter()
-    bump_win = window(bump_state(65), dt=1e-4)
+    bump_win = tilt_rates(window(bump_state(65), dt=1e-4))
     worst = []
     for delta in (0.0, 1.0 / 6.0, 1.0 / 3.0):
         for rep in oracles.check_tilt_bounds(bump_win, delta):
@@ -181,14 +207,14 @@ def test_5_inequality_suite_with_negative_control():
     )
     for alpha in (0.5, 1.0):
         spec = geometry.CutoffSpec(alpha=alpha, epsilon=0.1, t_min=10.0)
-        evo = oracles.check_weight_evolution(high_win, spec)
-        grad = oracles.check_weight_gradient(high_win.mid, spec)
+        evo = oracles.check_weight_evolution(weight_rates(high_win, spec), spec)
+        grad = oracles.check_weight_gradient(oracles.snapshot_geometry(high_win.mid), spec)
         assert evo.passed and evo.violations == 0, evo.summary()
         assert grad.passed and grad.violations == 0, grad.summary()
     control = geometry.CutoffSpec(alpha=1.9, epsilon=0.1, t_min=0.5)
     low_win = window(bump_state(129, amplitude=0.0, height=1.0), dt=1e-4)
-    evo = oracles.check_weight_evolution(low_win, control)
-    grad = oracles.check_weight_gradient(low_win.mid, control)
+    evo = oracles.check_weight_evolution(weight_rates(low_win, control), control)
+    grad = oracles.check_weight_gradient(oracles.snapshot_geometry(low_win.mid), control)
     elapsed = time.perf_counter() - started
     ok = (
         evo.violations > 0

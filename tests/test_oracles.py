@@ -37,6 +37,32 @@ def bump_window_pair(amplitude=0.2, dt=1e-4):
     return coarse, fine
 
 
+def geom(state):
+    return oracles.snapshot_geometry(state)
+
+
+def rates(win, *fields):
+    """``oracles.WindowRates`` of ``fields`` over ``win``, with the before
+    values read from the window's own before geometry."""
+    before = geom(win.before)
+    return oracles.material_rate(win, {f: f(before) for f in fields})
+
+
+def tilt_rates(win):
+    return rates(win, oracles.tilt_squared)
+
+
+def curvature_rates(win):
+    return rates(win, *oracles.CURVATURE_FIELDS)
+
+
+def refined(check, measure, coarse, fine):
+    """``oracles.refined`` on ``check`` of ``measure`` (a geometry or window
+    rates) over a grid-halving pair of states or windows."""
+    reports = [oracles.report_list(check(measure(x))) for x in (coarse, fine)]
+    return oracles.refined(*reports, *(getattr(x, "mid", x).grid for x in (coarse, fine)))
+
+
 def random_jets(rng, count, scale=0.5, with_hessian=True):
     u = rng.uniform(-1.0, 1.0, count)
     direction = rng.normal(size=(3, count))
@@ -72,7 +98,7 @@ def test_refinement_pair_is_validated():
     win = window(radial_state(33))
     bad = window(radial_state(49))  # spacing not halved
     with pytest.raises(ValueError, match="not half"):
-        oracles.refined(oracles.check_tilt_evolution, win, bad)
+        refined(oracles.check_tilt_evolution, tilt_rates, win, bad)
     cart = grids.Grid(grids.CARTESIAN, 3, extent=3.0, resolution=17)
     cart_state = flow.GraphState(
         u=grids.Field(cart, np.zeros(cart.shape)),
@@ -80,7 +106,7 @@ def test_refinement_pair_is_validated():
         bc=flow.BoundaryCondition(flow.FROZEN),
     )
     with pytest.raises(ValueError, match="mode"):
-        oracles.refined(oracles.check_tilt_gradient, radial_state(33), cart_state)
+        refined(oracles.check_tilt_gradient, geom, radial_state(33), cart_state)
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +118,17 @@ def test_material_rate_reproduces_flow_law_on_slices():
     curvature and the tilt stays pinned at 1, so the advected rate must
     return 3 and 0 without any discretization error."""
     win = window(radial_state(65, amplitude=0.0), dt=1e-3)
-    (rate_u, rate_v2), _ = oracles.material_rate(win, lambda g: g.u, lambda g: g.v2)
+    before = geom(win.before)
+    fields = (lambda g: g.u, lambda g: g.v2)
+    rate_u, rate_v2 = oracles.material_rate(win, {f: f(before) for f in fields}).rates.values()
     assert np.max(np.abs(rate_u - 3.0)) < 1e-11
     assert np.max(np.abs(rate_v2)) < 1e-11
 
 
 def test_material_rate_drift_vanishes_without_slope():
     win = window(radial_state(33, amplitude=0.0, height=0.7))
-    (rate,), mid = oracles.material_rate(win, lambda g: g.v2)
+    measured = oracles.material_rate(win, {oracles.tilt_squared: geom(win.before).v2})
+    (rate,), mid = measured.rates.values(), measured.mid
     assert np.max(np.abs(mid.du)) == 0.0
     assert np.max(np.abs(rate)) < 1e-11
 
@@ -118,7 +147,7 @@ def test_restriction_gradients_on_random_jets():
 
 
 def test_restriction_gradient_check_passes_on_state():
-    rep = oracles.check_restriction_gradients(radial_state(65, amplitude=0.3))
+    rep = oracles.check_restriction_gradients(geom(radial_state(65, amplitude=0.3)))
     assert rep.passed
     assert rep.linf < 1e-10
     # height + three coordinate components + three mixed components per node
@@ -131,14 +160,14 @@ def test_restriction_gradient_check_passes_on_state():
 
 def test_coordinate_laplacians_flat_slice_exact():
     state = radial_state(33, amplitude=0.0, height=0.4)
-    for rep in oracles.check_coordinate_laplacians(state):
+    for rep in oracles.check_coordinate_laplacians(geom(state)):
         assert rep.linf < 1e-12, rep.summary()
 
 
 def test_coordinate_laplacian_radial_orders():
     coarse = radial_state(65, amplitude=0.1)
     fine = radial_state(129, amplitude=0.1)
-    closed, wave = oracles.refined(oracles.check_coordinate_laplacians, coarse, fine)
+    closed, wave = refined(oracles.check_coordinate_laplacians, geom, coarse, fine)
     for rep in (closed, wave):
         assert rep.passed, rep.summary()
         assert ORDER_LO < rep.order < ORDER_HI
@@ -156,7 +185,7 @@ def test_coordinate_laplacian_cartesian_orders():
             bc=flow.BoundaryCondition(flow.FROZEN),
         )
 
-    closed, wave = oracles.refined(oracles.check_coordinate_laplacians, state(25), state(49))
+    closed, wave = refined(oracles.check_coordinate_laplacians, geom, state(25), state(49))
     assert ORDER_LO < closed.order < ORDER_HI
     assert ORDER_LO < wave.order < ORDER_HI
 
@@ -185,7 +214,7 @@ def test_tilt_gradient_closed_form_on_random_jets():
 
 
 def test_tilt_gradient_refinement_order():
-    (rep,) = oracles.refined(oracles.check_tilt_gradient, radial_state(65), radial_state(129))
+    (rep,) = refined(oracles.check_tilt_gradient, geom, radial_state(65), radial_state(129))
     assert rep.passed, rep.summary()
     assert rep.order == pytest.approx(2.0, abs=0.3)
 
@@ -195,13 +224,13 @@ def test_tilt_gradient_refinement_order():
 
 
 def test_tilt_evolution_exact_on_flat_slicing():
-    rep = oracles.check_tilt_evolution(window(radial_state(33, amplitude=0.0), dt=1e-3))
+    rep = oracles.check_tilt_evolution(tilt_rates(window(radial_state(33, amplitude=0.0), dt=1e-3)))
     assert rep.linf < 1e-12
 
 
 def test_tilt_evolution_bump_refinement():
     coarse, fine = bump_window_pair()
-    (rep,) = oracles.refined(oracles.check_tilt_evolution, coarse, fine)
+    (rep,) = refined(oracles.check_tilt_evolution, tilt_rates, coarse, fine)
     assert rep.passed, rep.summary()
     assert ORDER_LO < rep.order < ORDER_HI
     assert rep.linf < 5e-2
@@ -223,7 +252,7 @@ def test_rate_checks_leave_out_the_node_beside_the_boundary():
             )
             cfg = flow.FlowConfig()
             win = flow.evolve_window(state, flow.stable_dt(state, cfg.cfl_safety), cfg)
-            _, mask, lhs, rhs, _ = oracles._tilt_evolution_parts(win)
+            mask, lhs, rhs, _ = tilt_rates(win).tilt
             assert not mask[-2] and mask[-3]
             beside[width, resolution] = abs(float((lhs - rhs)[-2]))
     assert beside[0.6, 129] < 1e-12 and beside[0.6, 257] < 1e-12
@@ -232,8 +261,8 @@ def test_rate_checks_leave_out_the_node_beside_the_boundary():
 
 
 def test_tilt_evolution_residual_scales_with_amplitude():
-    big = oracles.check_tilt_evolution(window(radial_state(33, amplitude=0.2)))
-    small = oracles.check_tilt_evolution(window(radial_state(33, amplitude=0.1)))
+    big = oracles.check_tilt_evolution(tilt_rates(window(radial_state(33, amplitude=0.2))))
+    small = oracles.check_tilt_evolution(tilt_rates(window(radial_state(33, amplitude=0.1))))
     ratio = big.linf / small.linf
     assert 1.8 < ratio < 3.2
 
@@ -246,7 +275,7 @@ def test_tilt_bounds_frozen_slice_arithmetic():
     """On a flat slice the measured evolution is zero, so each slack is the
     bound itself: 86/3 for the dissipation bound at delta = 1/3 (28 at
     delta = 0), equality for the decay bound, and 32/3 for pinching."""
-    win = window(radial_state(33, amplitude=0.0), dt=1e-3)
+    win = tilt_rates(window(radial_state(33, amplitude=0.0), dt=1e-3))
     third = oracles.check_tilt_bounds(win, delta=1.0 / 3.0)
     by_name = {rep.name: rep for rep in third}
     assert by_name["tilt-dissipation-bound"].worst_slack == pytest.approx(86.0 / 3.0)
@@ -260,13 +289,13 @@ def test_tilt_bounds_frozen_slice_arithmetic():
 
 @pytest.mark.parametrize("delta", [-0.05, 0.34, 1.0])
 def test_tilt_bounds_reject_bad_delta(delta):
-    win = window(radial_state(33, amplitude=0.0), dt=1e-3)
+    win = tilt_rates(window(radial_state(33, amplitude=0.0), dt=1e-3))
     with pytest.raises(ValueError, match="delta"):
         oracles.check_tilt_bounds(win, delta=delta)
 
 
 def test_tilt_bounds_hold_on_bump_flow():
-    win = window(radial_state(65))
+    win = tilt_rates(window(radial_state(65)))
     for rep in oracles.check_tilt_bounds(win, delta=0.2):
         assert rep.passed, rep.summary()
         assert rep.parameters["delta"] == 0.2
@@ -306,10 +335,10 @@ def high_slice_window(height=10.0):
 def test_weight_bounds_hold_high_on_slices(alpha):
     spec = geometry.CutoffSpec(alpha=alpha, epsilon=0.1, t_min=10.0)
     win = high_slice_window()
-    evo = oracles.check_weight_evolution(win, spec)
+    evo = oracles.check_weight_evolution(rates(win, oracles.WeightField(spec)), spec)
     assert evo.passed and evo.violations == 0
     assert evo.worst_slack > 0.0
-    grad = oracles.check_weight_gradient(win.mid, spec)
+    grad = oracles.check_weight_gradient(geom(win.mid), spec)
     assert grad.passed and grad.violations == 0
     assert grad.worst_slack >= 0.0
 
@@ -318,9 +347,9 @@ def test_weight_checks_guard_the_height_threshold():
     spec = geometry.CutoffSpec(alpha=1.0, epsilon=0.1, t_min=10.0)
     low = window(radial_state(33, amplitude=0.0, height=0.0), dt=1e-3)
     with pytest.raises(BelowThresholdError):
-        oracles.check_weight_evolution(low, spec)
+        oracles.check_weight_evolution(rates(low, oracles.WeightField(spec)), spec)
     with pytest.raises(BelowThresholdError):
-        oracles.check_weight_gradient(low.mid, spec)
+        oracles.check_weight_gradient(geom(low.mid), spec)
 
 
 def test_weight_negative_control_shows_violations():
@@ -328,11 +357,11 @@ def test_weight_negative_control_shows_violations():
     bounds; the checks must report that instead of passing vacuously."""
     spec = geometry.CutoffSpec(alpha=1.9, epsilon=0.1, t_min=0.5)
     win = window(radial_state(129, amplitude=0.0, height=1.0))
-    evo = oracles.check_weight_evolution(win, spec)
+    evo = oracles.check_weight_evolution(rates(win, oracles.WeightField(spec)), spec)
     assert not evo.passed
     assert evo.violations > 0
     assert evo.worst_slack < -1.0
-    grad = oracles.check_weight_gradient(win.mid, spec)
+    grad = oracles.check_weight_gradient(geom(win.mid), spec)
     assert not grad.passed
     assert grad.violations > 0
 
@@ -355,20 +384,20 @@ def test_curvature_profiles_match_eigenvalue_route(dimension):
 
 def test_curvature_evolution_exact_on_slices():
     ident, traceless = oracles.check_curvature_evolution(
-        window(radial_state(33, amplitude=0.0), dt=1e-3)
+        curvature_rates(window(radial_state(33, amplitude=0.0), dt=1e-3))
     )
     assert ident.linf < 1e-12
     assert traceless.worst_slack >= -1e-10
     # a raised slice only stresses the rounding, not the cancellation
     ident_up, _ = oracles.check_curvature_evolution(
-        window(radial_state(33, amplitude=0.0, height=0.3), dt=1e-3)
+        curvature_rates(window(radial_state(33, amplitude=0.0, height=0.3), dt=1e-3))
     )
     assert ident_up.linf < 1e-10
 
 
 def test_curvature_evolution_bump_refinement():
     coarse, fine = bump_window_pair(dt=2e-5)
-    ident, traceless = oracles.refined(oracles.check_curvature_evolution, coarse, fine)
+    ident, traceless = refined(oracles.check_curvature_evolution, curvature_rates, coarse, fine)
     assert ident.passed, ident.summary()
     assert ORDER_LO < ident.order < ORDER_HI
     assert traceless.passed and traceless.violations == 0
@@ -379,8 +408,8 @@ def test_refined_orders_the_identity_and_keeps_the_coarse_bound():
     """``refined`` gives the coarse identity report its order and verdict,
     and hands the traceless bound on exactly as the coarse check gives it."""
     coarse, fine = bump_window_pair(dt=2e-5)
-    ident, traceless = oracles.refined(oracles.check_curvature_evolution, coarse, fine)
-    plain_ident, plain_traceless = oracles.check_curvature_evolution(coarse)
+    ident, traceless = refined(oracles.check_curvature_evolution, curvature_rates, coarse, fine)
+    plain_ident, plain_traceless = oracles.check_curvature_evolution(curvature_rates(coarse))
     assert traceless == plain_traceless
     assert plain_ident.order is None and plain_ident.passed is None
     assert ident == replace(plain_ident, order=ident.order, passed=True)
@@ -399,7 +428,7 @@ def test_curvature_evolution_builds_each_snapshot_geometry_once(monkeypatch):
             super().__init__(grid, u_values)
 
     monkeypatch.setattr(geometry, "GeometryFields", Counted)
-    oracles.refined(oracles.check_curvature_evolution, coarse, fine)
+    refined(oracles.check_curvature_evolution, curvature_rates, coarse, fine)
     assert sorted(built) == [33] * 3 + [65] * 3
 
 
@@ -411,7 +440,7 @@ def test_curvature_evolution_mode_guards():
         bc=flow.BoundaryCondition(flow.FROZEN),
     )
     with pytest.raises(ModeUnsupportedError):
-        oracles.check_curvature_evolution(window(cart, dt=1e-3))
+        oracles.check_curvature_evolution(curvature_rates(window(cart, dt=1e-3)))
     flat2 = grids.Grid(grids.RADIAL, 2, extent=2.0, resolution=17)
     two_dim = flow.GraphState(
         u=grids.Field(flat2, np.zeros(flat2.shape)),
@@ -419,7 +448,7 @@ def test_curvature_evolution_mode_guards():
         bc=flow.BoundaryCondition(flow.SLICING),
     )
     with pytest.raises(ModeUnsupportedError, match="dimension 3"):
-        oracles.check_curvature_evolution(window(two_dim, dt=1e-3))
+        oracles.check_curvature_evolution(curvature_rates(window(two_dim, dt=1e-3)))
     with pytest.raises(ModeUnsupportedError):
         oracles.radial_curvatures(
             geometry.GeometryFields(grid, np.zeros(grid.shape))
@@ -564,26 +593,19 @@ def test_flipped_reaction_terms_break_the_identity(symbolic_identity_residuals):
 
 
 def cartesian_verify_inputs(resolution):
-    """The states and windows ``verify`` checks on a cartesian 3-d bump, built."""
+    """The states and window step ``verify`` checks on a cartesian 3-d bump, built."""
     cfg = config.RunConfig(
         grid=config.GridSpec(mode=grids.CARTESIAN, dimension=3, extent=3.0, resolution=resolution),
         initial=config.InitialSpec(profile="bump", amplitude=0.2, width=1.2),
     )
     inputs = cli._Inputs(cfg, [])
-    for name in ("state", "fine", "window", "fine_window"):
+    for name in ("state", "fine", "dt"):
         getattr(inputs, name)
     return inputs
 
 
-CARTESIAN_CHECKS = {
-    "coordinate_laplacians": lambda i: oracles.refined(
-        oracles.check_coordinate_laplacians, i.state, i.fine
-    ),
-    "tilt_gradient": lambda i: oracles.refined(oracles.check_tilt_gradient, i.state, i.fine),
-    "tilt_evolution": lambda i: oracles.refined(
-        oracles.check_tilt_evolution, i.window, i.fine_window
-    ),
-}
+#: The checks whose fine pass ``verify`` runs on a cartesian 3-d grid.
+CARTESIAN_REFINED = ("coordinate_laplacians", "tilt_gradient", "tilt_evolution")
 
 
 def traced_peak(call) -> int:
@@ -597,20 +619,25 @@ def traced_peak(call) -> int:
 
 
 def test_cartesian_checks_stay_within_their_memory_budget():
-    """Peak allocation of each cartesian check on a 33^3 grid (refined 65^3),
-    in fine node arrays: the checks hold no (n, n, N) node tensors, so each
-    peak stays below 60 arrays, and the kernel's below 16."""
+    """Peak allocation of the fine pass of a cartesian ``verify`` on a 33^3
+    grid (refined 65^3), in fine node arrays.  The pass holds one geometry
+    at a time and no (n, n, N) node tensor, so its peak stays below 60
+    arrays (holding the state's geometry through the window checks would
+    take it to about 75), and the kernel's below 16."""
     inputs = cartesian_verify_inputs(33)
     fine = inputs.fine
     node_array = fine.u.values.nbytes
     peaks = {
-        name: traced_peak(lambda: check(inputs)) / node_array
-        for name, check in CARTESIAN_CHECKS.items()
+        "fine_pass": traced_peak(
+            lambda: cli._measure(
+                inputs.config, CARTESIAN_REFINED, lambda: fine, lambda: inputs.dt / 4.0
+            )
+        )
+        / node_array,
+        "kernel": traced_peak(lambda: geometry.graph_speed_fields(fine.u.values, fine.grid))
+        / node_array,
     }
-    peaks["kernel"] = (
-        traced_peak(lambda: geometry.graph_speed_fields(fine.u.values, fine.grid)) / node_array
-    )
-    budget = {"coordinate_laplacians": 60, "tilt_gradient": 60, "tilt_evolution": 60, "kernel": 16}
+    budget = {"fine_pass": 60, "kernel": 16}
     over = {name: round(peaks[name], 1) for name in budget if peaks[name] >= budget[name]}
     assert not over, f"peak node arrays {over} exceed {budget}"
 
@@ -627,3 +654,91 @@ def test_tensor_readers_build_no_node_tensors():
     geom = oracles.snapshot_geometry(radial_state(200_001, amplitude=0.2))
     curvatures = traced_peak(lambda: oracles.radial_curvatures(geom))
     assert curvatures / geom.u.nbytes < 9
+
+
+# ---------------------------------------------------------------------------
+# one pass per grid: each snapshot geometry is built once
+
+
+def cartesian_config(resolution=13, **checks):
+    return config.RunConfig(
+        grid=config.GridSpec(mode=grids.CARTESIAN, dimension=3, extent=3.0, resolution=resolution),
+        initial=config.InitialSpec(profile="bump", amplitude=0.2, width=1.2),
+        checks=config.CheckSpec(**checks),
+    )
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """Record the grid resolution of every call to ``module.name``."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, cfg, builds",
+    [
+        # the parent commit built 14, 10 and 20 geometries
+        ("verify", cartesian_config(curvature_evolution=False, jet_sampling=True, jet_count=100), 6),
+        ("refine", cartesian_config(), 6),
+        (
+            "verify",
+            config.RunConfig(
+                grid=config.GridSpec(mode=grids.RADIAL, dimension=3, extent=3.0, resolution=129),
+                initial=config.InitialSpec(profile="bump", amplitude=0.2, width=1.2),
+            ),
+            6,
+        ),
+    ],
+)
+def test_each_pass_builds_each_snapshot_geometry_once(monkeypatch, command, cfg, builds):
+    """The coarse pass builds the state's, the window's after and its middle
+    geometry; the fine pass builds the same three on the refined grid."""
+    built = count_calls(monkeypatch, geometry, "GeometryFields")
+    report = cli.COMMANDS[command](cfg)
+    assert report.checks and report.failure is None
+    assert len(built) == builds
+    coarse, fine = cfg.grid.resolution, cfg.grid.refined().resolution
+    assert [g.resolution for g in built] == [coarse] * 3 + [fine] * 3
+
+
+def test_tilt_checks_share_one_material_rate_per_window(monkeypatch):
+    """``check_tilt_evolution`` and ``check_tilt_bounds`` read the same v^2
+    evolution parts: one ``material_rate`` per window, where the parent
+    commit ran it three times."""
+    windows = count_calls(monkeypatch, oracles, "material_rate")
+    report = cli.COMMANDS["verify"](cartesian_config(curvature_evolution=False))
+    names = [entry["name"] for entry in report.checks]
+    assert "tilt-evolution" in names and "tilt-decay-bound" in names
+    assert len(windows) == 2
+
+
+def test_box_aggregation_matches_the_concatenated_reference():
+    """On box masks the reports read each residual in place; the reference
+    concatenates the masked residuals first, as the parent commit did."""
+    rng = np.random.default_rng(11)
+    grid = grids.Grid(grids.CARTESIAN, 3, extent=1.0, resolution=17)
+    vector = rng.normal(size=(3,) + grid.shape)
+    scalar = rng.normal(size=grid.shape)
+    for ring in (1, 2, 5):
+        mask = grid.interior_mask(ring)
+        assert isinstance(oracles._node_index(mask)[1], slice)
+        flat = np.concatenate([np.abs(r[..., mask]).reshape(-1) for r in (vector, scalar)])
+        rep = oracles._residual_report("demo", [vector, scalar], mask)
+        assert rep.linf == float(np.max(flat)) and rep.count == flat.size
+        assert rep.l2 == pytest.approx(float(np.sqrt(np.mean(flat**2))), rel=1e-15)
+
+        ineq = oracles._inequality_report("demo", scalar, mask, 0.5, 1.0, {})
+        assert ineq.worst_slack == float(np.min(scalar[mask]))
+        assert ineq.violations == int(np.count_nonzero(scalar[mask] < -0.5))
+
+        tol, scale = oracles.grid_tolerance(0.1, 3.0 * scalar, vector, mask=mask)
+        assert scale == max(1.0, float(np.max(np.abs(3.0 * scalar[mask]))),
+                            float(np.max(np.abs(vector[..., mask]))))
+        assert tol == oracles.GRID_TOL_FACTOR * 0.1 * 0.1 * scale
