@@ -685,7 +685,11 @@ def count_calls(monkeypatch, module, name) -> list:
     "command, cfg, builds",
     [
         # the parent commit built 14, 10 and 20 geometries
-        ("verify", cartesian_config(curvature_evolution=False, jet_sampling=True, jet_count=100), 6),
+        (
+            "verify",
+            cartesian_config(curvature_evolution=False, jet_sampling=True, jet_count=100),
+            6,
+        ),
         ("refine", cartesian_config(), 6),
         (
             "verify",
