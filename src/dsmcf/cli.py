@@ -120,9 +120,9 @@ _GUARDS = {
 
 def _measure(config: RunConfig, names, state, dt) -> list:
     """One grid's pass over the named checks, their reports in table order.
-    The state checks and the window's before values read the state's one
-    geometry, which is dropped before the window of two ``dt()`` steps is
-    built and its after and middle snapshots are measured, one at a time."""
+    The state checks and the window's before values read the one geometry
+    of ``state()``, dropped before the window of two ``dt()`` steps is built
+    and its after and middle snapshots are measured, one at a time."""
     fields = dict.fromkeys(f for n in names if n in _RATE_FIELDS for f in _RATE_FIELDS[n](config))
     geom = oracles.snapshot_geometry(state()) if set(names) - {"jet_sampling"} else None
     outcomes = {n: _CHECKS[n](geom, config) for n in names if n not in _RATE_FIELDS}
