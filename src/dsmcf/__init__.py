@@ -8,23 +8,13 @@ experiments from the command line (``dsmcf --help``).
 """
 
 from .errors import DsmcfError
-from .geometry import (
-    AmbientPoint,
-    CutoffSpec,
-    GraphSample,
-    SurfaceGeometry,
-    ambient_metric,
-    isometry_shift_point,
-    surface_geometry,
-    tangential_projection,
-)
+from .geometry import CutoffSpec
 from .grids import Field, Grid, interpolate, refinement_order
 from .flow import (
     BoundaryCondition,
     FlowConfig,
     GraphState,
     Trajectory,
-    isometry_shift_state,
     run,
     stable_dt,
     step,

@@ -70,7 +70,7 @@ class InitialSpec:
             shape = np.sin(3.0 * r) * np.exp(-rsq / self.width**2)
             peak = np.max(np.abs(shape))
             return self.height + self.amplitude * shape / peak
-        c = np.sqrt(1.0 - 1.0 / self.tilt**2)
+        c = np.sqrt(1.0 - (1.0 / self.tilt) ** 2)
         reach = c * np.max(r)
         if reach >= 1.0:
             raise ValidationError(

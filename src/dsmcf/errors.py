@@ -10,7 +10,6 @@ from __future__ import annotations
 __all__ = [
     "DsmcfError",
     "NonSpacelikeError",
-    "SingularMetricError",
     "BelowThresholdError",
     "OutOfDomainError",
     "ResolutionTooLowError",
@@ -41,10 +40,6 @@ class NonSpacelikeError(DsmcfError):
     def __init__(self, message, location=None):
         super().__init__(message)
         self.location = location
-
-
-class SingularMetricError(DsmcfError):
-    """Induced metric could not be inverted or factored reliably."""
 
 
 class BelowThresholdError(DsmcfError):

@@ -1,10 +1,9 @@
 """Analyses of recorded trajectories that reproduce the qualitative flow
 phenomena: a pinned disk whose center climbs without bound between its
-barriers, flattening of perturbed and steep slices, recentred convergence
-to the uniformly climbing profile, and the discrete ordering principle the
-other runs lean on.  The commands in ``cli`` run the flows; the functions
-here only read the trajectories they record, failed runs included.  Each
-result's ``passed`` is its one verdict."""
+barriers, flattening of perturbed and steep slices, and recentred
+convergence to the uniformly climbing profile.  The commands in ``cli`` run
+the flows; the functions here only read the trajectories they record,
+failed runs included.  Each result's ``passed`` is its one verdict."""
 
 import dataclasses
 import math
@@ -384,61 +383,3 @@ def convergence_table(
         passed=decreasing or already_flat,
     )
 
-
-# ---------------------------------------------------------------------------
-# discrete ordering principle
-
-
-@dataclass(frozen=True)
-class ComparisonResult(_Result):
-    """Worst signed gap max(u_low - u_high) per matched snapshot."""
-
-    s: np.ndarray
-    worst_gap: np.ndarray
-    tolerance: float
-    ordered: bool
-    passed: bool
-
-
-def comparison_run(lo: flow.Trajectory, hi: flow.Trajectory) -> ComparisonResult:
-    """Check that two flows from ordered initial states stay ordered.
-
-    Both runs must have ended without failure, and their initial states
-    must share a grid and boundary kind, with the first below the second.
-    The upper run is interpolated in time onto the lower run's snapshot
-    times, and the flows count as ordered when the lower one never exceeds
-    the upper by more than the 10 h^2 allowance.
-    """
-    for traj in (lo, hi):
-        if traj.failure is not None:
-            raise ValueError(f"comparison runs must end without failure: {traj.failure}")
-    low, high = lo.snapshots[0], hi.snapshots[0]
-    if (
-        low.grid.mode != high.grid.mode
-        or low.grid.dimension != high.grid.dimension
-        or low.grid.resolution != high.grid.resolution
-        or abs(low.grid.extent - high.grid.extent) > 1e-12
-    ):
-        raise ValueError("comparison states must share a grid")
-    if low.bc.kind != high.bc.kind:
-        raise ValueError("comparison states must share a boundary kind")
-    if np.any(low.u.values > high.u.values + 1e-12):
-        raise ValueError("initial data must be ordered: first below second")
-
-    s_lo = lo.s_values()
-    s_hi = hi.s_values()
-    hi_profiles = _snapshot_profiles(hi)
-    tol, _ = oracles.grid_tolerance(low.grid.spacing)
-    gaps = np.empty(len(lo.snapshots))
-    for k, st in enumerate(lo.snapshots):
-        tau = min(max(float(s_lo[k]), float(s_hi[0])), float(s_hi[-1]))
-        upper = _profile_at(s_hi, hi_profiles, tau)
-        gaps[k] = float(np.max(st.u.values - upper))
-    ordered = bool(np.all(gaps <= tol))
-    return ComparisonResult(
-        s=s_lo,
-        worst_gap=gaps,
-        tolerance=tol,
-        ordered=ordered,
-        passed=ordered,
-    )

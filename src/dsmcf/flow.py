@@ -49,7 +49,6 @@ from .errors import (
     ConvergenceError,
     ModeUnsupportedError,
     NonSpacelikeError,
-    OutOfDomainError,
 )
 
 PINNED = "pinned"
@@ -152,6 +151,8 @@ class FlowConfig:
             raise ValueError("s_end must be positive")
         if self.max_steps < 1 or self.snapshot_stride < 1:
             raise ValueError("max_steps and snapshot_stride must be >= 1")
+        if not (self.blowup_cap > 0.0):
+            raise ValueError("blowup_cap must be positive")
         if not (self.dt_max > 0.0):
             raise ValueError("dt_max must be positive")
         if self.dt_fixed is not None and not (self.dt_fixed > 0.0):
@@ -506,25 +507,3 @@ def evolve_window(state: GraphState, dt: float, config: FlowConfig) -> Trajector
     s2 = step(s1, dt, config)
     return TrajectoryWindow(before=s0, mid=s1, after=s2, dt=dt)
 
-
-# ---------------------------------------------------------------------------
-# state-level isometry
-
-
-def isometry_shift_state(state: GraphState, a: float) -> GraphState:
-    """Apply the chart isometry (x, t) -> (e^a x, t - a) to a graph state.
-
-    The new height field is u'(y) = u(e^{-a} y) - a on the same grid.  The
-    flow is equivariant under this map at fixed s.  For a < 0 the pulled
-    back points leave the grid hull and interpolation raises
-    OutOfDomainError.
-    """
-    grid = state.grid
-    try:
-        pulled = grids.interpolate(state.u, np.exp(-a) * grid.points())
-    except OutOfDomainError as exc:
-        raise OutOfDomainError(f"isometry shift a = {a:.6g}: {exc}") from exc
-    values = np.asarray(pulled).reshape(grid.shape) - a
-    new_state = GraphState(u=grids.Field(grid, values), s=state.s, bc=state.bc)
-    state.bc.check(new_state)
-    return new_state

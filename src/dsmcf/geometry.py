@@ -1,4 +1,5 @@
-"""Pointwise geometry of spacelike graphs in an expanding flat chart.
+"""Geometry of spacelike graphs in an expanding flat chart, over batches of
+jets and over grids.
 
 The ambient space is ``R^n x R`` with the Lorentzian metric
 
@@ -30,7 +31,9 @@ The closed forms for gamma^{-1} and the mean curvature used below are
 
 both consequences of the rank-one structure of gamma.  The derivation of
 h_ij from the covariant-derivative table is verified symbolically in
-tests/test_geometry.py, so the formulas here can be trusted as frozen.
+tests/test_geometry.py, and tests/pointwise.py evaluates these formulas one
+jet at a time, with tensors, as the reference the batched forms here are
+checked against.
 
 Sign conventions: the normal is future pointing (positive d_t component),
 and with the h_ij above a flat slice u = const has H = +n, so the flow
@@ -39,219 +42,19 @@ built on this module expands towards the future.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import grids
-from .errors import NonSpacelikeError, SingularMetricError
-
-DEFAULT_DIMENSION = 3
-
-#: The spacelike margin floor, defined once in ``grids``.
-MARGIN_FLOOR = grids.MARGIN_FLOOR
-
-
-# ---------------------------------------------------------------------------
-# ambient space
-
-
-@dataclass(frozen=True)
-class AmbientPoint:
-    """A point (x, t) of the ambient expanding chart."""
-
-    x: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-
-    @property
-    def dimension(self) -> int:
-        return self.x.shape[0]
-
-
-def ambient_metric(t: float, dimension: int = DEFAULT_DIMENSION) -> np.ndarray:
-    """Metric matrix diag(e^{2t}, ..., e^{2t}, -1) in coordinates (x, t)."""
-    diag = np.full(dimension + 1, math.exp(2.0 * t))
-    diag[-1] = -1.0
-    return np.diag(diag)
-
-
-def ambient_inner(X: np.ndarray, Y: np.ndarray, t, dimension: int = DEFAULT_DIMENSION):
-    """g(X, Y) at height t for (n+1)-component vectors (spatial first, t last)."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    spatial = np.sum(X[..., :dimension] * Y[..., :dimension], axis=-1)
-    return np.exp(2.0 * np.asarray(t)) * spatial - X[..., -1] * Y[..., -1]
-
-
-def isometry_shift_point(point: AmbientPoint, a: float) -> AmbientPoint:
-    """The boost (x, t) -> (e^a x, t - a), an isometry of the chart."""
-    return AmbientPoint(x=math.exp(a) * point.x, t=point.t - a)
-
-
-# ---------------------------------------------------------------------------
-# graph jets
-
-
-@dataclass(frozen=True)
-class GraphSample:
-    """Second-order jet (u, du, d2u) of a height function at one point."""
-
-    u: float
-    du: np.ndarray
-    d2u: np.ndarray
-    x: np.ndarray | None = None
-
-    def __post_init__(self):
-        du = np.atleast_1d(np.asarray(self.du, dtype=float))
-        d2u = np.asarray(self.d2u, dtype=float)
-        object.__setattr__(self, "du", du)
-        object.__setattr__(self, "d2u", d2u)
-        if self.x is not None:
-            object.__setattr__(
-                self, "x", np.atleast_1d(np.asarray(self.x, dtype=float))
-            )
-        n = du.shape[0]
-        if d2u.shape != (n, n):
-            raise ValueError(f"d2u must be {n}x{n}, got {d2u.shape}")
-        scale = max(1.0, float(np.max(np.abs(d2u))))
-        if np.max(np.abs(d2u - d2u.T)) > 1e-12 * scale:
-            raise ValueError("d2u must be symmetric")
-        m = spacelike_margin(self.u, du)
-        if not m > MARGIN_FLOOR:
-            raise NonSpacelikeError(
-                f"jet has margin {m:.3e} <= {MARGIN_FLOOR:.0e}; "
-                "the graph is not spacelike here"
-            )
-
-    @property
-    def dimension(self) -> int:
-        return self.du.shape[0]
-
-
-def spacelike_margin(u, du):
-    """m = 1 - e^{-2u} |du|^2, positive exactly on spacelike jets."""
-    du = np.asarray(du, dtype=float)
-    return 1.0 - np.exp(-2.0 * np.asarray(u)) * np.sum(du * du, axis=0)
-
-
-def jet_after_isometry(sample: GraphSample, a: float) -> GraphSample:
-    """Jet of the shifted graph u'(y) = u(e^{-a} y) - a at y = e^a x."""
-    x = None if sample.x is None else math.exp(a) * sample.x
-    return GraphSample(
-        u=sample.u - a,
-        du=math.exp(-a) * sample.du,
-        d2u=math.exp(-2.0 * a) * sample.d2u,
-        x=x,
-    )
-
-
-# ---------------------------------------------------------------------------
-# surface geometry at a point
-
-
-@dataclass(frozen=True)
-class SurfaceGeometry:
-    """Induced geometry of a spacelike graph at one point.
-
-    ``nu`` has n+1 components in the (d_i, d_t) coordinate basis with the
-    t-component last and positive.  ``h`` is the second fundamental form in
-    the coordinate tangent basis e_i = d_i + u_i d_t.  ``lambda1`` is the
-    principal curvature of largest magnitude, sign kept.
-    """
-
-    gamma: np.ndarray
-    nu: np.ndarray
-    v: float
-    h: np.ndarray
-    H: float
-    a2: float
-    a2_traceless: float
-    lambda1: float
-    margin: float
-    sample: GraphSample
-
-
-def shape_operator_eigenvalues(gamma: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of gamma^{-1} h, ascending along the last axis.
-
-    Works on batches: gamma and h may be (..., n, n).  The eigenvalues are
-    real because gamma is positive definite; they are computed from the
-    congruent symmetric matrix L^{-1} h L^{-T} with gamma = L L^T.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    h = np.asarray(h, dtype=float)
-    try:
-        L = np.linalg.cholesky(gamma)
-        Linv = np.linalg.inv(L)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetricError(
-            f"induced metric could not be factored: {exc}"
-        ) from exc
-    W = np.einsum("...ab,...bc,...dc->...ad", Linv, h, Linv)
-    return np.linalg.eigvalsh(W)
-
-
-def surface_geometry(sample: GraphSample) -> SurfaceGeometry:
-    """Full induced geometry of the graph jet ``sample``.
-
-    Written out pointwise on its own, as the reference the batched
-    ``JetFields`` is tested against.
-    """
-    n = sample.dimension
-    u, du, d2u = sample.u, sample.du, sample.d2u
-    e2u = math.exp(2.0 * u)
-    em2u = 1.0 / e2u
-    m = float(spacelike_margin(u, du))
-    if not m > MARGIN_FLOOR:
-        raise NonSpacelikeError(f"margin {m:.3e} at or below floor {MARGIN_FLOOR:.0e}")
-    v = 1.0 / math.sqrt(m)
-
-    outer = np.outer(du, du)
-    gamma = e2u * np.eye(n) - outer
-    nu = np.empty(n + 1)
-    nu[:n] = v * em2u * du
-    nu[-1] = v
-    h = v * (d2u + e2u * np.eye(n) - 2.0 * outer)
-
-    gamma_inv = em2u * (np.eye(n) + (v * v * em2u) * outer)
-    S = gamma_inv @ h
-    H = float(np.trace(S))
-    a2 = float(np.einsum("ij,ji->", S, S))
-    lam = shape_operator_eigenvalues(gamma, h)
-    # extremal principal curvature by magnitude, sign kept
-    lam1 = lam[-1] if abs(lam[-1]) >= abs(lam[0]) else lam[0]
-    return SurfaceGeometry(
-        gamma=gamma,
-        nu=nu,
-        v=v,
-        h=h,
-        H=H,
-        a2=a2,
-        a2_traceless=a2 - H * H / n,
-        lambda1=float(lam1),
-        margin=m,
-        sample=sample,
-    )
-
-
-def tangential_projection(X: np.ndarray, geom: SurfaceGeometry) -> np.ndarray:
-    """Project an ambient vector onto the tangent space: X + g(X, nu) nu."""
-    X = np.asarray(X, dtype=float)
-    n = geom.sample.dimension
-    inner = ambient_inner(X, geom.nu, geom.sample.u, dimension=n)
-    return X + inner * geom.nu
 
 
 # ---------------------------------------------------------------------------
 # restriction identities in closed form
 
 
-def coordinate_laplacian_values(H, v, t, nu_inner, dimension: int = DEFAULT_DIMENSION):
+def coordinate_laplacian_values(H, v, t, nu_inner, dimension: int):
     """Surface Laplacians of the restricted coordinates, in closed form.
 
     ``nu_inner`` holds g(nu, d_i) per spatial axis.  Returns (Lap x_i array,
@@ -265,7 +68,7 @@ def coordinate_laplacian_values(H, v, t, nu_inner, dimension: int = DEFAULT_DIME
     return lap_x, lap_t
 
 
-def coordinate_laplacian_wave_values(H, nu_sp, nu_t, t, dimension: int = DEFAULT_DIMENSION):
+def coordinate_laplacian_wave_values(H, nu_sp, nu_t, t, dimension: int):
     """Same Laplacians assembled from the ambient wave-operator identity.
 
     Lap f = Box f + H nu(f) + Hess f(nu, nu) for the restriction of an

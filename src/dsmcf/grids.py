@@ -81,6 +81,9 @@ class Grid:
             raise ValueError("radial mode needs dimension >= 2")
         if not 0 < self.extent < math.inf:
             raise ValueError("extent must be positive and finite")
+        h = self.spacing
+        if not 0.0 < h * h < math.inf:
+            raise ValueError(f"spacing {h:g} has no positive finite square")
 
     @property
     def spacing(self) -> float:

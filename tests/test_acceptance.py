@@ -15,6 +15,8 @@ import pytest
 
 from dsmcf import experiments, flow, geometry, grids, oracles
 
+import pointwise
+
 ORDER_LO, ORDER_HI = 1.7, 2.3
 
 
@@ -339,7 +341,7 @@ def test_9_ordered_pairs_stay_ordered():
     low = slicing_state(grid, 0.15 * np.exp(-(rho**2)) - 0.15)
     high = slicing_state(grid, 0.1 + 0.05 * np.cos(rho))
     cfg = flow.FlowConfig(cfl_safety=0.5, s_end=1.0)
-    result = experiments.comparison_run(flow.run(low, cfg), flow.run(high, cfg))
+    result = pointwise.comparison_run(flow.run(low, cfg), flow.run(high, cfg))
     elapsed = time.perf_counter() - started
     worst = float(np.max(result.worst_gap))
     ok = result.ordered and worst <= result.tolerance and elapsed < 300.0

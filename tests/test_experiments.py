@@ -8,6 +8,8 @@ import pytest
 from dsmcf import experiments, flow, geometry, grids
 from dsmcf.errors import NonSpacelikeError, OutOfDomainError, SpanTooShortError
 
+import pointwise
+
 
 def radial_grid(resolution, extent=3.0):
     return grids.Grid(grids.RADIAL, 3, extent=extent, resolution=resolution)
@@ -235,7 +237,7 @@ class TestRescale:
         radii = np.sqrt(np.sum(field.points**2, axis=1))
         for i, sv in enumerate(field.s):
             snap_u = experiments._profile_at(s_all, profiles, sv + lam)
-            recentred = flow.isometry_shift_state(
+            recentred = pointwise.isometry_shift_state(
                 flow.GraphState(
                     u=grids.Field(grid, snap_u),
                     s=0.0,
@@ -329,7 +331,7 @@ class TestComparison:
     def test_ordered_pair_stays_ordered(self, integrator):
         low, high = self.make_pair()
         cfg = flow.FlowConfig(integrator=integrator, cfl_safety=0.5, s_end=1.0)
-        res = experiments.comparison_run(flow.run(low, cfg), flow.run(high, cfg))
+        res = pointwise.comparison_run(flow.run(low, cfg), flow.run(high, cfg))
         assert res.ordered
         assert np.all(res.worst_gap <= res.tolerance)
         assert res.tolerance == pytest.approx(10.0 * low.grid.spacing**2)
@@ -343,7 +345,7 @@ class TestComparison:
         other = radial_grid(65)
         high = slicing_state(other, np.full(other.shape, 0.2))
         with pytest.raises(ValueError, match="share a grid"):
-            experiments.comparison_run(flow.run(low, self.SHORT), flow.run(high, self.SHORT))
+            pointwise.comparison_run(flow.run(low, self.SHORT), flow.run(high, self.SHORT))
 
     def test_rejects_mismatched_boundary_kinds(self):
         low, high = self.make_pair()
@@ -351,19 +353,19 @@ class TestComparison:
             u=high.u, s=0.0, bc=flow.BoundaryCondition(flow.FROZEN)
         )
         with pytest.raises(ValueError, match="boundary kind"):
-            experiments.comparison_run(flow.run(low, self.SHORT), flow.run(high, self.SHORT))
+            pointwise.comparison_run(flow.run(low, self.SHORT), flow.run(high, self.SHORT))
 
     def test_rejects_unordered_initial_data(self):
         low, high = self.make_pair()
         with pytest.raises(ValueError, match="ordered"):
-            experiments.comparison_run(flow.run(high, self.SHORT), flow.run(low, self.SHORT))
+            pointwise.comparison_run(flow.run(high, self.SHORT), flow.run(low, self.SHORT))
 
     def test_rejects_a_failed_run(self):
         low, high = self.make_pair()
         stopped = flow.run(high, flow.FlowConfig(s_end=0.01, max_steps=1))
         assert stopped.failure is not None
         with pytest.raises(ValueError, match="max_steps"):
-            experiments.comparison_run(flow.run(low, self.SHORT), stopped)
+            pointwise.comparison_run(flow.run(low, self.SHORT), stopped)
 
 
 def test_halving_cfl_changes_less_than_grid_error():

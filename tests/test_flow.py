@@ -11,6 +11,8 @@ import pytest
 from dsmcf import flow, geometry, grids
 from dsmcf.errors import ModeUnsupportedError, OutOfDomainError
 
+import pointwise
+
 
 def radial_state(resolution=33, extent=2.0, amplitude=0.2, kind=flow.PINNED):
     grid = grids.Grid(grids.RADIAL, 3, extent=extent, resolution=resolution)
@@ -503,11 +505,11 @@ def test_isometry_shift_matches_analytic_pullback():
         bc=flow.BoundaryCondition(flow.FROZEN),
     )
     a = 0.4
-    shifted = flow.isometry_shift_state(state, a)
+    shifted = pointwise.isometry_shift_state(state, a)
     expected = 0.5 - 0.2 * (math.exp(-a) * rho) ** 2 - a
     np.testing.assert_allclose(shifted.u.values, expected, atol=1e-4)
     with pytest.raises(OutOfDomainError):
-        flow.isometry_shift_state(state, -0.1)
+        pointwise.isometry_shift_state(state, -0.1)
 
 
 def test_isometry_commutes_with_flow_on_slices():
@@ -519,8 +521,8 @@ def test_isometry_commutes_with_flow_on_slices():
     )
     a = 0.3
     cfg = flow.FlowConfig(s_end=0.25)
-    shifted_then_flowed = flow.run(flow.isometry_shift_state(state, a), cfg).final
-    flowed_then_shifted = flow.isometry_shift_state(flow.run(state, cfg).final, a)
+    shifted_then_flowed = flow.run(pointwise.isometry_shift_state(state, a), cfg).final
+    flowed_then_shifted = pointwise.isometry_shift_state(flow.run(state, cfg).final, a)
     np.testing.assert_allclose(
         shifted_then_flowed.u.values, flowed_then_shifted.u.values, atol=1e-12
     )

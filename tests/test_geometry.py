@@ -11,6 +11,8 @@ import sympy as sp
 from dsmcf import geometry, grids, oracles
 from dsmcf.errors import NonSpacelikeError
 
+import pointwise
+
 
 def random_spacelike_jets(rng, count, dimension=3, min_margin=0.05, curvature=0.5):
     """Batch of spacelike jets with margins bounded away from zero."""
@@ -27,13 +29,13 @@ def random_spacelike_jets(rng, count, dimension=3, min_margin=0.05, curvature=0.
 
 
 def sample_of(u, du, d2u, i):
-    return geometry.GraphSample(u=float(u[i]), du=du[:, i], d2u=d2u[:, :, i])
+    return pointwise.GraphSample(u=float(u[i]), du=du[:, i], d2u=d2u[:, :, i])
 
 
 def surface_geometry_generalized_eig(sample):
     """Shape eigenvalues via the generalized symmetric problem h w = s gamma w,
     an independent route for cross-checking the eigenvalue solver."""
-    geom = geometry.surface_geometry(sample)
+    geom = pointwise.surface_geometry(sample)
     return scipy.linalg.eigh(geom.h, geom.gamma, eigvals_only=True)
 
 
@@ -42,16 +44,16 @@ def surface_geometry_generalized_eig(sample):
 
 
 def test_ambient_metric_frozen_values():
-    np.testing.assert_allclose(geometry.ambient_metric(0.0), np.diag([1.0, 1.0, 1.0, -1.0]))
+    np.testing.assert_allclose(pointwise.ambient_metric(0.0), np.diag([1.0, 1.0, 1.0, -1.0]))
     np.testing.assert_allclose(
-        geometry.ambient_metric(math.log(2.0)), np.diag([4.0, 4.0, 4.0, -1.0])
+        pointwise.ambient_metric(math.log(2.0)), np.diag([4.0, 4.0, 4.0, -1.0])
     )
 
 
 def test_ambient_metric_determinant():
     for t in (-0.7, 0.0, 1.3):
         for n in (2, 3, 4):
-            det = np.linalg.det(geometry.ambient_metric(t, dimension=n))
+            det = np.linalg.det(pointwise.ambient_metric(t, dimension=n))
             assert det == pytest.approx(-math.exp(2 * n * t), rel=1e-12)
 
 
@@ -62,14 +64,14 @@ def test_isometry_is_an_isometry():
     for _ in range(20):
         x = rng.normal(size=3)
         t = rng.normal()
-        p = geometry.AmbientPoint(x=x, t=t)
-        q = geometry.isometry_shift_point(p, a)
+        p = pointwise.AmbientPoint(x=x, t=t)
+        q = pointwise.isometry_shift_point(p, a)
         np.testing.assert_allclose(q.x, ja * x, rtol=1e-14)
         assert q.t == pytest.approx(t - a, abs=1e-14)
         # pull back the metric through the Jacobian diag(e^a, e^a, e^a, 1)
         jac = np.diag([ja, ja, ja, 1.0])
-        pulled = jac.T @ geometry.ambient_metric(q.t) @ jac
-        np.testing.assert_allclose(pulled, geometry.ambient_metric(p.t), rtol=1e-12)
+        pulled = jac.T @ pointwise.ambient_metric(q.t) @ jac
+        np.testing.assert_allclose(pulled, pointwise.ambient_metric(p.t), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +82,14 @@ def test_graph_sample_rejects_asymmetric_hessian():
     d2u = np.zeros((3, 3))
     d2u[0, 1] = 1.0
     with pytest.raises(ValueError):
-        geometry.GraphSample(u=0.0, du=np.zeros(3), d2u=d2u)
+        pointwise.GraphSample(u=0.0, du=np.zeros(3), d2u=d2u)
 
 
 def test_graph_sample_rejects_null_and_timelike_jets():
     with pytest.raises(NonSpacelikeError):
-        geometry.GraphSample(u=0.0, du=np.array([1.0, 0.0, 0.0]), d2u=np.zeros((3, 3)))
+        pointwise.GraphSample(u=0.0, du=np.array([1.0, 0.0, 0.0]), d2u=np.zeros((3, 3)))
     with pytest.raises(NonSpacelikeError):
-        geometry.GraphSample(u=0.0, du=np.array([1.5, 0.0, 0.0]), d2u=np.zeros((3, 3)))
+        pointwise.GraphSample(u=0.0, du=np.array([1.5, 0.0, 0.0]), d2u=np.zeros((3, 3)))
 
 
 def test_margin_failures_name_the_worst_node():
@@ -115,14 +117,14 @@ def test_margin_check_rejects_nan_heights():
             build(*args)
         assert info.value.location == (3,)
     with pytest.raises(NonSpacelikeError):
-        geometry.GraphSample(u=float("nan"), du=np.zeros(3), d2u=np.zeros((3, 3)))
+        pointwise.GraphSample(u=float("nan"), du=np.zeros(3), d2u=np.zeros((3, 3)))
 
 
 def test_margin_floor_rejects_barely_spacelike():
     # margin 1e-12 sits below the 1e-10 floor and must be rejected, not clamped
     mag = math.sqrt(1.0 - 1e-12)
     with pytest.raises(NonSpacelikeError):
-        geometry.GraphSample(u=0.0, du=np.array([mag, 0.0, 0.0]), d2u=np.zeros((3, 3)))
+        pointwise.GraphSample(u=0.0, du=np.array([mag, 0.0, 0.0]), d2u=np.zeros((3, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +133,8 @@ def test_margin_floor_rejects_barely_spacelike():
 
 @pytest.mark.parametrize("c", [0.0, 1.0, -0.5])
 def test_flat_slice_geometry(c):
-    sample = geometry.GraphSample(u=c, du=np.zeros(3), d2u=np.zeros((3, 3)))
-    geom = geometry.surface_geometry(sample)
+    sample = pointwise.GraphSample(u=c, du=np.zeros(3), d2u=np.zeros((3, 3)))
+    geom = pointwise.surface_geometry(sample)
     e2c = math.exp(2 * c)
     assert geom.v == pytest.approx(1.0, abs=1e-14)
     assert geom.margin == pytest.approx(1.0, abs=1e-14)
@@ -147,23 +149,23 @@ def test_flat_slice_geometry(c):
 
 def test_flat_slice_dimension_generic():
     for n in (1, 2, 4):
-        sample = geometry.GraphSample(u=0.3, du=np.zeros(n), d2u=np.zeros((n, n)))
-        geom = geometry.surface_geometry(sample)
+        sample = pointwise.GraphSample(u=0.3, du=np.zeros(n), d2u=np.zeros((n, n)))
+        geom = pointwise.surface_geometry(sample)
         assert geom.H == pytest.approx(n, abs=1e-12)
         assert geom.a2 == pytest.approx(n, abs=1e-12)
 
 
 def test_tilted_jet_frozen_values():
     # margin 1 - 0.36 = 0.64, v = 1.25
-    s1 = geometry.GraphSample(u=0.0, du=np.array([0.6, 0.0, 0.0]), d2u=np.zeros((3, 3)))
-    g1 = geometry.surface_geometry(s1)
+    s1 = pointwise.GraphSample(u=0.0, du=np.array([0.6, 0.0, 0.0]), d2u=np.zeros((3, 3)))
+    g1 = pointwise.surface_geometry(s1)
     assert g1.margin == pytest.approx(0.64, abs=1e-14)
     assert g1.v == pytest.approx(1.25, abs=1e-14)
     # same tilt expressed at height ln 2: e^{-2u}|du|^2 = 1.44 / 4 = 0.36
-    s2 = geometry.GraphSample(
+    s2 = pointwise.GraphSample(
         u=math.log(2.0), du=np.array([1.2, 0.0, 0.0]), d2u=np.zeros((3, 3))
     )
-    g2 = geometry.surface_geometry(s2)
+    g2 = pointwise.surface_geometry(s2)
     assert g2.margin == pytest.approx(0.64, abs=1e-14)
     assert g2.v == pytest.approx(1.25, abs=1e-14)
 
@@ -173,8 +175,8 @@ def test_normal_is_unit_future_and_orthogonal():
     u, du, d2u = random_spacelike_jets(rng, 50)
     for i in range(50):
         sample = sample_of(u, du, d2u, i)
-        geom = geometry.surface_geometry(sample)
-        nn = geometry.ambient_inner(geom.nu, geom.nu, sample.u)
+        geom = pointwise.surface_geometry(sample)
+        nn = pointwise.ambient_inner(geom.nu, geom.nu, sample.u)
         assert nn == pytest.approx(-1.0, abs=1e-12)
         assert geom.nu[-1] > 0
         assert geom.v == pytest.approx(geom.nu[-1], abs=1e-12)
@@ -182,7 +184,7 @@ def test_normal_is_unit_future_and_orthogonal():
             e_k = np.zeros(4)
             e_k[k] = 1.0
             e_k[-1] = sample.du[k]
-            assert geometry.ambient_inner(e_k, geom.nu, sample.u) == pytest.approx(
+            assert pointwise.ambient_inner(e_k, geom.nu, sample.u) == pytest.approx(
                 0.0, abs=1e-12
             )
 
@@ -241,28 +243,28 @@ def test_tangential_projection_orthogonal_to_normal():
     u, du, d2u = random_spacelike_jets(rng, 30)
     for i in range(30):
         sample = sample_of(u, du, d2u, i)
-        geom = geometry.surface_geometry(sample)
+        geom = pointwise.surface_geometry(sample)
         X = rng.normal(size=4)
-        Xt = geometry.tangential_projection(X, geom)
-        assert geometry.ambient_inner(Xt, geom.nu, sample.u) == pytest.approx(
+        Xt = pointwise.tangential_projection(X, geom)
+        assert pointwise.ambient_inner(Xt, geom.nu, sample.u) == pytest.approx(
             0.0, abs=1e-11
         )
 
 
 def test_tangential_projection_frozen_cases():
-    flat = geometry.surface_geometry(
-        geometry.GraphSample(u=0.0, du=np.zeros(3), d2u=np.zeros((3, 3)))
+    flat = pointwise.surface_geometry(
+        pointwise.GraphSample(u=0.0, du=np.zeros(3), d2u=np.zeros((3, 3)))
     )
     e_t = np.array([0.0, 0.0, 0.0, 1.0])
-    np.testing.assert_allclose(geometry.tangential_projection(e_t, flat), 0.0, atol=1e-14)
+    np.testing.assert_allclose(pointwise.tangential_projection(e_t, flat), 0.0, atol=1e-14)
     e_1 = np.array([1.0, 0.0, 0.0, 0.0])
-    np.testing.assert_allclose(geometry.tangential_projection(e_1, flat), e_1, atol=1e-14)
+    np.testing.assert_allclose(pointwise.tangential_projection(e_1, flat), e_1, atol=1e-14)
 
-    tilted = geometry.surface_geometry(
-        geometry.GraphSample(u=0.0, du=np.array([0.6, 0.0, 0.0]), d2u=np.zeros((3, 3)))
+    tilted = pointwise.surface_geometry(
+        pointwise.GraphSample(u=0.0, du=np.array([0.6, 0.0, 0.0]), d2u=np.zeros((3, 3)))
     )
-    proj = geometry.tangential_projection(e_t, tilted)
-    norm_sq = geometry.ambient_inner(proj, proj, 0.0)
+    proj = pointwise.tangential_projection(e_t, tilted)
+    norm_sq = pointwise.ambient_inner(proj, proj, 0.0)
     # |projection of d_t|^2 = v^2 - 1 = 0.5625 for v = 1.25
     assert norm_sq == pytest.approx(0.5625, abs=1e-12)
 
@@ -276,12 +278,12 @@ def test_shape_eigenvalues_real_and_match_generalized_route():
     u, du, d2u = random_spacelike_jets(rng, 40)
     for i in range(40):
         sample = sample_of(u, du, d2u, i)
-        geom = geometry.surface_geometry(sample)
+        geom = pointwise.surface_geometry(sample)
         raw = np.linalg.eigvals(np.linalg.solve(geom.gamma, geom.h))
         scale = max(1.0, np.max(np.abs(raw)))
         assert np.max(np.abs(raw.imag)) < 1e-10 * scale
         general = surface_geometry_generalized_eig(sample)
-        mine = geometry.shape_operator_eigenvalues(geom.gamma, geom.h)
+        mine = pointwise.shape_operator_eigenvalues(geom.gamma, geom.h)
         np.testing.assert_allclose(np.sort(mine), np.sort(general), atol=1e-10 * scale)
         extreme = raw.real[np.argmax(np.abs(raw.real))]
         assert geom.lambda1 == pytest.approx(float(extreme), abs=1e-9 * scale)
@@ -310,9 +312,9 @@ def test_geometry_invariant_under_isometry():
     u, du, d2u = random_spacelike_jets(rng, 25)
     for i in range(25):
         sample = sample_of(u, du, d2u, i)
-        before = geometry.surface_geometry(sample)
+        before = pointwise.surface_geometry(sample)
         for a in (-0.8, 0.6, 2.0):
-            after = geometry.surface_geometry(geometry.jet_after_isometry(sample, a))
+            after = pointwise.surface_geometry(pointwise.jet_after_isometry(sample, a))
             assert after.v == pytest.approx(before.v, rel=1e-12)
             assert after.H == pytest.approx(before.H, rel=1e-10, abs=1e-10)
             assert after.a2 == pytest.approx(before.a2, rel=1e-10, abs=1e-10)
@@ -324,19 +326,21 @@ def test_geometry_invariant_under_isometry():
 
 
 def test_coordinate_laplacians_flat_slice():
-    geom = geometry.surface_geometry(
-        geometry.GraphSample(u=0.7, du=np.zeros(3), d2u=np.zeros((3, 3)))
+    geom = pointwise.surface_geometry(
+        pointwise.GraphSample(u=0.7, du=np.zeros(3), d2u=np.zeros((3, 3)))
     )
     # g(nu, d_i) = e^{2u} nu^i
     nu_inner = math.exp(1.4) * geom.nu[:3]
-    lap_x, lap_t = geometry.coordinate_laplacian_values(geom.H, geom.v, 0.7, nu_inner)
+    lap_x, lap_t = geometry.coordinate_laplacian_values(
+        geom.H, geom.v, 0.7, nu_inner, dimension=3
+    )
     np.testing.assert_allclose(lap_x, 0.0, atol=1e-12)
     assert lap_t == pytest.approx(0.0, abs=1e-12)  # -3 + H v = -3 + 3
 
 
 def test_coordinate_laplacian_frozen_combination():
     lap_x, lap_t = geometry.coordinate_laplacian_values(
-        H=0.0, v=2.0, t=0.0, nu_inner=np.array([0.25, 0.0, 0.0])
+        H=0.0, v=2.0, t=0.0, nu_inner=np.array([0.25, 0.0, 0.0]), dimension=3
     )
     assert lap_x[0] == pytest.approx(-4.0 * 0.25, abs=1e-14)
     assert lap_t == pytest.approx(-6.0, abs=1e-14)
@@ -346,12 +350,14 @@ def test_wave_route_matches_closed_form():
     rng = np.random.default_rng(29)
     u, du, d2u = random_spacelike_jets(rng, 50)
     for i in range(50):
-        geom = geometry.surface_geometry(sample_of(u, du, d2u, i))
+        geom = pointwise.surface_geometry(sample_of(u, du, d2u, i))
         t = geom.sample.u
         a_x, a_t = geometry.coordinate_laplacian_values(
-            geom.H, geom.v, t, math.exp(2.0 * t) * geom.nu[:3]
+            geom.H, geom.v, t, math.exp(2.0 * t) * geom.nu[:3], dimension=3
         )
-        b_x, b_t = geometry.coordinate_laplacian_wave_values(geom.H, geom.nu[:3], geom.nu[-1], t)
+        b_x, b_t = geometry.coordinate_laplacian_wave_values(
+            geom.H, geom.nu[:3], geom.nu[-1], t, dimension=3
+        )
         scale = max(1.0, np.max(np.abs(a_x)), abs(a_t))
         np.testing.assert_allclose(a_x, b_x, atol=1e-11 * scale)
         assert a_t == pytest.approx(b_t, abs=1e-11 * scale)
@@ -409,7 +415,7 @@ def test_jet_fields_match_pointwise_geometry():
     extreme = fields.extremal_curvature()
     gamma, _, h, _ = tensor_forms(fields)
     for i in (0, 7, 33, 63):
-        geom = geometry.surface_geometry(sample_of(u, du, d2u, i))
+        geom = pointwise.surface_geometry(sample_of(u, du, d2u, i))
         assert fields.v[i] == pytest.approx(geom.v, rel=1e-13)
         assert fields.H[i] == pytest.approx(geom.H, rel=1e-11, abs=1e-11)
         assert fields.a2[i] == pytest.approx(geom.a2, rel=1e-10, abs=1e-10)
@@ -455,7 +461,7 @@ def test_rank_one_forms_equal_the_tensor_forms(make):
         fields.sheared_tilt, np.einsum("ij...,j...->i...", shape_op, fields.tilt_tangent)
     )
     assert_rel_close(fields.a2, np.einsum("ij...,ji...->...", shape_op, shape_op))
-    tensor_route = geometry.shape_operator_eigenvalues(
+    tensor_route = pointwise.shape_operator_eigenvalues(
         np.moveaxis(gamma, (0, 1), (-2, -1)), np.moveaxis(h, (0, 1), (-2, -1))
     )
     assert_rel_close(fields.eigenvalues(), tensor_route)

@@ -578,6 +578,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # h^2 overflows, and underflows to 0
+            {"grid": {"resolution": 9, "extent": 1e300}},
+            {"grid": {"resolution": 9, "extent": 1e-300}},
+            # tilt^2 overflows
+            {"grid": {"resolution": 9}, "initial": {"profile": "ramp", "tilt": 1e300}},
+            # a negative cap failed every run
+            {"flow": {"blowup_cap": -1}},
+        ],
+    )
+    def test_unrunnable_config_values_exit_two_from_verify(self, tmp_path, capsys, doc):
+        cfg = self.write_config(tmp_path, doc)
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
     def test_flatness_run_passes(self, tmp_path):
         cfg = self.write_config(
             tmp_path,

@@ -1,6 +1,8 @@
 """Every module-level function and class in ``src/dsmcf``, and every method,
-is reached from a command, or from the short list of references that tests
-compare against.
+is reached from a command, with no exceptions: the pointwise reference the
+tests compare against lives in ``tests/pointwise.py``, and an error class no
+command raises or catches is dead code like any other.  So is a name the
+package exports that no command reaches.
 
 The walk starts at ``cli.main`` (every command) and at
 ``snapshots.load_trajectory`` (the reader behind the benchmark's
@@ -26,27 +28,8 @@ import ast
 import math
 from pathlib import Path
 
-import dsmcf.errors
-
 SRC = Path(__file__).resolve().parents[1] / "src" / "dsmcf"
 ROOTS = [("cli", "main"), ("snapshots", "load_trajectory")]
-
-#: Reached from tests only, and kept on purpose.  The pointwise geometry is
-#: the independent route the batched ``JetFields`` is tested against, the
-#: isometries test the flow's equivariance, and ``comparison_run`` is
-#: acceptance criterion 9.  Whatever these reach is allowed with them.
-REFERENCE = [
-    ("geometry", "GraphSample"),
-    ("geometry", "SurfaceGeometry"),
-    ("geometry", "surface_geometry"),
-    ("geometry", "ambient_metric"),
-    ("geometry", "ambient_inner"),
-    ("geometry", "tangential_projection"),
-    ("geometry", "jet_after_isometry"),
-    ("geometry", "isometry_shift_point"),
-    ("flow", "isometry_shift_state"),
-    ("experiments", "comparison_run"),
-]
 
 
 def is_dunder(name: str) -> bool:
@@ -195,26 +178,22 @@ def defaulted_parameters(key, node: ast.FunctionDef):
 
 def test_src_holds_no_code_that_only_tests_use():
     package = Package(SRC)
-    from_commands = package.reached(ROOTS)
-    allowed = package.reached(REFERENCE + [("errors", name) for name in dsmcf.errors.__all__])
-    orphans = package.functions_and_classes() - from_commands - allowed
+    orphans = package.functions_and_classes() - package.reached(ROOTS)
     assert not orphans, (
         f"no command reaches {sorted('.'.join(key) for key in orphans)}; "
         "delete them, or move what only tests use into the tests"
     )
 
 
-def test_reference_list_is_current():
+def test_package_exports_only_what_commands_reach():
     package = Package(SRC)
-    missing = [key for key in REFERENCE if key not in package.defs]
-    assert not missing, f"{missing} no longer exist"
-    reached = sorted(set(REFERENCE) & package.reached(ROOTS))
-    assert not reached, f"commands now reach {reached}; drop them from REFERENCE"
+    exports = set(package.imported["__init__"].values())
+    unreached = sorted(".".join(key) for key in exports - package.reached(ROOTS))
+    assert not unreached, f"dsmcf exports {unreached}, which no command reaches"
 
 
 def test_src_passes_every_parameter_it_declares():
-    """``cli.main(argv)`` is the entry point tests and the shell call, and
-    what only ``REFERENCE`` reaches is not walked from the commands."""
+    """``cli.main(argv)`` is the entry point tests and the shell call."""
     package = Package(SRC)
     passed = passed_arguments(SRC)
     knobs = []
