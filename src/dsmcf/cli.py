@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import experiments, flow, grids, oracles, reporting, snapshots
+from . import experiments, flow, geometry, grids, oracles, reporting, snapshots
 from .config import InitialSpec, RunConfig, load_config
 from .errors import DsmcfError, ModeUnsupportedError, ParseError, ValidationError
 
@@ -64,7 +64,15 @@ class _Inputs:
 
     @cached_property
     def state(self) -> flow.GraphState:
-        return self.config.initial_state()
+        """The initial state; its heights must keep the checks' e^{2u} finite."""
+        state = self.config.initial_state()
+        peak = float(np.max(state.u.values))
+        if not peak < geometry.MAX_HEIGHT:
+            raise ValidationError(
+                f"initial height {peak:.6g} is not below {geometry.MAX_HEIGHT:.6g}, "
+                "where the checks' e^(2u) overflows"
+            )
+        return state
 
     @cached_property
     def fine(self) -> flow.GraphState:
@@ -156,7 +164,7 @@ def _run_checks(config: RunConfig, names) -> reporting.Report:
     fine_names = [n for n in applied if n in _REFINED]
     if fine_names:
         fine = _measure(config, fine_names, lambda: inputs.fine, lambda: inputs.dt / 4.0)
-        reports = oracles.refined(reports, fine, inputs.state.grid, inputs.fine.grid)
+        reports = oracles.refined(reports, fine)
     for entry in reports:
         report.add_check(entry)
     return report

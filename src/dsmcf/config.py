@@ -59,6 +59,14 @@ class InitialSpec:
     height: float = 0.0
     tilt: float = 2.0
 
+    def __post_init__(self):
+        if self.profile not in PROFILES:
+            raise ValueError(f"profile must be one of {PROFILES}, got '{self.profile}'")
+        if not self.width > 0.0:
+            raise ValueError(f"width must be positive, got {self.width}")
+        if self.profile == "ramp" and not self.tilt > 1.0:
+            raise ValueError(f"ramp tilt must exceed 1, got {self.tilt}")
+
     def build(self, grid: grids.Grid) -> np.ndarray:
         rsq = grid.radius_squared()
         r = np.sqrt(rsq)
@@ -99,6 +107,15 @@ class CheckSpec:
     dt: float = 1e-4
     jet_count: int = 20_000
 
+    def __post_init__(self):
+        self.cutoff()
+        if not 0.0 <= self.delta <= 1.0 / 3.0:
+            raise ValueError(f"delta must lie in [0, 1/3], got {self.delta}")
+        if not self.dt > 0.0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.jet_count <= MAX_NODES:
+            raise ValueError(f"jet_count must lie in [1, {MAX_NODES}], got {self.jet_count}")
+
     def cutoff(self) -> geometry.CutoffSpec:
         return geometry.CutoffSpec(alpha=self.alpha, epsilon=self.epsilon, t_min=self.t_min)
 
@@ -109,6 +126,14 @@ class ExperimentSpec:
     theta: float = 0.05
     lambdas: tuple[float, ...] = (0.35, 0.5, 0.65)
     rho: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 < self.theta < 1.0:
+            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
+        if not self.rho > 0.0:
+            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not self.lambdas or any(b <= a for a, b in zip(self.lambdas, self.lambdas[1:])):
+            raise ValueError(f"lambdas must be non-empty, strictly increasing, got {self.lambdas}")
 
 
 @dataclass(frozen=True)
@@ -127,18 +152,13 @@ class RunConfig:
         grid = self.grid.build()
         with np.errstate(all="ignore"):
             values = self.initial.build(grid)
-        if not np.all(np.isfinite(values)):
-            raise ValidationError(
-                f"initial profile '{self.initial.profile}' is not finite on the grid"
-            )
-        state = flow.GraphState(
-            u=grids.Field(grid, values), s=0.0, bc=flow.BoundaryCondition(self.bc)
-        )
-        try:
-            state.bc.check(state)
+        bc = flow.BoundaryCondition(self.bc)
+        try:  # a non-finite height, or a pinned boundary whose heights differ
+            state = flow.GraphState(u=grids.Field(grid, values), s=0.0, bc=bc)
+            bc.check(state)
         except ValueError as exc:
             raise ValidationError(
-                f"bc '{self.bc}' on initial profile '{self.initial.profile}': {exc}"
+                f"initial: {self.initial.profile} profile under bc '{self.bc}': {exc}"
             ) from exc
         return state
 
@@ -184,12 +204,12 @@ def _keys(spec) -> set[str]:
     return {f.name for f in dataclasses.fields(spec)}
 
 
-def _check_types(section: str, data: dict, spec) -> None:
+def _check_types(prefix: str, data: dict, spec) -> None:
     declared = {f.name: f.type for f in dataclasses.fields(spec)}
     for key, value in data.items():
         ok, what = _TYPES[declared[key]]
         if not ok(value):
-            raise ValidationError(f"{section}.{key} must be {what}, got {value!r}")
+            raise ValidationError(f"{prefix}{key} must be {what}, got {value!r}")
 
 
 def _key_line(text: str, key: str) -> int | None:
@@ -207,42 +227,32 @@ def _reject_unknown(section: str, data: dict, allowed: set[str], text: str) -> N
             raise ParseError(f"unknown key '{key}' in {section}{where}")
 
 
-def _section(raw: dict, name: str, text: str) -> dict:
+def _section(raw: dict, name: str, text: str):
+    """The section ``name`` built from ``raw``; a value of the wrong type or
+    out of its spec's range raises a ValidationError led by ``name``."""
     data = raw.get(name, {})
     if not isinstance(data, dict):
         raise ParseError(f"section '{name}' must be an object")
-    _reject_unknown(name, data, _keys(_SECTIONS[name]), text)
-    _check_types(name, data, _SECTIONS[name])
-    return data
+    spec = _SECTIONS[name]
+    _reject_unknown(name, data, _keys(spec), text)
+    _check_types(f"{name}: ", data, spec)
+    try:
+        return spec(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+    except ValueError as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
 
 
 def _validate(config: RunConfig) -> RunConfig:
+    """The top-level values and the rules that span sections; each section
+    checked its own values when ``_section`` built it."""
     if config.kind not in KINDS:
         raise ValidationError(f"kind must be one of {KINDS}, got '{config.kind}'")
     if config.bc not in flow.BC_KINDS:
         raise ValidationError(f"unknown boundary kind '{config.bc}'")
-    if config.initial.profile not in PROFILES:
-        raise ValidationError(f"profile must be one of {PROFILES}, got '{config.initial.profile}'")
     if config.flow.integrator == flow.IMPLICIT and config.grid.mode != grids.RADIAL:
         raise ValidationError(
             f"integrator '{flow.IMPLICIT}' needs grid.mode '{grids.RADIAL}', "
             f"got '{config.grid.mode}'"
-        )
-    if config.grid.resolution < 5:
-        raise ValidationError(f"resolution ≥ 5 violated: got {config.grid.resolution}")
-    for label, value in (
-        ("grid.extent", config.grid.extent),
-        ("initial.width", config.initial.width),
-        ("checks.epsilon", config.checks.epsilon),
-        ("checks.dt", config.checks.dt),
-        ("checks.jet_count", config.checks.jet_count),
-        ("experiment.rho", config.experiment.rho),
-    ):
-        if not value > 0:
-            raise ValidationError(f"{label} must be positive, got {value}")
-    if config.checks.jet_count > MAX_NODES:
-        raise ValidationError(
-            f"checks.jet_count must be at most {MAX_NODES}, got {config.checks.jet_count}"
         )
     try:
         grid = config.grid.build()
@@ -254,19 +264,6 @@ def _validate(config: RunConfig) -> RunConfig:
             f"grid too large: {grid.node_count:.3g} nodes, {fine.node_count:.3g} "
             f"once refined for verify (limit {MAX_NODES})"
         )
-    lambdas = config.experiment.lambdas
-    if not lambdas or any(b <= a for a, b in zip(lambdas, lambdas[1:])):
-        raise ValidationError(
-            f"experiment.lambdas must be non-empty and strictly increasing, got {list(lambdas)}"
-        )
-    if not 0.0 < config.checks.alpha < 2.0:
-        raise ValidationError(f"alpha ∈ (0,2) violated: checks.alpha = {config.checks.alpha}")
-    if not 0.0 <= config.checks.delta <= 1.0 / 3.0:
-        raise ValidationError(f"delta ∈ [0,1/3] violated: got {config.checks.delta}")
-    if not 0.0 < config.experiment.theta < 1.0:
-        raise ValidationError(f"theta ∈ (0,1) violated: got {config.experiment.theta}")
-    if config.initial.profile == "ramp" and config.initial.tilt <= 1.0:
-        raise ValidationError(f"ramp tilt must exceed 1, got {config.initial.tilt}")
     return config
 
 
@@ -280,19 +277,9 @@ def parse_config(text: str) -> RunConfig:
         raise ParseError("config must be a JSON object")
     _reject_unknown("config", raw, _keys(RunConfig), text)
     top = {k: v for k, v in raw.items() if k not in _SECTIONS}
-    _check_types("config", top, RunConfig)
-
+    _check_types("", top, RunConfig)
     sections = {name: _section(raw, name, text) for name in _SECTIONS}
-    if "lambdas" in sections["experiment"]:
-        sections["experiment"]["lambdas"] = tuple(sections["experiment"]["lambdas"])
-
-    try:
-        config = RunConfig(
-            **top, **{name: _SECTIONS[name](**data) for name, data in sections.items()}
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(str(exc)) from exc
-    return _validate(config)
+    return _validate(RunConfig(**top, **sections))
 
 
 def load_config(path) -> RunConfig:

@@ -12,7 +12,6 @@ __all__ = [
     "NonSpacelikeError",
     "BelowThresholdError",
     "OutOfDomainError",
-    "ResolutionTooLowError",
     "DegenerateResidualError",
     "ModeUnsupportedError",
     "BlowupError",
@@ -48,10 +47,6 @@ class BelowThresholdError(DsmcfError):
 
 class OutOfDomainError(DsmcfError):
     """A point left the interpolable hull of a grid."""
-
-
-class ResolutionTooLowError(DsmcfError):
-    """Grid has too few nodes for the second-order stencils."""
 
 
 class DegenerateResidualError(DsmcfError):

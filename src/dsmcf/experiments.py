@@ -189,11 +189,9 @@ def flatness_run(traj: flow.Trajectory, theta: float) -> FlatnessResult:
     Per snapshot, the tilt excess sup(v - 1) and the height spread
     sup |u - mean u| are taken over the inner half-region (radius up to
     half the grid extent).  The flattening time is the first snapshot
-    with excess <= theta; hitting the end of the run first is reported
-    through ``reached``, not raised.
+    with excess <= theta, in (0, 1) (``config.ExperimentSpec``); hitting
+    the end of the run first is reported through ``reached``, not raised.
     """
-    if not (0.0 < theta < 1.0):
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
     grid = traj.final.grid
     inner = grid.radius_squared() <= (0.5 * grid.extent) ** 2
     excess = np.empty(len(traj.snapshots))
@@ -272,16 +270,9 @@ def rescale_trajectory(
     height vanishes at the space-time origin by construction.  Heights
     come from spatial interpolation of the snapshot profiles and linear
     interpolation in time; the recentred times cover a fixed fraction of
-    the box on either side of zero.
+    the box on either side of zero.  ``rescale`` checks 0 < rho <= extent.
     """
-    if rho <= 0.0:
-        raise ValueError(f"box size must be positive, got {rho}")
     grid = traj.final.grid
-    if rho > grid.extent + 1e-12 * max(1.0, grid.extent):
-        raise OutOfDomainError(
-            f"lambda {lam:.6g}: box radius {rho:.6g} exceeds the grid extent "
-            f"{grid.extent:.6g}"
-        )
     s = traj.s_values()
     half = RESCALE_TIME_FRACTION * rho
     pad = 1e-12 * max(1.0, abs(float(s[-1])))
@@ -358,13 +349,9 @@ def convergence_table(
 
     Later recentrings of a converging run should sit closer to the
     uniformly climbing profile; the ``decreasing`` flag records whether
-    both columns are strictly decreasing.
+    both columns are strictly decreasing.  ``lambdas`` increase strictly.
     """
     lams = np.asarray(lambdas, dtype=float)
-    if lams.ndim != 1 or len(lams) == 0:
-        raise ValueError("need a one-dimensional, non-empty list of lambdas")
-    if np.any(np.diff(lams) <= 0.0):
-        raise ValueError("lambda values must be strictly increasing")
     height = np.empty(len(lams))
     tilt = np.empty(len(lams))
     for k, lam in enumerate(lams):

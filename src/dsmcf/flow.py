@@ -44,12 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, grids
-from .errors import (
-    BlowupError,
-    ConvergenceError,
-    ModeUnsupportedError,
-    NonSpacelikeError,
-)
+from .errors import BlowupError, ConvergenceError, NonSpacelikeError
 
 PINNED = "pinned"
 SLICING = "slicing"
@@ -130,7 +125,7 @@ class FlowConfig:
     integrators; ``dt_max`` caps the step where the diffusion bound becomes
     huge (high slices make e^{2u} enormous while the reaction terms still
     move at unit rate in s), for the implicit integrator too.  ``dt_fixed``
-    forces a constant step, which the checking windows need.
+    forces a constant step.
     """
 
     integrator: str = "rk2"
@@ -283,7 +278,6 @@ def step(state: GraphState, dt: float, config: FlowConfig, fields=None) -> Graph
         fields = _kernel(u0, grid, bc, s)
     speed = fields[0]
     if config.integrator == IMPLICIT:
-        _require_radial(grid)
         unew, _ = _backward_euler(grid, u0, fields, None, s + dt, dt, bc)
     elif config.integrator == "euler":
         unew = _stage(u0, dt, speed)
@@ -323,13 +317,6 @@ def _finish_step(grid, unew, s_new, bc, config) -> GraphState:
             f"|u| reached {peak:.3g} (cap {config.blowup_cap:.3g}) at s = {s_new:.6g}"
         )
     return GraphState(u=grids.Field.stepped(grid, unew), s=s_new, bc=bc)
-
-
-def _require_radial(grid: grids.Grid) -> None:
-    if grid.mode != grids.RADIAL:
-        raise ModeUnsupportedError(
-            f"the {IMPLICIT} integrator needs a radial grid, got {grid.mode}"
-        )
 
 
 def _damped_update(u, update, grid, bc, s):
@@ -458,14 +445,10 @@ def run(state: GraphState, config: FlowConfig) -> Trajectory:
 
     A fixed or stability-limited step evaluates the kernel once at its
     start, for dt and the first stage.  ``diagnose`` reads the health of a
-    recorded state.  A pinned ``state`` whose boundary heights differ
-    raises ValueError.
+    recorded state.
     """
-    state.bc.check(state)
     current = state.copy()
     grid, bc = current.grid, current.bc
-    if config.integrator == IMPLICIT:
-        _require_radial(grid)
     traj = Trajectory()
     traj.snapshots.append(current.copy())
     traj.dt_history.append(0.0)
@@ -501,7 +484,6 @@ def run(state: GraphState, config: FlowConfig) -> Trajectory:
 
 def evolve_window(state: GraphState, dt: float, config: FlowConfig) -> TrajectoryWindow:
     """Two fixed-size steps from ``state``, packaged for time-derivative checks."""
-    state.bc.check(state)
     s0 = state.copy()
     s1 = step(s0, dt, config)
     s2 = step(s1, dt, config)

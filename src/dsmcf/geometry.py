@@ -145,6 +145,10 @@ def _speed_core(u, grad_sq, trace, quad, n):
     return em2u, margin, v2, v, speed, v * speed
 
 
+#: The height at which e^{2u}, which every ``JetFields`` holds, overflows.
+MAX_HEIGHT = 0.5 * float(np.log(np.finfo(float).max))
+
+
 class JetFields:
     """Geometry quantities over a batch of jets, computed lazily.
 

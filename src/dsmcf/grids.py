@@ -21,12 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DegenerateResidualError,
-    NonSpacelikeError,
-    OutOfDomainError,
-    ResolutionTooLowError,
-)
+from .errors import DegenerateResidualError, NonSpacelikeError, OutOfDomainError
 
 CARTESIAN = "cartesian"
 RADIAL = "radial"
@@ -71,7 +66,7 @@ class Grid:
         if self.mode not in (CARTESIAN, RADIAL):
             raise ValueError(f"unknown grid mode {self.mode!r}")
         if self.resolution < 5:
-            raise ResolutionTooLowError(
+            raise ValueError(
                 f"resolution {self.resolution} < 5: the one-sided "
                 "second-derivative stencil needs at least 5 nodes"
             )
@@ -81,9 +76,18 @@ class Grid:
             raise ValueError("radial mode needs dimension >= 2")
         if not 0 < self.extent < math.inf:
             raise ValueError("extent must be positive and finite")
-        h = self.spacing
-        if not 0.0 < h * h < math.inf:
-            raise ValueError(f"spacing {h:g} has no positive finite square")
+        # h^2, and |x|^2 (``radius_squared``) or, radially, 1/h^2 (``radial_jet``)
+        # and the shell edges to the power n (``radial_measure``), which bound it
+        h, n = self.spacing, self.dimension
+        try:
+            if self.mode == RADIAL:
+                scales = [h * h, 1.0 / (h * h), (0.5 * h) ** n, self.extent**n]
+            else:
+                scales = [h * h, n * self.extent**2]
+        except (OverflowError, ZeroDivisionError):
+            scales = [math.inf]
+        if not all(0.0 < x < math.inf for x in scales):
+            raise ValueError(f"extent {self.extent:g} overflows a stencil at spacing {h:g}")
 
     @property
     def spacing(self) -> float:

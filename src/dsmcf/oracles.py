@@ -14,9 +14,9 @@ slicing du = 0 and the two notions coincide.
 The inequality checks use a grid tolerance of ``10 h^2 * scale`` with the
 scale taken from the dominant term.  A check measures a state's geometry or
 a window's ``WindowRates``.  ``refined`` pairs the reports of the same checks
-on a grid-halving pair (same mode and dimension, half the spacing) and gives
-each coarse residual report the order log2(e_h / e_{h/2}) of its name, which
-passes inside ``ORDER_WINDOW``.
+on a grid and its refinement (``GridSpec.refined``, half the spacing) and
+gives each coarse residual report the order log2(e_h / e_{h/2}) of its name,
+which passes inside ``ORDER_WINDOW``.
 """
 
 from __future__ import annotations
@@ -123,18 +123,12 @@ def _residual_report(name, residuals, mask, tolerance=None) -> ResidualReport:
     )
 
 
-def refined(reports, fine_reports, grid: grids.Grid, fine_grid: grids.Grid) -> list:
+def refined(reports, fine_reports) -> list:
     """``reports`` with each residual report that ``fine_reports``, the same
-    checks on ``fine_grid`` at half the spacing of ``grid``, also holds given
-    the observed order log2(e_h / e_{h/2}) of its name: it passes when that
-    lies in ``ORDER_WINDOW``, and where either error is at rounding level the
-    order stays None.  Other reports, bound reports among them, are kept."""
-    if fine_grid.mode != grid.mode or fine_grid.dimension != grid.dimension:
-        raise ValueError("refined input must share mode and dimension")
-    if abs(fine_grid.spacing * 2.0 - grid.spacing) > 1e-9 * grid.spacing:
-        raise ValueError(
-            f"refined spacing {fine_grid.spacing:.6g} is not half of {grid.spacing:.6g}"
-        )
+    checks on the grid of half the spacing, also holds given the observed
+    order log2(e_h / e_{h/2}) of its name: it passes when that lies in
+    ``ORDER_WINDOW``, and where either error is at rounding level the order
+    stays None.  Other reports, bound reports among them, are kept."""
     fine_linf = {r.name: r.linf for r in fine_reports if isinstance(r, ResidualReport)}
     reports = list(reports)
     for k, report in enumerate(reports):
@@ -239,7 +233,7 @@ def grid_tolerance(h: float, *term_arrays, mask=None):
 def _inequality_report(name, slack, mask, tolerance, scale, parameters) -> InequalityReport:
     masked = np.asarray(slack)[_node_index(mask)]
     worst = float(np.min(masked))
-    violations = int(np.count_nonzero(masked < -tolerance))
+    violations = masked.size - int(np.count_nonzero(masked >= -tolerance))  # NaN violates
     params = dict(parameters)
     params["scale"] = scale
     return InequalityReport(
@@ -375,10 +369,9 @@ def check_tilt_evolution(rates: WindowRates) -> ResidualReport:
     """Measured (d/ds - Lap) v^2 against its closed-form evolution.
 
     The identity's coefficients hold for three spatial dimensions only (on
-    a flat 2-d slice its right side is -2, not 0), so other dimensions
-    raise ModeUnsupportedError.
+    a flat 2-d slice its right side is -2, not 0); ``tilt_evolution_guard``
+    names the grids it does not apply to.
     """
-    tilt_evolution_guard(rates.mid.grid)
     mask, lhs, rhs, _ = rates.tilt
     return _residual_report("tilt-evolution", [lhs - rhs], mask)
 
@@ -387,14 +380,10 @@ def check_tilt_bounds(rates: WindowRates, delta: float) -> list[InequalityReport
     """One-sided bounds on the measured v^2 evolution, plus the pointwise
     pinching bound |A|^2 >= (4/3) lambda_1^2 - H^2.
 
-    ``delta`` steers the dissipation bound and must lie in [0, 1/3].
+    ``delta`` steers the dissipation bound, in [0, 1/3] (``CheckSpec``).
     Returns one report per bound.  The bounds rest on the v^2 evolution of
-    ``check_tilt_evolution``, so other dimensions than 3 raise
-    ModeUnsupportedError as there.
+    ``check_tilt_evolution``, so ``tilt_evolution_guard`` covers them too.
     """
-    if not (0.0 <= delta <= 1.0 / 3.0 + 1e-15):
-        raise ValueError(f"delta must lie in [0, 1/3], got {delta}")
-    tilt_evolution_guard(rates.mid.grid)
     (mask, lhs, _, grad_v_sq), mid = rates.tilt, rates.mid
     h = mid.grid.spacing
     common = {"delta": delta, "h": h, "dt": rates.dt}
@@ -564,8 +553,6 @@ def radial_curvatures(geom: geometry.GeometryFields) -> tuple[np.ndarray, np.nda
 
     u'/rho is read from d2u[1, 1], whose axis value is the even
     extrapolation of ``GeometryFields``."""
-    if geom.grid.mode != grids.RADIAL:
-        raise ModeUnsupportedError("principal curvature profiles need a radial grid")
     u_rho = geom.du[0]
     radial = (geom.d2u[0, 0] - 2.0 * (u_rho * u_rho) + geom.e2u) * geom.v
     radial *= geom.em2u * geom.v2
@@ -613,7 +600,7 @@ def check_curvature_evolution(rates: WindowRates) -> tuple[ResidualReport, Inequ
     whose right side vanishes on the flat slicing (0 + 36 - 36).  The
     coefficients are specific to three ambient spatial dimensions, and
     |grad A|^2 is only assembled from rotationally symmetric profiles, so
-    Cartesian grids and other dimensions raise ModeUnsupportedError.
+    ``curvature_evolution_guard`` admits radial grids in three dimensions only.
 
     The traceless part Z = |A|^2 - H^2/3 is tested against the one-sided
     bound (d/ds - lap) Z <= 18 Z - (2/3) H^2 Z.  The measured drift is
@@ -623,7 +610,6 @@ def check_curvature_evolution(rates: WindowRates) -> tuple[ResidualReport, Inequ
     downstream flatness estimates consume.
     """
     mid = rates.mid
-    curvature_evolution_guard(mid.grid)
     rate, rate_z = (rates.rates[f] for f in CURVATURE_FIELDS)
     a2 = _curvature_norm_sq(mid)
     lhs = rate - mid.laplacian(a2)

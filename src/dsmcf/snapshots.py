@@ -22,7 +22,7 @@ import zlib
 import numpy as np
 
 from . import flow, grids
-from .errors import CorruptFileError, IoError, ResolutionTooLowError, VersionMismatchError
+from .errors import CorruptFileError, IoError, VersionMismatchError
 
 FORMAT_VERSION = 2
 
@@ -114,7 +114,7 @@ def load_trajectory(path) -> flow.Trajectory:
     bc_kind = _decode(bc_code, _BC_KINDS, "boundary kind", path)
     try:
         grid = grids.Grid(mode, dimension, extent=extent, resolution=resolution)
-    except (ValueError, ResolutionTooLowError) as exc:
+    except ValueError as exc:
         raise CorruptFileError(f"{path}: invalid grid: {exc}") from exc
     try:
         failure = data[_HEADER.size : offset].decode("utf-8") or None

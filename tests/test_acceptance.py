@@ -68,7 +68,7 @@ def refined(check, measure, coarse, fine):
     """``oracles.refined`` on ``check`` of ``measure`` (a geometry or window
     rates) over a grid-halving pair of states or windows."""
     reports = [oracles.report_list(check(measure(x))) for x in (coarse, fine)]
-    return oracles.refined(*reports, *(getattr(x, "mid", x).grid for x in (coarse, fine)))
+    return oracles.refined(*reports)
 
 
 def moderated_jets(rng, count):

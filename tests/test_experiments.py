@@ -5,7 +5,7 @@ to the uniformly climbing profile, and pairwise ordering of flows."""
 import numpy as np
 import pytest
 
-from dsmcf import experiments, flow, geometry, grids
+from dsmcf import config, experiments, flow, geometry, grids
 from dsmcf.errors import NonSpacelikeError, OutOfDomainError, SpanTooShortError
 
 import pointwise
@@ -197,11 +197,9 @@ class TestFlatness:
 
     @pytest.mark.parametrize("theta", [0.0, 1.0, -0.2])
     def test_rejects_theta_outside_open_interval(self, theta):
-        grid = radial_grid(33)
-        state = slicing_state(grid, np.zeros(grid.shape))
-        traj = flow.run(state, flow.FlowConfig(s_end=0.01))
+        # the range is checked once, where the config builds the value
         with pytest.raises(ValueError, match="theta"):
-            experiments.flatness_run(traj, theta)
+            config.ExperimentSpec(theta=theta)
 
 
 class TestRescale:
@@ -277,17 +275,21 @@ class TestRescale:
             v_prof = grids.Field(grid, experiments._profile_at(s_all, tilts, tau))
             assert np.array_equal(tilt, grids.interpolate(v_prof, pulled))
 
-    def test_rejects_nonpositive_box(self, flattening_trajectory):
-        with pytest.raises(ValueError):
-            experiments.rescale_trajectory(flattening_trajectory, 0.8, 0.0)
+    def test_rejects_nonpositive_box(self):
+        with pytest.raises(ValueError, match="rho"):
+            config.ExperimentSpec(rho=0.0)
 
     def test_window_outside_span_raises(self, flattening_trajectory):
         with pytest.raises(SpanTooShortError, match="recorded span"):
             experiments.rescale_trajectory(flattening_trajectory, 1.5, 1.0)
 
-    def test_box_beyond_grid_names_lambda(self, flattening_trajectory):
+    def test_box_beyond_grid_names_lambda(self):
+        # below height 0 the recentring stretches the box: e^0.6 x 1 > extent 1
+        grid = radial_grid(33, extent=1.0)
+        state = slicing_state(grid, np.full(grid.shape, -3.0))
+        cfg = flow.FlowConfig(dt_fixed=0.05, s_end=1.2, snapshot_stride=1)
         with pytest.raises(OutOfDomainError, match="lambda 0.8"):
-            experiments.rescale_trajectory(flattening_trajectory, 0.8, 5.0)
+            experiments.rescale_trajectory(flow.run(state, cfg), 0.8, 1.0)
 
 
 class TestConvergenceTable:
@@ -312,11 +314,9 @@ class TestConvergenceTable:
         assert np.max(table.height_error) < 1e-12
         assert np.max(table.tilt_error) == 0.0
 
-    def test_rejects_unsorted_lambdas(self, flattening_trajectory):
+    def test_rejects_unsorted_lambdas(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            experiments.convergence_table(
-                flattening_trajectory, np.array([0.8, 0.4]), 1.0
-            )
+            config.ExperimentSpec(lambdas=(0.8, 0.4))
 
 
 class TestComparison:

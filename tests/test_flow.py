@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dsmcf import flow, geometry, grids
-from dsmcf.errors import ModeUnsupportedError, OutOfDomainError
+from dsmcf import config, flow, geometry, grids
+from dsmcf.errors import OutOfDomainError, ValidationError
 
 import pointwise
 
@@ -274,17 +274,10 @@ def test_radial_speed_jacobian_matches_difference_quotients():
 
 
 def test_implicit_rejects_cartesian_grid():
-    grid = grids.Grid(grids.CARTESIAN, 2, extent=1.0, resolution=9)
-    state = flow.GraphState(
-        u=grids.Field(grid, np.zeros(grid.shape)),
-        s=0.0,
-        bc=flow.BoundaryCondition(flow.SLICING),
-    )
-    cfg = flow.FlowConfig(integrator="implicit", s_end=0.1)
-    with pytest.raises(ModeUnsupportedError):
-        flow.run(state, cfg)
-    with pytest.raises(ModeUnsupportedError):
-        flow.evolve_window(state, 1e-3, cfg)
+    # the one check, made where the config pairs the integrator and the grid
+    doc = '{"grid": {"mode": "cartesian"}, "flow": {"integrator": "implicit"}}'
+    with pytest.raises(ValidationError, match="implicit.*radial"):
+        config.parse_config(doc)
 
 
 def test_implicit_run_lands_on_s_end_with_accuracy_control(monkeypatch):

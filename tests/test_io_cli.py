@@ -88,26 +88,26 @@ class TestConfig:
             config.parse_config('{"mesh": {}}')
 
     def test_alpha_out_of_range(self):
-        with pytest.raises(ValidationError, match=r"alpha ∈ \(0,2\) violated"):
+        with pytest.raises(ValidationError, match=r"^checks: alpha must lie in \(0, 2\), got 2.5"):
             config.parse_config('{"checks": {"alpha": 2.5}}')
 
     def test_resolution_too_low(self):
-        with pytest.raises(ValidationError, match="resolution ≥ 5 violated: got 3"):
+        with pytest.raises(ValidationError, match="^grid: resolution 3 < 5"):
             config.parse_config('{"grid": {"resolution": 3}}')
 
     def test_theta_out_of_range(self):
-        with pytest.raises(ValidationError, match=r"theta ∈ \(0,1\)"):
+        with pytest.raises(ValidationError, match=r"^experiment: theta must lie in \(0, 1\)"):
             config.parse_config('{"experiment": {"theta": 1.0}}')
 
     def test_delta_out_of_range(self):
-        with pytest.raises(ValidationError, match=r"delta ∈ \[0,1/3\]"):
+        with pytest.raises(ValidationError, match=r"^checks: delta must lie in \[0, 1/3\]"):
             config.parse_config('{"checks": {"delta": 0.4}}')
 
     def test_jet_count_is_bounded_by_the_node_limit(self):
         doc = {"checks": {"jet_count": config.MAX_NODES}}
         assert config.parse_config(json.dumps(doc)).checks.jet_count == config.MAX_NODES
         doc["checks"]["jet_count"] += 1
-        with pytest.raises(ValidationError, match=f"checks.jet_count .*{config.MAX_NODES}"):
+        with pytest.raises(ValidationError, match=f"^checks: jet_count .*{config.MAX_NODES}"):
             config.parse_config(json.dumps(doc))
 
     def test_bad_cfl_wrapped(self):
@@ -553,8 +553,7 @@ class TestCli:
         )
         assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert "checks.jet_count" in err
+        assert err.startswith("config error: checks: jet_count") and err.count("\n") == 1
 
     def test_largest_grid_within_the_node_bound_parses(self):
         # 128^3 refines to 255^3 = 16,581,375 nodes, just under 2^24
@@ -568,6 +567,8 @@ class TestCli:
             {"grid": {"resolution": 7.5}},
             {"grid": {"extent": -1}},
             {"experiment": {"lambdas": []}},
+            {"experiment": {"lambdas": [0.8, 0.4]}},
+            {"experiment": {"rho": 0}},
             # checked before the run: the default grid has 1024 nodes
             {"experiment": {"rho": 5.0}},
         ],
@@ -577,6 +578,52 @@ class TestCli:
         assert cli.main(["rescale", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "section, values",
+        [
+            ("grid", {"resolution": 3}),
+            ("grid", {"resolution": "big"}),
+            ("flow", {"cfl_safety": 0.0}),
+            ("initial", {"width": 0.0}),
+            ("checks", {"alpha": 2.5}),
+            ("experiment", {"theta": 1.0}),
+        ],
+    )
+    def test_bad_value_names_its_section(self, tmp_path, capsys, section, values):
+        cfg = self.write_config(tmp_path, {section: values})
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {section}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            # radially, (h/2)^3 underflows to 0 and extent^3 overflows: the
+            # cell measure was 0 or inf, and the report held NaN
+            {"mode": "radial", "extent": 1e-110},
+            {"mode": "radial", "extent": 1e103},
+            # 1/h^2 overflows in the radial stencils
+            {"mode": "radial", "dimension": 2, "extent": 1e-155},
+            # the sum of three squares overflows in |x|^2
+            {"mode": "cartesian", "extent": 1e154},
+        ],
+    )
+    def test_extent_that_overflows_the_stencils_exits_two(self, tmp_path, capsys, grid):
+        cfg = self.write_config(tmp_path, {"grid": {"resolution": 9, **grid}})
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid: extent ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["verify", "refine"])
+    def test_height_where_e2u_overflows_exits_two(self, tmp_path, capsys, command):
+        # past u = 354.9 the eigenvalue solve of the pinching bound raised
+        # LinAlgError, and the refined orders were NaN
+        doc = {"grid": {"resolution": 33}, "initial": {"height": 355.0}}
+        cfg = self.write_config(tmp_path, doc)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: initial height 355 ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "doc",

@@ -60,7 +60,7 @@ def refined(check, measure, coarse, fine):
     """``oracles.refined`` on ``check`` of ``measure`` (a geometry or window
     rates) over a grid-halving pair of states or windows."""
     reports = [oracles.report_list(check(measure(x))) for x in (coarse, fine)]
-    return oracles.refined(*reports, *(getattr(x, "mid", x).grid for x in (coarse, fine)))
+    return oracles.refined(*reports)
 
 
 def random_jets(rng, count, scale=0.5, with_hessian=True):
@@ -95,18 +95,13 @@ def test_report_summaries_and_dicts():
 
 
 def test_refinement_pair_is_validated():
-    win = window(radial_state(33))
-    bad = window(radial_state(49))  # spacing not halved
-    with pytest.raises(ValueError, match="not half"):
-        refined(oracles.check_tilt_evolution, tilt_rates, win, bad)
-    cart = grids.Grid(grids.CARTESIAN, 3, extent=3.0, resolution=17)
-    cart_state = flow.GraphState(
-        u=grids.Field(cart, np.zeros(cart.shape)),
-        s=0.0,
-        bc=flow.BoundaryCondition(flow.FROZEN),
-    )
-    with pytest.raises(ValueError, match="mode"):
-        refined(oracles.check_tilt_gradient, geom, radial_state(33), cart_state)
+    """``refined`` reads its pair from ``GridSpec.refined``: the same box and
+    mode with half the spacing."""
+    for mode in (grids.RADIAL, grids.CARTESIAN):
+        spec = config.GridSpec(mode=mode, extent=3.0, resolution=33)
+        grid, fine = spec.build(), spec.refined().build()
+        assert (fine.mode, fine.dimension, fine.extent) == (mode, 3, 3.0)
+        assert 2.0 * fine.spacing == pytest.approx(grid.spacing, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +284,20 @@ def test_tilt_bounds_frozen_slice_arithmetic():
 
 @pytest.mark.parametrize("delta", [-0.05, 0.34, 1.0])
 def test_tilt_bounds_reject_bad_delta(delta):
-    win = tilt_rates(window(radial_state(33, amplitude=0.0), dt=1e-3))
+    # checked once, where the config builds the value the bounds read
     with pytest.raises(ValueError, match="delta"):
-        oracles.check_tilt_bounds(win, delta=delta)
+        config.CheckSpec(delta=delta)
+
+
+def test_nan_slack_violates_its_bound():
+    """At height 300, |A|^2 multiplies e^{-4u} = 0 by (e^{2u})^2 = inf, so the
+    pinching slack is NaN on every node: that fails the bound."""
+    with np.errstate(all="ignore"):
+        win = tilt_rates(window(radial_state(33, amplitude=0.0, height=300.0)))
+        reports = oracles.check_tilt_bounds(win, delta=0.2)
+    (pinching,) = [r for r in reports if r.name == "pinching-bound"]
+    assert np.isnan(pinching.worst_slack)
+    assert pinching.violations == 31 and not pinching.passed
 
 
 def test_tilt_bounds_hold_on_bump_flow():
@@ -433,26 +439,12 @@ def test_curvature_evolution_builds_each_snapshot_geometry_once(monkeypatch):
 
 
 def test_curvature_evolution_mode_guards():
-    grid = grids.Grid(grids.CARTESIAN, 3, extent=2.0, resolution=9)
-    cart = flow.GraphState(
-        u=grids.Field(grid, np.zeros(grid.shape)),
-        s=0.0,
-        bc=flow.BoundaryCondition(flow.FROZEN),
-    )
-    with pytest.raises(ModeUnsupportedError):
-        oracles.check_curvature_evolution(curvature_rates(window(cart, dt=1e-3)))
-    flat2 = grids.Grid(grids.RADIAL, 2, extent=2.0, resolution=17)
-    two_dim = flow.GraphState(
-        u=grids.Field(flat2, np.zeros(flat2.shape)),
-        s=0.0,
-        bc=flow.BoundaryCondition(flow.SLICING),
-    )
+    guard = oracles.curvature_evolution_guard
+    guard(grids.Grid(grids.RADIAL, 3, extent=2.0, resolution=9))
+    with pytest.raises(ModeUnsupportedError, match="radial"):
+        guard(grids.Grid(grids.CARTESIAN, 3, extent=2.0, resolution=9))
     with pytest.raises(ModeUnsupportedError, match="dimension 3"):
-        oracles.check_curvature_evolution(curvature_rates(window(two_dim, dt=1e-3)))
-    with pytest.raises(ModeUnsupportedError):
-        oracles.radial_curvatures(
-            geometry.GeometryFields(grid, np.zeros(grid.shape))
-        )
+        guard(grids.Grid(grids.RADIAL, 2, extent=2.0, resolution=17))
 
 
 # ---------------------------------------------------------------------------
