@@ -95,9 +95,9 @@ class BoundaryCondition:
         """Raise ValueError when a pinned ``state`` has non-constant boundary heights."""
         if self.kind != PINNED:
             return
-        bvals = state.u.values[state.grid.boundary_mask()]
-        const = float(bvals[0])
-        if np.max(np.abs(bvals - const)) > 1e-12 * max(1.0, abs(const)):
+        faces = [state.u.values[face] for face in state.grid.boundary()]
+        const = float(np.ravel(faces[0])[0])
+        if max(np.max(np.abs(face - const)) for face in faces) > 1e-12 * max(1.0, abs(const)):
             raise ValueError("pinned boundary requires constant initial boundary values")
 
 
@@ -231,16 +231,17 @@ def _kernel(values, grid, bc: BoundaryCondition, s: float):
 
     This is the one place the boundary condition enters the stepping: every
     integrator combines these speeds, so its stages, its result and the
-    backward-Euler residual all move the boundary at that speed.  A radial
-    grid's one boundary node is its last.  A margin at or below the floor
-    raises NonSpacelikeError naming the node and the flow time ``s``.
+    backward-Euler residual all move the boundary at that speed, written
+    face by face.  A margin at or below the floor raises NonSpacelikeError
+    naming the node and the flow time ``s``.
     """
     try:
         speed, v2, H, margin = geometry.graph_speed_fields(values, grid)
     except NonSpacelikeError as exc:
         raise NonSpacelikeError(f"at s = {s:.6g}: {exc}", location=exc.location)
-    boundary = -1 if grid.mode == grids.RADIAL else grid.boundary_mask()
-    speed[boundary] = bc.speed(grid.dimension)
+    boundary_speed = bc.speed(grid.dimension)
+    for face in grid.boundary():
+        speed[face] = boundary_speed
     return speed, v2, H, margin
 
 
@@ -252,7 +253,7 @@ def diagnose(state: GraphState) -> StepDiagnostics:
     """
     grid = state.grid
     _, v2, H, margin = _kernel(state.u.values, grid, state.bc, state.s)
-    interior = grid.interior_mask(1)
+    interior = grid.interior(1)
     H_int = H[interior]
     worst = int(np.argmin(margin))
     return StepDiagnostics(

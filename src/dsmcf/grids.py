@@ -11,6 +11,10 @@ Two grid modes cover the geometries the solver works with:
 All stencils are second order: central differences in the interior and
 second-order one-sided differences on the outermost node layer.  They are
 exact on quadratics, which the tests pin down.
+
+A region of a grid is an index box, one slice or index per axis, so a read
+through it is a view: ``Grid.interior`` leaves out node layers at the
+boundary, ``Grid.boundary`` lists the boundary faces, and ``()`` is every node.
 """
 
 from __future__ import annotations
@@ -144,32 +148,21 @@ class Grid:
             r2 += xi**2
         return r2
 
-    def interior_mask(self, ring: int = 1) -> np.ndarray:
-        """Boolean mask excluding ``ring`` node layers at the boundary.
+    def interior(self, ring: int = 1) -> tuple:
+        """Index box of the nodes ``ring`` layers in from the boundary, one
+        slice per axis.  The radial axis node rho = 0 is interior; only the
+        outer end is a boundary there."""
+        if self.mode == RADIAL:
+            return (slice(0, self.resolution - ring),)
+        return (slice(ring, self.resolution - ring),) * self.dimension
 
-        The radial axis node rho = 0 is interior; only the outer end is a
-        boundary there.  Built once per grid and ring and shared, so the
-        array is read-only.
-        """
-        key = ("interior", ring)
-        if key not in self._masks:
-            mask = np.zeros(self.shape, dtype=bool)
-            if self.mode == RADIAL:
-                mask[: self.resolution - ring] = True
-            else:
-                mask[(slice(ring, self.resolution - ring),) * self.dimension] = True
-            self._masks[key] = _read_only(mask)
-        return self._masks[key]
-
-    def boundary_mask(self) -> np.ndarray:
-        """Complement of ``interior_mask(1)``; built once, read-only."""
-        if "boundary" not in self._masks:
-            self._masks["boundary"] = _read_only(~self.interior_mask(ring=1))
-        return self._masks["boundary"]
-
-    @cached_property
-    def _masks(self) -> dict:
-        return {}
+    def boundary(self) -> tuple:
+        """The boundary faces as index boxes: the outer end node of a radial
+        grid, the first and last node layer along each Cartesian axis (the
+        faces share their edges and corners)."""
+        if self.mode == RADIAL:
+            return ((-1,),)
+        return tuple((slice(None),) * k + (end,) for k in range(self.dimension) for end in (0, -1))
 
     @cached_property
     def inverse_radius(self) -> np.ndarray:
@@ -332,14 +325,15 @@ def field_gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
 # surface Laplacian in divergence form
 
 
-def laplacian_mask(grid: Grid) -> np.ndarray:
-    """Nodes where the discrete surface Laplacian is clean second order.
+def laplacian_box(grid: Grid) -> tuple:
+    """Index box of the nodes where the discrete surface Laplacian is clean
+    second order.
 
     The cartesian operator differentiates fluxes built from one-sided
     boundary stencils, which degrades the outermost two rings; the radial
     flux-form operator only loses the outer end node.
     """
-    return grid.interior_mask(ring=1 if grid.mode == RADIAL else 2)
+    return grid.interior(ring=1 if grid.mode == RADIAL else 2)
 
 
 def laplace_beltrami_cartesian(
@@ -352,8 +346,8 @@ def laplace_beltrami_cartesian(
     metric enters only through that map.  Central differences throughout
     the interior keep the operator self-adjoint in the w-weighted inner
     product.  Boundary values fall back to one-sided stencils, which
-    contaminates the outermost two node rings; norms should mask with
-    ``laplacian_mask``.
+    contaminates the outermost two node rings; norms should read the box of
+    ``laplacian_box``.
     """
     flux = raise_index(field_gradient(values, grid))
     out = np.zeros(grid.shape)

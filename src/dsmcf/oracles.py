@@ -11,8 +11,10 @@ with the surface picks up an advection term::
 evaluated on the middle snapshot of a uniformly spaced window.  On a flat
 slicing du = 0 and the two notions coincide.
 
-The inequality checks use a grid tolerance of ``10 h^2 * scale`` with the
-scale taken from the dominant term.  A check measures a state's geometry or
+Each check reads its nodes through an index box of the grid (``grids``),
+``()`` for every node, so its reads are views.  The inequality checks use a
+grid tolerance of ``10 h^2 * scale`` with the scale taken from the dominant
+term over that box.  A check measures a state's geometry or
 a window's ``WindowRates``.  ``refined`` pairs the reports of the same checks
 on a grid and its refinement (``GridSpec.refined``, half the spacing) and
 gives each coarse residual report the order log2(e_h / e_{h/2}) of its name,
@@ -92,22 +94,12 @@ def snapshot_geometry(state: flow.GraphState) -> geometry.GeometryFields:
     return geometry.GeometryFields(state.grid, state.u.values)
 
 
-def _node_index(mask) -> tuple:
-    """Index of ``mask``'s nodes after any leading component axes: the slices
-    of their box where they fill one, as interior masks do, so reads are views."""
-    mask = np.asarray(mask)
-    axes = range(mask.ndim)
-    spans = [np.flatnonzero(mask.any(axis=tuple(j for j in axes if j != k))) for k in axes]
-    box = tuple(slice(span[0], span[-1] + 1) for span in spans if span.size)
-    return (Ellipsis, *box) if len(box) == mask.ndim and mask[box].all() else (Ellipsis, mask)
-
-
-def _residual_report(name, residuals, mask, tolerance=None) -> ResidualReport:
-    """Aggregate residual arrays over a node mask, one array at a time, their
-    squares into one buffer so the mean sums them end to end; with a
-    ``tolerance`` the report passes when its max |residual| is within it."""
-    index = _node_index(mask)
-    parts = [np.asarray(r)[index] for r in residuals]
+def _residual_report(name, residuals, box, tolerance=None) -> ResidualReport:
+    """Aggregate residual arrays over a node box (after any leading component
+    axes), one array at a time, their squares into one buffer so the mean sums
+    them end to end; with a ``tolerance`` the report passes when its max
+    |residual| is within it."""
+    parts = [np.asarray(r)[(Ellipsis, *box)] for r in residuals]
     squares = np.empty(sum(part.size for part in parts))
     ends = np.cumsum([part.size for part in parts])
     for part, end in zip(parts, ends):
@@ -158,7 +150,7 @@ class WindowRates:
 
     @cached_property
     def tilt(self) -> tuple:
-        """(mask, measured lhs, identity rhs, |grad v|^2) of the v^2 evolution,
+        """(box, measured lhs, identity rhs, |grad v|^2) of the v^2 evolution,
         read by ``check_tilt_evolution`` and ``check_tilt_bounds``."""
         mid = self.mid
         lhs = self.rates[tilt_squared] - mid.laplacian(mid.v2)
@@ -173,7 +165,7 @@ class WindowRates:
             + 2.0 * shear_sq
             - 4.0 * grad_v_sq
         )
-        return _rate_mask(mid.grid), lhs, rhs, grad_v_sq
+        return _rate_box(mid.grid), lhs, rhs, grad_v_sq
 
 
 def material_rate(window: flow.TrajectoryWindow, before: dict) -> WindowRates:
@@ -193,11 +185,12 @@ def material_rate(window: flow.TrajectoryWindow, before: dict) -> WindowRates:
     return WindowRates(mid, window.dt, rates)
 
 
-def _rate_mask(grid: grids.Grid) -> np.ndarray:
-    """Nodes where a ``material_rate`` check sees only the flow equation: the
-    boundary node moves by its boundary condition and the node beside it reads
-    it (a rate off by d there errs by d / h), so both modes drop two rings."""
-    return grid.interior_mask(2)
+def _rate_box(grid: grids.Grid) -> tuple:
+    """Index box of the nodes where a ``material_rate`` check sees only the
+    flow equation: the boundary node moves by its boundary condition and the
+    node beside it reads it (a rate off by d there errs by d / h), so both
+    modes drop two rings."""
+    return grid.interior(2)
 
 
 def _require_three_dimensions(grid: grids.Grid, reason: str) -> None:
@@ -218,22 +211,21 @@ def curvature_evolution_guard(grid: grids.Grid) -> None:
     _require_three_dimensions(grid, "curvature evolution coefficients assume dimension 3")
 
 
-def grid_tolerance(h: float, *term_arrays, mask=None):
+def grid_tolerance(h: float, *term_arrays, box=()):
     """(tolerance, scale) of a discretized check: 10 h^2 times the scale,
-    the dominant masked magnitude of the term arrays (at least 1)."""
-    index = Ellipsis if mask is None else _node_index(mask)
+    the dominant magnitude of the term arrays over ``box`` (at least 1)."""
     scale = 1.0
     for arr in term_arrays:
-        a = np.asarray(arr)[index]
+        a = np.asarray(arr)[(Ellipsis, *box)]
         if a.size:
             scale = max(scale, float(np.max(np.abs(a))))
     return GRID_TOL_FACTOR * h * h * scale, scale
 
 
-def _inequality_report(name, slack, mask, tolerance, scale, parameters) -> InequalityReport:
-    masked = np.asarray(slack)[_node_index(mask)]
-    worst = float(np.min(masked))
-    violations = masked.size - int(np.count_nonzero(masked >= -tolerance))  # NaN violates
+def _inequality_report(name, slack, box, tolerance, scale, parameters) -> InequalityReport:
+    boxed = np.asarray(slack)[box]
+    worst = float(np.min(boxed))
+    violations = boxed.size - int(np.count_nonzero(boxed >= -tolerance))  # NaN violates
     params = dict(parameters)
     params["scale"] = scale
     return InequalityReport(
@@ -277,9 +269,8 @@ def restriction_gradient_residuals(fields: geometry.JetFields) -> dict:
 
 def check_restriction_gradients(geom: geometry.GeometryFields) -> ResidualReport:
     res = restriction_gradient_residuals(geom)
-    mask = np.ones(geom.grid.shape, dtype=bool)
     return _residual_report(
-        "restriction-gradients", list(res.values()), mask, tolerance=RESTRICTION_TOL
+        "restriction-gradients", list(res.values()), (), tolerance=RESTRICTION_TOL
     )
 
 
@@ -312,10 +303,10 @@ def check_coordinate_laplacians(geom: geometry.GeometryFields) -> list[ResidualR
             lap_x = geom.laplacian(meshes[i])
             closed.append(lap_x - closed_x[i])
             wave.append(lap_x - wave_x[i])
-    mask = grids.laplacian_mask(grid)
+    box = grids.laplacian_box(grid)
     return [
-        _residual_report("coordinate-laplacians", closed, mask),
-        _residual_report("coordinate-laplacians-wave-route", wave, mask),
+        _residual_report("coordinate-laplacians", closed, box),
+        _residual_report("coordinate-laplacians-wave-route", wave, box),
     ]
 
 
@@ -352,7 +343,7 @@ def check_tilt_gradient(geom: geometry.GeometryFields) -> ResidualReport:
     """Finite-difference gradient of v against its closed form."""
     dv = grids.field_gradient(geom.v, geom.grid)
     return _residual_report(
-        "tilt-gradient", tilt_gradient_residuals(geom, dv), geom.grid.interior_mask()
+        "tilt-gradient", tilt_gradient_residuals(geom, dv), geom.grid.interior()
     )
 
 
@@ -372,8 +363,8 @@ def check_tilt_evolution(rates: WindowRates) -> ResidualReport:
     a flat 2-d slice its right side is -2, not 0); ``tilt_evolution_guard``
     names the grids it does not apply to.
     """
-    mask, lhs, rhs, _ = rates.tilt
-    return _residual_report("tilt-evolution", [lhs - rhs], mask)
+    box, lhs, rhs, _ = rates.tilt
+    return _residual_report("tilt-evolution", [lhs - rhs], box)
 
 
 def check_tilt_bounds(rates: WindowRates, delta: float) -> list[InequalityReport]:
@@ -384,7 +375,7 @@ def check_tilt_bounds(rates: WindowRates, delta: float) -> list[InequalityReport
     Returns one report per bound.  The bounds rest on the v^2 evolution of
     ``check_tilt_evolution``, so ``tilt_evolution_guard`` covers them too.
     """
-    (mask, lhs, _, grad_v_sq), mid = rates.tilt, rates.mid
+    (box, lhs, _, grad_v_sq), mid = rates.tilt, rates.mid
     h = mid.grid.spacing
     common = {"delta": delta, "h": h, "dt": rates.dt}
 
@@ -394,34 +385,34 @@ def check_tilt_bounds(rates: WindowRates, delta: float) -> list[InequalityReport
         + 2.0 * mid.H**2 * mid.v2
         + 4.0 * mid.H * mid.v
     )
-    tol_a, scale_a = grid_tolerance(h, dissipation, lhs, mask=mask)
+    tol_a, scale_a = grid_tolerance(h, dissipation, lhs, box=box)
     reports = [
         _inequality_report(
-            "tilt-dissipation-bound", dissipation - lhs, mask, tol_a, scale_a, common
+            "tilt-dissipation-bound", dissipation - lhs, box, tol_a, scale_a, common
         )
     ]
 
     decay = -4.0 * grad_v_sq - 2.0 * (mid.v2 - 1.0)
-    tol_b, scale_b = grid_tolerance(h, decay, lhs, mask=mask)
+    tol_b, scale_b = grid_tolerance(h, decay, lhs, box=box)
     reports.append(
-        _inequality_report("tilt-decay-bound", decay - lhs, mask, tol_b, scale_b, common)
+        _inequality_report("tilt-decay-bound", decay - lhs, box, tol_b, scale_b, common)
     )
 
-    pinching, tol_c = _pinching_slack(mid, mask)
+    pinching, tol_c = _pinching_slack(mid, box)
     reports.append(
-        _inequality_report("pinching-bound", pinching, mask, tol_c, None, common)
+        _inequality_report("pinching-bound", pinching, box, tol_c, None, common)
     )
     return reports
 
 
-def _pinching_slack(fields: geometry.JetFields, mask=Ellipsis):
+def _pinching_slack(fields: geometry.JetFields, box=()):
     """(|A|^2 + H^2 - (4/3) lambda_1^2, tolerance) of the pinching bound.
 
-    The tolerance is rounding level, 1e-10 max(1, max |A|^2) over ``mask``.
+    The tolerance is rounding level, 1e-10 max(1, max |A|^2) over ``box``.
     """
     lam1 = fields.extremal_curvature()
     slack = fields.a2 + fields.H**2 - (4.0 / 3.0) * lam1**2
-    return slack, 1e-10 * max(1.0, float(np.max(np.abs(fields.a2[mask]))))
+    return slack, 1e-10 * max(1.0, float(np.max(np.abs(fields.a2[box]))))
 
 
 # ---------------------------------------------------------------------------
@@ -443,26 +434,25 @@ def check_random_jets(seed: int, count: int) -> list:
     """The pointwise identities and the pinching bound on ``count`` random
     jets drawn from ``seed``: two residual reports and one bound report."""
     jets = _random_jets(np.random.default_rng(seed), count)
-    every = np.ones(count, dtype=bool)
     restriction = restriction_gradient_residuals(jets)
     pinching, tol = _pinching_slack(jets)
     return [
         _residual_report(
             "jet-restriction-gradients",
             list(restriction.values()),
-            every,
+            (),
             tolerance=JET_RESTRICTION_TOL,
         ),
         _residual_report(
             "jet-tilt-gradient",
             tilt_gradient_residuals(jets, jets.dv),
-            every,
+            (),
             tolerance=JET_IDENTITY_TOL,
         ),
         _inequality_report(
             "jet-pinching-bound",
             pinching,
-            every,
+            (),
             tol,
             None,
             {"seed": seed, "count": count},
@@ -502,9 +492,9 @@ def check_weight_evolution(rates: WindowRates, spec: geometry.CutoffSpec) -> Ine
     _, _, _, evol_lower = geometry.cutoff_arrays(
         mid.u, mid.grid.radius_squared(), mid.v, spec
     )
-    mask = _rate_mask(mid.grid)
+    box = _rate_box(mid.grid)
     h = mid.grid.spacing
-    tol, scale = grid_tolerance(h, evol_lower, lhs, mask=mask)
+    tol, scale = grid_tolerance(h, evol_lower, lhs, box=box)
     params = {
         "alpha": spec.alpha,
         "epsilon": spec.epsilon,
@@ -513,7 +503,7 @@ def check_weight_evolution(rates: WindowRates, spec: geometry.CutoffSpec) -> Ine
         "dt": rates.dt,
     }
     return _inequality_report(
-        "weight-evolution-bound", lhs - evol_lower, mask, tol, scale, params
+        "weight-evolution-bound", lhs - evol_lower, box, tol, scale, params
     )
 
 
@@ -528,16 +518,16 @@ def check_weight_gradient(
         geom.u, geom.grid.radius_squared(), geom.v, spec
     )
     slack = np.minimum(grad_sq - lower, upper - grad_sq)
-    mask = geom.grid.interior_mask()
+    box = geom.grid.interior()
     h = geom.grid.spacing
-    tol, scale = grid_tolerance(h, lower, upper, grad_sq, mask=mask)
+    tol, scale = grid_tolerance(h, lower, upper, grad_sq, box=box)
     params = {
         "alpha": spec.alpha,
         "epsilon": spec.epsilon,
         "t_min": spec.t_min,
         "h": h,
     }
-    return _inequality_report("weight-gradient-bounds", slack, mask, tol, scale, params)
+    return _inequality_report("weight-gradient-bounds", slack, box, tol, scale, params)
 
 
 # ---------------------------------------------------------------------------
@@ -625,17 +615,17 @@ def check_curvature_evolution(rates: WindowRates) -> tuple[ResidualReport, Inequ
     # amplification: behind a three-node collar the residual peaks at
     # the nodes N-5 and N-4 and grows 4x per halving of h.  Masking a
     # five-node collar keeps the report about the resolved interior.
-    mask = mid.grid.interior_mask(5)
-    identity = _residual_report("curvature-evolution", [lhs - rhs], mask)
+    box = mid.grid.interior(5)
+    identity = _residual_report("curvature-evolution", [lhs - rhs], box)
     z = _traceless_curvature_sq(mid)
     lhs_z = rate_z - mid.laplacian(z)
     bound = 18.0 * z - (2.0 / 3.0) * mid.H**2 * z
     h = mid.grid.spacing
-    tol, scale = grid_tolerance(h, bound, lhs_z, mask=mask)
+    tol, scale = grid_tolerance(h, bound, lhs_z, box=box)
     traceless = _inequality_report(
         "traceless-curvature-bound",
         bound - lhs_z,
-        mask,
+        box,
         tol,
         scale,
         {"h": h, "dt": rates.dt},

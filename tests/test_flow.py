@@ -465,16 +465,23 @@ def test_pinned_rejects_nonconstant_boundary():
 
 
 def test_frozen_boundary_keeps_initial_profile():
-    grid = grids.Grid(grids.CARTESIAN, 2, extent=1.0, resolution=9)
-    X, Y = grid.meshes()
-    u0 = 0.05 * X + 0.02 * Y**2
-    state = flow.GraphState(
-        u=grids.Field(grid, u0), s=0.0, bc=flow.BoundaryCondition(flow.FROZEN)
-    )
-    traj = flow.run(state, flow.FlowConfig(dt_fixed=1e-4, s_end=2e-3))
-    assert traj.failure is None
-    mask = grid.boundary_mask()
-    np.testing.assert_allclose(traj.final.u.values[mask], u0[mask], atol=1e-14)
+    """Every node on a face, edge or corner keeps its height; the rest move."""
+    for dimension in (2, 3):
+        grid = grids.Grid(grids.CARTESIAN, dimension, extent=1.0, resolution=9)
+        X, Y = grid.meshes()[:2]
+        u0 = 0.05 * X + 0.02 * Y**2
+        state = flow.GraphState(
+            u=grids.Field(grid, u0), s=0.0, bc=flow.BoundaryCondition(flow.FROZEN)
+        )
+        traj = flow.run(state, flow.FlowConfig(dt_fixed=1e-4, s_end=2e-3))
+        assert traj.failure is None
+        on_boundary = np.zeros(grid.shape, dtype=bool)
+        for axis in range(dimension):
+            np.moveaxis(on_boundary, axis, 0)[[0, -1]] = True
+        assert int(np.sum(on_boundary)) == 9**dimension - 7**dimension
+        final = traj.final.u.values
+        np.testing.assert_allclose(final[on_boundary], u0[on_boundary], atol=1e-14)
+        assert np.all(np.abs(final - u0)[~on_boundary] > 1e-4)
 
 
 def test_slicing_boundary_tracks_flat_motion():

@@ -22,6 +22,24 @@ def smooth_bump(r, radius):
     return out
 
 
+def ring_mask(grid, ring):
+    """Boolean mask of the nodes at least ``ring`` layers from the boundary,
+    counted node by node: radially from the outer end only."""
+    index = np.indices(grid.shape)
+    depth = grid.resolution - 1 - index
+    if grid.mode == grids.CARTESIAN:
+        depth = np.minimum(depth, index)
+    return np.min(depth, axis=0) >= ring
+
+
+def box_mask(grid, *boxes):
+    """Boolean mask of the nodes the index ``boxes`` select."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    for box in boxes:
+        mask[box] = True
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # grid bookkeeping
 
@@ -38,13 +56,21 @@ def test_grid_spacing_and_counts():
 
 
 def test_grid_masks():
+    """Interior boxes and boundary faces select the nodes of masks counted
+    node by node, and the faces cover every edge and corner."""
     cart = grids.Grid(grids.CARTESIAN, 2, extent=1.0, resolution=5)
-    assert int(np.sum(cart.interior_mask())) == 9
-    assert int(np.sum(cart.interior_mask(ring=2))) == 1
-    assert np.all(cart.interior_mask() ^ cart.boundary_mask())
+    assert int(np.sum(box_mask(cart, cart.interior()))) == 9
+    assert int(np.sum(box_mask(cart, cart.interior(ring=2)))) == 1
+    for grid in (cart, grids.Grid(grids.CARTESIAN, 3, extent=1.0, resolution=6)):
+        for ring in (1, 2):
+            inner = box_mask(grid, grid.interior(ring))
+            np.testing.assert_array_equal(inner, ring_mask(grid, ring))
+        np.testing.assert_array_equal(box_mask(grid, *grid.boundary()), ~ring_mask(grid, 1))
     rad = grids.Grid(grids.RADIAL, 3, extent=1.0, resolution=5)
     # the axis is interior; only the outer end is a boundary
-    np.testing.assert_array_equal(rad.interior_mask(), [1, 1, 1, 1, 0])
+    np.testing.assert_array_equal(box_mask(rad, rad.interior()), [1, 1, 1, 1, 0])
+    np.testing.assert_array_equal(box_mask(rad, *rad.boundary()), [0, 0, 0, 0, 1])
+    np.testing.assert_array_equal(box_mask(rad, rad.interior(ring=2)), ring_mask(rad, 2))
 
 
 def test_grid_validation():
@@ -208,7 +234,9 @@ def test_radial_laplacian_matches_analytic_solution():
         geom = geometry.GeometryFields(grid, 0.1 * np.exp(-(rho**2)))
         discrete = geom.laplacian(np.cos(2.0 * rho))
         err = np.abs(discrete - analytic(rho))
-        errs.append(float(np.max(err[grids.laplacian_mask(grid)])))
+        clean = np.arange(res) < res - 1  # all but the outer end node
+        np.testing.assert_array_equal(box_mask(grid, grids.laplacian_box(grid)), clean)
+        errs.append(float(np.max(err[clean])))
     order = grids.refinement_order(*errs)
     assert 1.7 <= order <= 2.3, f"radial Laplacian order {order:.2f}"
 
@@ -240,7 +268,10 @@ def test_cartesian_laplacian_matches_sympy_solution():
         geom = geometry.GeometryFields(grid, u_fn(X, Y))
         discrete = geom.laplacian(f_fn(X, Y))
         err = np.abs(discrete - lap_fn(X, Y))
-        errs.append(float(np.max(err[grids.laplacian_mask(grid)])))
+        clean = np.zeros(grid.shape, dtype=bool)  # all but two rings
+        clean[2:-2, 2:-2] = True
+        np.testing.assert_array_equal(box_mask(grid, grids.laplacian_box(grid)), clean)
+        errs.append(float(np.max(err[clean])))
     order = grids.refinement_order(*errs)
     assert 1.7 <= order <= 2.3, f"cartesian Laplacian order {order:.2f}"
 
@@ -331,14 +362,12 @@ def test_interpolation_out_of_domain():
 def test_masked_norms_frozen():
     # the residual reports' masked norms
     vals = np.array([3.0, -4.0, 0.0, 1.0])
-    rep = oracles._residual_report("demo", [vals], np.ones(4, dtype=bool))
+    rep = oracles._residual_report("demo", [vals], ())
     assert rep.linf == 4.0
     assert rep.l2 == pytest.approx(np.sqrt(26.0 / 4.0), abs=1e-14)
     assert rep.count == 4
-    masked = oracles._residual_report("demo", [vals], np.array([True, False, True, True]))
-    assert masked.linf == 3.0 and masked.count == 3
     with pytest.raises(ValueError):
-        oracles._residual_report("demo", [vals], np.zeros(4, dtype=bool))
+        oracles._residual_report("demo", [vals], (slice(0, 0),))
 
 
 def test_refinement_order_frozen():
@@ -355,21 +384,6 @@ def test_axis_is_built_once_and_read_only(mode):
     assert not ax.flags.writeable
     with pytest.raises(ValueError):
         ax[0] = 1.0
-
-
-@pytest.mark.parametrize("mode", [grids.RADIAL, grids.CARTESIAN])
-def test_masks_are_built_once_and_read_only(mode):
-    grid = grids.Grid(mode, 3, extent=1.0, resolution=5)
-    for get in (grid.interior_mask, lambda: grid.interior_mask(ring=2), grid.boundary_mask):
-        mask = get()
-        assert get() is mask
-        assert not mask.flags.writeable
-        with pytest.raises(ValueError):
-            mask[...] = True
-    # an equal grid builds its own masks
-    other = grids.Grid(mode, 3, extent=1.0, resolution=5)
-    assert other.boundary_mask() is not grid.boundary_mask()
-    np.testing.assert_array_equal(other.boundary_mask(), grid.boundary_mask())
 
 
 def test_inverse_radius_is_built_once_and_read_only():

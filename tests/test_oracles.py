@@ -247,8 +247,10 @@ def test_rate_checks_leave_out_the_node_beside_the_boundary():
             )
             cfg = flow.FlowConfig()
             win = flow.evolve_window(state, flow.stable_dt(state, cfg.cfl_safety), cfg)
-            mask, lhs, rhs, _ = tilt_rates(win).tilt
-            assert not mask[-2] and mask[-3]
+            box, lhs, rhs, _ = tilt_rates(win).tilt
+            covered = np.zeros(resolution, dtype=bool)
+            covered[box] = True
+            np.testing.assert_array_equal(covered, np.arange(resolution) < resolution - 2)
             beside[width, resolution] = abs(float((lhs - rhs)[-2]))
     assert beside[0.6, 129] < 1e-12 and beside[0.6, 257] < 1e-12
     assert beside[1.2, 129] > 1e-4
@@ -716,25 +718,26 @@ def test_tilt_checks_share_one_material_rate_per_window(monkeypatch):
 
 
 def test_box_aggregation_matches_the_concatenated_reference():
-    """On box masks the reports read each residual in place; the reference
-    concatenates the masked residuals first, as the parent commit did."""
+    """On index boxes the reports read each residual in place; the reference
+    concatenates the residuals under a boolean mask of the same nodes first."""
     rng = np.random.default_rng(11)
     grid = grids.Grid(grids.CARTESIAN, 3, extent=1.0, resolution=17)
     vector = rng.normal(size=(3,) + grid.shape)
     scalar = rng.normal(size=grid.shape)
     for ring in (1, 2, 5):
-        mask = grid.interior_mask(ring)
-        assert isinstance(oracles._node_index(mask)[1], slice)
+        box = grid.interior(ring)
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[ring:-ring, ring:-ring, ring:-ring] = True
         flat = np.concatenate([np.abs(r[..., mask]).reshape(-1) for r in (vector, scalar)])
-        rep = oracles._residual_report("demo", [vector, scalar], mask)
+        rep = oracles._residual_report("demo", [vector, scalar], box)
         assert rep.linf == float(np.max(flat)) and rep.count == flat.size
         assert rep.l2 == pytest.approx(float(np.sqrt(np.mean(flat**2))), rel=1e-15)
 
-        ineq = oracles._inequality_report("demo", scalar, mask, 0.5, 1.0, {})
+        ineq = oracles._inequality_report("demo", scalar, box, 0.5, 1.0, {})
         assert ineq.worst_slack == float(np.min(scalar[mask]))
         assert ineq.violations == int(np.count_nonzero(scalar[mask] < -0.5))
 
-        tol, scale = oracles.grid_tolerance(0.1, 3.0 * scalar, vector, mask=mask)
+        tol, scale = oracles.grid_tolerance(0.1, 3.0 * scalar, vector, box=box)
         assert scale == max(1.0, float(np.max(np.abs(3.0 * scalar[mask]))),
                             float(np.max(np.abs(vector[..., mask]))))
         assert tol == oracles.GRID_TOL_FACTOR * 0.1 * 0.1 * scale
