@@ -55,6 +55,18 @@ def _flow(
     return traj
 
 
+def _below_max_height(what: str, *states) -> flow.GraphState:
+    """The first of ``states``, every state a check reads, once their heights
+    keep the checks' e^{2u} finite; ``what`` names the input that set them."""
+    peak = max(float(np.max(state.u.values)) for state in states)
+    if not peak < geometry.MAX_HEIGHT:
+        raise ValidationError(
+            f"{what} {peak:.6g} is not below {geometry.MAX_HEIGHT:.6g}, "
+            "where the checks' e^(2u) overflows"
+        )
+    return states[0]
+
+
 @dataclass
 class _Inputs:
     """The states the checks read and their window step, each built on first use."""
@@ -64,19 +76,12 @@ class _Inputs:
 
     @cached_property
     def state(self) -> flow.GraphState:
-        """The initial state; its heights must keep the checks' e^{2u} finite."""
-        state = self.config.initial_state()
-        peak = float(np.max(state.u.values))
-        if not peak < geometry.MAX_HEIGHT:
-            raise ValidationError(
-                f"initial height {peak:.6g} is not below {geometry.MAX_HEIGHT:.6g}, "
-                "where the checks' e^(2u) overflows"
-            )
-        return state
+        return _below_max_height("initial height", self.config.initial_state())
 
     @cached_property
     def fine(self) -> flow.GraphState:
-        return replace(self.config, grid=self.config.grid.refined()).initial_state()
+        fine = replace(self.config, grid=self.config.grid.refined())
+        return _below_max_height("initial height", fine.initial_state())
 
     @cached_property
     def dt(self) -> float:
@@ -138,6 +143,8 @@ def _measure(config: RunConfig, names, state, dt) -> list:
     del geom
     if fields:
         window = flow.evolve_window(state(), dt(), config.flow)
+        what = f"under checks.dt {config.checks.dt:g}, the checking window's height"
+        _below_max_height(what, window.mid, window.after)
         rates = oracles.material_rate(window, before)
         outcomes.update((n, _CHECKS[n](rates, config)) for n in names if n in _RATE_FIELDS)
     return [entry for n in names for entry in oracles.report_list(outcomes[n])]

@@ -12,7 +12,6 @@ __all__ = [
     "NonSpacelikeError",
     "BelowThresholdError",
     "OutOfDomainError",
-    "DegenerateResidualError",
     "ModeUnsupportedError",
     "BlowupError",
     "ConvergenceError",
@@ -47,10 +46,6 @@ class BelowThresholdError(DsmcfError):
 
 class OutOfDomainError(DsmcfError):
     """A point left the interpolable hull of a grid."""
-
-
-class DegenerateResidualError(DsmcfError):
-    """Refinement order is meaningless because an error is at rounding level."""
 
 
 class ModeUnsupportedError(DsmcfError):

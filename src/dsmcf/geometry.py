@@ -159,13 +159,14 @@ class JetFields:
 
     gamma = e^{2u} I - du du^T is a rank-one update of a multiple of the
     identity, so every contraction the checks take has a closed form in
-    du and d2u (c = v^2 e^{-2u}, M = d2u + e^{2u} I - 2 du du^T = h / v):
+    du and d2u (c = v^2 e^{-2u}, M = d2u + e^{2u} I - 2 du du^T = h / v, and
+    N = e^{-2u} M, which stays finite where e^{4u} overflows):
 
         gamma^{-1} X       = e^{-2u} (X + c (du.X) du)
         |X|^2_gamma        = e^{2u} |X|^2 - (du.X)^2
         gamma^{ij} X_i X_j = e^{-2u} (|X|^2 + c (du.X)^2)
         h(X)               = v M X
-        |A|^2              = e^{-4u} v^2 (tr M^2 + 2 c |M du|^2 + c^2 (du.M.du)^2).
+        |A|^2              = v^2 (tr N^2 + 2 c |N du|^2 + c^2 (du.N du)^2).
 
     These are the only route: no (n, n, ...) node tensor is built, except
     the one (..., n, n) array ``eigvalsh`` reads in ``eigenvalues``.  The
@@ -221,19 +222,21 @@ class JetFields:
         """|A|^2 = tr((gamma^{-1} h)^2), by the closed form in the class docstring."""
         n = self.dimension
         c = self.v2 * self.em2u
-        m_du = self._m_dot(self.du)
-        tr_m2 = np.zeros(self.u.shape)
+        n_du = self.em2u * self._m_dot(self.du)
+        tr_n2 = np.zeros(self.u.shape)
         for i in range(n):
             for j in range(i, n):
-                tr_m2 += (1.0 if i == j else 2.0) * self._m_entry(i, j) ** 2
-        cross = np.einsum("i...,i...->...", m_du, m_du)
-        quad = self._du_dot(m_du)
-        return self.em2u**2 * self.v2 * (tr_m2 + 2.0 * c * cross + (c * quad) ** 2)
+                tr_n2 += (1.0 if i == j else 2.0) * (self.em2u * self._m_entry(i, j)) ** 2
+        cross = np.einsum("i...,i...->...", n_du, n_du)
+        quad = self._du_dot(n_du)
+        return self.v2 * (tr_n2 + 2.0 * c * cross + (c * quad) ** 2)
 
     @cached_property
     def weight(self):
-        """sqrt(det gamma) = e^{n u} / v, the volume density over dx."""
-        return np.exp(self.dimension * self.u) / self.v
+        """sqrt(det gamma) = e^{n u} / v, the volume density over dx, relative
+        to e^{n max u}, which overflows past u = 236.6 in three dimensions;
+        the Laplacian (1/w) d(w .) does not see the constant factor."""
+        return np.exp(self.dimension * (self.u - np.max(self.u))) / self.v
 
     @cached_property
     def tilt_tangent(self):

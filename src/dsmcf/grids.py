@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateResidualError, NonSpacelikeError, OutOfDomainError
+from .errors import NonSpacelikeError, OutOfDomainError
 
 CARTESIAN = "cartesian"
 RADIAL = "radial"
@@ -358,7 +358,8 @@ def laplace_beltrami_cartesian(
 
 
 def radial_measure(u: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarray:
-    """Node measure of the induced metric volume on a radial grid.
+    """Node measure of the induced metric volume on a radial grid, relative
+    to e^{n max u} (e^{nu} overflows past u = 236.6 in three dimensions).
 
     Node i owns the shell [rho_i - h/2, rho_i + h/2] (clipped at the axis
     and the outer edge).  Its measure is the shell volume of the metric
@@ -371,7 +372,7 @@ def radial_measure(u: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarray:
     n = grid.dimension
     h = grid.spacing
     rho = grid.axis()
-    chat = np.exp(n * u) / v
+    chat = np.exp(n * (u - np.max(u))) / v
     edges = np.concatenate(([0.0], rho[:-1] + 0.5 * h, [rho[-1]]))
     return chat * (edges[1:] ** n - edges[:-1] ** n) / (n * h)
 
@@ -389,7 +390,8 @@ def laplace_beltrami_radial(
     Discretized in flux form on the staggered half-grid: fluxes
     (B^{n-1}/A) f' live at cell faces (the axis face flux vanishes by
     symmetry) and their differences are divided by the shell measures of
-    ``radial_measure``.  That pairing makes the operator exactly
+    ``radial_measure``; fluxes and measures share its constant factor
+    e^{-n max u}, so the heights stay clear of overflow.  That pairing makes the operator exactly
     self-adjoint in the measure-weighted inner product and keeps the nodes
     next to the axis at full second order; the outer boundary node falls
     back to a one-sided stencil and is excluded from norms.  A face margin
@@ -407,7 +409,8 @@ def laplace_beltrami_radial(
     require_spacelike(m_mid)
     v_mid = 1.0 / np.sqrt(m_mid)
     rho_mid = 0.5 * (rho[:-1] + rho[1:])
-    coef_mid = v_mid * np.exp((n - 2.0) * u_mid) * rho_mid ** (n - 1)
+    top = n * float(np.max(u))
+    coef_mid = v_mid * np.exp((n - 2.0) * u_mid - top) * rho_mid ** (n - 1)
     flux = coef_mid * (f[1:] - f[:-1]) / h
 
     out = np.empty_like(f)
@@ -417,9 +420,9 @@ def laplace_beltrami_radial(
 
     # outer boundary: node-centered one-sided divergence of the flux
     df = radial_jet(f, grid)[0]
-    node_flux = v * np.exp((n - 2.0) * u) * rho ** (n - 1) * df
+    node_flux = v * np.exp((n - 2.0) * u - top) * rho ** (n - 1) * df
     dflux_end = (3.0 * node_flux[-1] - 4.0 * node_flux[-2] + node_flux[-3]) / (2.0 * h)
-    out[-1] = dflux_end / (np.exp(n * u[-1]) / v[-1] * rho[-1] ** (n - 1))
+    out[-1] = dflux_end / (np.exp(n * u[-1] - top) / v[-1] * rho[-1] ** (n - 1))
     return out
 
 
@@ -473,11 +476,9 @@ def interpolate(f: Field, points: np.ndarray) -> np.ndarray:
 # norms and refinement
 
 
-def refinement_order(error_coarse: float, error_fine: float) -> float:
-    """Observed order log2(e_h / e_{h/2}) from one grid-halving pair."""
+def refinement_order(error_coarse: float, error_fine: float) -> float | None:
+    """Observed order log2(e_h / e_{h/2}) from one grid-halving pair, or None
+    where either error is at rounding level and their ratio means nothing."""
     if min(error_coarse, error_fine) < DEGENERATE_RESIDUAL_FLOOR:
-        raise DegenerateResidualError(
-            f"errors ({error_coarse:.3g}, {error_fine:.3g}) are at rounding "
-            "level; refinement order is not meaningful"
-        )
+        return None
     return math.log2(error_coarse / error_fine)

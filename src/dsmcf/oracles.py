@@ -29,11 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import flow, geometry, grids
-from .errors import (
-    BelowThresholdError,
-    DegenerateResidualError,
-    ModeUnsupportedError,
-)
+from .errors import BelowThresholdError, ModeUnsupportedError
 
 ORDER_WINDOW = (1.7, 2.3)
 GRID_TOL_FACTOR = 10.0
@@ -126,9 +122,8 @@ def refined(reports, fine_reports) -> list:
     for k, report in enumerate(reports):
         if report.name not in fine_linf:
             continue
-        try:
-            order = grids.refinement_order(report.linf, fine_linf[report.name])
-        except DegenerateResidualError:
+        order = grids.refinement_order(report.linf, fine_linf[report.name])
+        if order is None:
             continue
         passed = bool(ORDER_WINDOW[0] <= order <= ORDER_WINDOW[1])
         reports[k] = replace(report, order=order, passed=passed)

@@ -625,6 +625,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: initial height 355 ") and err.count("\n") == 1
 
+    FLAT_GRIDS = {
+        "radial": {"mode": "radial", "resolution": 33, "extent": 2.0},
+        "cartesian": {"mode": "cartesian", "resolution": 9, "extent": 2.0},
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("height", [0.0, 180.0, 250.0, 354.0])
+    @pytest.mark.parametrize("mode", ["radial", "cartesian"])
+    def test_flat_slice_passes_up_to_the_height_bound(self, tmp_path, capsys, mode, height):
+        # past height 177.4, (e^(2u))^2 overflowed in |A|^2, and past 236.6,
+        # e^(3u) in the Laplacian densities: inf or NaN residuals and slacks
+        doc = {"grid": self.FLAT_GRIDS[mode], "initial": {"profile": "flat", "height": height}}
+        cfg = self.write_config(tmp_path, doc)
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "mode, integrator", [("radial", "rk2"), ("radial", "implicit"), ("cartesian", "rk2")]
+    )
+    def test_window_past_the_height_bound_exits_two(self, tmp_path, capsys, mode, integrator):
+        # the window climbs 3 per unit of flow time past 354.89, where the
+        # eigenvalue solve of the pinching bound raised LinAlgError; the
+        # stable step does not clamp checks.dt that high
+        doc = {
+            "grid": self.FLAT_GRIDS[mode],
+            "initial": {"profile": "flat", "height": 354.8},
+            "flow": {"integrator": integrator},
+            "checks": {"dt": 1.0},
+        }
+        cfg = self.write_config(tmp_path, doc)
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: under checks.dt 1, the checking window's height 360.8 ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "doc",
         [
