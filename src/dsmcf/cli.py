@@ -56,8 +56,8 @@ def _flow(
 
 
 def _below_max_height(what: str, *states) -> flow.GraphState:
-    """The first of ``states``, every state a check reads, once their heights
-    keep the checks' e^{2u} finite; ``what`` names the input that set them."""
+    """The first of ``states`` once their heights keep the checks' e^{2u} finite,
+    the one home of that rule; ``what`` names the input that set the heights."""
     peak = max(float(np.max(state.u.values)) for state in states)
     if not peak < geometry.MAX_HEIGHT:
         raise ValidationError(
@@ -80,8 +80,7 @@ class _Inputs:
 
     @cached_property
     def fine(self) -> flow.GraphState:
-        fine = replace(self.config, grid=self.config.grid.refined())
-        return _below_max_height("initial height", fine.initial_state())
+        return replace(self.config, grid=self.config.grid.refined()).initial_state()
 
     @cached_property
     def dt(self) -> float:

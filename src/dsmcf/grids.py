@@ -390,8 +390,9 @@ def laplace_beltrami_radial(
     Discretized in flux form on the staggered half-grid: fluxes
     (B^{n-1}/A) f' live at cell faces (the axis face flux vanishes by
     symmetry) and their differences are divided by the shell measures of
-    ``radial_measure``; fluxes and measures share its constant factor
-    e^{-n max u}, so the heights stay clear of overflow.  That pairing makes the operator exactly
+    ``radial_measure``.  Fluxes and measures share its constant factor
+    e^{-n max u}, which keeps them finite at any height below
+    ``geometry.MAX_HEIGHT``.  That pairing makes the operator exactly
     self-adjoint in the measure-weighted inner product and keeps the nodes
     next to the axis at full second order; the outer boundary node falls
     back to a one-sided stencil and is excluded from norms.  A face margin

@@ -296,7 +296,8 @@ def test_nan_slack_violates_its_bound():
     counts as a violation and the worst slack is NaN."""
     grid = grids.Grid(grids.RADIAL, 3, extent=3.0, resolution=33)
     slack = np.full(grid.shape, np.nan)
-    pinching = oracles._inequality_report("pinching-bound", slack, grid.interior(2), 1e-10, None, {})
+    box = grid.interior(2)
+    pinching = oracles._inequality_report("pinching-bound", slack, box, 1e-10, None, {})
     assert np.isnan(pinching.worst_slack)
     assert pinching.violations == 31 and not pinching.passed
 
