@@ -27,14 +27,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import replace
 
 import numpy as np
 
 from . import experiments, flow, geometry, grids, oracles, reporting, snapshots
 from .config import InitialSpec, RunConfig, load_config
-from .errors import DsmcfError, ModeUnsupportedError, ParseError, ValidationError
+from .errors import DsmcfError, ParseError, ValidationError
 
 
 def _new_report(config: RunConfig) -> reporting.Report:
@@ -67,34 +66,19 @@ def _below_max_height(what: str, *states) -> flow.GraphState:
     return states[0]
 
 
-@dataclass
-class _Inputs:
-    """The states the checks read and their window step, each built on first use."""
-
-    config: RunConfig
-    notes: list  # the report's notes: a clamped window step adds one
-
-    @cached_property
-    def state(self) -> flow.GraphState:
-        return _below_max_height("initial height", self.config.initial_state())
-
-    @cached_property
-    def fine(self) -> flow.GraphState:
-        return replace(self.config, grid=self.config.grid.refined()).initial_state()
-
-    @cached_property
-    def dt(self) -> float:
-        """``checks.dt``, clamped to the stable step of an explicit integrator."""
-        dt, settings = self.config.checks.dt, self.config.flow
-        if settings.integrator != flow.IMPLICIT:
-            stable = flow.stable_dt(self.state, settings.cfl_safety)
-            if stable < dt:
-                self.notes.append(
-                    f"checking window dt {stable:.3g}: checks.dt {dt:.3g} exceeds "
-                    f"the {settings.integrator} stable step"
-                )
-                dt = stable
-        return dt
+def _window_dt(config: RunConfig, state: flow.GraphState, notes: list) -> float:
+    """``checks.dt``, clamped to the stable step of an explicit integrator at
+    ``state``; a clamp adds a note to ``notes``."""
+    dt, settings = config.checks.dt, config.flow
+    if settings.integrator != flow.IMPLICIT:
+        stable = flow.stable_dt(state, settings.cfl_safety)
+        if stable < dt:
+            notes.append(
+                f"checking window dt {stable:.3g}: checks.dt {dt:.3g} exceeds "
+                f"the {settings.integrator} stable step"
+            )
+            dt = stable
+    return dt
 
 
 #: Each boolean ``CheckSpec`` field and its oracle call, in report order, on
@@ -119,29 +103,30 @@ _RATE_FIELDS = {
     "weight_evolution": lambda c: (oracles.WeightField(c.checks.cutoff()),),
 }
 
-#: The checks whose orders a fine pass measures; ``refine`` runs the first three.
+#: The checks whose orders a fine pass measures.
 _REFINED = ("coordinate_laplacians", "tilt_gradient", "tilt_evolution", "curvature_evolution")
 
-#: The checks that apply only on some grids, each with its grid guard.
-_GUARDS = {
-    "tilt_evolution": oracles.tilt_evolution_guard,
-    "tilt_bounds": oracles.tilt_evolution_guard,
-    "curvature_evolution": oracles.curvature_evolution_guard,
+#: The checks that apply only on some grids, each with the reason a grid
+#: gives it to skip, or None.
+_SKIP_REASONS = {
+    "tilt_evolution": oracles.tilt_evolution_skip_reason,
+    "tilt_bounds": oracles.tilt_evolution_skip_reason,
+    "curvature_evolution": oracles.curvature_evolution_skip_reason,
 }
 
 
 def _measure(config: RunConfig, names, state, dt) -> list:
     """One grid's pass over the named checks, their reports in table order.
     The state checks and the window's before values read the one geometry
-    of ``state()``, dropped before the window of two ``dt()`` steps is built
+    of ``state``, dropped before the window of two ``dt`` steps is built
     and its after and middle snapshots are measured, one at a time."""
     fields = dict.fromkeys(f for n in names if n in _RATE_FIELDS for f in _RATE_FIELDS[n](config))
-    geom = oracles.snapshot_geometry(state()) if set(names) - {"jet_sampling"} else None
+    geom = oracles.snapshot_geometry(state) if set(names) - {"jet_sampling"} else None
     outcomes = {n: _CHECKS[n](geom, config) for n in names if n not in _RATE_FIELDS}
     before = {f: f(geom) for f in fields}
     del geom
     if fields:
-        window = flow.evolve_window(state(), dt(), config.flow)
+        window = flow.evolve_window(state, dt, config.flow)
         what = f"under checks.dt {config.checks.dt:g}, the checking window's height"
         _below_max_height(what, window.mid, window.after)
         rates = oracles.material_rate(window, before)
@@ -152,25 +137,26 @@ def _measure(config: RunConfig, names, state, dt) -> list:
 def _run_checks(config: RunConfig, names) -> reporting.Report:
     """Run the named checks in a coarse pass, and the refined ones in a fine
     pass; a check that does not apply to this grid leaves a note instead of
-    reports, and its inputs are not built."""
+    reports.  The state is built when a check reads it, and the window step
+    at the first window check, so a clamp note keeps its table order."""
     report = _new_report(config)
-    inputs = _Inputs(config, report.notes)
+    state = dt = None
+    if set(names) - {"jet_sampling"}:
+        state = _below_max_height("initial height", config.initial_state())
     applied = []
     for name in (n for n in _CHECKS if n in names):
-        try:
-            if name in _GUARDS:
-                _GUARDS[name](inputs.state.grid)
-        except ModeUnsupportedError as exc:
-            report.notes.append(f"{name} skipped: {exc}")
+        reason = _SKIP_REASONS[name](state.grid) if name in _SKIP_REASONS else None
+        if reason is not None:
+            report.notes.append(f"{name} skipped: {reason}")
             continue
-        if name in _RATE_FIELDS:
-            inputs.dt  # a clamped window step adds its note here, in table order
+        if name in _RATE_FIELDS and dt is None:
+            dt = _window_dt(config, state, report.notes)
         applied.append(name)
-    reports = _measure(config, applied, lambda: inputs.state, lambda: inputs.dt)
+    reports = _measure(config, applied, state, dt)
     fine_names = [n for n in applied if n in _REFINED]
     if fine_names:
-        fine = _measure(config, fine_names, lambda: inputs.fine, lambda: inputs.dt / 4.0)
-        reports = oracles.refined(reports, fine)
+        fine = replace(config, grid=config.grid.refined()).initial_state()
+        reports = oracles.refined(reports, _measure(config, fine_names, fine, dt and dt / 4.0))
     for entry in reports:
         report.add_check(entry)
     return report
@@ -283,7 +269,7 @@ def _cmd_rescale(config: RunConfig) -> reporting.Report:
 
 def _cmd_refine(config: RunConfig) -> reporting.Report:
     """Measure refinement orders of the checks that compare a coarse/fine pair."""
-    return _run_checks(config, _REFINED[:3])
+    return _run_checks(config, ("coordinate_laplacians", "tilt_gradient", "tilt_evolution"))
 
 
 COMMANDS = {

@@ -12,7 +12,6 @@ __all__ = [
     "NonSpacelikeError",
     "BelowThresholdError",
     "OutOfDomainError",
-    "ModeUnsupportedError",
     "BlowupError",
     "ConvergenceError",
     "SpanTooShortError",
@@ -46,10 +45,6 @@ class BelowThresholdError(DsmcfError):
 
 class OutOfDomainError(DsmcfError):
     """A point left the interpolable hull of a grid."""
-
-
-class ModeUnsupportedError(DsmcfError):
-    """The requested check only exists for one grid mode."""
 
 
 class BlowupError(DsmcfError):

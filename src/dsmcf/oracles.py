@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import flow, geometry, grids
-from .errors import BelowThresholdError, ModeUnsupportedError
+from .errors import BelowThresholdError
 
 ORDER_WINDOW = (1.7, 2.3)
 GRID_TOL_FACTOR = 10.0
@@ -188,22 +188,21 @@ def _rate_box(grid: grids.Grid) -> tuple:
     return grid.interior(2)
 
 
-def _require_three_dimensions(grid: grids.Grid, reason: str) -> None:
-    if grid.dimension != 3:
-        raise ModeUnsupportedError(f"{reason}, got {grid.dimension}")
+def _unless_three_dimensional(grid: grids.Grid, reason: str):
+    return None if grid.dimension == 3 else f"{reason}, got {grid.dimension}"
 
 
-def tilt_evolution_guard(grid: grids.Grid) -> None:
-    """Raise ModeUnsupportedError on grids ``check_tilt_evolution`` and
-    ``check_tilt_bounds`` skip: both read the v^2 evolution identity."""
-    _require_three_dimensions(grid, "the v^2 evolution coefficients assume dimension 3")
+def tilt_evolution_skip_reason(grid: grids.Grid) -> str | None:
+    """Why ``check_tilt_evolution`` and ``check_tilt_bounds`` skip ``grid``,
+    or None: both read the v^2 evolution identity."""
+    return _unless_three_dimensional(grid, "the v^2 evolution coefficients assume dimension 3")
 
 
-def curvature_evolution_guard(grid: grids.Grid) -> None:
-    """Raise ModeUnsupportedError on grids ``check_curvature_evolution`` skips."""
+def curvature_evolution_skip_reason(grid: grids.Grid) -> str | None:
+    """Why ``check_curvature_evolution`` skips ``grid``, or None."""
     if grid.mode != grids.RADIAL:
-        raise ModeUnsupportedError("curvature evolution is only measurable on radial grids")
-    _require_three_dimensions(grid, "curvature evolution coefficients assume dimension 3")
+        return "curvature evolution is only measurable on radial grids"
+    return _unless_three_dimensional(grid, "curvature evolution coefficients assume dimension 3")
 
 
 def grid_tolerance(h: float, *term_arrays, box=()):
@@ -355,7 +354,7 @@ def check_tilt_evolution(rates: WindowRates) -> ResidualReport:
     """Measured (d/ds - Lap) v^2 against its closed-form evolution.
 
     The identity's coefficients hold for three spatial dimensions only (on
-    a flat 2-d slice its right side is -2, not 0); ``tilt_evolution_guard``
+    a flat 2-d slice its right side is -2, not 0); ``tilt_evolution_skip_reason``
     names the grids it does not apply to.
     """
     box, lhs, rhs, _ = rates.tilt
@@ -368,7 +367,7 @@ def check_tilt_bounds(rates: WindowRates, delta: float) -> list[InequalityReport
 
     ``delta`` steers the dissipation bound, in [0, 1/3] (``CheckSpec``).
     Returns one report per bound.  The bounds rest on the v^2 evolution of
-    ``check_tilt_evolution``, so ``tilt_evolution_guard`` covers them too.
+    ``check_tilt_evolution``, so ``tilt_evolution_skip_reason`` covers them too.
     """
     (box, lhs, _, grad_v_sq), mid = rates.tilt, rates.mid
     h = mid.grid.spacing
@@ -585,7 +584,7 @@ def check_curvature_evolution(rates: WindowRates) -> tuple[ResidualReport, Inequ
     whose right side vanishes on the flat slicing (0 + 36 - 36).  The
     coefficients are specific to three ambient spatial dimensions, and
     |grad A|^2 is only assembled from rotationally symmetric profiles, so
-    ``curvature_evolution_guard`` admits radial grids in three dimensions only.
+    ``curvature_evolution_skip_reason`` admits radial grids in three dimensions only.
 
     The traceless part Z = |A|^2 - H^2/3 is tested against the one-sided
     bound (d/ds - lap) Z <= 18 Z - (2/3) H^2 Z.  The measured drift is

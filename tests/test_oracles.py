@@ -11,7 +11,7 @@ import pytest
 import sympy as sp
 
 from dsmcf import cli, config, flow, geometry, grids, oracles
-from dsmcf.errors import BelowThresholdError, ModeUnsupportedError
+from dsmcf.errors import BelowThresholdError
 
 ORDER_LO, ORDER_HI = 1.7, 2.3
 
@@ -441,12 +441,10 @@ def test_curvature_evolution_builds_each_snapshot_geometry_once(monkeypatch):
 
 
 def test_curvature_evolution_mode_guards():
-    guard = oracles.curvature_evolution_guard
-    guard(grids.Grid(grids.RADIAL, 3, extent=2.0, resolution=9))
-    with pytest.raises(ModeUnsupportedError, match="radial"):
-        guard(grids.Grid(grids.CARTESIAN, 3, extent=2.0, resolution=9))
-    with pytest.raises(ModeUnsupportedError, match="dimension 3"):
-        guard(grids.Grid(grids.RADIAL, 2, extent=2.0, resolution=17))
+    reason = oracles.curvature_evolution_skip_reason
+    assert reason(grids.Grid(grids.RADIAL, 3, extent=2.0, resolution=9)) is None
+    assert "radial" in reason(grids.Grid(grids.CARTESIAN, 3, extent=2.0, resolution=9))
+    assert "dimension 3" in reason(grids.Grid(grids.RADIAL, 2, extent=2.0, resolution=17))
 
 
 # ---------------------------------------------------------------------------
@@ -587,15 +585,15 @@ def test_flipped_reaction_terms_break_the_identity(symbolic_identity_residuals):
 
 
 def cartesian_verify_inputs(resolution):
-    """The states and window step ``verify`` checks on a cartesian 3-d bump, built."""
+    """The config, fine state and fine window step of a cartesian 3-d bump's
+    ``verify``, built as ``cli._run_checks`` builds them."""
     cfg = config.RunConfig(
         grid=config.GridSpec(mode=grids.CARTESIAN, dimension=3, extent=3.0, resolution=resolution),
         initial=config.InitialSpec(profile="bump", amplitude=0.2, width=1.2),
     )
-    inputs = cli._Inputs(cfg, [])
-    for name in ("state", "fine", "dt"):
-        getattr(inputs, name)
-    return inputs
+    dt = cli._window_dt(cfg, cfg.initial_state(), [])
+    fine = replace(cfg, grid=cfg.grid.refined()).initial_state()
+    return cfg, fine, dt / 4.0
 
 
 #: The checks whose fine pass ``verify`` runs on a cartesian 3-d grid.
@@ -618,15 +616,10 @@ def test_cartesian_checks_stay_within_their_memory_budget():
     at a time and no (n, n, N) node tensor, so its peak stays below 60
     arrays (holding the state's geometry through the window checks would
     take it to about 75), and the kernel's below 16."""
-    inputs = cartesian_verify_inputs(33)
-    fine = inputs.fine
+    cfg, fine, fine_dt = cartesian_verify_inputs(33)
     node_array = fine.u.values.nbytes
     peaks = {
-        "fine_pass": traced_peak(
-            lambda: cli._measure(
-                inputs.config, CARTESIAN_REFINED, lambda: fine, lambda: inputs.dt / 4.0
-            )
-        )
+        "fine_pass": traced_peak(lambda: cli._measure(cfg, CARTESIAN_REFINED, fine, fine_dt))
         / node_array,
         "kernel": traced_peak(lambda: geometry.graph_speed_fields(fine.u.values, fine.grid))
         / node_array,
@@ -641,7 +634,8 @@ def test_tensor_readers_build_no_node_tensors():
     the rank-one closed forms: their peaks stay below the 2 n^2 and n^2 node
     arrays that (n, n, N) tensors of gamma^{-1}, h and gamma^{-1} h would
     take (n = 3)."""
-    fields = oracles.snapshot_geometry(cartesian_verify_inputs(33).state)
+    cfg, _, _ = cartesian_verify_inputs(33)
+    fields = oracles.snapshot_geometry(cfg.initial_state())
     node_array = fields.u.nbytes
     restriction = traced_peak(lambda: oracles.restriction_gradient_residuals(fields))
     assert restriction / node_array < 18
