@@ -67,17 +67,14 @@ def _below_max_height(what: str, *states) -> flow.GraphState:
 
 
 def _window_dt(config: RunConfig, state: flow.GraphState, notes: list) -> float:
-    """``checks.dt``, clamped to the stable step of an explicit integrator at
-    ``state``; a clamp adds a note to ``notes``."""
-    dt, settings = config.checks.dt, config.flow
-    if settings.integrator != flow.IMPLICIT:
-        stable = flow.stable_dt(state, settings.cfl_safety)
-        if stable < dt:
-            notes.append(
-                f"checking window dt {stable:.3g}: checks.dt {dt:.3g} exceeds "
-                f"the {settings.integrator} stable step"
-            )
-            dt = stable
+    """``checks.dt``, clamped to the rk2 stable step at ``state``; a clamp
+    adds a note to ``notes``."""
+    dt, stable = config.checks.dt, flow.stable_dt(state, config.flow.cfl_safety)
+    if stable < dt:
+        notes.append(
+            f"checking window dt {stable:.3g}: checks.dt {dt:.3g} exceeds the rk2 stable step"
+        )
+        return stable
     return dt
 
 
@@ -118,7 +115,7 @@ _SKIP_REASONS = {
 def _measure(config: RunConfig, names, state, dt) -> list:
     """One grid's pass over the named checks, their reports in table order.
     The state checks and the window's before values read the one geometry
-    of ``state``, dropped before the window of two ``dt`` steps is built
+    of ``state``, dropped before the window of two rk2 steps of ``dt`` is built
     and its after and middle snapshots are measured, one at a time."""
     fields = dict.fromkeys(f for n in names if n in _RATE_FIELDS for f in _RATE_FIELDS[n](config))
     geom = oracles.snapshot_geometry(state) if set(names) - {"jet_sampling"} else None
@@ -126,7 +123,7 @@ def _measure(config: RunConfig, names, state, dt) -> list:
     before = {f: f(geom) for f in fields}
     del geom
     if fields:
-        window = flow.evolve_window(state, dt, config.flow)
+        window = flow.evolve_window(state, dt, replace(config.flow, integrator="rk2"))
         what = f"under checks.dt {config.checks.dt:g}, the checking window's height"
         _below_max_height(what, window.mid, window.after)
         rates = oracles.material_rate(window, before)

@@ -202,7 +202,7 @@ class TrajectoryWindow:
 # stepping
 
 
-def stable_dt(state: GraphState, cfl_safety: float = 0.25, margin=None) -> float:
+def stable_dt(state: GraphState, cfl_safety: float, margin=None) -> float:
     """Parabolic stability surrogate: cfl * h^2 * min(e^{2u} / (2 n v^2)).
 
     The principal part of the flow operator scales like v^2 e^{-2u} per

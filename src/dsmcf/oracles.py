@@ -188,7 +188,7 @@ def _rate_box(grid: grids.Grid) -> tuple:
     return grid.interior(2)
 
 
-def _unless_three_dimensional(grid: grids.Grid, reason: str):
+def _unless_three_dimensional(grid: grids.Grid, reason: str) -> str | None:
     return None if grid.dimension == 3 else f"{reason}, got {grid.dimension}"
 
 

@@ -396,6 +396,17 @@ class TestReporting:
             reporting.emit_report(reporting.Report(config={}), blocker / "sub")
 
 
+def test_check_toggles_and_check_tables_agree():
+    """``verify`` reads only the toggles ``cli._CHECKS`` names, so a boolean
+    ``CheckSpec`` field with no entry would be silently ignored, and an entry
+    with no field would end in a traceback; the other tables name checks of
+    ``cli._CHECKS`` only."""
+    toggles = {f.name for f in dataclasses.fields(config.CheckSpec) if f.type == "bool"}
+    assert toggles == set(cli._CHECKS)
+    for table in (cli._RATE_FIELDS, cli._REFINED, cli._SKIP_REASONS):
+        assert set(table) <= set(cli._CHECKS)
+
+
 class TestCli:
     def write_config(self, tmp_path, doc):
         path = tmp_path / "cfg.json"
@@ -493,13 +504,16 @@ class TestCli:
         assert skipped == ["tilt_evolution", "tilt_bounds", "curvature_evolution"]
         assert built == []
 
+    @pytest.mark.parametrize("integrator", ["rk2", "euler", "implicit"])
     @pytest.mark.parametrize("resolution", [65, 129, 257])
-    def test_verify_radial_bump_passes_under_refinement(self, tmp_path, resolution):
+    def test_verify_radial_bump_passes_under_refinement(self, tmp_path, resolution, integrator):
+        # the checking window takes rk2 steps whatever the flow's integrator
         cfg = self.write_config(
             tmp_path,
             {
                 "grid": {"resolution": resolution},
                 "initial": {"profile": "bump", "amplitude": 0.2, "width": 1.2},
+                "flow": {"integrator": integrator},
             },
         )
         out = tmp_path / "out"
