@@ -7,7 +7,6 @@ Subcommands map onto the package's run types:
   barrier    pinned-disk run between its flat-slice barriers
   flatness   perturbed slice, time until the inner region is theta-flat
   rescale    recentred convergence table over the configured lambdas
-  refine     refinement-order study on a coarse/fine grid pair
 
 Every command reads one config file (defaults apply when ``--config`` is
 omitted), writes ``report.json`` plus CSV series into the output
@@ -56,7 +55,7 @@ def _flow(
 
 def _below_max_height(what: str, *states) -> flow.GraphState:
     """The first of ``states`` once their heights keep the checks' e^{2u} finite,
-    the one home of that rule; ``what`` names the input that set the heights."""
+    the one home of that rule; ``what`` names those heights."""
     peak = max(float(np.max(state.u.values)) for state in states)
     if not peak < geometry.MAX_HEIGHT:
         raise ValidationError(
@@ -64,18 +63,6 @@ def _below_max_height(what: str, *states) -> flow.GraphState:
             "where the checks' e^(2u) overflows"
         )
     return states[0]
-
-
-def _window_dt(config: RunConfig, state: flow.GraphState, notes: list) -> float:
-    """``checks.dt``, clamped to the rk2 stable step at ``state``; a clamp
-    adds a note to ``notes``."""
-    dt, stable = config.checks.dt, flow.stable_dt(state, config.flow.cfl_safety)
-    if stable < dt:
-        notes.append(
-            f"checking window dt {stable:.3g}: checks.dt {dt:.3g} exceeds the rk2 stable step"
-        )
-        return stable
-    return dt
 
 
 #: Each boolean ``CheckSpec`` field and its oracle call, in report order, on
@@ -112,56 +99,48 @@ _SKIP_REASONS = {
 }
 
 
-def _measure(config: RunConfig, names, state, dt) -> list:
+def _measure(config: RunConfig, names, state) -> list:
     """One grid's pass over the named checks, their reports in table order.
-    The state checks and the window's before values read the one geometry
-    of ``state``, dropped before the window of two rk2 steps of ``dt`` is built
-    and its after and middle snapshots are measured, one at a time."""
+    The window's after and before geometries are built, read for the rate
+    fields and dropped one at a time; then the one geometry of ``state``
+    serves the state checks and the rates, and the window is dropped
+    before the checks run."""
     fields = dict.fromkeys(f for n in names if n in _RATE_FIELDS for f in _RATE_FIELDS[n](config))
-    geom = oracles.snapshot_geometry(state) if set(names) - {"jet_sampling"} else None
-    outcomes = {n: _CHECKS[n](geom, config) for n in names if n not in _RATE_FIELDS}
-    before = {f: f(geom) for f in fields}
-    del geom
+    rates = geom = None
     if fields:
-        window = flow.evolve_window(state, dt, replace(config.flow, integrator="rk2"))
-        what = f"under checks.dt {config.checks.dt:g}, the checking window's height"
-        _below_max_height(what, window.mid, window.after)
-        rates = oracles.material_rate(window, before)
-        outcomes.update((n, _CHECKS[n](rates, config)) for n in names if n in _RATE_FIELDS)
+        window = flow.evolve_window(state, config.flow)
+        _below_max_height("the displaced states' height", window.before, window.after)
+        rates = oracles.material_rate(state, window, fields)
+        geom = rates.geom
+        del window
+    elif set(names) - {"jet_sampling"}:
+        geom = oracles.snapshot_geometry(state)
+    outcomes = {n: _CHECKS[n](rates if n in _RATE_FIELDS else geom, config) for n in names}
     return [entry for n in names for entry in oracles.report_list(outcomes[n])]
-
-
-def _run_checks(config: RunConfig, names) -> reporting.Report:
-    """Run the named checks in a coarse pass, and the refined ones in a fine
-    pass; a check that does not apply to this grid leaves a note instead of
-    reports.  The state is built when a check reads it, and the window step
-    at the first window check, so a clamp note keeps its table order."""
-    report = _new_report(config)
-    state = dt = None
-    if set(names) - {"jet_sampling"}:
-        state = _below_max_height("initial height", config.initial_state())
-    applied = []
-    for name in (n for n in _CHECKS if n in names):
-        reason = _SKIP_REASONS[name](state.grid) if name in _SKIP_REASONS else None
-        if reason is not None:
-            report.notes.append(f"{name} skipped: {reason}")
-            continue
-        if name in _RATE_FIELDS and dt is None:
-            dt = _window_dt(config, state, report.notes)
-        applied.append(name)
-    reports = _measure(config, applied, state, dt)
-    fine_names = [n for n in applied if n in _REFINED]
-    if fine_names:
-        fine = replace(config, grid=config.grid.refined()).initial_state()
-        reports = oracles.refined(reports, _measure(config, fine_names, fine, dt and dt / 4.0))
-    for entry in reports:
-        report.add_check(entry)
-    return report
 
 
 def _cmd_verify(config: RunConfig) -> reporting.Report:
     """Run the enabled identity and inequality checks on the initial state."""
-    return _run_checks(config, [name for name in _CHECKS if getattr(config.checks, name)])
+    report = _new_report(config)
+    names = [name for name in _CHECKS if getattr(config.checks, name)]
+    state = None
+    if set(names) - {"jet_sampling"}:
+        state = _below_max_height("initial height", config.initial_state())
+    applied = []
+    for name in names:
+        reason = _SKIP_REASONS[name](state.grid) if name in _SKIP_REASONS else None
+        if reason is None:
+            applied.append(name)
+        else:
+            report.notes.append(f"{name} skipped: {reason}")
+    reports = _measure(config, applied, state)
+    fine_names = [n for n in applied if n in _REFINED]
+    if fine_names:
+        fine = replace(config, grid=config.grid.refined()).initial_state()
+        reports = oracles.refined(reports, _measure(config, fine_names, fine))
+    for entry in reports:
+        report.add_check(entry)
+    return report
 
 
 def _cmd_simulate(config: RunConfig) -> reporting.Report:
@@ -264,18 +243,12 @@ def _cmd_rescale(config: RunConfig) -> reporting.Report:
     return report
 
 
-def _cmd_refine(config: RunConfig) -> reporting.Report:
-    """Measure refinement orders of the checks that compare a coarse/fine pair."""
-    return _run_checks(config, ("coordinate_laplacians", "tilt_gradient", "tilt_evolution"))
-
-
 COMMANDS = {
     "simulate": _cmd_simulate,
     "verify": _cmd_verify,
     "barrier": _cmd_barrier,
     "flatness": _cmd_flatness,
     "rescale": _cmd_rescale,
-    "refine": _cmd_refine,
 }
 
 

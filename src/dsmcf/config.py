@@ -20,11 +20,11 @@ import numpy as np
 from . import flow, geometry, grids
 from .errors import ParseError, ValidationError
 
-KINDS = ("simulate", "verify", "barrier", "flatness", "rescale", "refine")
+KINDS = ("simulate", "verify", "barrier", "flatness", "rescale")
 PROFILES = ("flat", "bump", "wrinkled", "ramp")
 
 #: Largest grid a config may ask for, counting the refined grid
-#: (``GridSpec.refined``) that ``verify`` and ``refine`` build from it.
+#: (``GridSpec.refined``) that ``verify`` builds from it.
 MAX_NODES = 2**24
 
 
@@ -89,7 +89,10 @@ class InitialSpec:
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """Which oracle checks a verify run enables, and their knobs."""
+    """Which oracle checks a verify run enables, and their knobs: ``delta``
+    of the tilt dissipation bound, the weight's ``alpha``, ``epsilon`` and
+    height threshold ``t_min``, and ``jet_count``.  No knob sets the step of
+    the rates the window checks read (``flow.evolve_window``)."""
 
     tilt_evolution: bool = True
     tilt_gradient: bool = True
@@ -104,15 +107,12 @@ class CheckSpec:
     alpha: float = 0.5
     epsilon: float = 0.1
     t_min: float = 10.0
-    dt: float = 1e-4
     jet_count: int = 20_000
 
     def __post_init__(self):
         self.cutoff()
         if not 0.0 <= self.delta <= 1.0 / 3.0:
             raise ValueError(f"delta must lie in [0, 1/3], got {self.delta}")
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
         if not 0 < self.jet_count <= MAX_NODES:
             raise ValueError(f"jet_count must lie in [1, {MAX_NODES}], got {self.jet_count}")
 

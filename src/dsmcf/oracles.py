@@ -6,16 +6,17 @@ object.  Time derivatives are always taken along the normal motion: the
 graph solver advances u at fixed x, so the rate seen by a point moving
 with the surface picks up an advection term::
 
-    (d/ds) f  =  (f_after - f_before) / (2 dt)  +  H v e^{-2u} du . grad f
+    (d/ds) f  =  (f(u + eta S) - f(u - eta S)) / (2 eta)  +  H v e^{-2u} du . grad f
 
-evaluated on the middle snapshot of a uniformly spaced window.  On a flat
-slicing du = 0 and the two notions coincide.
+evaluated at the state u itself, with S its flow speed and u -/+ eta S the
+states ``flow.evolve_window`` displaces it to.  On a flat slicing du = 0
+and the two notions coincide.
 
 Each check reads its nodes through an index box of the grid (``grids``),
 ``()`` for every node, so its reads are views.  The inequality checks use a
 grid tolerance of ``10 h^2 * scale`` with the scale taken from the dominant
 term over that box.  A check measures a state's geometry or
-a window's ``WindowRates``.  ``refined`` pairs the reports of the same checks
+its ``WindowRates``.  ``refined`` pairs the reports of the same checks
 on a grid and its refinement (``GridSpec.refined``, half the spacing) and
 gives each coarse residual report the order log2(e_h / e_{h/2}) of its name,
 which passes inside ``ORDER_WINDOW``.
@@ -137,47 +138,52 @@ def report_list(outcome) -> list:
 
 @dataclass
 class WindowRates:
-    """What the window checks read: the middle geometry, the dt, each field's rate."""
+    """What the window checks read: the state's geometry, the window's eta,
+    each field's rate at the state."""
 
-    mid: geometry.GeometryFields
-    dt: float
+    geom: geometry.GeometryFields
+    eta: float
     rates: dict
 
     @cached_property
     def tilt(self) -> tuple:
         """(box, measured lhs, identity rhs, |grad v|^2) of the v^2 evolution,
         read by ``check_tilt_evolution`` and ``check_tilt_bounds``."""
-        mid = self.mid
-        lhs = self.rates[tilt_squared] - mid.laplacian(mid.v2)
-        dv = grids.field_gradient(mid.v, mid.grid)
-        grad_v_sq = mid.gamma_inv_norm_sq(dv)
-        shear_sq = mid.gamma_norm_sq(mid.sheared_tilt)
+        geom = self.geom
+        lhs = self.rates[tilt_squared] - geom.laplacian(geom.v2)
+        dv = grids.field_gradient(geom.v, geom.grid)
+        grad_v_sq = geom.gamma_inv_norm_sq(dv)
+        shear_sq = geom.gamma_norm_sq(geom.sheared_tilt)
         rhs = (
-            4.0 * mid.H * mid.v
-            - 2.0 * mid.v2**2
-            - 4.0 * mid.v2
-            - 2.0 * mid.a2 * mid.v2
+            4.0 * geom.H * geom.v
+            - 2.0 * geom.v2**2
+            - 4.0 * geom.v2
+            - 2.0 * geom.a2 * geom.v2
             + 2.0 * shear_sq
             - 4.0 * grad_v_sq
         )
-        return _rate_box(mid.grid), lhs, rhs, grad_v_sq
+        return _rate_box(geom.grid), lhs, rhs, grad_v_sq
 
 
-def material_rate(window: flow.TrajectoryWindow, before: dict) -> WindowRates:
-    """Normal-motion rates on the middle snapshot of the fields in ``before``,
-    which maps each, a function of a snapshot geometry, to its values on
-    ``window.before``, read from a geometry the caller holds.  The after
-    geometry is built, read and dropped before the middle one."""
+def material_rate(state: flow.GraphState, window: flow.TrajectoryWindow, fields) -> WindowRates:
+    """Normal-motion rates at ``state`` of ``fields``, each a function of a
+    snapshot geometry, from ``window``, the state displaced along its speed.
+    The after and before geometries are built, read and dropped one at a
+    time; the state's geometry is built last and kept in the result."""
     after = snapshot_geometry(window.after)
-    fixed_rates = {f: (f(after) - b) / (2.0 * window.dt) for f, b in before.items()}
+    fixed_rates = {f: f(after) for f in fields}
     del after
-    mid = snapshot_geometry(window.mid)
-    slope = mid.H * mid.v * mid.em2u
+    before = snapshot_geometry(window.before)
+    for f, value in fixed_rates.items():
+        fixed_rates[f] = (value - f(before)) / (2.0 * window.eta)
+    del before
+    geom = snapshot_geometry(state)
+    slope = geom.H * geom.v * geom.em2u
     rates = {}
     for f, fixed_rate in fixed_rates.items():
-        grad_f = grids.field_gradient(f(mid), mid.grid)
-        rates[f] = fixed_rate + slope * np.einsum("i...,i...->...", mid.du, grad_f)
-    return WindowRates(mid, window.dt, rates)
+        grad_f = grids.field_gradient(f(geom), geom.grid)
+        rates[f] = fixed_rate + slope * np.einsum("i...,i...->...", geom.du, grad_f)
+    return WindowRates(geom, window.eta, rates)
 
 
 def _rate_box(grid: grids.Grid) -> tuple:
@@ -369,15 +375,15 @@ def check_tilt_bounds(rates: WindowRates, delta: float) -> list[InequalityReport
     Returns one report per bound.  The bounds rest on the v^2 evolution of
     ``check_tilt_evolution``, so ``tilt_evolution_skip_reason`` covers them too.
     """
-    (box, lhs, _, grad_v_sq), mid = rates.tilt, rates.mid
-    h = mid.grid.spacing
-    common = {"delta": delta, "h": h, "dt": rates.dt}
+    (box, lhs, _, grad_v_sq), geom = rates.tilt, rates.geom
+    h = geom.grid.spacing
+    common = {"delta": delta, "h": h, "eta": rates.eta}
 
     dissipation = (
         -(4.0 + delta) * grad_v_sq
-        - 2.0 * (1.0 - delta) * mid.v2**2
-        + 2.0 * mid.H**2 * mid.v2
-        + 4.0 * mid.H * mid.v
+        - 2.0 * (1.0 - delta) * geom.v2**2
+        + 2.0 * geom.H**2 * geom.v2
+        + 4.0 * geom.H * geom.v
     )
     tol_a, scale_a = grid_tolerance(h, dissipation, lhs, box=box)
     reports = [
@@ -386,13 +392,13 @@ def check_tilt_bounds(rates: WindowRates, delta: float) -> list[InequalityReport
         )
     ]
 
-    decay = -4.0 * grad_v_sq - 2.0 * (mid.v2 - 1.0)
+    decay = -4.0 * grad_v_sq - 2.0 * (geom.v2 - 1.0)
     tol_b, scale_b = grid_tolerance(h, decay, lhs, box=box)
     reports.append(
         _inequality_report("tilt-decay-bound", decay - lhs, box, tol_b, scale_b, common)
     )
 
-    pinching, tol_c = _pinching_slack(mid, box)
+    pinching, tol_c = _pinching_slack(geom, box)
     reports.append(
         _inequality_report("pinching-bound", pinching, box, tol_c, None, common)
     )
@@ -461,40 +467,46 @@ def check_random_jets(seed: int, count: int) -> list:
 @dataclass(frozen=True)
 class WeightField:
     """The weight e^{alpha t} |x|^2 of ``spec`` as a field of a snapshot
-    geometry; equal specs give equal fields, which key the same rate."""
+    geometry; equal specs give equal fields, which key the same rate.  It
+    reads any heights: the displaced states of a slice at the threshold
+    dip below it, so the checks test the threshold on the state."""
 
     spec: geometry.CutoffSpec
 
     def __call__(self, geom: geometry.GeometryFields) -> np.ndarray:
-        if float(np.min(geom.u)) < self.spec.t_min:
-            raise BelowThresholdError(
-                f"height {float(np.min(geom.u)):.6g} below threshold {self.spec.t_min:.6g}"
-            )
         return geom.grid.radius_squared() * np.exp(self.spec.alpha * geom.u)
+
+
+def _above_threshold(geom: geometry.GeometryFields, spec: geometry.CutoffSpec):
+    """``geom`` once its heights reach the weight bounds' threshold ``spec.t_min``."""
+    low = float(np.min(geom.u))
+    if low < spec.t_min:
+        raise BelowThresholdError(f"height {low:.6g} below threshold {spec.t_min:.6g}")
+    return geom
 
 
 def check_weight_evolution(rates: WindowRates, spec: geometry.CutoffSpec) -> InequalityReport:
     """Measured (d/ds - Lap) of the weight e^{alpha t} |x|^2 against its
     guaranteed lower bound (-alpha^2 r - epsilon) v^2.
 
-    The bound only holds above the height threshold; a window below it
+    The bound only holds above the height threshold; a state below it
     raises BelowThresholdError.  Negative controls (steep alpha at low
     heights) are expected to report violations rather than raise.
     """
-    mid, weight = rates.mid, WeightField(spec)
-    lhs = rates.rates[weight] - mid.laplacian(weight(mid))
+    geom, weight = _above_threshold(rates.geom, spec), WeightField(spec)
+    lhs = rates.rates[weight] - geom.laplacian(weight(geom))
     _, _, _, evol_lower = geometry.cutoff_arrays(
-        mid.u, mid.grid.radius_squared(), mid.v, spec
+        geom.u, geom.grid.radius_squared(), geom.v, spec
     )
-    box = _rate_box(mid.grid)
-    h = mid.grid.spacing
+    box = _rate_box(geom.grid)
+    h = geom.grid.spacing
     tol, scale = grid_tolerance(h, evol_lower, lhs, box=box)
     params = {
         "alpha": spec.alpha,
         "epsilon": spec.epsilon,
         "t_min": spec.t_min,
         "h": h,
-        "dt": rates.dt,
+        "eta": rates.eta,
     }
     return _inequality_report(
         "weight-evolution-bound", lhs - evol_lower, box, tol, scale, params
@@ -504,8 +516,9 @@ def check_weight_evolution(rates: WindowRates, spec: geometry.CutoffSpec) -> Ine
 def check_weight_gradient(
     geom: geometry.GeometryFields, spec: geometry.CutoffSpec
 ) -> InequalityReport:
-    """Two-sided bound on |grad r|^2 for the localization weight."""
-    r = WeightField(spec)(geom)
+    """Two-sided bound on |grad r|^2 for the localization weight, above the
+    height threshold; a state below it raises BelowThresholdError."""
+    r = WeightField(spec)(_above_threshold(geom, spec))
     grad_r = grids.field_gradient(r, geom.grid)
     grad_sq = geom.gamma_inv_norm_sq(grad_r)
     _, lower, upper, _ = geometry.cutoff_arrays(
@@ -593,13 +606,13 @@ def check_curvature_evolution(rates: WindowRates) -> tuple[ResidualReport, Inequ
     smooth runs; the looser bound is kept because it is the one the
     downstream flatness estimates consume.
     """
-    mid = rates.mid
+    geom = rates.geom
     rate, rate_z = (rates.rates[f] for f in CURVATURE_FIELDS)
-    a2 = _curvature_norm_sq(mid)
-    lhs = rate - mid.laplacian(a2)
+    a2 = _curvature_norm_sq(geom)
+    lhs = rate - geom.laplacian(a2)
     rhs = (
-        -2.0 * _curvature_gradient_sq(mid)
-        + 4.0 * mid.H**2
+        -2.0 * _curvature_gradient_sq(geom)
+        + 4.0 * geom.H**2
         - 2.0 * a2 * (3.0 + a2)
     )
     # Curvature fields sit two derivatives deep in u, and the identity
@@ -609,12 +622,12 @@ def check_curvature_evolution(rates: WindowRates) -> tuple[ResidualReport, Inequ
     # amplification: behind a three-node collar the residual peaks at
     # the nodes N-5 and N-4 and grows 4x per halving of h.  Masking a
     # five-node collar keeps the report about the resolved interior.
-    box = mid.grid.interior(5)
+    box = geom.grid.interior(5)
     identity = _residual_report("curvature-evolution", [lhs - rhs], box)
-    z = _traceless_curvature_sq(mid)
-    lhs_z = rate_z - mid.laplacian(z)
-    bound = 18.0 * z - (2.0 / 3.0) * mid.H**2 * z
-    h = mid.grid.spacing
+    z = _traceless_curvature_sq(geom)
+    lhs_z = rate_z - geom.laplacian(z)
+    bound = 18.0 * z - (2.0 / 3.0) * geom.H**2 * z
+    h = geom.grid.spacing
     tol, scale = grid_tolerance(h, bound, lhs_z, box=box)
     traceless = _inequality_report(
         "traceless-curvature-bound",
@@ -622,6 +635,6 @@ def check_curvature_evolution(rates: WindowRates) -> tuple[ResidualReport, Inequ
         box,
         tol,
         scale,
-        {"h": h, "dt": rates.dt},
+        {"h": h, "eta": rates.eta},
     )
     return identity, traceless

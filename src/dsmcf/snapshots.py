@@ -110,6 +110,8 @@ def load_trajectory(path) -> flow.Trajectory:
         raise CorruptFileError(f"{path}: {cause}, expected {need} bytes but file has {len(data)}")
     if zlib.crc32(memoryview(data)[: -_CRC.size]) != _CRC.unpack_from(data, need - _CRC.size)[0]:
         raise CorruptFileError(f"{path}: checksum mismatch")
+    if count == 0:
+        raise CorruptFileError(f"{path}: holds no snapshots")
     mode = _decode(mode_code, _MODES, "grid mode", path)
     bc_kind = _decode(bc_code, _BC_KINDS, "boundary kind", path)
     try:

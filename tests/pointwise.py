@@ -4,7 +4,8 @@ The package computes in batches (``geometry.JetFields``, the vectorized flow
 kernel).  This module is the independent route they are checked against,
 one point at a time and with full tensors: the ambient chart, single graph
 jets with their induced geometry, the chart isometry on points, jets and
-grid states, and criterion 9's comparison of two recorded flows.
+grid states, criterion 9's comparison of two recorded flows, and the
+spacelike spheres, an exact curved solution.
 """
 
 from __future__ import annotations
@@ -284,3 +285,14 @@ def comparison_run(lo: flow.Trajectory, hi: flow.Trajectory) -> ComparisonResult
         ordered=ordered,
         passed=ordered,
     )
+
+
+# ---------------------------------------------------------------------------
+# spacelike spheres
+
+
+def sphere_profile(rho, c):
+    """The spacelike sphere u_c = log((c + sqrt(c^2 + 1 + rho^2)) / (1 + rho^2)),
+    the hyperboloid f = c - sqrt(c^2 + 1 + rho^2) in conformal time f = -e^{-u}.
+    Its graph speed in n dimensions is d_s u = n c / sqrt(c^2 + 1 + rho^2)."""
+    return np.log((c + np.sqrt(c * c + 1.0 + rho * rho)) / (1.0 + rho * rho))

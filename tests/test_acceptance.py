@@ -48,25 +48,23 @@ def wrinkled_state(resolution, extent=3.0):
     return slicing_state(grid, 0.2 * f / np.max(np.abs(f)))
 
 
-def window(state, dt):
-    return flow.evolve_window(state, dt, flow.FlowConfig(integrator="rk4"))
+def rates(state, *fields):
+    """``oracles.WindowRates`` of ``fields`` at ``state``."""
+    win = flow.evolve_window(state, flow.FlowConfig())
+    return oracles.material_rate(state, win, fields)
 
 
-def tilt_rates(win):
-    """``oracles.WindowRates`` of v^2 over ``win``, before values from its own geometry."""
-    before = oracles.snapshot_geometry(win.before)
-    return oracles.material_rate(win, {oracles.tilt_squared: before.v2})
+def tilt_rates(state):
+    return rates(state, oracles.tilt_squared)
 
 
-def weight_rates(win, spec):
-    before = oracles.snapshot_geometry(win.before)
-    field = oracles.WeightField(spec)
-    return oracles.material_rate(win, {field: field(before)})
+def weight_rates(state, spec):
+    return rates(state, oracles.WeightField(spec))
 
 
 def refined(check, measure, coarse, fine):
     """``oracles.refined`` on ``check`` of ``measure`` (a geometry or window
-    rates) over a grid-halving pair of states or windows."""
+    rates) over a grid-halving pair of states."""
     reports = [oracles.report_list(check(measure(x))) for x in (coarse, fine)]
     return oracles.refined(*reports)
 
@@ -180,12 +178,8 @@ def test_3_discrete_laplacian_refinement_orders():
 
 def test_4_tilt_evolution_refinement():
     started = time.perf_counter()
-    coarse = window(bump_state(33), dt=1e-4)
-    fine = window(bump_state(65), dt=2.5e-5)
-    (rep,) = refined(oracles.check_tilt_evolution, tilt_rates, coarse, fine)
-    flat = oracles.check_tilt_evolution(
-        tilt_rates(window(bump_state(33, amplitude=0.0), dt=1e-3))
-    )
+    (rep,) = refined(oracles.check_tilt_evolution, tilt_rates, bump_state(33), bump_state(65))
+    flat = oracles.check_tilt_evolution(tilt_rates(bump_state(33, amplitude=0.0)))
     elapsed = time.perf_counter() - started
     ok = rep.order >= 1.7 and flat.linf < 1e-10 and elapsed < 300.0
     report_line(
@@ -198,25 +192,23 @@ def test_4_tilt_evolution_refinement():
 
 def test_5_inequality_suite_with_negative_control():
     started = time.perf_counter()
-    bump_win = tilt_rates(window(bump_state(65), dt=1e-4))
+    bump_win = tilt_rates(bump_state(65))
     worst = []
     for delta in (0.0, 1.0 / 6.0, 1.0 / 3.0):
         for rep in oracles.check_tilt_bounds(bump_win, delta):
             assert rep.passed, rep.summary()
             worst.append(rep.worst_slack / max(rep.tolerance, 1e-300))
-    high_win = window(
-        bump_state(65, amplitude=0.0, extent=2.0, height=10.0), dt=1e-3
-    )
+    high = bump_state(65, amplitude=0.0, extent=2.0, height=10.0)
     for alpha in (0.5, 1.0):
         spec = geometry.CutoffSpec(alpha=alpha, epsilon=0.1, t_min=10.0)
-        evo = oracles.check_weight_evolution(weight_rates(high_win, spec), spec)
-        grad = oracles.check_weight_gradient(oracles.snapshot_geometry(high_win.mid), spec)
+        evo = oracles.check_weight_evolution(weight_rates(high, spec), spec)
+        grad = oracles.check_weight_gradient(oracles.snapshot_geometry(high), spec)
         assert evo.passed and evo.violations == 0, evo.summary()
         assert grad.passed and grad.violations == 0, grad.summary()
     control = geometry.CutoffSpec(alpha=1.9, epsilon=0.1, t_min=0.5)
-    low_win = window(bump_state(129, amplitude=0.0, height=1.0), dt=1e-4)
-    evo = oracles.check_weight_evolution(weight_rates(low_win, control), control)
-    grad = oracles.check_weight_gradient(oracles.snapshot_geometry(low_win.mid), control)
+    low = bump_state(129, amplitude=0.0, height=1.0)
+    evo = oracles.check_weight_evolution(weight_rates(low, control), control)
+    grad = oracles.check_weight_gradient(oracles.snapshot_geometry(low), control)
     elapsed = time.perf_counter() - started
     ok = (
         evo.violations > 0

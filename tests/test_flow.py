@@ -341,11 +341,18 @@ def test_trajectory_snapshot_times():
 
 
 def test_evolve_window():
-    state = radial_state()
-    win = flow.evolve_window(state, 1e-4, flow.FlowConfig())
-    assert win.dt == 1e-4
-    assert win.after.s == pytest.approx(2e-4, abs=1e-15)
-    assert win.mid.s == pytest.approx(1e-4, abs=1e-15)
+    """The state displaced by -/+ eta S, S its kernel speed with the boundary
+    speed written in, eta = (h/8) n / max(n, max|S|), at s -/+ eta."""
+    state = radial_state(kind=flow.SLICING)
+    grid = state.grid
+    speed = flow._kernel(state.u.values, grid, state.bc, state.s)[0]
+    win = flow.evolve_window(state, flow.FlowConfig(integrator="implicit"))
+    eta = grid.spacing / 8.0 * 3.0 / max(3.0, float(np.max(np.abs(speed))))
+    assert win.eta == eta
+    assert (win.before.s, win.after.s) == (-eta, eta)
+    np.testing.assert_array_equal(win.before.u.values, state.u.values - eta * speed)
+    np.testing.assert_array_equal(win.after.u.values, state.u.values + eta * speed)
+    assert speed[-1] == 3.0
 
 
 # ---------------------------------------------------------------------------

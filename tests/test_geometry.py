@@ -570,6 +570,23 @@ def test_lean_radial_kernel_is_exact_on_flat_slices(dimension, c):
     assert np.all(fields.H == dimension) and np.all(fields.v == 1.0)
 
 
+@pytest.mark.parametrize("c", [0.0, 0.5, -0.5, 2.0])
+def test_radial_kernel_speed_converges_at_second_order_on_spheres(c):
+    """The spacelike sphere ``pointwise.sphere_profile(rho, c)`` moves at the
+    graph speed 3 c / sqrt(c^2 + 1 + rho^2) exactly, so the kernel's speed
+    error shrinks at second order as the grid goes 129 -> 257 -> 513 nodes."""
+    errors = []
+    for resolution in (129, 257, 513):
+        grid = grids.Grid(grids.RADIAL, 3, extent=3.0, resolution=resolution)
+        rho = grid.axis()
+        speed, _, _, _ = geometry.graph_speed_fields(pointwise.sphere_profile(rho, c), grid)
+        errors.append(float(np.max(np.abs(speed - 3.0 * c / np.sqrt(c * c + 1.0 + rho**2)))))
+    low, high = oracles.ORDER_WINDOW
+    for coarse, fine in zip(errors, errors[1:]):
+        order = grids.refinement_order(coarse, fine)
+        assert order is not None and low <= order <= high, (errors, order)
+
+
 @pytest.mark.parametrize("resolution", RESOLUTIONS)
 def test_lean_radial_kernel_fails_at_the_reference_node(resolution):
     grid = grids.Grid(grids.RADIAL, 3, extent=3.0, resolution=resolution)

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -262,6 +263,17 @@ class TestSnapshots:
         with pytest.raises(VersionMismatchError, match="version 1, .*version 2"):
             snapshots.load_trajectory(path)
 
+    def test_file_without_snapshots(self, tmp_path):
+        # save_trajectory refuses an empty trajectory; a file that holds none
+        # under a valid checksum loaded as one whose .final raised IndexError
+        header = snapshots._HEADER.pack(
+            snapshots._MAGIC, snapshots.FORMAT_VERSION, 0, 3, 0, 0, 9, 1.0, 0, 9, 0
+        )
+        path = tmp_path / "empty.dsmcf"
+        path.write_bytes(header + snapshots._CRC.pack(zlib.crc32(header)))
+        with pytest.raises(CorruptFileError, match="holds no snapshots"):
+            snapshots.load_trajectory(path)
+
     @pytest.mark.parametrize("make", [one_state_trajectory, small_trajectory])
     def test_unwritable_path_raises_io_error(self, tmp_path, make):
         blocker = tmp_path / "file"
@@ -407,6 +419,16 @@ def test_check_toggles_and_check_tables_agree():
         assert set(table) <= set(cli._CHECKS)
 
 
+#: ``checks`` toggles that leave on only ``coordinate_laplacians``,
+#: ``tilt_gradient`` and ``tilt_evolution``: a refinement-order study that
+#: runs on any 3-d grid.
+REFINED_ONLY = {
+    "restriction_gradients": False,
+    "tilt_bounds": False,
+    "curvature_evolution": False,
+}
+
+
 class TestCli:
     def write_config(self, tmp_path, doc):
         path = tmp_path / "cfg.json"
@@ -507,7 +529,7 @@ class TestCli:
     @pytest.mark.parametrize("integrator", ["rk2", "euler", "implicit"])
     @pytest.mark.parametrize("resolution", [65, 129, 257])
     def test_verify_radial_bump_passes_under_refinement(self, tmp_path, resolution, integrator):
-        # the checking window takes rk2 steps whatever the flow's integrator
+        # the rates are taken at the state, whatever the flow's integrator
         cfg = self.write_config(
             tmp_path,
             {
@@ -523,8 +545,6 @@ class TestCli:
         for name in ("tilt-evolution", "curvature-evolution"):
             (check,) = [c for c in doc["checks"] if c["name"] == name]
             assert check["passed"] is True and low <= check["order"] <= high
-        # checks.dt = 1e-4 exceeds the rk2 stable step on these grids
-        assert any(n.startswith("checking window dt ") for n in doc["notes"])
 
     @pytest.mark.parametrize("command", ["simulate", "flatness", "rescale", "verify"])
     def test_pinned_nonconstant_boundary_is_a_config_error(self, tmp_path, capsys, command):
@@ -629,13 +649,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: grid: extent ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["verify", "refine"])
-    def test_height_where_e2u_overflows_exits_two(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("checks", [{}, REFINED_ONLY], ids=["verify", "refined-checks"])
+    def test_height_where_e2u_overflows_exits_two(self, tmp_path, capsys, checks):
         # past u = 354.9 the eigenvalue solve of the pinching bound raised
         # LinAlgError, and the refined orders were NaN
-        doc = {"grid": {"resolution": 33}, "initial": {"height": 355.0}}
+        doc = {"grid": {"resolution": 33}, "initial": {"height": 355.0}, "checks": checks}
         cfg = self.write_config(tmp_path, doc)
-        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: initial height 355 ") and err.count("\n") == 1
 
@@ -659,19 +679,19 @@ class TestCli:
         "mode, integrator", [("radial", "rk2"), ("radial", "implicit"), ("cartesian", "rk2")]
     )
     def test_window_past_the_height_bound_exits_two(self, tmp_path, capsys, mode, integrator):
-        # the window climbs 3 per unit of flow time past 354.89, where the
-        # eigenvalue solve of the pinching bound raised LinAlgError; the
-        # stable step does not clamp checks.dt that high
+        # the state displaced by eta S = 3 h / 8 climbs past 354.89, where the
+        # eigenvalue solve of the pinching bound raised LinAlgError, whatever
+        # the flow's integrator
         doc = {
             "grid": self.FLAT_GRIDS[mode],
-            "initial": {"profile": "flat", "height": 354.8},
+            "initial": {"profile": "flat", "height": 354.88},
             "flow": {"integrator": integrator},
-            "checks": {"dt": 1.0},
         }
         cfg = self.write_config(tmp_path, doc)
         assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        window = "under checks.dt 1, the checking window's height 360.8 is not below 354.891"
+        peak = {"radial": "354.903", "cartesian": "355.067"}[mode]
+        window = f"the displaced states' height {peak} is not below 354.891"
         assert err.startswith(f"config error: {window}") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
@@ -933,9 +953,12 @@ class TestCli:
         rows = (out / "barrier.csv").read_text().splitlines()
         assert len(rows) > 2 and 0.7 < float(rows[-1].split(",")[0]) < 0.75
 
-    @pytest.mark.parametrize("command", ["simulate", "refine"])
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
     def test_out_path_that_is_a_file_exits_one(self, tmp_path, capsys, command):
-        cfg = self.write_config(tmp_path, {"grid": {"resolution": 17}, "flow": {"s_end": 0.02}})
+        cfg = self.write_config(
+            tmp_path,
+            {"grid": {"resolution": 17}, "flow": {"s_end": 0.02}, "checks": REFINED_ONLY},
+        )
         blocker = tmp_path / "file"
         blocker.write_text("x")
         assert cli.main([command, "--config", cfg, "--out", str(blocker), "--quiet"]) == 1
@@ -974,9 +997,9 @@ class TestCli:
         assert cli.main(["rescale", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "recorded span" in capsys.readouterr().err
 
-    def test_refine_defaults_pass(self, tmp_path):
-        cfg = self.write_config(tmp_path, {"grid": {"resolution": 17}})
-        assert cli.main(["refine", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    def test_refined_checks_pass_on_defaults(self, tmp_path):
+        cfg = self.write_config(tmp_path, {"grid": {"resolution": 17}, "checks": REFINED_ONLY})
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
     def test_jet_sampling_check(self, tmp_path):
         toggles = {
@@ -1016,9 +1039,9 @@ class TestCli:
         assert "resolution" in capsys.readouterr().err
 
     def test_slicing_note_recorded(self, tmp_path):
-        cfg = self.write_config(tmp_path, {"grid": {"resolution": 17}})
+        cfg = self.write_config(tmp_path, {"grid": {"resolution": 17}, "checks": REFINED_ONLY})
         out = tmp_path / "out"
-        assert cli.main(["refine", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+        assert cli.main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         doc = json.loads((out / "report.json").read_text())
         assert reporting.SLICING_NOTE in doc["notes"]
 

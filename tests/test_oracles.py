@@ -25,40 +25,35 @@ def radial_state(resolution=33, extent=3.0, amplitude=0.2, height=0.0, dimension
     )
 
 
-def window(state, dt=1e-4):
-    cfg = flow.FlowConfig(integrator="rk4", s_end=1.0)
-    return flow.evolve_window(state, dt, cfg)
+def window(state):
+    return flow.evolve_window(state, flow.FlowConfig())
 
 
-def bump_window_pair(amplitude=0.2, dt=1e-4):
-    """Coarse/fine windows of the same bump with (h, dt) -> (h/2, dt/4)."""
-    coarse = window(radial_state(33, amplitude=amplitude), dt)
-    fine = window(radial_state(65, amplitude=amplitude), dt / 4.0)
-    return coarse, fine
+def bump_pair(amplitude=0.2):
+    """Coarse/fine states of the same bump, the fine one with half the spacing."""
+    return radial_state(33, amplitude=amplitude), radial_state(65, amplitude=amplitude)
 
 
 def geom(state):
     return oracles.snapshot_geometry(state)
 
 
-def rates(win, *fields):
-    """``oracles.WindowRates`` of ``fields`` over ``win``, with the before
-    values read from the window's own before geometry."""
-    before = geom(win.before)
-    return oracles.material_rate(win, {f: f(before) for f in fields})
+def rates(state, *fields):
+    """``oracles.WindowRates`` of ``fields`` at ``state``."""
+    return oracles.material_rate(state, window(state), fields)
 
 
-def tilt_rates(win):
-    return rates(win, oracles.tilt_squared)
+def tilt_rates(state):
+    return rates(state, oracles.tilt_squared)
 
 
-def curvature_rates(win):
-    return rates(win, *oracles.CURVATURE_FIELDS)
+def curvature_rates(state):
+    return rates(state, *oracles.CURVATURE_FIELDS)
 
 
 def refined(check, measure, coarse, fine):
     """``oracles.refined`` on ``check`` of ``measure`` (a geometry or window
-    rates) over a grid-halving pair of states or windows."""
+    rates) over a grid-halving pair of states."""
     reports = [oracles.report_list(check(measure(x))) for x in (coarse, fine)]
     return oracles.refined(*reports)
 
@@ -112,19 +107,17 @@ def test_material_rate_reproduces_flow_law_on_slices():
     """On the flat slicing the height climbs at exactly the slice mean
     curvature and the tilt stays pinned at 1, so the advected rate must
     return 3 and 0 without any discretization error."""
-    win = window(radial_state(65, amplitude=0.0), dt=1e-3)
-    before = geom(win.before)
+    state = radial_state(65, amplitude=0.0)
     fields = (lambda g: g.u, lambda g: g.v2)
-    rate_u, rate_v2 = oracles.material_rate(win, {f: f(before) for f in fields}).rates.values()
+    rate_u, rate_v2 = oracles.material_rate(state, window(state), fields).rates.values()
     assert np.max(np.abs(rate_u - 3.0)) < 1e-11
     assert np.max(np.abs(rate_v2)) < 1e-11
 
 
 def test_material_rate_drift_vanishes_without_slope():
-    win = window(radial_state(33, amplitude=0.0, height=0.7))
-    measured = oracles.material_rate(win, {oracles.tilt_squared: geom(win.before).v2})
-    (rate,), mid = measured.rates.values(), measured.mid
-    assert np.max(np.abs(mid.du)) == 0.0
+    measured = tilt_rates(radial_state(33, amplitude=0.0, height=0.7))
+    (rate,), at = measured.rates.values(), measured.geom
+    assert np.max(np.abs(at.du)) == 0.0
     assert np.max(np.abs(rate)) < 1e-11
 
 
@@ -219,12 +212,12 @@ def test_tilt_gradient_refinement_order():
 
 
 def test_tilt_evolution_exact_on_flat_slicing():
-    rep = oracles.check_tilt_evolution(tilt_rates(window(radial_state(33, amplitude=0.0), dt=1e-3)))
+    rep = oracles.check_tilt_evolution(tilt_rates(radial_state(33, amplitude=0.0)))
     assert rep.linf < 1e-12
 
 
 def test_tilt_evolution_bump_refinement():
-    coarse, fine = bump_window_pair()
+    coarse, fine = bump_pair()
     (rep,) = refined(oracles.check_tilt_evolution, tilt_rates, coarse, fine)
     assert rep.passed, rep.summary()
     assert ORDER_LO < rep.order < ORDER_HI
@@ -245,9 +238,7 @@ def test_rate_checks_leave_out_the_node_beside_the_boundary():
             state = flow.GraphState(
                 u=grids.Field(grid, u0), s=0.0, bc=flow.BoundaryCondition(flow.SLICING)
             )
-            cfg = flow.FlowConfig()
-            win = flow.evolve_window(state, flow.stable_dt(state, cfg.cfl_safety), cfg)
-            box, lhs, rhs, _ = tilt_rates(win).tilt
+            box, lhs, rhs, _ = tilt_rates(state).tilt
             covered = np.zeros(resolution, dtype=bool)
             covered[box] = True
             np.testing.assert_array_equal(covered, np.arange(resolution) < resolution - 2)
@@ -258,8 +249,8 @@ def test_rate_checks_leave_out_the_node_beside_the_boundary():
 
 
 def test_tilt_evolution_residual_scales_with_amplitude():
-    big = oracles.check_tilt_evolution(tilt_rates(window(radial_state(33, amplitude=0.2))))
-    small = oracles.check_tilt_evolution(tilt_rates(window(radial_state(33, amplitude=0.1))))
+    big = oracles.check_tilt_evolution(tilt_rates(radial_state(33, amplitude=0.2)))
+    small = oracles.check_tilt_evolution(tilt_rates(radial_state(33, amplitude=0.1)))
     ratio = big.linf / small.linf
     assert 1.8 < ratio < 3.2
 
@@ -272,7 +263,7 @@ def test_tilt_bounds_frozen_slice_arithmetic():
     """On a flat slice the measured evolution is zero, so each slack is the
     bound itself: 86/3 for the dissipation bound at delta = 1/3 (28 at
     delta = 0), equality for the decay bound, and 32/3 for pinching."""
-    win = tilt_rates(window(radial_state(33, amplitude=0.0), dt=1e-3))
+    win = tilt_rates(radial_state(33, amplitude=0.0))
     third = oracles.check_tilt_bounds(win, delta=1.0 / 3.0)
     by_name = {rep.name: rep for rep in third}
     assert by_name["tilt-dissipation-bound"].worst_slack == pytest.approx(86.0 / 3.0)
@@ -303,7 +294,7 @@ def test_nan_slack_violates_its_bound():
 
 
 def test_tilt_bounds_hold_on_bump_flow():
-    win = tilt_rates(window(radial_state(65)))
+    win = tilt_rates(radial_state(65))
     for rep in oracles.check_tilt_bounds(win, delta=0.2):
         assert rep.passed, rep.summary()
         assert rep.parameters["delta"] == 0.2
@@ -333,43 +324,38 @@ def test_random_jet_checks_pass_and_repeat():
 # localization weight bounds
 
 
-def high_slice_window(height=10.0):
-    return window(
-        radial_state(65, extent=2.0, amplitude=0.0, height=height), dt=1e-3
-    )
-
-
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_weight_bounds_hold_high_on_slices(alpha):
+    # the slice sits at the threshold, so its displaced states dip below it
     spec = geometry.CutoffSpec(alpha=alpha, epsilon=0.1, t_min=10.0)
-    win = high_slice_window()
-    evo = oracles.check_weight_evolution(rates(win, oracles.WeightField(spec)), spec)
+    state = radial_state(65, extent=2.0, amplitude=0.0, height=10.0)
+    evo = oracles.check_weight_evolution(rates(state, oracles.WeightField(spec)), spec)
     assert evo.passed and evo.violations == 0
     assert evo.worst_slack > 0.0
-    grad = oracles.check_weight_gradient(geom(win.mid), spec)
+    grad = oracles.check_weight_gradient(geom(state), spec)
     assert grad.passed and grad.violations == 0
     assert grad.worst_slack >= 0.0
 
 
 def test_weight_checks_guard_the_height_threshold():
     spec = geometry.CutoffSpec(alpha=1.0, epsilon=0.1, t_min=10.0)
-    low = window(radial_state(33, amplitude=0.0, height=0.0), dt=1e-3)
+    low = radial_state(33, amplitude=0.0, height=0.0)
     with pytest.raises(BelowThresholdError):
         oracles.check_weight_evolution(rates(low, oracles.WeightField(spec)), spec)
     with pytest.raises(BelowThresholdError):
-        oracles.check_weight_gradient(geom(low.mid), spec)
+        oracles.check_weight_gradient(geom(low), spec)
 
 
 def test_weight_negative_control_shows_violations():
     """Steep weight exponents at moderate heights genuinely break the
     bounds; the checks must report that instead of passing vacuously."""
     spec = geometry.CutoffSpec(alpha=1.9, epsilon=0.1, t_min=0.5)
-    win = window(radial_state(129, amplitude=0.0, height=1.0))
-    evo = oracles.check_weight_evolution(rates(win, oracles.WeightField(spec)), spec)
+    state = radial_state(129, amplitude=0.0, height=1.0)
+    evo = oracles.check_weight_evolution(rates(state, oracles.WeightField(spec)), spec)
     assert not evo.passed
     assert evo.violations > 0
     assert evo.worst_slack < -1.0
-    grad = oracles.check_weight_gradient(geom(win.mid), spec)
+    grad = oracles.check_weight_gradient(geom(state), spec)
     assert not grad.passed
     assert grad.violations > 0
 
@@ -392,19 +378,19 @@ def test_curvature_profiles_match_eigenvalue_route(dimension):
 
 def test_curvature_evolution_exact_on_slices():
     ident, traceless = oracles.check_curvature_evolution(
-        curvature_rates(window(radial_state(33, amplitude=0.0), dt=1e-3))
+        curvature_rates(radial_state(33, amplitude=0.0))
     )
     assert ident.linf < 1e-12
     assert traceless.worst_slack >= -1e-10
     # a raised slice only stresses the rounding, not the cancellation
     ident_up, _ = oracles.check_curvature_evolution(
-        curvature_rates(window(radial_state(33, amplitude=0.0, height=0.3), dt=1e-3))
+        curvature_rates(radial_state(33, amplitude=0.0, height=0.3))
     )
     assert ident_up.linf < 1e-10
 
 
 def test_curvature_evolution_bump_refinement():
-    coarse, fine = bump_window_pair(dt=2e-5)
+    coarse, fine = bump_pair()
     ident, traceless = refined(oracles.check_curvature_evolution, curvature_rates, coarse, fine)
     assert ident.passed, ident.summary()
     assert ORDER_LO < ident.order < ORDER_HI
@@ -415,7 +401,7 @@ def test_curvature_evolution_bump_refinement():
 def test_refined_orders_the_identity_and_keeps_the_coarse_bound():
     """``refined`` gives the coarse identity report its order and verdict,
     and hands the traceless bound on exactly as the coarse check gives it."""
-    coarse, fine = bump_window_pair(dt=2e-5)
+    coarse, fine = bump_pair()
     ident, traceless = refined(oracles.check_curvature_evolution, curvature_rates, coarse, fine)
     plain_ident, plain_traceless = oracles.check_curvature_evolution(curvature_rates(coarse))
     assert traceless == plain_traceless
@@ -426,8 +412,8 @@ def test_refined_orders_the_identity_and_keeps_the_coarse_bound():
 
 def test_curvature_evolution_builds_each_snapshot_geometry_once(monkeypatch):
     """The identity and the traceless bound read their rates from one pass
-    over each window: three geometries per window."""
-    coarse, fine = bump_window_pair()
+    over each window: the after, before and state geometries."""
+    coarse, fine = bump_pair()
     built = []
 
     class Counted(geometry.GeometryFields):
@@ -585,15 +571,13 @@ def test_flipped_reaction_terms_break_the_identity(symbolic_identity_residuals):
 
 
 def cartesian_verify_inputs(resolution):
-    """The config, fine state and fine window step of a cartesian 3-d bump's
-    ``verify``, built as ``cli._run_checks`` builds them."""
+    """The config and fine state of a cartesian 3-d bump's ``verify``, built
+    as ``cli._cmd_verify`` builds them."""
     cfg = config.RunConfig(
         grid=config.GridSpec(mode=grids.CARTESIAN, dimension=3, extent=3.0, resolution=resolution),
         initial=config.InitialSpec(profile="bump", amplitude=0.2, width=1.2),
     )
-    dt = cli._window_dt(cfg, cfg.initial_state(), [])
-    fine = replace(cfg, grid=cfg.grid.refined()).initial_state()
-    return cfg, fine, dt / 4.0
+    return cfg, replace(cfg, grid=cfg.grid.refined()).initial_state()
 
 
 #: The checks whose fine pass ``verify`` runs on a cartesian 3-d grid.
@@ -616,10 +600,10 @@ def test_cartesian_checks_stay_within_their_memory_budget():
     at a time and no (n, n, N) node tensor, so its peak stays below 60
     arrays (holding the state's geometry through the window checks would
     take it to about 75), and the kernel's below 16."""
-    cfg, fine, fine_dt = cartesian_verify_inputs(33)
+    cfg, fine = cartesian_verify_inputs(33)
     node_array = fine.u.values.nbytes
     peaks = {
-        "fine_pass": traced_peak(lambda: cli._measure(cfg, CARTESIAN_REFINED, fine, fine_dt))
+        "fine_pass": traced_peak(lambda: cli._measure(cfg, CARTESIAN_REFINED, fine))
         / node_array,
         "kernel": traced_peak(lambda: geometry.graph_speed_fields(fine.u.values, fine.grid))
         / node_array,
@@ -634,7 +618,7 @@ def test_tensor_readers_build_no_node_tensors():
     the rank-one closed forms: their peaks stay below the 2 n^2 and n^2 node
     arrays that (n, n, N) tensors of gamma^{-1}, h and gamma^{-1} h would
     take (n = 3)."""
-    cfg, _, _ = cartesian_verify_inputs(33)
+    cfg, _ = cartesian_verify_inputs(33)
     fields = oracles.snapshot_geometry(cfg.initial_state())
     node_array = fields.u.nbytes
     restriction = traced_peak(lambda: oracles.restriction_gradient_residuals(fields))
@@ -678,7 +662,13 @@ def count_calls(monkeypatch, module, name) -> list:
             cartesian_config(curvature_evolution=False, jet_sampling=True, jet_count=100),
             6,
         ),
-        ("refine", cartesian_config(), 6),
+        (
+            "verify",
+            cartesian_config(
+                restriction_gradients=False, tilt_bounds=False, curvature_evolution=False
+            ),
+            6,
+        ),
         (
             "verify",
             config.RunConfig(
@@ -690,12 +680,14 @@ def count_calls(monkeypatch, module, name) -> list:
     ],
 )
 def test_each_pass_builds_each_snapshot_geometry_once(monkeypatch, command, cfg, builds):
-    """The coarse pass builds the state's, the window's after and its middle
-    geometry; the fine pass builds the same three on the refined grid."""
+    """The coarse pass builds the window's after and before geometries and
+    the state's; the fine pass builds the same three on the refined grid.
+    Each pass evaluates the kernel once, for its window."""
     built = count_calls(monkeypatch, geometry, "GeometryFields")
+    kernels = count_calls(monkeypatch, geometry, "graph_speed_fields")
     report = cli.COMMANDS[command](cfg)
     assert report.checks and report.failure is None
-    assert len(built) == builds
+    assert len(built) == builds and len(kernels) == 2
     coarse, fine = cfg.grid.resolution, cfg.grid.refined().resolution
     assert [g.resolution for g in built] == [coarse] * 3 + [fine] * 3
 
