@@ -152,10 +152,14 @@ MAX_HEIGHT = 0.5 * float(np.log(np.finfo(float).max))
 class JetFields:
     """Geometry quantities over a batch of jets, computed lazily.
 
-    Index convention: tensor axes lead, so du is (n, ...) and d2u is
-    (n, n, ...) over an arbitrary batch shape.  Everything heavier than the
+    Index convention: tensor axes lead, so du is (n, ...) over an arbitrary
+    batch shape.  The symmetric Hessian d2u comes as an (n, n, ...) tensor
+    or as its n(n+1)/2 entries, a dict from (i, j), i <= j, to arrays (what
+    ``grids.cartesian_jet`` gives); ``hessian`` maps every (i, j) to one of
+    them, so (j, i) reads the array of (i, j).  Everything heavier than the
     core scalars (e^{-2u}, v^2, v, H) is a cached property, so cheap
-    consumers stay cheap.
+    consumers stay cheap; the tilt vectors are rebuilt on each read, so a
+    geometry keeps only their scalar |W(P)|^2_gamma.
 
     gamma = e^{2u} I - du du^T is a rank-one update of a multiple of the
     identity, so every contraction the checks take has a closed form in
@@ -177,16 +181,23 @@ class JetFields:
     def __init__(self, u, du, d2u):
         self.u = np.asarray(u, dtype=float)
         self.du = np.asarray(du, dtype=float)
-        self.d2u = np.asarray(d2u, dtype=float)
-        self.dimension = self.du.shape[0]
+        n = self.dimension = self.du.shape[0]
+        if not isinstance(d2u, dict):
+            d2u = np.asarray(d2u, dtype=float)
+            d2u = {(i, j): d2u[i, j] for i in range(n) for j in range(i, n)}
+        self.hessian = {**d2u, **{(j, i): entry for (i, j), entry in d2u.items()}}
         self.e2u = np.exp(2.0 * self.u)
         self.grad_sq = np.einsum("i...,i...->...", self.du, self.du)
+        trace = np.zeros(self.u.shape)
+        quad = np.zeros(self.u.shape)
+        for i in range(n):
+            trace += self.hessian[i, i]
+            for j in range(i, n):
+                term = self.hessian[i, j] * self.du[i]
+                term *= self.du[j] if i == j else 2.0 * self.du[j]
+                quad += term
         (self.em2u, _, self.v2, self.v, _, self.H) = _speed_core(
-            self.u,
-            self.grad_sq,
-            np.einsum("ii...->...", self.d2u),
-            np.einsum("i...,ij...,j...->...", self.du, self.d2u, self.du),
-            self.dimension,
+            self.u, self.grad_sq, trace, quad, n
         )
 
     def _du_dot(self, X):
@@ -194,35 +205,53 @@ class JetFields:
 
     def _m_entry(self, i, j):
         """M_ij = d2u_ij + e^{2u} delta_ij - 2 u_i u_j, one node array."""
-        m = self.d2u[i, j] - 2.0 * self.du[i] * self.du[j]
+        m = self.hessian[i, j] - 2.0 * self.du[i] * self.du[j]
         if i == j:
             m += self.e2u
         return m
 
-    def _m_dot(self, X):
-        """M X = d2u.X + e^{2u} X - 2 (du.X) du for X of shape (n, ...)."""
-        out = np.einsum("ij...,j...->i...", self.d2u, X)
-        out += self.e2u * X
-        out -= 2.0 * self._du_dot(X) * self.du
+    def _hessian_dot(self, X):
+        """d2u.X for X of shape (n, ...), summed row by row in place."""
+        out = np.zeros(np.shape(X))
+        for i in range(self.dimension):
+            for j in range(self.dimension):
+                out[i] += self.hessian[i, j] * X[j]
         return out
 
-    def raise_index(self, X):
-        """gamma^{ij} X_j for covector components X of shape (n, ...)."""
-        out = (self.v2 * self.em2u * self._du_dot(X)) * self.du
-        out += X
-        out *= self.em2u
+    def _m_dot(self, X):
+        """M X = d2u.X + e^{2u} X - 2 (du.X) du for X of shape (n, ...),
+        one component at a time."""
+        out = self._hessian_dot(X)
+        two_dot = 2.0 * self._du_dot(X)
+        for i in range(self.dimension):
+            out[i] += self.e2u * X[i]
+            out[i] -= two_dot * self.du[i]
+        return out
+
+    def raise_index(self, X, out=None):
+        """gamma^{ij} X_j for covector components X of shape (n, ...), into
+        ``out`` (X itself raises in place) or a new array."""
+        c_dot = self.v2 * self.em2u * self._du_dot(X)
+        if out is None:
+            out = np.empty(np.shape(X))
+        for i in range(self.dimension):
+            np.add(X[i], c_dot * self.du[i], out=out[i])
+            out[i] *= self.em2u
         return out
 
     def second_form(self, X):
         """h_ij X^j for tangent components X of shape (n, ...)."""
-        return self.v * self._m_dot(X)
+        out = self._m_dot(X)
+        out *= self.v
+        return out
 
     @cached_property
     def a2(self):
         """|A|^2 = tr((gamma^{-1} h)^2), by the closed form in the class docstring."""
         n = self.dimension
         c = self.v2 * self.em2u
-        n_du = self.em2u * self._m_dot(self.du)
+        n_du = self._m_dot(self.du)
+        n_du *= self.em2u
         tr_n2 = np.zeros(self.u.shape)
         for i in range(n):
             for j in range(i, n):
@@ -238,23 +267,27 @@ class JetFields:
         the Laplacian (1/w) d(w .) does not see the constant factor."""
         return np.exp(self.dimension * (self.u - np.max(self.u))) / self.v
 
-    @cached_property
+    @property
     def tilt_tangent(self):
-        """e_i components of the tangential part of d_t (equals -grad t)."""
+        """e_i components of the tangential part P of d_t (equals -grad t),
+        built anew on each read."""
         return -(self.v2 * self.em2u) * self.du
 
-    @cached_property
+    @property
     def sheared_tilt(self):
-        """Shape operator applied to the tangential part of d_t."""
-        return self.raise_index(self.second_form(self.tilt_tangent))
+        """The shape operator applied to P, built anew on each read."""
+        shear = self.second_form(self.tilt_tangent)
+        return self.raise_index(shear, out=shear)
+
+    @cached_property
+    def sheared_tilt_sq(self):
+        """|W(P)|^2_gamma of the sheared tilt, the one part of it kept."""
+        return self.gamma_norm_sq(self.sheared_tilt)
 
     @cached_property
     def dv(self):
         """Spatial derivative of v implied by the jet (chain rule on m)."""
-        dm = 2.0 * self.em2u * (
-            self.du * self.grad_sq
-            - np.einsum("ij...,j...->i...", self.d2u, self.du)
-        )
+        dm = 2.0 * self.em2u * (self.du * self.grad_sq - self._hessian_dot(self.du))
         return -0.5 * self.v**3 * dm
 
     def eigenvalues(self):
@@ -322,8 +355,10 @@ class GeometryFields(JetFields):
 
     Radial profiles are embedded as jets along the first coordinate axis:
     du = (u', 0, ..., 0) and d2u = diag(u'', u'/rho, ..., u'/rho), with the
-    axis value of u'/rho filled by even extrapolation.  The generic closed
-    forms then apply unchanged in both modes.
+    axis value of u'/rho filled by even extrapolation; the angular diagonal
+    entries share one array and the mixed ones one zero array.  A Cartesian
+    field keeps the n(n+1)/2 entries of ``grids.cartesian_jet``.  The
+    generic closed forms then apply unchanged in both modes.
     """
 
     def __init__(self, grid: grids.Grid, u_values):
@@ -333,10 +368,10 @@ class GeometryFields(JetFields):
             u_rho, u_rhorho, sor = _radial_jet(u_values, grid)
             du = np.zeros((n,) + grid.shape)
             du[0] = u_rho
-            d2u = np.zeros((n, n) + grid.shape)
+            zero = np.zeros(grid.shape)
+            d2u = {(i, j): zero for i in range(n) for j in range(i + 1, n)}
+            d2u.update({(k, k): sor for k in range(1, n)})
             d2u[0, 0] = u_rhorho
-            for k in range(1, n):
-                d2u[k, k] = sor
         else:
             du, d2u = grids.cartesian_jet(u_values, grid)
         self.grid = grid

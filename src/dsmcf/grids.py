@@ -143,10 +143,17 @@ class Grid:
         """|x|^2 at every node."""
         if self.mode == RADIAL:
             return self.axis() ** 2
+        square = self.axis() ** 2
         r2 = np.zeros(self.shape)
-        for xi in self.meshes():
-            r2 += xi**2
+        for i in range(self.dimension):
+            r2 += square.reshape((-1,) + (1,) * (self.dimension - 1 - i))
         return r2
+
+    def coordinate(self, i: int) -> np.ndarray:
+        """The Cartesian coordinate x_i at every node, a read-only broadcast
+        view of the axis (no node array is built)."""
+        column = self.axis().reshape((-1,) + (1,) * (self.dimension - 1 - i))
+        return np.broadcast_to(column, self.shape)
 
     def interior(self, ring: int = 1) -> tuple:
         """Index box of the nodes ``ring`` layers in from the boundary, one
@@ -246,14 +253,10 @@ def _hessian_entries(values: np.ndarray, grad, grid: Grid):
 
 
 def cartesian_jet(values: np.ndarray, grid: Grid):
-    """Gradient (n, *shape) and Hessian (n, n, *shape) of a cartesian field."""
-    n = grid.dimension
+    """Gradient (n, *shape) of a cartesian field and its n(n+1)/2 Hessian
+    entries, a dict from (i, j), i <= j, to node arrays."""
     grad = field_gradient(values, grid)
-    hess = np.empty((n, n) + grid.shape)
-    for i, j, entry in _hessian_entries(values, grad, grid):
-        hess[i, j] = entry
-        hess[j, i] = entry
-    return grad, hess
+    return grad, {(i, j): entry for i, j, entry in _hessian_entries(values, grad, grid)}
 
 
 def cartesian_invariants(values: np.ndarray, grid: Grid):
@@ -316,9 +319,10 @@ def field_gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
         out = np.zeros((grid.dimension,) + grid.shape)
         out[0] = radial_jet(values, grid)[0]
         return out
-    return np.stack(
-        [first_derivative(values, grid.spacing, axis=i) for i in range(grid.dimension)]
-    )
+    out = np.empty((grid.dimension,) + grid.shape)
+    for i in range(grid.dimension):
+        out[i] = first_derivative(values, grid.spacing, axis=i)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -341,20 +345,22 @@ def laplace_beltrami_cartesian(
 ) -> np.ndarray:
     """(1/w) d_i(w gamma^{ij} d_j f) with w = sqrt(det gamma).
 
-    ``raise_index`` maps a covector (n, *shape) to its gamma-raised vector
-    gamma^{ij} X_j; the flux is w times the raised gradient of f, so the
-    metric enters only through that map.  Central differences throughout
-    the interior keep the operator self-adjoint in the w-weighted inner
-    product.  Boundary values fall back to one-sided stencils, which
+    ``raise_index(X, out=X)`` turns a covector (n, *shape) into its
+    gamma-raised vector gamma^{ij} X_j in place; the flux is w times the
+    raised gradient of f, so the metric enters only through that map.
+    Central differences throughout the interior keep the operator
+    self-adjoint in the w-weighted inner product.  Boundary values fall back to one-sided stencils, which
     contaminates the outermost two node rings; norms should read the box of
     ``laplacian_box``.
     """
-    flux = raise_index(field_gradient(values, grid))
+    flux = field_gradient(values, grid)
+    raise_index(flux, out=flux)
     out = np.zeros(grid.shape)
     for i in range(grid.dimension):
         flux[i] *= weight
         out += first_derivative(flux[i], grid.spacing, axis=i)
-    return out / weight
+    out /= weight
+    return out
 
 
 def radial_measure(u: np.ndarray, v: np.ndarray, grid: Grid) -> np.ndarray:

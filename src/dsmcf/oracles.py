@@ -91,25 +91,46 @@ def snapshot_geometry(state: flow.GraphState) -> geometry.GeometryFields:
     return geometry.GeometryFields(state.grid, state.u.values)
 
 
+@dataclass
+class _ResidualSum:
+    """Max |residual|, sum of squares and node count over an index box,
+    gathered one residual array at a time (after any leading component
+    axes), so no buffer of squares is built.  An empty box raises
+    ValueError, as the max of no values does."""
+
+    box: tuple
+    linf: float = 0.0
+    sum_sq: float = 0.0
+    count: int = 0
+
+    def add(self, residual):
+        part = np.abs(np.asarray(residual)[(Ellipsis, *self.box)])
+        self.linf = float(np.maximum(self.linf, np.max(part)))  # NaN stays
+        part *= part
+        self.sum_sq += float(np.sum(part))
+        self.count += part.size
+
+    def report(self, name, tolerance=None) -> ResidualReport:
+        """The report of what was added; with a ``tolerance`` it passes when
+        its max |residual| is within it."""
+        return ResidualReport(
+            name=name,
+            linf=self.linf,
+            l2=float(np.sqrt(self.sum_sq / self.count)),
+            count=self.count,
+            tolerance=tolerance,
+            passed=None if tolerance is None else bool(self.linf <= tolerance),
+        )
+
+
 def _residual_report(name, residuals, box, tolerance=None) -> ResidualReport:
     """Aggregate residual arrays over a node box (after any leading component
-    axes), one array at a time, their squares into one buffer so the mean sums
-    them end to end; with a ``tolerance`` the report passes when its max
-    |residual| is within it."""
-    parts = [np.asarray(r)[(Ellipsis, *box)] for r in residuals]
-    squares = np.empty(sum(part.size for part in parts))
-    ends = np.cumsum([part.size for part in parts])
-    for part, end in zip(parts, ends):
-        np.square(part, out=squares[end - part.size : end].reshape(part.shape))
-    linf = float(np.max([np.max(np.abs(part)) for part in parts]))
-    return ResidualReport(
-        name=name,
-        linf=linf,
-        l2=float(np.sqrt(np.mean(squares))),
-        count=int(squares.size),
-        tolerance=tolerance,
-        passed=None if tolerance is None else bool(linf <= tolerance),
-    )
+    axes), one array at a time; with a ``tolerance`` the report passes when
+    its max |residual| is within it."""
+    total = _ResidualSum(box)
+    for residual in residuals:
+        total.add(residual)
+    return total.report(name, tolerance)
 
 
 def refined(reports, fine_reports) -> list:
@@ -150,18 +171,15 @@ class WindowRates:
         """(box, measured lhs, identity rhs, |grad v|^2) of the v^2 evolution,
         read by ``check_tilt_evolution`` and ``check_tilt_bounds``."""
         geom = self.geom
-        lhs = self.rates[tilt_squared] - geom.laplacian(geom.v2)
-        dv = grids.field_gradient(geom.v, geom.grid)
-        grad_v_sq = geom.gamma_inv_norm_sq(dv)
-        shear_sq = geom.gamma_norm_sq(geom.sheared_tilt)
-        rhs = (
-            4.0 * geom.H * geom.v
-            - 2.0 * geom.v2**2
-            - 4.0 * geom.v2
-            - 2.0 * geom.a2 * geom.v2
-            + 2.0 * shear_sq
-            - 4.0 * grad_v_sq
-        )
+        grad_v_sq = geom.gamma_inv_norm_sq(grids.field_gradient(geom.v, geom.grid))
+        rhs = 4.0 * geom.H * geom.v
+        rhs -= 2.0 * geom.v2**2
+        rhs -= 4.0 * geom.v2
+        rhs -= 2.0 * geom.a2 * geom.v2
+        rhs += 2.0 * geom.sheared_tilt_sq
+        rhs -= 4.0 * grad_v_sq
+        lhs = geom.laplacian(geom.v2)
+        np.subtract(self.rates[tilt_squared], lhs, out=lhs)
         return _rate_box(geom.grid), lhs, rhs, grad_v_sq
 
 
@@ -204,10 +222,19 @@ def tilt_evolution_skip_reason(grid: grids.Grid) -> str | None:
     return _unless_three_dimensional(grid, "the v^2 evolution coefficients assume dimension 3")
 
 
+#: The node layers ``check_curvature_evolution`` leaves out at the boundary.
+CURVATURE_COLLAR = 5
+
+
 def curvature_evolution_skip_reason(grid: grids.Grid) -> str | None:
     """Why ``check_curvature_evolution`` skips ``grid``, or None."""
     if grid.mode != grids.RADIAL:
         return "curvature evolution is only measurable on radial grids"
+    if grid.resolution <= CURVATURE_COLLAR:
+        return (
+            f"its {CURVATURE_COLLAR}-node boundary collar leaves no node "
+            f"of a {grid.resolution}-node grid"
+        )
     return _unless_three_dimensional(grid, "curvature evolution coefficients assume dimension 3")
 
 
@@ -278,35 +305,49 @@ def check_restriction_gradients(geom: geometry.GeometryFields) -> ResidualReport
 # coordinate Laplacians, both assembly routes
 
 
+def _coordinate_closed_forms(geom: geometry.GeometryFields, axis):
+    """(closed form, wave route) of the surface Laplacian of the height t
+    (``axis`` None) or of the coordinate x_axis, from the closed forms of
+    ``geometry``.  An x_i passes the normal's components of its one axis;
+    t passes none to the closed form and all of them to the wave route,
+    whose |nu|^2 term needs them."""
+    n = geom.dimension
+    if axis is None:
+        nu_sp = (geom.v * geom.em2u) * geom.du
+        closed = geometry.coordinate_laplacian_values(geom.H, geom.v, geom.u, geom.du[:0], n)
+        wave = geometry.coordinate_laplacian_wave_values(geom.H, nu_sp, geom.v, geom.u, n)
+        return closed[1], wave[1]
+    du = geom.du[axis : axis + 1]
+    closed = geometry.coordinate_laplacian_values(geom.H, geom.v, geom.u, geom.v * du, n)
+    nu_sp = (geom.v * geom.em2u) * du
+    wave = geometry.coordinate_laplacian_wave_values(geom.H, nu_sp, geom.v, geom.u, n)
+    return closed[0][0], wave[0][0]
+
+
 def check_coordinate_laplacians(geom: geometry.GeometryFields) -> list[ResidualReport]:
     """Discrete surface Laplacian of the coordinate restrictions vs closed
     forms, assembled both directly and through the ambient wave operator:
-    one report per route.
+    one report per route.  Each coordinate's Laplacian is taken once, read
+    by both routes and dropped before the next.
 
     Radial grids can only represent rotationally symmetric fields, so they
     check the height coordinate; Cartesian grids check all of them.
     """
     grid = geom.grid
-    n = grid.dimension
-    lap_t = geom.laplacian(geom.u)
-    closed_x, closed_t = geometry.coordinate_laplacian_values(
-        geom.H, geom.v, geom.u, geom.v * geom.du, dimension=n
-    )
-    wave_x, wave_t = geometry.coordinate_laplacian_wave_values(
-        geom.H, geom.v * geom.em2u * geom.du, geom.v, geom.u, dimension=n
-    )
-    closed = [lap_t - closed_t]
-    wave = [lap_t - wave_t]
+    coordinates = [(geom.u, None)]
     if grid.mode == grids.CARTESIAN:
-        meshes = grid.meshes()
-        for i in range(n):
-            lap_x = geom.laplacian(meshes[i])
-            closed.append(lap_x - closed_x[i])
-            wave.append(lap_x - wave_x[i])
+        coordinates += [(grid.coordinate(i), i) for i in range(grid.dimension)]
     box = grids.laplacian_box(grid)
+    closed, wave = _ResidualSum(box), _ResidualSum(box)
+    for coordinate, axis in coordinates:
+        closed_value, wave_value = _coordinate_closed_forms(geom, axis)
+        lap = geom.laplacian(coordinate)
+        closed.add(lap - closed_value)
+        lap -= wave_value
+        wave.add(lap)
     return [
-        _residual_report("coordinate-laplacians", closed, box),
-        _residual_report("coordinate-laplacians-wave-route", wave, box),
+        closed.report("coordinate-laplacians"),
+        wave.report("coordinate-laplacians-wave-route"),
     ]
 
 
@@ -321,19 +362,26 @@ def tilt_gradient_residuals(fields: geometry.JetFields, dv_covector) -> tuple:
     W the shape operator, and its squared norm expands into
     v^2 (v^2 - 1) - 2 v A(P, P) + |W(P)|^2.  ``dv_covector`` supplies
     d_i v, either analytic (exact) or from finite differences (O(h^2)).
+    The vector residual is raised once, as gamma^{-1} (dv + h(P)) - v P,
+    in the array of h(P).
     """
     dv = np.asarray(dv_covector, dtype=float)
-    grad_vec = fields.raise_index(dv)
-    target = fields.v * fields.tilt_tangent - fields.sheared_tilt
-    vec_residual = np.sqrt(
-        np.maximum(fields.gamma_norm_sq(grad_vec - target), 0.0)
-    )
     tilt = fields.tilt_tangent
-    a_pp = np.einsum("i...,i...->...", tilt, fields.second_form(tilt))
+    residual = fields.second_form(tilt)  # h(P), then in place the residual
+    a_pp = np.einsum("i...,i...->...", tilt, residual)
+    residual += dv
+    fields.raise_index(residual, out=residual)  # grad v + W(P)
+    for i in range(fields.dimension):
+        residual[i] -= fields.v * tilt[i]
+    del tilt
+    vec_residual = fields.gamma_norm_sq(residual)
+    del residual
+    np.maximum(vec_residual, 0.0, out=vec_residual)
+    np.sqrt(vec_residual, out=vec_residual)
     closed_norm = (
         fields.v2 * (fields.v2 - 1.0)
         - 2.0 * fields.v * a_pp
-        + fields.gamma_norm_sq(fields.sheared_tilt)
+        + fields.sheared_tilt_sq
     )
     scalar_residual = fields.gamma_inv_norm_sq(dv) - closed_norm
     return vec_residual, scalar_residual
@@ -548,12 +596,12 @@ def radial_curvatures(geom: geometry.GeometryFields) -> tuple[np.ndarray, np.nda
         kappa_rho   = e^{-2u} v^3 (u'' + e^{2u} - 2 u'^2)
         kappa_theta = e^{-2u} v (u'/rho + e^{2u}).
 
-    u'/rho is read from d2u[1, 1], whose axis value is the even
-    extrapolation of ``GeometryFields``."""
+    u'/rho is read from the Hessian entry (1, 1), whose axis value is the
+    even extrapolation of ``GeometryFields``."""
     u_rho = geom.du[0]
-    radial = (geom.d2u[0, 0] - 2.0 * (u_rho * u_rho) + geom.e2u) * geom.v
+    radial = (geom.hessian[0, 0] - 2.0 * (u_rho * u_rho) + geom.e2u) * geom.v
     radial *= geom.em2u * geom.v2
-    angular = (geom.d2u[1, 1] + geom.e2u) * geom.v
+    angular = (geom.hessian[1, 1] + geom.e2u) * geom.v
     angular *= geom.em2u
     return radial, angular
 
@@ -622,7 +670,7 @@ def check_curvature_evolution(rates: WindowRates) -> tuple[ResidualReport, Inequ
     # amplification: behind a three-node collar the residual peaks at
     # the nodes N-5 and N-4 and grows 4x per halving of h.  Masking a
     # five-node collar keeps the report about the resolved interior.
-    box = geom.grid.interior(5)
+    box = geom.grid.interior(CURVATURE_COLLAR)
     identity = _residual_report("curvature-evolution", [lhs - rhs], box)
     z = _traceless_curvature_sq(geom)
     lhs_z = rate_z - geom.laplacian(z)

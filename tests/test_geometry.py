@@ -389,18 +389,29 @@ def test_cutoff_spec_validation():
 # batch bundle consistency
 
 
+def hessian_tensor(entries, n):
+    """The (n, n, ...) Hessian tensor of a mapping from (i, j) to its entries,
+    which holds (i, j) for i <= j at least (``JetFields.hessian``,
+    ``grids.cartesian_jet``)."""
+    return np.stack(
+        [np.stack([entries[min(i, j), max(i, j)] for j in range(n)]) for i in range(n)]
+    )
+
+
 def tensor_forms(fields):
     """(gamma, gamma^{-1}, h, gamma^{-1} h) as (n, n, ...) node tensors, built
-    from ``fields.du`` and ``fields.d2u`` with gamma^{-1} by matrix inversion:
-    the independent reference for the rank-one closed forms of ``JetFields``."""
+    from ``fields.du`` and ``fields.hessian`` with gamma^{-1} by matrix
+    inversion: the independent reference for the rank-one closed forms of
+    ``JetFields``."""
     n = fields.dimension
     du = fields.du
+    d2u = hessian_tensor(fields.hessian, n)
     e2u = np.exp(2.0 * fields.u)
     v = 1.0 / np.sqrt(1.0 - np.einsum("i...,i...->...", du, du) / e2u)
     eye = np.eye(n).reshape((n, n) + (1,) * fields.u.ndim)
     outer = np.einsum("i...,j...->ij...", du, du)
     gamma = e2u * eye - outer
-    h = v * (fields.d2u + e2u * eye - 2.0 * outer)
+    h = v * (d2u + e2u * eye - 2.0 * outer)
     gamma_inv = np.moveaxis(
         np.linalg.inv(np.moveaxis(gamma, (0, 1), (-2, -1))), (-2, -1), (0, 1)
     )
@@ -470,7 +481,8 @@ def test_rank_one_forms_equal_the_tensor_forms(make):
 def test_cartesian_kernel_matches_the_hessian_tensor_route(monkeypatch):
     """The kernel sums the Hessian entry by entry; it never builds the jet."""
     fields = cartesian_bump_fields()
-    du, d2u = grids.cartesian_jet(fields.u, fields.grid)
+    du, entries = grids.cartesian_jet(fields.u, fields.grid)
+    d2u = hessian_tensor(entries, fields.dimension)
     _, margin, v2, _, speed, H = geometry._speed_core(
         fields.u,
         np.einsum("i...,i...->...", du, du),

@@ -122,9 +122,9 @@ def test_cartesian_jet_exact_on_quadratic():
     grad, hess = grids.cartesian_jet(f, grid)
     np.testing.assert_allclose(grad[0], X + 0.25 * Y + 3.0, atol=1e-12)
     np.testing.assert_allclose(grad[1], 0.25 * X - 2.0 * Y, atol=1e-12)
+    assert sorted(hess) == [(0, 0), (0, 1), (1, 1)]  # the entries i <= j only
     np.testing.assert_allclose(hess[0, 0], 1.0, atol=1e-11)
     np.testing.assert_allclose(hess[0, 1], 0.25, atol=1e-11)
-    np.testing.assert_allclose(hess[1, 0], 0.25, atol=1e-11)
     np.testing.assert_allclose(hess[1, 1], -2.0, atol=1e-11)
 
 
@@ -164,7 +164,8 @@ def test_jets_of_a_product_and_a_paraboloid():
     grid = grids.Grid(grids.CARTESIAN, 2, extent=1.0, resolution=9)
     X, Y = grid.meshes()
     grad, hess = grids.cartesian_jet(X * Y, grid)
-    assert grad.shape == (2,) + grid.shape and hess.shape == (2, 2) + grid.shape
+    assert grad.shape == (2,) + grid.shape and len(hess) == 3
+    assert all(entry.shape == grid.shape for entry in hess.values())
     np.testing.assert_allclose(grad[0], Y, atol=1e-12)
     np.testing.assert_allclose(hess[0, 1], 1.0, atol=1e-11)
 
@@ -396,6 +397,23 @@ def test_inverse_radius_is_built_once_and_read_only():
 def test_node_count_is_exact_for_huge_grids():
     grid = grids.Grid(grids.CARTESIAN, 3, extent=1.0, resolution=10_000_000)
     assert grid.node_count == 10**21
+
+
+@pytest.mark.parametrize("dimension", [1, 2, 3])
+def test_radius_and_coordinates_broadcast_the_axis(dimension):
+    """|x|^2 sums the squared axis by broadcasting, in the order of the
+    meshes, so it equals their sum bit for bit; a coordinate is a read-only
+    view of the axis with the values of its mesh."""
+    grid = grids.Grid(grids.CARTESIAN, dimension, extent=1.7, resolution=9)
+    meshes = grid.meshes()
+    reference = np.zeros(grid.shape)
+    for mesh in meshes:
+        reference += mesh**2
+    np.testing.assert_array_equal(grid.radius_squared(), reference)
+    for i, mesh in enumerate(meshes):
+        coordinate = grid.coordinate(i)
+        np.testing.assert_array_equal(coordinate, mesh)
+        assert not coordinate.flags.writeable and np.shares_memory(coordinate, grid.axis())
 
 
 def test_points_follow_node_order():
