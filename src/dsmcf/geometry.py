@@ -54,36 +54,43 @@ from . import grids
 # restriction identities in closed form
 
 
-def coordinate_laplacian_values(H, v, t, nu_inner, dimension: int):
-    """Surface Laplacians of the restricted coordinates, in closed form.
-
-    ``nu_inner`` holds g(nu, d_i) per spatial axis.  Returns (Lap x_i array,
-    Lap t).  The t-Laplacian is -n + H v - (v^2 - 1); the constant -n is the
-    ambient wave operator of t.
-    """
+def coordinate_laplacian_values(H, v, t, nu_inner):
+    """Surface Laplacians of the restricted spatial coordinates, in closed
+    form: Lap x_i = e^{-2t} (H - 2 v) g(nu, d_i), for ``nu_inner`` holding
+    g(nu, d_i) per spatial axis (leading axis)."""
     em2t = np.exp(-2.0 * np.asarray(t, dtype=float))
     nu_inner = np.asarray(nu_inner, dtype=float)
-    lap_x = H * em2t * nu_inner - 2.0 * em2t * v * nu_inner
-    lap_t = -float(dimension) + H * v - (v * v - 1.0)
-    return lap_x, lap_t
+    return H * em2t * nu_inner - 2.0 * em2t * v * nu_inner
 
 
-def coordinate_laplacian_wave_values(H, nu_sp, nu_t, t, dimension: int):
-    """Same Laplacians assembled from the ambient wave-operator identity.
+def height_laplacian_value(H, v, dimension: int):
+    """Surface Laplacian of the restricted height t in closed form,
+    -n + H v - (v^2 - 1); the constant -n is the ambient wave operator of t."""
+    return -float(dimension) + H * v - (v * v - 1.0)
+
+
+def coordinate_laplacian_wave_values(H, nu_sp, nu_t):
+    """The spatial coordinates' Laplacians from the ambient wave-operator
+    identity.
 
     Lap f = Box f + H nu(f) + Hess f(nu, nu) for the restriction of an
-    ambient function f.  For the coordinates: Box x_i = 0, Box t = -n,
-    Hess x_i has the single pair of entries (d_i, d_t) = -1, and
-    Hess t(d_i, d_i) = -e^{2t}.  Algebraically identical to the closed
-    forms, but assembled through an independent code path from the normal's
+    ambient function f.  For x_i: Box x_i = 0 and Hess x_i has the single
+    pair of entries (d_i, d_t) = -1.  Algebraically identical to the closed
+    form, but assembled through an independent code path from the normal's
     spatial components ``nu_sp`` (leading axis) and its d_t component
-    ``nu_t``.  Returns (Lap x_i array, Lap t).
+    ``nu_t``.
     """
     nu_sp = np.asarray(nu_sp, dtype=float)
+    return H * nu_sp - 2.0 * nu_sp * nu_t
+
+
+def height_laplacian_wave_value(H, nu_sp, nu_t, t, dimension: int):
+    """The height's Laplacian from the same identity: Box t = -n and
+    Hess t(d_i, d_i) = -e^{2t}, read through all of the normal's spatial
+    components ``nu_sp``."""
+    nu_sp = np.asarray(nu_sp, dtype=float)
     e2t = np.exp(2.0 * np.asarray(t, dtype=float))
-    lap_x = H * nu_sp - 2.0 * nu_sp * nu_t
-    lap_t = -float(dimension) + H * nu_t - e2t * np.einsum("i...,i...->...", nu_sp, nu_sp)
-    return lap_x, lap_t
+    return -float(dimension) + H * nu_t - e2t * np.einsum("i...,i...->...", nu_sp, nu_sp)
 
 
 # ---------------------------------------------------------------------------
@@ -133,19 +140,36 @@ def _margin_core(u, grad_sq):
     return em2u, margin, 1.0 / margin
 
 
+def _speed(em2u, v2, trace, quad, n):
+    """H/v from e^{-2u}, v^2 and the jet invariants tr d2u and du.d2u.du,
+    the closed form of the module docstring, for the Cartesian kernel and
+    ``JetFields.H``."""
+    return em2u * (trace + v2 * em2u * quad) + (n + 1.0) - v2
+
+
 def _speed_core(u, grad_sq, trace, quad, n):
-    """The scalar closed forms shared by the Cartesian kernel and ``JetFields``.
+    """The scalar closed forms of the Cartesian kernel.
 
     From the jet invariants |du|^2, tr d2u and du.d2u.du this gives
-    (e^{-2u}, margin, v^2, v, H/v, H), with H/v from the module docstring.
+    (e^{-2u}, margin, v^2, v, H/v, H).
     """
     em2u, margin, v2 = _margin_core(u, grad_sq)
     v = np.sqrt(v2)
-    speed = em2u * (trace + v2 * em2u * quad) + (n + 1.0) - v2
+    speed = _speed(em2u, v2, trace, quad, n)
     return em2u, margin, v2, v, speed, v * speed
 
 
-#: The height at which e^{2u}, which every ``JetFields`` holds, overflows.
+def _symmetric_entries(d2u, n) -> dict:
+    """A symmetric Hessian, given as an (n, n, ...) tensor or as its entries
+    (i, j), i <= j, as a dict from every (i, j) to one array: (j, i) reads
+    the array of (i, j)."""
+    if not isinstance(d2u, dict):
+        d2u = np.asarray(d2u, dtype=float)
+        d2u = {(i, j): d2u[i, j] for i in range(n) for j in range(i, n)}
+    return {**d2u, **{(j, i): entry for (i, j), entry in d2u.items()}}
+
+
+#: The height at which e^{2u}, which the checks read, overflows.
 MAX_HEIGHT = 0.5 * float(np.log(np.finfo(float).max))
 
 
@@ -156,10 +180,12 @@ class JetFields:
     batch shape.  The symmetric Hessian d2u comes as an (n, n, ...) tensor
     or as its n(n+1)/2 entries, a dict from (i, j), i <= j, to arrays (what
     ``grids.cartesian_jet`` gives); ``hessian`` maps every (i, j) to one of
-    them, so (j, i) reads the array of (i, j).  Everything heavier than the
-    core scalars (e^{-2u}, v^2, v, H) is a cached property, so cheap
-    consumers stay cheap; the tilt vectors are rebuilt on each read, so a
-    geometry keeps only their scalar |W(P)|^2_gamma.
+    them, so (j, i) reads the array of (i, j).  Only the margin core is
+    built at construction: e^{-2u}, v^2, v and the spacelike check.  H and
+    everything heavier are built on first read, the node fields as cached
+    properties, so a consumer of v^2 alone reads no Hessian; the tilt
+    vectors are rebuilt on each read, so a geometry keeps only their scalar
+    |W(P)|^2_gamma.
 
     gamma = e^{2u} I - du du^T is a rank-one update of a multiple of the
     identity, so every contraction the checks take has a closed form in
@@ -172,33 +198,41 @@ class JetFields:
         h(X)               = v M X
         |A|^2              = v^2 (tr N^2 + 2 c |N du|^2 + c^2 (du.N du)^2).
 
-    These are the only route: no (n, n, ...) node tensor is built, except
-    the one (..., n, n) array ``eigvalsh`` reads in ``eigenvalues``.  The
+    These are the only route: no (n, n, ...) node tensor is built.  The
     tensor forms live in the tests, as the reference these are checked
     against.
     """
 
     def __init__(self, u, du, d2u):
+        """``d2u`` is None only from a subclass whose ``hessian`` builds the
+        entries on first read."""
         self.u = np.asarray(u, dtype=float)
         self.du = np.asarray(du, dtype=float)
-        n = self.dimension = self.du.shape[0]
-        if not isinstance(d2u, dict):
-            d2u = np.asarray(d2u, dtype=float)
-            d2u = {(i, j): d2u[i, j] for i in range(n) for j in range(i, n)}
-        self.hessian = {**d2u, **{(j, i): entry for (i, j), entry in d2u.items()}}
-        self.e2u = np.exp(2.0 * self.u)
+        self.dimension = self.du.shape[0]
+        if d2u is not None:
+            self.hessian = _symmetric_entries(d2u, self.dimension)
         self.grad_sq = np.einsum("i...,i...->...", self.du, self.du)
+        self.em2u, _, self.v2 = _margin_core(self.u, self.grad_sq)
+        self.v = np.sqrt(self.v2)
+
+    @cached_property
+    def e2u(self):
+        """e^{2u}, read by M and |X|^2_gamma."""
+        return np.exp(2.0 * self.u)
+
+    @cached_property
+    def H(self):
+        """Mean curvature, v times H/v of the jet invariants tr d2u and
+        du.d2u.du."""
         trace = np.zeros(self.u.shape)
         quad = np.zeros(self.u.shape)
-        for i in range(n):
+        for i in range(self.dimension):
             trace += self.hessian[i, i]
-            for j in range(i, n):
+            for j in range(i, self.dimension):
                 term = self.hessian[i, j] * self.du[i]
                 term *= self.du[j] if i == j else 2.0 * self.du[j]
                 quad += term
-        (self.em2u, _, self.v2, self.v, _, self.H) = _speed_core(
-            self.u, self.grad_sq, trace, quad, n
-        )
+        return self.v * _speed(self.em2u, self.v2, trace, quad, self.dimension)
 
     def _du_dot(self, X):
         return np.einsum("i...,i...->...", self.du, X)
@@ -290,33 +324,75 @@ class JetFields:
         dm = 2.0 * self.em2u * (self.du * self.grad_sq - self._hessian_dot(self.du))
         return -0.5 * self.v**3 * dm
 
-    def eigenvalues(self):
-        """Shape-operator eigenvalues, ascending along the last axis.
+    def extremal_curvature(self):
+        """Principal curvature of largest magnitude at each point, sign kept,
+        of three-dimensional jets.
 
-        They are those of the symmetric W = gamma^{-1/2} h gamma^{-1/2}, with
-        gamma^{-1/2} = e^{-u} (I + k du du^T) and k = e^{-2u} v^2 / (v + 1)
-        (k |du|^2 = v - 1, so flat nodes need no care).  W is assembled
-        entry by entry, batch axes first, as ``eigvalsh`` wants it.
+        The principal curvatures are the eigenvalues of the symmetric
+        W = gamma^{-1/2} h gamma^{-1/2}, with gamma^{-1/2} = e^{-u} (I + k du du^T)
+        and k = e^{-2u} v^2 / (v + 1) (k |du|^2 = v - 1, so flat nodes need
+        no care), formed entry by entry.  The eigenvalue farthest from the
+        mean q = tr W / 3 is the trigonometric root of the characteristic
+        cubic (Smith, Commun. ACM 4, 1961), well conditioned there:
+
+            p^2 = |W - q I|^2 / 6,   r = det(W - q I) / (2 p^3) in [-1, 1],
+            far = q + 2 p sign(r) cos(arccos |r| / 3).
+
+        The other two are m +- g with m = (tr W - far) / 2.  The cubic would
+        give g with an error near sqrt(eps) at a double eigenvalue (Kopp,
+        Int. J. Mod. Phys. C 19, 2008), so g is read off the deflated
+        block instead: C = W - far I has adjugate (tr adj C) x x^T, x the
+        unit eigenvector of far, and g^2 = |C + (far - m)(I - x x^T)|^2 / 2
+        is a sum of squares.  Where p = 0 (umbilic and flat nodes) every
+        eigenvalue is q.
         """
-        n = self.dimension
+        if self.dimension != 3:
+            raise ValueError(f"extremal_curvature needs three dimensions, got {self.dimension}")
         k = self.em2u * self.v2 / (self.v + 1.0)
         m_du = self._m_dot(self.du)
         kq = k * self._du_dot(m_du)
         scale = self.v * self.em2u
-        W = np.empty(self.u.shape + (n, n))
-        for i in range(n):
-            for j in range(i, n):
-                w = self._m_entry(i, j)
-                w += k * (m_du[i] * self.du[j] + self.du[i] * m_du[j])
-                w += (k * kq) * self.du[i] * self.du[j]
-                W[..., i, j] = W[..., j, i] = scale * w
-        return np.linalg.eigvalsh(W)
-
-    def extremal_curvature(self):
-        """Principal curvature of largest magnitude at each point, sign kept."""
-        lam = self.eigenvalues()
-        low, high = lam[..., 0], lam[..., -1]
-        return np.where(np.abs(high) >= np.abs(low), high, low)
+        w = {}
+        for i in range(3):
+            for j in range(i, 3):
+                entry = self._m_entry(i, j)
+                entry += k * (m_du[i] * self.du[j] + self.du[i] * m_du[j])
+                entry += (k * kq) * self.du[i] * self.du[j]
+                entry *= scale
+                w[i, j] = entry
+        w01, w02, w12 = w[0, 1], w[0, 2], w[1, 2]
+        q = (w[0, 0] + w[1, 1] + w[2, 2]) / 3.0
+        d0, d1, d2 = (w[i, i] - q for i in range(3))
+        p = np.sqrt((d0 * d0 + d1 * d1 + d2 * d2 + 2.0 * (w01**2 + w02**2 + w12**2)) / 6.0)
+        det = d0 * (d1 * d2 - w12 * w12) - w01 * (w01 * d2 - w12 * w02)
+        det += w02 * (w01 * w12 - d1 * w02)
+        two_p3 = 2.0 * p**3
+        r = np.divide(det, two_p3, out=np.zeros_like(p), where=two_p3 > 0.0)
+        np.clip(r, -1.0, 1.0, out=r)
+        far = q + 2.0 * p * np.copysign(np.cos(np.arccos(np.abs(r)) / 3.0), r)
+        mid = 0.5 * (3.0 * q - far)
+        shift = far - mid
+        c = dict(w)  # C = W - far I
+        for i in range(3):
+            c[i, i] = w[i, i] - far
+        adj = {
+            (0, 0): c[1, 1] * c[2, 2] - w12 * w12,
+            (1, 1): c[0, 0] * c[2, 2] - w02 * w02,
+            (2, 2): c[0, 0] * c[1, 1] - w01 * w01,
+            (0, 1): w02 * w12 - w01 * c[2, 2],
+            (0, 2): w01 * w12 - w02 * c[1, 1],
+            (1, 2): w01 * w02 - c[0, 0] * w12,
+        }
+        adj_trace = adj[0, 0] + adj[1, 1] + adj[2, 2]  # x x^T = adj / adj_trace
+        ratio = np.divide(shift, adj_trace, out=np.zeros_like(p), where=adj_trace > 0.0)
+        g_sq = np.zeros_like(p)
+        for (i, j), cofactor in adj.items():
+            e = c[i, j] - ratio * cofactor  # C + (far - m)(I - x x^T)
+            if i == j:
+                e += shift
+            g_sq += (1.0 if i == j else 2.0) * e * e
+        near = mid + np.copysign(np.sqrt(0.5 * g_sq), mid)
+        return np.where(np.abs(far) >= np.abs(near), far, near)
 
     def gamma_norm_sq(self, X):
         """|X|^2_gamma for tangent components X of shape (n, ...)."""
@@ -357,13 +433,16 @@ class GeometryFields(JetFields):
     du = (u', 0, ..., 0) and d2u = diag(u'', u'/rho, ..., u'/rho), with the
     axis value of u'/rho filled by even extrapolation; the angular diagonal
     entries share one array and the mixed ones one zero array.  A Cartesian
-    field keeps the n(n+1)/2 entries of ``grids.cartesian_jet``.  The
+    field takes its gradient at construction and the n(n+1)/2 entries of
+    ``grids.cartesian_jet`` from it on the first read of ``hessian``, so a
+    geometry read only for v^2, v or the weight builds no Hessian.  The
     generic closed forms then apply unchanged in both modes.
     """
 
     def __init__(self, grid: grids.Grid, u_values):
         u_values = np.asarray(u_values, dtype=float)
         n = grid.dimension
+        d2u = None
         if grid.mode == grids.RADIAL:
             u_rho, u_rhorho, sor = _radial_jet(u_values, grid)
             du = np.zeros((n,) + grid.shape)
@@ -373,9 +452,16 @@ class GeometryFields(JetFields):
             d2u.update({(k, k): sor for k in range(1, n)})
             d2u[0, 0] = u_rhorho
         else:
-            du, d2u = grids.cartesian_jet(u_values, grid)
+            du = grids.field_gradient(u_values, grid)
         self.grid = grid
         super().__init__(u_values, du, d2u)
+
+    @cached_property
+    def hessian(self):
+        """The Cartesian Hessian entries, from the gradient held; a radial
+        geometry sets its embedding's entries at construction."""
+        _, entries = grids.cartesian_jet(self.u, self.grid, self.du)
+        return _symmetric_entries(entries, self.dimension)
 
     def laplacian(self, values) -> np.ndarray:
         """Discrete surface Laplacian of a node field on this geometry."""

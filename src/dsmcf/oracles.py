@@ -187,7 +187,8 @@ def material_rate(state: flow.GraphState, window: flow.TrajectoryWindow, fields)
     """Normal-motion rates at ``state`` of ``fields``, each a function of a
     snapshot geometry, from ``window``, the state displaced along its speed.
     The after and before geometries are built, read and dropped one at a
-    time; the state's geometry is built last and kept in the result."""
+    time, and build no Hessian for fields of v^2 or the weight; the state's
+    geometry is built last and kept in the result."""
     after = snapshot_geometry(window.after)
     fixed_rates = {f: f(after) for f in fields}
     del after
@@ -274,7 +275,7 @@ def restriction_gradient_residuals(fields: geometry.JetFields) -> dict:
 
     The surface gradients of the restricted ambient coordinates have closed
     forms in the graph data: |grad t|^2 = v^2 - 1, |grad x_i|^2 = gamma^{ii}
-    matches the normal tilt g(nu, d_i) = v u_i as e^{-2u} + e^{-4u} (v u_i)^2,
+    matches the normal tilt g(nu, d_i) = v u_i as e^{-2u} + (e^{-2u} v u_i)^2,
     and the mixed product (gamma^{-1} du)_i is e^{-2t} v g(d_i, nu).  The left
     sides contract through the rank-one gamma^{-1} X = e^{-2u} (X + v^2
     e^{-2u} (du.X) du) of ``JetFields``.  All three are algebraic in the jet,
@@ -288,7 +289,7 @@ def restriction_gradient_residuals(fields: geometry.JetFields) -> dict:
     coord = np.empty_like(du)
     for i in range(n):
         coord[i] = fields.gamma_inv_norm_sq(axes[i])
-        coord[i] -= fields.em2u + fields.em2u**2 * nu_inner[i] ** 2
+        coord[i] -= fields.em2u + (fields.em2u * nu_inner[i]) ** 2
     mixed = fields.raise_index(du)
     mixed -= (fields.em2u * fields.v) * nu_inner
     return {"height": height, "coordinate": coord, "mixed": mixed}
@@ -308,20 +309,17 @@ def check_restriction_gradients(geom: geometry.GeometryFields) -> ResidualReport
 def _coordinate_closed_forms(geom: geometry.GeometryFields, axis):
     """(closed form, wave route) of the surface Laplacian of the height t
     (``axis`` None) or of the coordinate x_axis, from the closed forms of
-    ``geometry``.  An x_i passes the normal's components of its one axis;
-    t passes none to the closed form and all of them to the wave route,
-    whose |nu|^2 term needs them."""
-    n = geom.dimension
+    ``geometry``.  An x_i reads the normal's component along its one axis;
+    the height's wave route reads all of them, for its |nu|^2 term."""
     if axis is None:
         nu_sp = (geom.v * geom.em2u) * geom.du
-        closed = geometry.coordinate_laplacian_values(geom.H, geom.v, geom.u, geom.du[:0], n)
-        wave = geometry.coordinate_laplacian_wave_values(geom.H, nu_sp, geom.v, geom.u, n)
-        return closed[1], wave[1]
-    du = geom.du[axis : axis + 1]
-    closed = geometry.coordinate_laplacian_values(geom.H, geom.v, geom.u, geom.v * du, n)
+        closed = geometry.height_laplacian_value(geom.H, geom.v, geom.dimension)
+        wave = geometry.height_laplacian_wave_value(geom.H, nu_sp, geom.v, geom.u, geom.dimension)
+        return closed, wave
+    du = geom.du[axis]
+    closed = geometry.coordinate_laplacian_values(geom.H, geom.v, geom.u, geom.v * du)
     nu_sp = (geom.v * geom.em2u) * du
-    wave = geometry.coordinate_laplacian_wave_values(geom.H, nu_sp, geom.v, geom.u, n)
-    return closed[0][0], wave[0][0]
+    return closed, geometry.coordinate_laplacian_wave_values(geom.H, nu_sp, geom.v)
 
 
 def check_coordinate_laplacians(geom: geometry.GeometryFields) -> list[ResidualReport]:

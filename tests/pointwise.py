@@ -157,6 +157,54 @@ def shape_operator_eigenvalues(gamma: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(W)
 
 
+def hessian_tensor(entries, n):
+    """The (n, n, ...) Hessian tensor of a mapping from (i, j) to its entries,
+    which holds (i, j) for i <= j at least (``JetFields.hessian``,
+    ``grids.cartesian_jet``)."""
+    return np.stack(
+        [np.stack([entries[min(i, j), max(i, j)] for j in range(n)]) for i in range(n)]
+    )
+
+
+def tensor_forms(fields):
+    """(gamma, gamma^{-1}, h, gamma^{-1} h) as (n, n, ...) node tensors, built
+    from ``fields.du`` and ``fields.hessian`` with gamma^{-1} by matrix
+    inversion: the independent reference for the rank-one closed forms of
+    ``JetFields``."""
+    n = fields.dimension
+    du = fields.du
+    d2u = hessian_tensor(fields.hessian, n)
+    e2u = np.exp(2.0 * fields.u)
+    v = 1.0 / np.sqrt(1.0 - np.einsum("i...,i...->...", du, du) / e2u)
+    eye = np.eye(n).reshape((n, n) + (1,) * fields.u.ndim)
+    outer = np.einsum("i...,j...->ij...", du, du)
+    gamma = e2u * eye - outer
+    h = v * (d2u + e2u * eye - 2.0 * outer)
+    gamma_inv = np.moveaxis(
+        np.linalg.inv(np.moveaxis(gamma, (0, 1), (-2, -1))), (-2, -1), (0, 1)
+    )
+    shape_op = np.einsum("ik...,kj...->ij...", gamma_inv, h)
+    return gamma, gamma_inv, h, shape_op
+
+
+def batch_shape_eigenvalues(fields) -> np.ndarray:
+    """Shape-operator eigenvalues of a batch geometry (``geometry.JetFields``),
+    ascending along the last axis, by the tensor route: ``eigvalsh`` of the
+    Cholesky-congruent form of ``tensor_forms``' gamma and h."""
+    gamma, _, h, _ = tensor_forms(fields)
+    return shape_operator_eigenvalues(
+        np.moveaxis(gamma, (0, 1), (-2, -1)), np.moveaxis(h, (0, 1), (-2, -1))
+    )
+
+
+def batch_extremal_curvature(fields) -> np.ndarray:
+    """The principal curvature of largest magnitude, sign kept, of a batch
+    geometry by the tensor route of ``batch_shape_eigenvalues``."""
+    lam = batch_shape_eigenvalues(fields)
+    low, high = lam[..., 0], lam[..., -1]
+    return np.where(np.abs(high) >= np.abs(low), high, low)
+
+
 def surface_geometry(sample: GraphSample) -> SurfaceGeometry:
     """Full induced geometry of the graph jet ``sample``, written out
     pointwise on its own."""

@@ -16,6 +16,8 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -48,20 +50,37 @@ def test_every_traced_layer_resolves():
     assert not missing, f"the tracer cannot wrap {missing}"
 
 
-def test_small_cartesian_verify_reaches_every_required_layer(tmp_path):
-    """``CartesianVerify``'s config at 25^3 (its warm-up job), run under the
-    tracer and the step clock as a traced benchmark run runs it: every
-    ``must_run`` label records a call, and the checking window advances
-    the clock's flow time."""
+def run_warmup_traced(name, tmp_path):
+    """Workload ``name``'s warm-up job, run under the tracer and the step
+    clock as a traced benchmark run runs it: (workload, outcome, totals)."""
     tracing, workloads = load_tracing(), load_perfbench("workloads")
     modules = traced_modules(tracing)
-    workload = workloads.CartesianVerify(0, tmp_path, modules)
-    assert workload.warmup_config()["grid"]["resolution"] == 25
+    workload = workloads.WORKLOADS[name](0, tmp_path, modules)
     workload.write_configs()
     with tracing.Tracer(modules) as tracer:
         outcome = workload.iterate(warmup=True)
+    return workload, outcome, tracer.totals()
+
+
+def assert_reaches_every_required_layer(workload, outcome, totals):
+    """Every ``must_run`` label records a call, and the flow time advances."""
     assert outcome.exit_code == 0
-    totals = tracer.totals()
     missing = [label for label in workload.must_run if totals[label][0] == 0]
     assert not missing, f"no calls to {missing}"
     assert outcome.flow_time > 0.0 and outcome.stepping_s > 0.0
+
+
+def test_small_cartesian_verify_reaches_every_required_layer(tmp_path):
+    """``CartesianVerify``'s config at 25^3 (its warm-up job): the checking
+    window advances the clock's flow time."""
+    workload, outcome, totals = run_warmup_traced("cartesian_verify", tmp_path)
+    assert workload.warmup_config()["grid"]["resolution"] == 25
+    assert_reaches_every_required_layer(workload, outcome, totals)
+
+
+@pytest.mark.parametrize("name", ["wrinkled_simulate", "pinned_disk"])
+def test_radial_warmup_jobs_reach_every_required_layer(tmp_path, name):
+    """The radial workloads' warm-up jobs, a ``simulate`` with its reload
+    and convergence table and a pinned-disk ``barrier``, reach their own
+    ``must_run`` labels."""
+    assert_reaches_every_required_layer(*run_warmup_traced(name, tmp_path))

@@ -12,6 +12,7 @@ from dsmcf import geometry, grids, oracles
 from dsmcf.errors import NonSpacelikeError
 
 import pointwise
+from pointwise import hessian_tensor, tensor_forms
 
 
 def random_spacelike_jets(rng, count, dimension=3, min_margin=0.05, curvature=0.5):
@@ -307,6 +308,77 @@ def test_pinching_bound_monte_carlo():
     assert float(np.min(slack / scale)) >= -1e-10
 
 
+def jets_with_curvatures(rng, curvatures):
+    """Three-dimensional jets whose principal curvatures are the rows of
+    ``curvatures``, with random heights, slopes and principal directions:
+    h = gamma^{1/2} R diag(kappa) R^T gamma^{1/2} for a random rotation R."""
+    count = len(curvatures)
+    u, du, _ = random_spacelike_jets(rng, count)
+    e2u = np.exp(2.0 * u)[:, None, None]
+    outer = np.einsum("in,jn->nij", du, du)
+    gamma = e2u * np.eye(3) - outer
+    lam, vec = np.linalg.eigh(gamma)
+    root = np.einsum("nij,nj,nkj->nik", vec, np.sqrt(lam), vec)
+    rotation, _ = np.linalg.qr(rng.normal(size=(count, 3, 3)))
+    h = root @ np.einsum("nij,nj,nkj->nik", rotation, curvatures, rotation) @ root
+    v = 1.0 / np.sqrt(1.0 - np.einsum("nii->n", outer) / e2u[:, 0, 0])
+    d2u = h / v[:, None, None] - e2u * np.eye(3) + 2.0 * outer
+    d2u = 0.5 * (d2u + np.swapaxes(d2u, 1, 2))
+    return geometry.JetFields(u, du, np.moveaxis(d2u, 0, -1))
+
+
+def assert_extremal_curvature_matches_the_tensor_route(fields):
+    """The closed-form extremal curvature against ``eigvalsh`` of the tensor
+    route, within 1e-12 relative."""
+    closed = fields.extremal_curvature()
+    reference = pointwise.batch_extremal_curvature(fields)
+    error = np.abs(closed - reference) / np.maximum(1.0, np.abs(reference))
+    assert float(np.max(error)) <= 1e-12
+    return closed
+
+
+def test_extremal_curvature_matches_eigvalsh_on_random_jets():
+    u, du, d2u = random_spacelike_jets(np.random.default_rng(31), 200_000)
+    assert_extremal_curvature_matches_the_tensor_route(geometry.JetFields(u, du, d2u))
+
+
+@pytest.mark.parametrize("height", [0.0, 10.0, 354.0])
+def test_extremal_curvature_on_flat_slices(height):
+    # every flat slice is umbilic with principal curvatures 1: p = 0 there
+    grid = grids.Grid(grids.CARTESIAN, 3, extent=2.0, resolution=9)
+    fields = geometry.GeometryFields(grid, np.full(grid.shape, height))
+    closed = assert_extremal_curvature_matches_the_tensor_route(fields)
+    assert float(np.max(np.abs(closed - 1.0))) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [
+        (1.0, 1.0, 1.0),  # W = I
+        (0.7, 0.7, -0.2),  # a double eigenvalue of largest magnitude
+        (-1.5, 0.4, 0.4),  # a double eigenvalue beside the extremal one
+        (2.0, 2.0, 2.0 + 1e-7),  # nearly umbilic
+    ],
+)
+def test_extremal_curvature_on_degenerate_spectra(spectrum):
+    rng = np.random.default_rng(37)
+    scale = rng.uniform(0.1, 10.0, size=(2000, 1))
+    fields = jets_with_curvatures(rng, scale * np.asarray(spectrum))
+    closed = assert_extremal_curvature_matches_the_tensor_route(fields)
+    extremal = max(spectrum, key=abs) * scale[:, 0]
+    assert float(np.max(np.abs(closed - extremal) / np.abs(extremal))) <= 1e-10
+
+
+def test_pinching_tight_spectrum_keeps_its_slack_within_tolerance():
+    # (1, -1/3, -1/3): |A|^2 + H^2 = 11/9 + 1/9 = (4/3) lambda_1^2
+    fields = jets_with_curvatures(
+        np.random.default_rng(41), np.tile([1.0, -1.0 / 3.0, -1.0 / 3.0], (2000, 1))
+    )
+    assert_extremal_curvature_matches_the_tensor_route(fields)
+    slack, tolerance = oracles._pinching_slack(fields)
+    assert float(np.max(np.abs(slack))) <= tolerance
+
+
 def test_geometry_invariant_under_isometry():
     rng = np.random.default_rng(17)
     u, du, d2u = random_spacelike_jets(rng, 25)
@@ -331,17 +403,17 @@ def test_coordinate_laplacians_flat_slice():
     )
     # g(nu, d_i) = e^{2u} nu^i
     nu_inner = math.exp(1.4) * geom.nu[:3]
-    lap_x, lap_t = geometry.coordinate_laplacian_values(
-        geom.H, geom.v, 0.7, nu_inner, dimension=3
-    )
+    lap_x = geometry.coordinate_laplacian_values(geom.H, geom.v, 0.7, nu_inner)
+    lap_t = geometry.height_laplacian_value(geom.H, geom.v, dimension=3)
     np.testing.assert_allclose(lap_x, 0.0, atol=1e-12)
     assert lap_t == pytest.approx(0.0, abs=1e-12)  # -3 + H v = -3 + 3
 
 
 def test_coordinate_laplacian_frozen_combination():
-    lap_x, lap_t = geometry.coordinate_laplacian_values(
-        H=0.0, v=2.0, t=0.0, nu_inner=np.array([0.25, 0.0, 0.0]), dimension=3
+    lap_x = geometry.coordinate_laplacian_values(
+        H=0.0, v=2.0, t=0.0, nu_inner=np.array([0.25, 0.0, 0.0])
     )
+    lap_t = geometry.height_laplacian_value(H=0.0, v=2.0, dimension=3)
     assert lap_x[0] == pytest.approx(-4.0 * 0.25, abs=1e-14)
     assert lap_t == pytest.approx(-6.0, abs=1e-14)
 
@@ -352,10 +424,12 @@ def test_wave_route_matches_closed_form():
     for i in range(50):
         geom = pointwise.surface_geometry(sample_of(u, du, d2u, i))
         t = geom.sample.u
-        a_x, a_t = geometry.coordinate_laplacian_values(
-            geom.H, geom.v, t, math.exp(2.0 * t) * geom.nu[:3], dimension=3
+        a_x = geometry.coordinate_laplacian_values(
+            geom.H, geom.v, t, math.exp(2.0 * t) * geom.nu[:3]
         )
-        b_x, b_t = geometry.coordinate_laplacian_wave_values(
+        a_t = geometry.height_laplacian_value(geom.H, geom.v, dimension=3)
+        b_x = geometry.coordinate_laplacian_wave_values(geom.H, geom.nu[:3], geom.nu[-1])
+        b_t = geometry.height_laplacian_wave_value(
             geom.H, geom.nu[:3], geom.nu[-1], t, dimension=3
         )
         scale = max(1.0, np.max(np.abs(a_x)), abs(a_t))
@@ -387,36 +461,6 @@ def test_cutoff_spec_validation():
 
 # ---------------------------------------------------------------------------
 # batch bundle consistency
-
-
-def hessian_tensor(entries, n):
-    """The (n, n, ...) Hessian tensor of a mapping from (i, j) to its entries,
-    which holds (i, j) for i <= j at least (``JetFields.hessian``,
-    ``grids.cartesian_jet``)."""
-    return np.stack(
-        [np.stack([entries[min(i, j), max(i, j)] for j in range(n)]) for i in range(n)]
-    )
-
-
-def tensor_forms(fields):
-    """(gamma, gamma^{-1}, h, gamma^{-1} h) as (n, n, ...) node tensors, built
-    from ``fields.du`` and ``fields.hessian`` with gamma^{-1} by matrix
-    inversion: the independent reference for the rank-one closed forms of
-    ``JetFields``."""
-    n = fields.dimension
-    du = fields.du
-    d2u = hessian_tensor(fields.hessian, n)
-    e2u = np.exp(2.0 * fields.u)
-    v = 1.0 / np.sqrt(1.0 - np.einsum("i...,i...->...", du, du) / e2u)
-    eye = np.eye(n).reshape((n, n) + (1,) * fields.u.ndim)
-    outer = np.einsum("i...,j...->ij...", du, du)
-    gamma = e2u * eye - outer
-    h = v * (d2u + e2u * eye - 2.0 * outer)
-    gamma_inv = np.moveaxis(
-        np.linalg.inv(np.moveaxis(gamma, (0, 1), (-2, -1))), (-2, -1), (0, 1)
-    )
-    shape_op = np.einsum("ik...,kj...->ij...", gamma_inv, h)
-    return gamma, gamma_inv, h, shape_op
 
 
 def test_jet_fields_match_pointwise_geometry():
@@ -472,10 +516,7 @@ def test_rank_one_forms_equal_the_tensor_forms(make):
         fields.sheared_tilt, np.einsum("ij...,j...->i...", shape_op, fields.tilt_tangent)
     )
     assert_rel_close(fields.a2, np.einsum("ij...,ji...->...", shape_op, shape_op))
-    tensor_route = pointwise.shape_operator_eigenvalues(
-        np.moveaxis(gamma, (0, 1), (-2, -1)), np.moveaxis(h, (0, 1), (-2, -1))
-    )
-    assert_rel_close(fields.eigenvalues(), tensor_route)
+    assert_rel_close(fields.extremal_curvature(), pointwise.batch_extremal_curvature(fields))
 
 
 def test_cartesian_kernel_matches_the_hessian_tensor_route(monkeypatch):

@@ -701,6 +701,27 @@ class TestCli:
         assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("height", [-180.0, -300.0])
+    @pytest.mark.parametrize("mode", ["radial", "cartesian"])
+    def test_flat_slice_passes_restriction_gradients_far_below_zero(
+        self, tmp_path, capsys, mode, height
+    ):
+        # below height -177.4, e^{-4u} overflowed in the coordinate residual:
+        # a RuntimeWarning and a NaN linf
+        only = {name: name == "restriction_gradients" for name in cli._CHECKS}
+        doc = {
+            "grid": self.FLAT_GRIDS[mode],
+            "initial": {"profile": "flat", "height": height},
+            "checks": only,
+        }
+        cfg = self.write_config(tmp_path, doc)
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [c["name"] for c in report["checks"]] == ["restriction-gradients"]
+        assert report["checks"][0]["linf"] == 0.0
+
     @pytest.mark.parametrize(
         "mode, integrator", [("radial", "rk2"), ("radial", "implicit"), ("cartesian", "rk2")]
     )

@@ -13,6 +13,8 @@ import sympy as sp
 from dsmcf import cli, config, flow, geometry, grids, oracles
 from dsmcf.errors import BelowThresholdError
 
+import pointwise
+
 ORDER_LO, ORDER_HI = 1.7, 2.3
 
 
@@ -369,7 +371,7 @@ def test_curvature_profiles_match_eigenvalue_route(dimension):
     geom = oracles.snapshot_geometry(radial_state(65, dimension=dimension))
     kr, ka = oracles.radial_curvatures(geom)
     profiles = np.sort(np.stack([kr] + [ka] * (dimension - 1)), axis=0)
-    eigen = np.sort(geom.eigenvalues(), axis=-1).T
+    eigen = pointwise.batch_shape_eigenvalues(geom).T
     assert np.max(np.abs(profiles - eigen)) < 1e-12
     angular = dimension - 1.0
     assert np.max(np.abs(kr**2 + angular * ka**2 - geom.a2)) < 1e-12
@@ -718,6 +720,27 @@ def test_each_pass_builds_each_snapshot_geometry_once(monkeypatch, command, cfg,
     assert len(built) == builds and len(kernels) == 2
     coarse, fine = cfg.grid.resolution, cfg.grid.refined().resolution
     assert [g.resolution for g in built] == [coarse] * 3 + [fine] * 3
+
+
+def test_only_the_state_geometry_builds_the_cartesian_hessian(monkeypatch):
+    """A Cartesian fine pass takes the Hessian entries once, for the state's
+    geometry; the window's displaced geometries, read for v^2 alone, take
+    none, and neither does a geometry read for v, v^2 or the weight.  A
+    whole ``verify`` takes them once per pass, not for each of its three
+    geometries."""
+    jets = count_calls(monkeypatch, grids, "cartesian_jet")
+    cfg, fine = cartesian_verify_inputs(9)
+    cli._measure(cfg, CARTESIAN_REFINED, fine)
+    assert len(jets) == 1
+    light = oracles.snapshot_geometry(fine)
+    assert np.all(light.weight * light.v2 > 0.0)
+    oracles.WeightField(cfg.checks.cutoff())(light)
+    assert len(jets) == 1
+    report = cli.COMMANDS["verify"](
+        cartesian_config(curvature_evolution=False, jet_sampling=True, jet_count=100)
+    )
+    assert report.checks and report.failure is None
+    assert len(jets) == 3
 
 
 def test_tilt_checks_share_one_material_rate_per_window(monkeypatch):
