@@ -147,18 +147,6 @@ def _speed(em2u, v2, trace, quad, n):
     return em2u * (trace + v2 * em2u * quad) + (n + 1.0) - v2
 
 
-def _speed_core(u, grad_sq, trace, quad, n):
-    """The scalar closed forms of the Cartesian kernel.
-
-    From the jet invariants |du|^2, tr d2u and du.d2u.du this gives
-    (e^{-2u}, margin, v^2, v, H/v, H).
-    """
-    em2u, margin, v2 = _margin_core(u, grad_sq)
-    v = np.sqrt(v2)
-    speed = _speed(em2u, v2, trace, quad, n)
-    return em2u, margin, v2, v, speed, v * speed
-
-
 def _symmetric_entries(d2u, n) -> dict:
     """A symmetric Hessian, given as an (n, n, ...) tensor or as its entries
     (i, j), i <= j, as a dict from every (i, j) to one array: (j, i) reads
@@ -326,7 +314,7 @@ class JetFields:
 
     def extremal_curvature(self):
         """Principal curvature of largest magnitude at each point, sign kept,
-        of three-dimensional jets.
+        of three-dimensional jets: the solve below is 3x3.
 
         The principal curvatures are the eigenvalues of the symmetric
         W = gamma^{-1/2} h gamma^{-1/2}, with gamma^{-1/2} = e^{-u} (I + k du du^T)
@@ -346,8 +334,6 @@ class JetFields:
         is a sum of squares.  Where p = 0 (umbilic and flat nodes) every
         eigenvalue is q.
         """
-        if self.dimension != 3:
-            raise ValueError(f"extremal_curvature needs three dimensions, got {self.dimension}")
         k = self.em2u * self.v2 / (self.v + 1.0)
         m_du = self._m_dot(self.du)
         kq = k * self._du_dot(m_du)
@@ -460,7 +446,7 @@ class GeometryFields(JetFields):
     def hessian(self):
         """The Cartesian Hessian entries, from the gradient held; a radial
         geometry sets its embedding's entries at construction."""
-        _, entries = grids.cartesian_jet(self.u, self.grid, self.du)
+        entries = grids.cartesian_jet(self.u, self.grid, self.du)
         return _symmetric_entries(entries, self.dimension)
 
     def laplacian(self, values) -> np.ndarray:
@@ -508,7 +494,9 @@ def graph_speed_fields(u_values, grid: grids.Grid):
         H *= speed
     else:
         grad_sq, trace, quad = grids.cartesian_invariants(u, grid)
-        _, margin, v2, _, speed, H = _speed_core(u, grad_sq, trace, quad, n)
+        em2u, margin, v2 = _margin_core(u, grad_sq)
+        speed = _speed(em2u, v2, trace, quad, n)
+        H = np.sqrt(v2) * speed
     return speed, v2, H, margin
 
 

@@ -252,13 +252,10 @@ def _hessian_entries(values: np.ndarray, grad, grid: Grid):
             yield i, j, first_derivative(grad[i], h, axis=j)
 
 
-def cartesian_jet(values: np.ndarray, grid: Grid, grad=None):
-    """Gradient (n, *shape) of a cartesian field and its n(n+1)/2 Hessian
-    entries, a dict from (i, j), i <= j, to node arrays; a ``grad`` given,
-    the field's ``field_gradient``, is returned as it is and not taken again."""
-    if grad is None:
-        grad = field_gradient(values, grid)
-    return grad, {(i, j): entry for i, j, entry in _hessian_entries(values, grad, grid)}
+def cartesian_jet(values: np.ndarray, grid: Grid, grad) -> dict:
+    """The n(n+1)/2 Hessian entries of a cartesian field, a dict from (i, j),
+    i <= j, to node arrays; ``grad`` is the field's ``field_gradient``."""
+    return {(i, j): entry for i, j, entry in _hessian_entries(values, grad, grid)}
 
 
 def cartesian_invariants(values: np.ndarray, grid: Grid):

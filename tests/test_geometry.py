@@ -519,12 +519,20 @@ def test_rank_one_forms_equal_the_tensor_forms(make):
     assert_rel_close(fields.extremal_curvature(), pointwise.batch_extremal_curvature(fields))
 
 
+def kernel_closed_forms(u, grad_sq, trace, quad, n):
+    """(speed, v^2, H, margin) from the jet invariants |du|^2, tr d2u and
+    du.d2u.du by the kernel's closed forms ``_margin_core`` and ``_speed``."""
+    em2u, margin, v2 = geometry._margin_core(u, grad_sq)
+    speed = geometry._speed(em2u, v2, trace, quad, n)
+    return speed, v2, np.sqrt(v2) * speed, margin
+
+
 def test_cartesian_kernel_matches_the_hessian_tensor_route(monkeypatch):
     """The kernel sums the Hessian entry by entry; it never builds the jet."""
     fields = cartesian_bump_fields()
-    du, entries = grids.cartesian_jet(fields.u, fields.grid)
-    d2u = hessian_tensor(entries, fields.dimension)
-    _, margin, v2, _, speed, H = geometry._speed_core(
+    du = grids.field_gradient(fields.u, fields.grid)
+    d2u = hessian_tensor(grids.cartesian_jet(fields.u, fields.grid, du), fields.dimension)
+    reference = kernel_closed_forms(
         fields.u,
         np.einsum("i...,i...->...", du, du),
         np.einsum("ii...->...", d2u),
@@ -537,7 +545,7 @@ def test_cartesian_kernel_matches_the_hessian_tensor_route(monkeypatch):
 
     monkeypatch.setattr(grids, "cartesian_jet", no_jet)
     kernel = geometry.graph_speed_fields(fields.u, fields.grid)
-    for actual, desired in zip(kernel, (speed, v2, H, margin)):
+    for actual, desired in zip(kernel, reference):
         assert_rel_close(actual, desired)
 
 
@@ -562,8 +570,8 @@ def reference_radial_stencils(values, h):
 
 
 def reference_radial_kernel(u, grid):
-    """(speed, v^2, H, margin) from ``_speed_core`` on the invariants of the
-    radial embedding: |du|^2 = u'^2, tr d2u = u'' + (n-1) u'/rho and
+    """(speed, v^2, H, margin) from ``kernel_closed_forms`` on the invariants
+    of the radial embedding: |du|^2 = u'^2, tr d2u = u'' + (n-1) u'/rho and
     du.d2u.du = u'^2 u''."""
     rho = grid.axis()
     p, q = reference_radial_stencils(u, grid.spacing)
@@ -571,10 +579,7 @@ def reference_radial_kernel(u, grid):
     sor[1:] = p[1:] / rho[1:]
     sor[0] = (4.0 * sor[1] - sor[2]) / 3.0
     n = grid.dimension
-    _, margin, v2, _, speed, H = geometry._speed_core(
-        u, p * p, q + (n - 1.0) * sor, p * p * q, n
-    )
-    return speed, v2, H, margin
+    return kernel_closed_forms(u, p * p, q + (n - 1.0) * sor, p * p * q, n)
 
 
 def random_spacelike_profile(rng, grid, min_margin=0.2):
