@@ -171,9 +171,9 @@ class JetFields:
     them, so (j, i) reads the array of (i, j).  Only the margin core is
     built at construction: e^{-2u}, v^2, v and the spacelike check.  H and
     everything heavier are built on first read, the node fields as cached
-    properties, so a consumer of v^2 alone reads no Hessian; the tilt
-    vectors are rebuilt on each read, so a geometry keeps only their scalar
-    |W(P)|^2_gamma.
+    properties, so a consumer of v^2 alone reads no Hessian.  Of the tilt
+    vectors only h(P) is kept, which |W(P)|^2_gamma and the tilt-gradient
+    residuals both read; P and W(P) are rebuilt on each read.
 
     gamma = e^{2u} I - du du^T is a rank-one update of a multiple of the
     identity, so every contraction the checks take has a closed form in
@@ -199,8 +199,7 @@ class JetFields:
         self.dimension = self.du.shape[0]
         if d2u is not None:
             self.hessian = _symmetric_entries(d2u, self.dimension)
-        self.grad_sq = np.einsum("i...,i...->...", self.du, self.du)
-        self.em2u, _, self.v2 = _margin_core(self.u, self.grad_sq)
+        self.em2u, _, self.v2 = _margin_core(self.u, self._du_dot(self.du))
         self.v = np.sqrt(self.v2)
 
     @cached_property
@@ -295,21 +294,27 @@ class JetFields:
         built anew on each read."""
         return -(self.v2 * self.em2u) * self.du
 
+    @cached_property
+    def tilt_shear(self):
+        """h(P), the second form applied to the tilt."""
+        return self.second_form(self.tilt_tangent)
+
     @property
     def sheared_tilt(self):
-        """The shape operator applied to P, built anew on each read."""
-        shear = self.second_form(self.tilt_tangent)
-        return self.raise_index(shear, out=shear)
+        """The shape operator applied to P, W(P) = gamma^{-1} h(P), built
+        anew on each read."""
+        return self.raise_index(self.tilt_shear)
 
     @cached_property
     def sheared_tilt_sq(self):
-        """|W(P)|^2_gamma of the sheared tilt, the one part of it kept."""
+        """|W(P)|^2_gamma of the sheared tilt."""
         return self.gamma_norm_sq(self.sheared_tilt)
 
     @cached_property
     def dv(self):
         """Spatial derivative of v implied by the jet (chain rule on m)."""
-        dm = 2.0 * self.em2u * (self.du * self.grad_sq - self._hessian_dot(self.du))
+        grad_sq = self._du_dot(self.du)
+        dm = 2.0 * self.em2u * (self.du * grad_sq - self._hessian_dot(self.du))
         return -0.5 * self.v**3 * dm
 
     def extremal_curvature(self):
@@ -412,6 +417,35 @@ def _radial_jet(u, grid: grids.Grid):
     return u_rho, u_rhorho, sor
 
 
+#: The node fields a ``GeometryFields`` keeps whole, each read by more than
+#: one check; its slabs compute them.
+KEPT = ("H", "a2", "sheared_tilt_sq")
+
+
+class _SlabFields(JetFields):
+    """The jet geometry of one slab of a ``GeometryFields`` (a box of
+    ``grids.slabs``): views of the geometry's margin core and of the fields
+    of ``KEPT`` it holds.  The Hessian entries are built on first read, a
+    Cartesian slab's by ``grids.cartesian_jet`` on the slab from the
+    gradient the geometry holds; a radial slab is the whole grid and reads
+    the geometry's embedding."""
+
+    def __init__(self, geom: "GeometryFields", box: tuple):
+        self.geom, self.box = geom, box
+        self.dimension = geom.dimension
+        self.u, self.em2u, self.v2, self.v = (a[box] for a in (geom.u, geom.em2u, geom.v2, geom.v))
+        self.du = geom.du[(slice(None), *box)]
+        self.__dict__.update((name, geom.__dict__[name][box]) for name in KEPT if name in geom.__dict__)
+
+    @cached_property
+    def hessian(self):
+        geom = self.geom
+        if geom.grid.mode == grids.RADIAL:
+            return geom.hessian
+        entries = grids.cartesian_jet(geom.u, geom.grid, geom.du, self.box)
+        return _symmetric_entries(entries, self.dimension)
+
+
 class GeometryFields(JetFields):
     """Jet geometry of a discrete height field over a grid.
 
@@ -419,10 +453,15 @@ class GeometryFields(JetFields):
     du = (u', 0, ..., 0) and d2u = diag(u'', u'/rho, ..., u'/rho), with the
     axis value of u'/rho filled by even extrapolation; the angular diagonal
     entries share one array and the mixed ones one zero array.  A Cartesian
-    field takes its gradient at construction and the n(n+1)/2 entries of
-    ``grids.cartesian_jet`` from it on the first read of ``hessian``, so a
-    geometry read only for v^2, v or the weight builds no Hessian.  The
-    generic closed forms then apply unchanged in both modes.
+    field takes its gradient at construction.  The generic closed forms
+    then apply unchanged in both modes.
+
+    Everything the margin core does not give is evaluated slab by slab
+    (``slabs``), where each Cartesian slab builds its own Hessian entries,
+    so a geometry builds no whole Hessian and a consumer of v^2, v or the
+    weight none at all.  The fields of ``KEPT`` are kept whole, filled by
+    the first pass whose slabs compute them; the checks stream the
+    residuals they read once slab by slab.
     """
 
     def __init__(self, grid: grids.Grid, u_values):
@@ -444,10 +483,59 @@ class GeometryFields(JetFields):
 
     @cached_property
     def hessian(self):
-        """The Cartesian Hessian entries, from the gradient held; a radial
-        geometry sets its embedding's entries at construction."""
+        """The whole Cartesian Hessian entries, from the gradient held, which
+        no check reads: they read each slab's.  A radial geometry sets its
+        embedding's entries at construction."""
         entries = grids.cartesian_jet(self.u, self.grid, self.du)
         return _symmetric_entries(entries, self.dimension)
+
+    def slabs(self):
+        """(box, slab JetFields) for each box of ``grids.slabs``, in order.
+        A field of ``KEPT`` that this geometry lacks and the pass computes
+        on its slabs (on every one, or the pass raises KeyError) is kept
+        from the pass, and the slabs of later passes view it."""
+        filled = None
+        for box in grids.slabs(self.grid):
+            slab = _SlabFields(self, box)
+            yield box, slab
+            if filled is None:
+                computed = [n for n in KEPT if n in slab.__dict__ and n not in self.__dict__]
+                filled = {name: np.empty(self.u.shape) for name in computed}
+            for name, whole in filled.items():
+                whole[box] = slab.__dict__[name]
+        self.__dict__.update(filled)
+
+    def _filled(self, name, *names):
+        """Kept field ``name``, filled by a pass of its own that fills
+        ``names`` too."""
+        for _, slab in self.slabs():
+            for each in (name, *names):
+                getattr(slab, each)
+        return self.__dict__[name]
+
+    @cached_property
+    def H(self):
+        """Mean curvature, filled slab by slab with |A|^2: the two share
+        each slab's Hessian entries."""
+        return self._filled("H", "a2")
+
+    @cached_property
+    def a2(self):
+        """|A|^2, filled slab by slab with H."""
+        return self._filled("a2", "H")
+
+    @cached_property
+    def sheared_tilt_sq(self):
+        """|W(P)|^2_gamma, filled slab by slab."""
+        return self._filled("sheared_tilt_sq")
+
+    def extremal_curvature(self):
+        """The extremal principal curvature, of three-dimensional grids,
+        evaluated slab by slab."""
+        out = np.empty(self.u.shape)
+        for box, slab in self.slabs():
+            out[box] = slab.extremal_curvature()
+        return out
 
     def laplacian(self, values) -> np.ndarray:
         """Discrete surface Laplacian of a node field on this geometry."""

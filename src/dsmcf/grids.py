@@ -15,6 +15,8 @@ exact on quadratics, which the tests pin down.
 A region of a grid is an index box, one slice or index per axis, so a read
 through it is a view: ``Grid.interior`` leaves out node layers at the
 boundary, ``Grid.boundary`` lists the boundary faces, and ``()`` is every node.
+``slabs`` tiles a grid with boxes of whole rows along axis 0, so pointwise
+chains can run over cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -180,6 +182,33 @@ class Grid:
         return _read_only(inverse)
 
 
+#: About the nodes in a slab of ``slabs``: the dozen arrays of a pointwise
+#: chain over a slab stay in a 2 MB cache.
+SLAB_NODES = 16384
+
+
+def slabs(grid: Grid) -> list:
+    """Index boxes of whole rows along axis 0, in order, that tile ``grid``:
+    as many rows as ``SLAB_NODES`` nodes hold, and one at least.  A slab
+    spans every other axis in full, so a stencil along one of them reads
+    only the slab's nodes.  A radial grid is one slab."""
+    if grid.mode == RADIAL:
+        return [()]
+    n = grid.resolution
+    rows = max(1, SLAB_NODES * n // grid.node_count)
+    return [(slice(start, min(start + rows, n)),) for start in range(0, n, rows)]
+
+
+def slab_box(box: tuple, slab: tuple) -> tuple:
+    """The nodes of the index box ``box`` that lie in ``slab`` (a box of
+    ``slabs``), in the slab's own indices; ``box`` holds explicit slices."""
+    if not (box and slab):
+        return box
+    low, high = slab[0].start, slab[0].stop
+    first = slice(max(box[0].start, low) - low, max(min(box[0].stop, high), low) - low)
+    return (first, *box[1:])
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
@@ -239,23 +268,41 @@ def second_derivative(values: np.ndarray, h: float, axis: int = 0) -> np.ndarray
     return np.moveaxis(out, -1, axis)
 
 
-def _hessian_entries(values: np.ndarray, grad, grid: Grid):
-    """(i, j, d2u_ij) for i <= j of a cartesian field, each a new array.
+def _row_second_derivative(values: np.ndarray, h: float, rows: slice) -> np.ndarray:
+    """d2/dx_0^2 over ``rows`` of axis 0, as ``second_derivative`` gives it
+    over the whole axis: it differences those rows with one more at each
+    end, and four at least, so each row reads the nodes it reads there."""
+    count = values.shape[0]
+    start, stop, _ = rows.indices(count)
+    low = max(0, min(start - 1, count - 4))
+    high = min(count, max(stop + 1, low + 4))
+    return second_derivative(values[low:high], h, axis=0)[start - low : stop - low]
+
+
+def _hessian_entries(values: np.ndarray, grad, grid: Grid, rows=slice(None)):
+    """(i, j, d2u_ij) for i <= j of a cartesian field over ``rows`` of axis
+    0, each a new array.
 
     The diagonal is the direct second difference, the mixed entries the
-    first difference of the gradient ``grad``.
+    first difference of the gradient ``grad``.  Only (0, 0) differences
+    across rows, so only it reads rows beside ``rows``.
     """
     h = grid.spacing
     for i in range(grid.dimension):
-        yield i, i, second_derivative(values, h, axis=i)
+        if i == 0:
+            yield 0, 0, _row_second_derivative(values, h, rows)
+        else:
+            yield i, i, second_derivative(values[rows], h, axis=i)
         for j in range(i + 1, grid.dimension):
-            yield i, j, first_derivative(grad[i], h, axis=j)
+            yield i, j, first_derivative(grad[i][rows], h, axis=j)
 
 
-def cartesian_jet(values: np.ndarray, grid: Grid, grad) -> dict:
-    """The n(n+1)/2 Hessian entries of a cartesian field, a dict from (i, j),
-    i <= j, to node arrays; ``grad`` is the field's ``field_gradient``."""
-    return {(i, j): entry for i, j, entry in _hessian_entries(values, grad, grid)}
+def cartesian_jet(values: np.ndarray, grid: Grid, grad, slab=()) -> dict:
+    """The n(n+1)/2 Hessian entries of a cartesian field over ``slab``, a box
+    of ``slabs`` (every node by default), as a dict from (i, j), i <= j, to
+    arrays; ``grad`` is the field's ``field_gradient``."""
+    rows = slab[0] if slab else slice(None)
+    return {(i, j): entry for i, j, entry in _hessian_entries(values, grad, grid, rows)}
 
 
 def cartesian_invariants(values: np.ndarray, grid: Grid):
@@ -354,10 +401,18 @@ def laplace_beltrami_cartesian(
     """
     flux = field_gradient(values, grid)
     raise_index(flux, out=flux)
-    out = np.zeros(grid.shape)
     for i in range(grid.dimension):
         flux[i] *= weight
+    # e^{-2u} in the raised flux nears the largest float at heights near
+    # -MAX_HEIGHT, where the one-sided stencils' 2/h would overflow it: the
+    # divergence runs on the flux scaled by a power of two, which is exact
+    peak = max(max(float(np.max(f)), -float(np.min(f))) for f in flux)
+    exponent = int(np.frexp(peak)[1])
+    np.ldexp(flux, -exponent, out=flux)
+    out = np.zeros(grid.shape)
+    for i in range(grid.dimension):
         out += first_derivative(flux[i], grid.spacing, axis=i)
+    np.ldexp(out, exponent, out=out)
     out /= weight
     return out
 

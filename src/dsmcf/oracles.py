@@ -13,7 +13,9 @@ states ``flow.evolve_window`` displaces it to.  On a flat slicing du = 0
 and the two notions coincide.
 
 Each check reads its nodes through an index box of the grid (``grids``),
-``()`` for every node, so its reads are views.  The inequality checks use a
+``()`` for every node, so its reads are views.  A residual that one check
+reads is built slab by slab (``GeometryFields.slabs``) and streamed into
+its report, so no whole array of it is built.  The inequality checks use a
 grid tolerance of ``10 h^2 * scale`` with the scale taken from the dominant
 term over that box.  A check measures a state's geometry or
 its ``WindowRates``.  ``refined`` pairs the reports of the same checks
@@ -95,16 +97,20 @@ def snapshot_geometry(state: flow.GraphState) -> geometry.GeometryFields:
 class _ResidualSum:
     """Max |residual|, sum of squares and node count over an index box,
     gathered one residual array at a time (after any leading component
-    axes), so no buffer of squares is built.  An empty box raises
-    ValueError, as the max of no values does."""
+    axes), so no buffer of squares is built.  The report of an empty box
+    raises ValueError, as the max of no values does."""
 
     box: tuple
     linf: float = 0.0
     sum_sq: float = 0.0
     count: int = 0
 
-    def add(self, residual):
-        part = np.abs(np.asarray(residual)[(Ellipsis, *self.box)])
+    def add(self, residual, slab=()):
+        """Gather ``residual``, an array over the grid slab ``slab`` (a box
+        of ``grids.slabs``, or every node)."""
+        part = np.abs(np.asarray(residual)[(Ellipsis, *grids.slab_box(self.box, slab))])
+        if not part.size:
+            return
         self.linf = float(np.maximum(self.linf, np.max(part)))  # NaN stays
         part *= part
         self.sum_sq += float(np.sum(part))
@@ -113,6 +119,8 @@ class _ResidualSum:
     def report(self, name, tolerance=None) -> ResidualReport:
         """The report of what was added; with a ``tolerance`` it passes when
         its max |residual| is within it."""
+        if not self.count:
+            raise ValueError(f"{name}: no nodes in the box {self.box}")
         return ResidualReport(
             name=name,
             linf=self.linf,
@@ -168,19 +176,13 @@ class WindowRates:
 
     @cached_property
     def tilt(self) -> tuple:
-        """(box, measured lhs, identity rhs, |grad v|^2) of the v^2 evolution,
-        read by ``check_tilt_evolution`` and ``check_tilt_bounds``."""
+        """(box, measured lhs, |grad v|^2) of the v^2 evolution, read by
+        ``check_tilt_evolution`` and ``check_tilt_bounds``."""
         geom = self.geom
         grad_v_sq = geom.gamma_inv_norm_sq(grids.field_gradient(geom.v, geom.grid))
-        rhs = 4.0 * geom.H * geom.v
-        rhs -= 2.0 * geom.v2**2
-        rhs -= 4.0 * geom.v2
-        rhs -= 2.0 * geom.a2 * geom.v2
-        rhs += 2.0 * geom.sheared_tilt_sq
-        rhs -= 4.0 * grad_v_sq
         lhs = geom.laplacian(geom.v2)
         np.subtract(self.rates[tilt_squared], lhs, out=lhs)
-        return _rate_box(geom.grid), lhs, rhs, grad_v_sq
+        return _rate_box(geom.grid), lhs, grad_v_sq
 
 
 def material_rate(state: flow.GraphState, window: flow.TrajectoryWindow, fields) -> WindowRates:
@@ -197,12 +199,13 @@ def material_rate(state: flow.GraphState, window: flow.TrajectoryWindow, fields)
         fixed_rates[f] = (value - f(before)) / (2.0 * window.eta)
     del before
     geom = snapshot_geometry(state)
-    slope = geom.H * geom.v * geom.em2u
-    rates = {}
-    for f, fixed_rate in fixed_rates.items():
-        grad_f = grids.field_gradient(f(geom), geom.grid)
-        rates[f] = fixed_rate + slope * np.einsum("i...,i...->...", geom.du, grad_f)
-    return WindowRates(geom, window.eta, rates)
+    slope = geom.H * geom.v
+    slope *= geom.em2u
+    for f, rate in fixed_rates.items():
+        advection = np.einsum("i...,i...->...", geom.du, grids.field_gradient(f(geom), geom.grid))
+        advection *= slope
+        rate += advection
+    return WindowRates(geom, window.eta, fixed_rates)
 
 
 def _rate_box(grid: grids.Grid) -> tuple:
@@ -296,17 +299,18 @@ def restriction_gradient_residuals(fields: geometry.JetFields) -> dict:
 
 
 def check_restriction_gradients(geom: geometry.GeometryFields) -> ResidualReport:
-    res = restriction_gradient_residuals(geom)
-    return _residual_report(
-        "restriction-gradients", list(res.values()), (), tolerance=RESTRICTION_TOL
-    )
+    total = _ResidualSum(())
+    for slab, fields in geom.slabs():
+        for residual in restriction_gradient_residuals(fields).values():
+            total.add(residual, slab)
+    return total.report("restriction-gradients", tolerance=RESTRICTION_TOL)
 
 
 # ---------------------------------------------------------------------------
 # coordinate Laplacians, both assembly routes
 
 
-def _coordinate_closed_forms(geom: geometry.GeometryFields, axis):
+def _coordinate_closed_forms(geom: geometry.JetFields, axis):
     """(closed form, wave route) of the surface Laplacian of the height t
     (``axis`` None) or of the coordinate x_axis, from the closed forms of
     ``geometry``.  An x_i reads the normal's component along its one axis;
@@ -326,7 +330,7 @@ def check_coordinate_laplacians(geom: geometry.GeometryFields) -> list[ResidualR
     """Discrete surface Laplacian of the coordinate restrictions vs closed
     forms, assembled both directly and through the ambient wave operator:
     one report per route.  Each coordinate's Laplacian is taken once, read
-    by both routes and dropped before the next.
+    by both routes slab by slab and dropped before the next.
 
     Radial grids can only represent rotationally symmetric fields, so they
     check the height coordinate; Cartesian grids check all of them.
@@ -338,11 +342,13 @@ def check_coordinate_laplacians(geom: geometry.GeometryFields) -> list[ResidualR
     box = grids.laplacian_box(grid)
     closed, wave = _ResidualSum(box), _ResidualSum(box)
     for coordinate, axis in coordinates:
-        closed_value, wave_value = _coordinate_closed_forms(geom, axis)
         lap = geom.laplacian(coordinate)
-        closed.add(lap - closed_value)
-        lap -= wave_value
-        wave.add(lap)
+        for slab, fields in geom.slabs():
+            closed_value, wave_value = _coordinate_closed_forms(fields, axis)
+            part = lap[slab]
+            closed.add(part - closed_value, slab)
+            part -= wave_value
+            wave.add(part, slab)
     return [
         closed.report("coordinate-laplacians"),
         wave.report("coordinate-laplacians-wave-route"),
@@ -360,14 +366,13 @@ def tilt_gradient_residuals(fields: geometry.JetFields, dv_covector) -> tuple:
     W the shape operator, and its squared norm expands into
     v^2 (v^2 - 1) - 2 v A(P, P) + |W(P)|^2.  ``dv_covector`` supplies
     d_i v, either analytic (exact) or from finite differences (O(h^2)).
-    The vector residual is raised once, as gamma^{-1} (dv + h(P)) - v P,
-    in the array of h(P).
+    The vector residual is raised once, as gamma^{-1} (dv + h(P)) - v P;
+    h(P) is the one ``fields.sheared_tilt_sq`` reads.
     """
     dv = np.asarray(dv_covector, dtype=float)
     tilt = fields.tilt_tangent
-    residual = fields.second_form(tilt)  # h(P), then in place the residual
-    a_pp = np.einsum("i...,i...->...", tilt, residual)
-    residual += dv
+    a_pp = np.einsum("i...,i...->...", tilt, fields.tilt_shear)
+    residual = fields.tilt_shear + dv
     fields.raise_index(residual, out=residual)  # grad v + W(P)
     for i in range(fields.dimension):
         residual[i] -= fields.v * tilt[i]
@@ -388,9 +393,11 @@ def tilt_gradient_residuals(fields: geometry.JetFields, dv_covector) -> tuple:
 def check_tilt_gradient(geom: geometry.GeometryFields) -> ResidualReport:
     """Finite-difference gradient of v against its closed form."""
     dv = grids.field_gradient(geom.v, geom.grid)
-    return _residual_report(
-        "tilt-gradient", tilt_gradient_residuals(geom, dv), geom.grid.interior()
-    )
+    total = _ResidualSum(geom.grid.interior())
+    for slab, fields in geom.slabs():
+        for residual in tilt_gradient_residuals(fields, dv[(slice(None), *slab)]):
+            total.add(residual, slab)
+    return total.report("tilt-gradient")
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +409,32 @@ def tilt_squared(geom: geometry.GeometryFields) -> np.ndarray:
     return geom.v2
 
 
+def _tilt_rhs(fields: geometry.JetFields, grad_v_sq) -> np.ndarray:
+    """The closed-form right side of the v^2 evolution, given |grad v|^2."""
+    rhs = 4.0 * fields.H * fields.v
+    rhs -= 2.0 * fields.v2**2
+    rhs -= 4.0 * fields.v2
+    rhs -= 2.0 * fields.a2 * fields.v2
+    rhs += 2.0 * fields.sheared_tilt_sq
+    rhs -= 4.0 * grad_v_sq
+    return rhs
+
+
 def check_tilt_evolution(rates: WindowRates) -> ResidualReport:
-    """Measured (d/ds - Lap) v^2 against its closed-form evolution.
+    """Measured (d/ds - Lap) v^2 against its closed-form evolution, whose
+    right side is built slab by slab.
 
     The identity's coefficients hold for three spatial dimensions only (on
     a flat 2-d slice its right side is -2, not 0); ``tilt_evolution_skip_reason``
     names the grids it does not apply to.
     """
-    box, lhs, rhs, _ = rates.tilt
-    return _residual_report("tilt-evolution", [lhs - rhs], box)
+    box, lhs, grad_v_sq = rates.tilt
+    total = _ResidualSum(box)
+    for slab, fields in rates.geom.slabs():
+        residual = _tilt_rhs(fields, grad_v_sq[slab])
+        np.subtract(lhs[slab], residual, out=residual)
+        total.add(residual, slab)
+    return total.report("tilt-evolution")
 
 
 def check_tilt_bounds(rates: WindowRates, delta: float) -> list[InequalityReport]:
@@ -421,7 +445,7 @@ def check_tilt_bounds(rates: WindowRates, delta: float) -> list[InequalityReport
     Returns one report per bound.  The bounds rest on the v^2 evolution of
     ``check_tilt_evolution``, so ``tilt_evolution_skip_reason`` covers them too.
     """
-    (box, lhs, _, grad_v_sq), geom = rates.tilt, rates.geom
+    (box, lhs, grad_v_sq), geom = rates.tilt, rates.geom
     h = geom.grid.spacing
     common = {"delta": delta, "h": h, "eta": rates.eta}
 

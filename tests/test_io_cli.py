@@ -722,6 +722,20 @@ class TestCli:
         assert [c["name"] for c in report["checks"]] == ["restriction-gradients"]
         assert report["checks"][0]["linf"] == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("height", [-300.0, -354.0])
+    def test_cartesian_flat_slice_passes_every_check_far_below_zero(self, tmp_path, capsys, height):
+        # near height -354, e^{-2u} in the Laplacian's raised flux nears the
+        # largest float, and the one-sided edge stencils overflowed it: a
+        # RuntimeWarning, and inf in the boundary ring
+        doc = {
+            "grid": self.FLAT_GRIDS["cartesian"],
+            "initial": {"profile": "flat", "height": height},
+        }
+        cfg = self.write_config(tmp_path, doc)
+        assert cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize(
         "mode, integrator", [("radial", "rk2"), ("radial", "implicit"), ("cartesian", "rk2")]
     )

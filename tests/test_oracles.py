@@ -240,7 +240,9 @@ def test_rate_checks_leave_out_the_node_beside_the_boundary():
             state = flow.GraphState(
                 u=grids.Field(grid, u0), s=0.0, bc=flow.BoundaryCondition(flow.SLICING)
             )
-            box, lhs, rhs, _ = tilt_rates(state).tilt
+            rates = tilt_rates(state)
+            box, lhs, grad_v_sq = rates.tilt
+            rhs = oracles._tilt_rhs(rates.geom, grad_v_sq)
             covered = np.zeros(resolution, dtype=bool)
             covered[box] = True
             np.testing.assert_array_equal(covered, np.arange(resolution) < resolution - 2)
@@ -625,11 +627,12 @@ def traced_peak(call) -> int:
 def test_cartesian_checks_stay_within_their_memory_budget():
     """Peak allocation of the fine pass of a cartesian ``verify`` on a 33^3
     grid (refined 65^3), in fine node arrays.  The pass holds one geometry
-    at a time, with the six Hessian entries and no (n, n, N) node tensor,
-    takes each coordinate Laplacian once and keeps no tilt vectors, so its
-    peak stays below 40 arrays (31 when this bound was set; the full
+    at a time, builds the Hessian entries slab by slab, takes each
+    coordinate Laplacian once and streams the residuals one check reads, so
+    its peak stays below 23 arrays (18 when this bound was set; the whole
+    six Hessian entries and whole residuals took it to 31, and the (n, n, N)
     Hessian, the cached tilt vectors and the concatenated residual buffers
-    took it to 46), and the kernel's below 16."""
+    to 46), and the kernel's below 16."""
     cfg, fine = cartesian_verify_inputs(33)
     node_array = fine.u.values.nbytes
     peaks = {
@@ -638,7 +641,7 @@ def test_cartesian_checks_stay_within_their_memory_budget():
         "kernel": traced_peak(lambda: geometry.graph_speed_fields(fine.u.values, fine.grid))
         / node_array,
     }
-    budget = {"fine_pass": 40, "kernel": 16}
+    budget = {"fine_pass": 23, "kernel": 16}
     over = {name: round(peaks[name], 1) for name in budget if peaks[name] >= budget[name]}
     assert not over, f"peak node arrays {over} exceed {budget}"
 
@@ -722,25 +725,102 @@ def test_each_pass_builds_each_snapshot_geometry_once(monkeypatch, command, cfg,
     assert [g.resolution for g in built] == [coarse] * 3 + [fine] * 3
 
 
+def record_jet_slabs(monkeypatch) -> list:
+    """(field, slab) of every ``grids.cartesian_jet`` call."""
+    calls = []
+    original = grids.cartesian_jet
+
+    def recorded(values, grid, grad, slab=()):
+        calls.append((values, slab))
+        return original(values, grid, grad, slab)
+
+    monkeypatch.setattr(grids, "cartesian_jet", recorded)
+    return calls
+
+
 def test_only_the_state_geometry_builds_the_cartesian_hessian(monkeypatch):
-    """A Cartesian fine pass takes the Hessian entries once, for the state's
-    geometry; the window's displaced geometries, read for v^2 alone, take
-    none, and neither does a geometry read for v, v^2 or the weight.  A
-    whole ``verify`` takes them once per pass, not for each of its three
-    geometries."""
-    jets = count_calls(monkeypatch, grids, "cartesian_jet")
+    """A Cartesian fine pass takes the Hessian entries of the state's
+    geometry slab by slab, once per slab in each of its two passes that
+    read them: H with |A|^2, then the tilt gradient with |W(P)|^2.  The
+    window's displaced geometries, read for v^2 alone, take none, and
+    neither does a geometry read for v, v^2 or the weight.  A whole
+    ``verify`` adds a third pass on the coarse grid, for the pinching
+    bound.  The slab size is cut so that the 17^3 grid has six slabs of
+    three rows, the last of two."""
+    monkeypatch.setattr(grids, "SLAB_NODES", 3 * 17 * 17)
+    jets = record_jet_slabs(monkeypatch)
     cfg, fine = cartesian_verify_inputs(9)
+    slabs = grids.slabs(fine.grid)
+    assert len(slabs) == 6 and slabs[-1] == (slice(15, 17),)
     cli._measure(cfg, CARTESIAN_REFINED, fine)
-    assert len(jets) == 1
+    assert all(values is fine.u.values for values, _ in jets)
+    assert [slab for _, slab in jets] == slabs * 2
     light = oracles.snapshot_geometry(fine)
     assert np.all(light.weight * light.v2 > 0.0)
     oracles.WeightField(cfg.checks.cutoff())(light)
-    assert len(jets) == 1
-    report = cli.COMMANDS["verify"](
-        cartesian_config(curvature_evolution=False, jet_sampling=True, jet_count=100)
-    )
+    assert len(jets) == 2 * len(slabs)
+    del jets[:]
+    verify_cfg = cartesian_config(curvature_evolution=False, jet_sampling=True, jet_count=100)
+    report = cli.COMMANDS["verify"](verify_cfg)
     assert report.checks and report.failure is None
-    assert len(jets) == 3
+    coarse, refined_grid = verify_cfg.grid.build(), verify_cfg.grid.refined().build()
+    passes = grids.slabs(coarse) * 3 + grids.slabs(refined_grid) * 2
+    assert len(passes) == 3 * 3 + 2 * 25
+    assert [slab for _, slab in jets] == passes
+
+
+def test_a_cartesian_fine_pass_forms_h_of_the_tilt_once_per_slab(monkeypatch):
+    """The tilt-gradient residuals and |W(P)|^2 read one h(P): the fine
+    pass applies the second form once per slab of the state's geometry,
+    where it once did twice over the whole grid."""
+    monkeypatch.setattr(grids, "SLAB_NODES", 3 * 17 * 17)
+    forms = []
+    original = geometry.JetFields.second_form
+
+    def counted(fields, X):
+        forms.append(fields)
+        return original(fields, X)
+
+    monkeypatch.setattr(geometry.JetFields, "second_form", counted)
+    cfg, fine = cartesian_verify_inputs(9)
+    cli._measure(cfg, CARTESIAN_REFINED, fine)
+    assert [fields.box for fields in forms] == grids.slabs(fine.grid)
+    assert all(fields.geom.u is fine.u.values for fields in forms)
+
+
+@pytest.mark.parametrize("dimension, resolution", [(3, 21), (2, 33)])
+def test_slabbed_geometry_equals_the_whole_grid_one(monkeypatch, dimension, resolution):
+    """With slabs of four rows, which do not divide the rows of the grid, the
+    kept fields and the extremal curvature equal a whole-grid ``JetFields``
+    of the ``cartesian_jet`` entries bit for bit, and so do the streamed
+    tilt-gradient and restriction reports, up to the order of their sums of
+    squares."""
+    grid = grids.Grid(grids.CARTESIAN, dimension, extent=2.0, resolution=resolution)
+    monkeypatch.setattr(grids, "SLAB_NODES", 4 * grid.node_count // resolution)
+    assert [slab[0].stop - slab[0].start for slab in grids.slabs(grid)][-1] == 1
+    x = grid.meshes()
+    u = 0.3 * np.exp(-sum((k + 1.0) * x[k] ** 2 for k in range(dimension))) + 0.05 * x[0] * x[1]
+    geom = geometry.GeometryFields(grid, u)
+    whole = geometry.JetFields(u, geom.du, grids.cartesian_jet(u, grid, geom.du))
+    for name in ("H", "a2", "sheared_tilt_sq"):
+        assert np.array_equal(getattr(geom, name), getattr(whole, name)), name
+    if dimension == 3:
+        assert np.array_equal(geom.extremal_curvature(), whole.extremal_curvature())
+    dv = grids.field_gradient(geom.v, grid)
+    expected = [
+        oracles._residual_report(
+            "tilt-gradient", oracles.tilt_gradient_residuals(whole, dv), grid.interior()
+        ),
+        oracles._residual_report(
+            "restriction-gradients",
+            list(oracles.restriction_gradient_residuals(whole).values()),
+            (),
+            tolerance=oracles.RESTRICTION_TOL,
+        ),
+    ]
+    actual = [oracles.check_tilt_gradient(geom), oracles.check_restriction_gradients(geom)]
+    for got, want in zip(actual, expected):
+        assert got == replace(want, l2=pytest.approx(want.l2, rel=1e-12, abs=0.0))
 
 
 def test_tilt_checks_share_one_material_rate_per_window(monkeypatch):
