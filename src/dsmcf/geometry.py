@@ -192,8 +192,8 @@ class JetFields:
     """
 
     def __init__(self, u, du, d2u):
-        """``d2u`` is None only from a subclass whose ``hessian`` builds the
-        entries on first read."""
+        """``d2u`` is None only from a Cartesian ``GeometryFields``, which
+        holds no ``hessian``: its slabs build theirs."""
         self.u = np.asarray(u, dtype=float)
         self.du = np.asarray(du, dtype=float)
         self.dimension = self.du.shape[0]
@@ -458,10 +458,10 @@ class GeometryFields(JetFields):
 
     Everything the margin core does not give is evaluated slab by slab
     (``slabs``), where each Cartesian slab builds its own Hessian entries,
-    so a geometry builds no whole Hessian and a consumer of v^2, v or the
-    weight none at all.  The fields of ``KEPT`` are kept whole, filled by
-    the first pass whose slabs compute them; the checks stream the
-    residuals they read once slab by slab.
+    so a Cartesian geometry holds no ``hessian`` of its own and a consumer
+    of v^2, v or the weight builds none at all.  The fields of ``KEPT`` are
+    kept whole, filled by the first pass whose slabs compute them; the
+    checks stream the residuals they read once slab by slab.
     """
 
     def __init__(self, grid: grids.Grid, u_values):
@@ -480,14 +480,6 @@ class GeometryFields(JetFields):
             du = grids.field_gradient(u_values, grid)
         self.grid = grid
         super().__init__(u_values, du, d2u)
-
-    @cached_property
-    def hessian(self):
-        """The whole Cartesian Hessian entries, from the gradient held, which
-        no check reads: they read each slab's.  A radial geometry sets its
-        embedding's entries at construction."""
-        entries = grids.cartesian_jet(self.u, self.grid, self.du)
-        return _symmetric_entries(entries, self.dimension)
 
     def slabs(self):
         """(box, slab JetFields) for each box of ``grids.slabs``, in order.

@@ -297,12 +297,11 @@ def _hessian_entries(values: np.ndarray, grad, grid: Grid, rows=slice(None)):
             yield i, j, first_derivative(grad[i][rows], h, axis=j)
 
 
-def cartesian_jet(values: np.ndarray, grid: Grid, grad, slab=()) -> dict:
+def cartesian_jet(values: np.ndarray, grid: Grid, grad, slab: tuple) -> dict:
     """The n(n+1)/2 Hessian entries of a cartesian field over ``slab``, a box
-    of ``slabs`` (every node by default), as a dict from (i, j), i <= j, to
-    arrays; ``grad`` is the field's ``field_gradient``."""
-    rows = slab[0] if slab else slice(None)
-    return {(i, j): entry for i, j, entry in _hessian_entries(values, grad, grid, rows)}
+    of whole rows along axis 0 (as ``slabs`` gives), as a dict from (i, j),
+    i <= j, to arrays; ``grad`` is the field's ``field_gradient``."""
+    return {(i, j): entry for i, j, entry in _hessian_entries(values, grad, grid, slab[0])}
 
 
 def cartesian_invariants(values: np.ndarray, grid: Grid):

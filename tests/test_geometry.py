@@ -327,6 +327,14 @@ def jets_with_curvatures(rng, curvatures):
     return geometry.JetFields(u, du, np.moveaxis(d2u, 0, -1))
 
 
+def whole_grid_jets(geom):
+    """The jets of a Cartesian geometry over the whole grid, from the
+    ``cartesian_jet`` entries of every row: the geometry holds no Hessian
+    of its own, for the tensor route to read."""
+    entries = grids.cartesian_jet(geom.u, geom.grid, geom.du, (slice(None),))
+    return geometry.JetFields(geom.u, geom.du, entries)
+
+
 def assert_extremal_curvature_matches_the_tensor_route(fields):
     """The closed-form extremal curvature against ``eigvalsh`` of the tensor
     route, within 1e-12 relative."""
@@ -347,8 +355,8 @@ def test_extremal_curvature_on_flat_slices(height):
     # every flat slice is umbilic with principal curvatures 1: p = 0 there
     grid = grids.Grid(grids.CARTESIAN, 3, extent=2.0, resolution=9)
     fields = geometry.GeometryFields(grid, np.full(grid.shape, height))
-    closed = assert_extremal_curvature_matches_the_tensor_route(fields)
-    assert float(np.max(np.abs(closed - 1.0))) <= 1e-14
+    assert_extremal_curvature_matches_the_tensor_route(whole_grid_jets(fields))
+    assert float(np.max(np.abs(fields.extremal_curvature() - 1.0))) <= 1e-14
 
 
 @pytest.mark.parametrize(
@@ -491,6 +499,10 @@ def cartesian_bump_fields(resolution=17):
     return geometry.GeometryFields(grid, u)
 
 
+def cartesian_bump_jets():
+    return whole_grid_jets(cartesian_bump_fields())
+
+
 def random_jet_fields():
     return oracles._random_jets(np.random.default_rng(8), 500)
 
@@ -500,7 +512,7 @@ def assert_rel_close(actual, desired, rel=1e-12):
     assert float(np.max(np.abs(actual - desired))) <= rel * scale
 
 
-@pytest.mark.parametrize("make", [random_jet_fields, cartesian_bump_fields], ids=["jets", "bump"])
+@pytest.mark.parametrize("make", [random_jet_fields, cartesian_bump_jets], ids=["jets", "bump"])
 def test_rank_one_forms_equal_the_tensor_forms(make):
     fields = make()
     X = np.random.default_rng(3).normal(size=fields.du.shape)
@@ -531,7 +543,8 @@ def test_cartesian_kernel_matches_the_hessian_tensor_route(monkeypatch):
     """The kernel sums the Hessian entry by entry; it never builds the jet."""
     fields = cartesian_bump_fields()
     du = grids.field_gradient(fields.u, fields.grid)
-    d2u = hessian_tensor(grids.cartesian_jet(fields.u, fields.grid, du), fields.dimension)
+    entries = grids.cartesian_jet(fields.u, fields.grid, du, (slice(None),))
+    d2u = hessian_tensor(entries, fields.dimension)
     reference = kernel_closed_forms(
         fields.u,
         np.einsum("i...,i...->...", du, du),

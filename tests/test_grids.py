@@ -120,7 +120,7 @@ def test_cartesian_jet_exact_on_quadratic():
     X, Y = grid.meshes()
     f = 0.5 * X**2 + 0.25 * X * Y - Y**2 + 3.0 * X + 2.0
     grad = grids.field_gradient(f, grid)
-    hess = grids.cartesian_jet(f, grid, grad)
+    hess = grids.cartesian_jet(f, grid, grad, (slice(None),))
     np.testing.assert_allclose(grad[0], X + 0.25 * Y + 3.0, atol=1e-12)
     np.testing.assert_allclose(grad[1], 0.25 * X - 2.0 * Y, atol=1e-12)
     assert sorted(hess) == [(0, 0), (0, 1), (1, 1)]  # the entries i <= j only
@@ -165,7 +165,7 @@ def test_jets_of_a_product_and_a_paraboloid():
     grid = grids.Grid(grids.CARTESIAN, 2, extent=1.0, resolution=9)
     X, Y = grid.meshes()
     grad = grids.field_gradient(X * Y, grid)
-    hess = grids.cartesian_jet(X * Y, grid, grad)
+    hess = grids.cartesian_jet(X * Y, grid, grad, (slice(None),))
     assert grad.shape == (2,) + grid.shape and len(hess) == 3
     assert all(entry.shape == grid.shape for entry in hess.values())
     np.testing.assert_allclose(grad[0], Y, atol=1e-12)
