@@ -190,8 +190,8 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TrajectoryWindow:
-    """A state displaced by -eta and +eta times its speed, for rates taken
-    at the state itself (``evolve_window``)."""
+    """A state displaced by -eta and +eta times its kernel speed at every
+    node, for rates taken at the state itself (``evolve_window``)."""
 
     before: GraphState
     after: GraphState
@@ -225,20 +225,26 @@ def stable_dt(state: GraphState, cfl_safety: float, margin=None) -> float:
         return math.inf
 
 
+def _speed_fields(values, grid, s: float):
+    """The kernel's (speed, v^2, H, margin) at ``values``, the speed at every
+    node its own.  A margin at or below the floor raises NonSpacelikeError
+    naming the node and the flow time ``s``."""
+    try:
+        return geometry.graph_speed_fields(values, grid)
+    except NonSpacelikeError as exc:
+        raise NonSpacelikeError(f"at s = {s:.6g}: {exc}", location=exc.location)
+
+
 def _kernel(values, grid, bc: BoundaryCondition, s: float):
-    """The kernel's (speed, v^2, H, margin) at ``values``, with the boundary
-    entries of the speed set to the boundary speed of ``bc``.
+    """``_speed_fields`` with the boundary entries of the speed set to the
+    boundary speed of ``bc``.
 
     This is the one place the boundary condition enters the stepping: every
     integrator combines these speeds, so its stages, its result and the
     backward-Euler residual all move the boundary at that speed, written
-    face by face.  A margin at or below the floor raises NonSpacelikeError
-    naming the node and the flow time ``s``.
+    face by face.
     """
-    try:
-        speed, v2, H, margin = geometry.graph_speed_fields(values, grid)
-    except NonSpacelikeError as exc:
-        raise NonSpacelikeError(f"at s = {s:.6g}: {exc}", location=exc.location)
+    speed, v2, H, margin = _speed_fields(values, grid, s)
     boundary_speed = bc.speed(grid.dimension)
     for face in grid.boundary():
         speed[face] = boundary_speed
@@ -270,9 +276,10 @@ def diagnose(state: GraphState) -> StepDiagnostics:
 def step(state: GraphState, dt: float, config: FlowConfig, fields=None) -> GraphState:
     """One step of size dt; returns the new state.
 
-    ``fields`` are the ``_kernel`` fields (speed, v^2, H, margin) at
-    ``state``, boundary speed included, when the caller already has them;
-    otherwise they are evaluated here.
+    ``fields`` are the kernel fields (speed, v^2, H, margin) at ``state``
+    when the caller already has them, their speed the one the step takes
+    (``_kernel``'s, boundary speed included, or the window's own); otherwise
+    ``_kernel``'s are evaluated here.
     """
     grid, u0, s, bc = state.grid, state.u.values, state.s, state.bc
     if fields is None:
@@ -484,15 +491,18 @@ def run(state: GraphState, config: FlowConfig) -> Trajectory:
 
 
 def evolve_window(state: GraphState, config: FlowConfig) -> TrajectoryWindow:
-    """``state`` displaced to s -/+ eta along its speed S (boundary speed
-    included) by two euler steps from one kernel evaluation, for the central
+    """``state`` displaced to s -/+ eta along the kernel's own speed S at
+    every node by two euler steps from one kernel evaluation, for the central
     difference (f(after) - f(before)) / (2 eta) = Df(u)[S] + O(eta^2) of
     Jacobian-free Newton-Krylov methods (Knoll and Keyes, J. Comput. Phys.
     193, 2004).  Nothing steps on from the displaced states, so stability
     does not bound eta = (h/8) n / max(n, max|S|): no height moves more than
     h n / 8, the O(eta^2) error keeps the order h^2, and the rounding
-    eps |f| / eta stays far below it."""
-    fields = _kernel(state.u.values, state.grid, state.bc, state.s)
+    eps |f| / eta stays far below it.  The boundary speed is not written in:
+    the boundary condition is no part of the rates, and where it differs
+    from the kernel's speed it would kink the displaced states at the rim,
+    timelike where the rim is steep."""
+    fields = _speed_fields(state.u.values, state.grid, state.s)
     n = state.grid.dimension
     eta = state.grid.spacing / 8.0 * n / max(n, float(np.max(np.abs(fields[0]))))
     euler = replace(config, integrator="euler")

@@ -165,6 +165,21 @@ class Grid:
             return (slice(0, self.resolution - ring),)
         return (slice(ring, self.resolution - ring),) * self.dimension
 
+    def report_box(self, seamed: bool, laplacian: bool) -> tuple:
+        """Index box of the nodes a report reads: the seam depth of the
+        fields it differences plus the reach of the operator that
+        differences them, in rings.
+
+        A field built pointwise from the one-sided boundary stencils (du, v,
+        v^2, H, |A|^2) carries a seam at ring 0, whose O(h^2) error differs
+        from the interior's, so its depth is 1; an exact coordinate (x_i, or
+        u itself) has depth 0.  Each difference across the seam spreads it,
+        at one order lost: a central first difference reaches 1 ring, the
+        Cartesian Laplacian (gradient, then divergence) 2, the radial flux
+        form 1."""
+        reach = 2 if laplacian and self.mode == CARTESIAN else 1
+        return self.interior(int(seamed) + reach)
+
     def boundary(self) -> tuple:
         """The boundary faces as index boxes: the outer end node of a radial
         grid, the first and last node layer along each Cartesian axis (the
@@ -374,17 +389,6 @@ def field_gradient(values: np.ndarray, grid: Grid) -> np.ndarray:
 # surface Laplacian in divergence form
 
 
-def laplacian_box(grid: Grid) -> tuple:
-    """Index box of the nodes where the discrete surface Laplacian is clean
-    second order.
-
-    The cartesian operator differentiates fluxes built from one-sided
-    boundary stencils, which degrades the outermost two rings; the radial
-    flux-form operator only loses the outer end node.
-    """
-    return grid.interior(ring=1 if grid.mode == RADIAL else 2)
-
-
 def laplace_beltrami_cartesian(
     values: np.ndarray, weight: np.ndarray, raise_index, grid: Grid
 ) -> np.ndarray:
@@ -394,9 +398,9 @@ def laplace_beltrami_cartesian(
     gamma-raised vector gamma^{ij} X_j in place; the flux is w times the
     raised gradient of f, so the metric enters only through that map.
     Central differences throughout the interior keep the operator
-    self-adjoint in the w-weighted inner product.  Boundary values fall back to one-sided stencils, which
-    contaminates the outermost two node rings; norms should read the box of
-    ``laplacian_box``.
+    self-adjoint in the w-weighted inner product.  Boundary values fall back
+    to one-sided stencils, which contaminates the outermost two node rings;
+    norms should read a box of ``Grid.report_box``.
     """
     flux = field_gradient(values, grid)
     raise_index(flux, out=flux)

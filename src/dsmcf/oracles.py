@@ -8,14 +8,17 @@ with the surface picks up an advection term::
 
     (d/ds) f  =  (f(u + eta S) - f(u - eta S)) / (2 eta)  +  H v e^{-2u} du . grad f
 
-evaluated at the state u itself, with S its flow speed and u -/+ eta S the
-states ``flow.evolve_window`` displaces it to.  On a flat slicing du = 0
-and the two notions coincide.
+evaluated at the state u itself, with S the kernel's speed at every node,
+the boundary's included, and u -/+ eta S the states ``flow.evolve_window``
+displaces it to.  On a flat slicing du = 0 and the two notions coincide.
 
 Each check reads its nodes through an index box of the grid (``grids``),
-``()`` for every node, so its reads are views.  A residual that one check
-reads is built slab by slab (``GeometryFields.slabs``) and streamed into
-its report, so no whole array of it is built.  The inequality checks use a
+``()`` for every node, so its reads are views.  One rule names the box of
+every report that differences a field (``Grid.report_box``): the seam
+depth of the fields it differences plus the reach of its operator.  A
+residual that one check reads is built slab by slab
+(``GeometryFields.slabs``) and streamed into its report, so no whole array
+of it is built.  The inequality checks use a
 grid tolerance of ``10 h^2 * scale`` with the scale taken from the dominant
 term over that box.  A check measures a state's geometry or
 its ``WindowRates``.  ``refined`` pairs the reports of the same checks
@@ -182,7 +185,7 @@ class WindowRates:
         grad_v_sq = geom.gamma_inv_norm_sq(grids.field_gradient(geom.v, geom.grid))
         lhs = geom.laplacian(geom.v2)
         np.subtract(self.rates[tilt_squared], lhs, out=lhs)
-        return _rate_box(geom.grid), lhs, grad_v_sq
+        return geom.grid.report_box(seamed=True, laplacian=True), lhs, grad_v_sq
 
 
 def material_rate(state: flow.GraphState, window: flow.TrajectoryWindow, fields) -> WindowRates:
@@ -208,14 +211,6 @@ def material_rate(state: flow.GraphState, window: flow.TrajectoryWindow, fields)
     return WindowRates(geom, window.eta, fixed_rates)
 
 
-def _rate_box(grid: grids.Grid) -> tuple:
-    """Index box of the nodes where a ``material_rate`` check sees only the
-    flow equation: the boundary node moves by its boundary condition and the
-    node beside it reads it (a rate off by d there errs by d / h), so both
-    modes drop two rings."""
-    return grid.interior(2)
-
-
 def _unless_three_dimensional(grid: grids.Grid, reason: str) -> str | None:
     return None if grid.dimension == 3 else f"{reason}, got {grid.dimension}"
 
@@ -226,19 +221,10 @@ def tilt_evolution_skip_reason(grid: grids.Grid) -> str | None:
     return _unless_three_dimensional(grid, "the v^2 evolution coefficients assume dimension 3")
 
 
-#: The node layers ``check_curvature_evolution`` leaves out at the boundary.
-CURVATURE_COLLAR = 5
-
-
 def curvature_evolution_skip_reason(grid: grids.Grid) -> str | None:
     """Why ``check_curvature_evolution`` skips ``grid``, or None."""
     if grid.mode != grids.RADIAL:
         return "curvature evolution is only measurable on radial grids"
-    if grid.resolution <= CURVATURE_COLLAR:
-        return (
-            f"its {CURVATURE_COLLAR}-node boundary collar leaves no node "
-            f"of a {grid.resolution}-node grid"
-        )
     return _unless_three_dimensional(grid, "curvature evolution coefficients assume dimension 3")
 
 
@@ -339,7 +325,7 @@ def check_coordinate_laplacians(geom: geometry.GeometryFields) -> list[ResidualR
     coordinates = [(geom.u, None)]
     if grid.mode == grids.CARTESIAN:
         coordinates += [(grid.coordinate(i), i) for i in range(grid.dimension)]
-    box = grids.laplacian_box(grid)
+    box = grid.report_box(seamed=False, laplacian=True)
     closed, wave = _ResidualSum(box), _ResidualSum(box)
     for coordinate, axis in coordinates:
         lap = geom.laplacian(coordinate)
@@ -393,7 +379,7 @@ def tilt_gradient_residuals(fields: geometry.JetFields, dv_covector) -> tuple:
 def check_tilt_gradient(geom: geometry.GeometryFields) -> ResidualReport:
     """Finite-difference gradient of v against its closed form."""
     dv = grids.field_gradient(geom.v, geom.grid)
-    total = _ResidualSum(geom.grid.interior())
+    total = _ResidualSum(geom.grid.report_box(seamed=True, laplacian=False))
     for slab, fields in geom.slabs():
         for residual in tilt_gradient_residuals(fields, dv[(slice(None), *slab)]):
             total.add(residual, slab)
@@ -568,7 +554,7 @@ def check_weight_evolution(rates: WindowRates, spec: geometry.CutoffSpec) -> Ine
     _, _, _, evol_lower = geometry.cutoff_arrays(
         geom.u, geom.grid.radius_squared(), geom.v, spec
     )
-    box = _rate_box(geom.grid)
+    box = geom.grid.report_box(seamed=False, laplacian=True)
     h = geom.grid.spacing
     tol, scale = grid_tolerance(h, evol_lower, lhs, box=box)
     params = {
@@ -595,7 +581,7 @@ def check_weight_gradient(
         geom.u, geom.grid.radius_squared(), geom.v, spec
     )
     slack = np.minimum(grad_sq - lower, upper - grad_sq)
-    box = geom.grid.interior()
+    box = geom.grid.report_box(seamed=False, laplacian=False)
     h = geom.grid.spacing
     tol, scale = grid_tolerance(h, lower, upper, grad_sq, box=box)
     params = {
@@ -685,14 +671,7 @@ def check_curvature_evolution(rates: WindowRates) -> tuple[ResidualReport, Inequ
         + 4.0 * geom.H**2
         - 2.0 * a2 * (3.0 + a2)
     )
-    # Curvature fields sit two derivatives deep in u, and the identity
-    # differentiates them twice more (the Laplacian, |grad A|^2), so the
-    # boundary node's one-sided values (and whatever the boundary
-    # condition imposed there) reach four nodes in, with 1/h^2
-    # amplification: behind a three-node collar the residual peaks at
-    # the nodes N-5 and N-4 and grows 4x per halving of h.  Masking a
-    # five-node collar keeps the report about the resolved interior.
-    box = geom.grid.interior(CURVATURE_COLLAR)
+    box = geom.grid.report_box(seamed=True, laplacian=True)
     identity = _residual_report("curvature-evolution", [lhs - rhs], box)
     z = _traceless_curvature_sq(geom)
     lhs_z = rate_z - geom.laplacian(z)

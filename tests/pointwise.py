@@ -4,8 +4,8 @@ The package computes in batches (``geometry.JetFields``, the vectorized flow
 kernel).  This module is the independent route they are checked against,
 one point at a time and with full tensors: the ambient chart, single graph
 jets with their induced geometry, the chart isometry on points, jets and
-grid states, criterion 9's comparison of two recorded flows, and the
-spacelike spheres, an exact curved solution.
+grid states, criterion 9's comparison of two recorded flows, and two exact
+curved solutions: the spacelike spheres and the tilted slices.
 """
 
 from __future__ import annotations
@@ -336,7 +336,7 @@ def comparison_run(lo: flow.Trajectory, hi: flow.Trajectory) -> ComparisonResult
 
 
 # ---------------------------------------------------------------------------
-# spacelike spheres
+# exact curved solutions: spacelike spheres and tilted slices
 
 
 def sphere_profile(rho, c):
@@ -344,3 +344,14 @@ def sphere_profile(rho, c):
     the hyperboloid f = c - sqrt(c^2 + 1 + rho^2) in conformal time f = -e^{-u}.
     Its graph speed in n dimensions is d_s u = n c / sqrt(c^2 + 1 + rho^2)."""
     return np.log((c + np.sqrt(c * c + 1.0 + rho * rho)) / (1.0 + rho * rho))
+
+
+def tilted_profile(x, c, s):
+    """The tilted slice u = n s - log(1 - c x_1) at flow time ``s``, over the
+    coordinate arrays ``x`` (``Grid.meshes``, n of them), spacelike where
+    c x_1 < 1 for c < 1.  It is the level set of a linear function of the
+    ambient Minkowski space, a totally umbilic section, curved up to every
+    face and not radial: e^{-2u}|du|^2 = c^2 e^{-2ns}, so v is the same at
+    every node, H = n v, every principal curvature is v, and its graph
+    speed is n."""
+    return len(x) * s - np.log(1.0 - c * x[0])

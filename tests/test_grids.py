@@ -73,6 +73,18 @@ def test_grid_masks():
     np.testing.assert_array_equal(box_mask(rad, rad.interior(ring=2)), ring_mask(rad, 2))
 
 
+def test_report_box_is_seam_depth_plus_reach():
+    """A report's box leaves out its fields' seam depth (1 when built from
+    the one-sided boundary stencils) plus its operator's reach: 1 for a
+    first difference and the radial Laplacian, 2 for the Cartesian one."""
+    for mode, laplacian_reach in ((grids.RADIAL, 1), (grids.CARTESIAN, 2)):
+        grid = grids.Grid(mode, 3, extent=1.0, resolution=9)
+        for seamed in (False, True):
+            for laplacian, reach in ((False, 1), (True, laplacian_reach)):
+                ring = int(seamed) + reach
+                assert grid.report_box(seamed, laplacian) == grid.interior(ring)
+
+
 def test_grid_validation():
     with pytest.raises(ValueError, match="needs at least 5 nodes"):
         grids.Grid(grids.CARTESIAN, 2, extent=1.0, resolution=4)
@@ -238,7 +250,8 @@ def test_radial_laplacian_matches_analytic_solution():
         discrete = geom.laplacian(np.cos(2.0 * rho))
         err = np.abs(discrete - analytic(rho))
         clean = np.arange(res) < res - 1  # all but the outer end node
-        np.testing.assert_array_equal(box_mask(grid, grids.laplacian_box(grid)), clean)
+        box = grid.report_box(seamed=False, laplacian=True)
+        np.testing.assert_array_equal(box_mask(grid, box), clean)
         errs.append(float(np.max(err[clean])))
     order = grids.refinement_order(*errs)
     assert 1.7 <= order <= 2.3, f"radial Laplacian order {order:.2f}"
@@ -273,7 +286,8 @@ def test_cartesian_laplacian_matches_sympy_solution():
         err = np.abs(discrete - lap_fn(X, Y))
         clean = np.zeros(grid.shape, dtype=bool)  # all but two rings
         clean[2:-2, 2:-2] = True
-        np.testing.assert_array_equal(box_mask(grid, grids.laplacian_box(grid)), clean)
+        box = grid.report_box(seamed=False, laplacian=True)
+        np.testing.assert_array_equal(box_mask(grid, box), clean)
         errs.append(float(np.max(err[clean])))
     order = grids.refinement_order(*errs)
     assert 1.7 <= order <= 2.3, f"cartesian Laplacian order {order:.2f}"

@@ -526,10 +526,9 @@ class TestCli:
         assert skipped == ["tilt_evolution", "tilt_bounds", "curvature_evolution"]
         assert built == []
 
-    def test_smallest_radial_grid_skips_curvature_evolution(self, tmp_path):
-        """On 5 nodes, the fewest a grid takes, the five-node collar of
-        ``check_curvature_evolution`` leaves no node: the check is skipped
-        with a note, where it stopped the run with a traceback."""
+    def test_smallest_radial_grid_runs_curvature_evolution(self, tmp_path):
+        """On 5 nodes, the fewest a grid takes, ``check_curvature_evolution``
+        reads the 3 nodes its box keeps, with no skip note and no traceback."""
         cfg = self.write_config(
             tmp_path,
             {
@@ -548,9 +547,25 @@ class TestCli:
         # the exit code is not asserted: 5 and 9 nodes are too few for the orders
         assert done.returncode in (0, 1) and "Traceback" not in done.stderr, done.stderr
         doc = json.loads((out / "report.json").read_text())
-        skipped = [n for n in doc["notes"] if n.startswith("curvature_evolution skipped")]
-        assert len(skipped) == 1 and "collar" in skipped[0]
-        assert not any("curvature" in c["name"] for c in doc["checks"])
+        assert not any(" skipped: " in n for n in doc["notes"])
+        counts = {c["name"]: c.get("count") for c in doc["checks"]}
+        assert counts["curvature-evolution"] == 3 and "traceless-curvature-bound" in counts
+
+    def test_verify_names_s_where_the_state_is_not_spacelike(self, tmp_path, capsys):
+        """A steep ramp whose rim the kernel's one-sided stencil reads as
+        timelike fails in the checking window's kernel evaluation, and the
+        message names the state's s as well as the node."""
+        cfg = self.write_config(
+            tmp_path,
+            {
+                "grid": {"mode": "radial", "dimension": 3, "extent": 0.9, "resolution": 65},
+                "initial": {"profile": "ramp", "tilt": 30},
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "run failed: at s = 0: margin -9.030e-03 at node (63,)" in err, err
 
     @pytest.mark.parametrize("integrator", ["rk2", "euler", "implicit"])
     @pytest.mark.parametrize("resolution", [65, 129, 257])
