@@ -16,9 +16,10 @@ failed, and 2 on a configuration problem.
 This is the one layer that runs flows: ``simulate``, ``barrier``,
 ``flatness`` and ``rescale`` each go through ``_flow``, which records a
 failed run in the report, and hand the trajectory to the analyses in
-``experiments``.  A failed run still writes its report, with whatever
-series the recorded part of the run gives, and ``main`` prints one
-``run failed:`` line for it.
+``experiments``.  ``verify`` records a state its checks read as not
+spacelike the same way.  A failed run still writes its report, with
+whatever series the recorded part of the run gives, and ``main`` prints
+one ``run failed:`` line for it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import experiments, flow, geometry, grids, oracles, reporting, snapshots
 from .config import InitialSpec, RunConfig, load_config
-from .errors import DsmcfError, ParseError, ValidationError
+from .errors import DsmcfError, NonSpacelikeError, ParseError, ValidationError
 
 
 def _new_report(config: RunConfig) -> reporting.Report:
@@ -133,11 +134,15 @@ def _cmd_verify(config: RunConfig) -> reporting.Report:
             applied.append(name)
         else:
             report.notes.append(f"{name} skipped: {reason}")
-    reports = _measure(config, applied, state)
-    fine_names = [n for n in applied if n in _REFINED]
-    if fine_names:
-        fine = replace(config, grid=config.grid.refined()).initial_state()
-        reports = oracles.refined(reports, _measure(config, fine_names, fine))
+    try:  # a state the kernel reads as not spacelike fails the run
+        reports = _measure(config, applied, state)
+        fine_names = [n for n in applied if n in _REFINED]
+        if fine_names:
+            fine = replace(config, grid=config.grid.refined()).initial_state()
+            reports = oracles.refined(reports, _measure(config, fine_names, fine))
+    except NonSpacelikeError as exc:
+        report.record_failure(str(exc))
+        return report
     for entry in reports:
         report.add_check(entry)
     return report
@@ -262,14 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=fn.__doc__)
         cmd.add_argument("--config", help="path to a JSON run config")
         cmd.add_argument("--out", help="output directory (overrides the config)")
-        cmd.add_argument("--seed", type=int, help="seed for sampled checks")
         cmd.add_argument("--quiet", action="store_true", help="print no result or summary lines")
     return parser
 
 
 def _effective_config(args) -> RunConfig:
     config = load_config(args.config) if args.config else RunConfig()
-    given = {k: v for k, v in (("out", args.out), ("seed", args.seed)) if v is not None}
+    given = {"out": args.out} if args.out is not None else {}
     return replace(config, kind=args.command, **given)
 
 

@@ -12,9 +12,11 @@ slices u = c + n s solve the equation exactly, also discretely, because
 every stencil annihilates constants.
 
 Every boundary condition moves the boundary heights at a constant speed
-(see ``BoundaryCondition``), so the flow's kernel wrapper writes that speed
-into the boundary entries of the speed array and every integrator carries
-the boundary exactly, with nothing re-imposed afterwards.
+(see ``BoundaryCondition``): 0 for ``pinned``, which keeps whatever heights
+the state starts with (the Dirichlet problem of Huisken, J. Differential
+Equations 77, 1989), n for ``slicing``.  The flow's kernel wrapper writes
+that speed into the boundary entries of the speed array, so every
+integrator carries the boundary exactly, with nothing re-imposed afterwards.
 
 The explicit integrators are euler, rk2 midpoint and classical rk4.  Their
 step is bounded by the parabolic limit h^2 e^{2u} margin, which collapses
@@ -48,8 +50,7 @@ from .errors import BlowupError, ConvergenceError, NonSpacelikeError
 
 PINNED = "pinned"
 SLICING = "slicing"
-FROZEN = "frozen"
-BC_KINDS = (PINNED, SLICING, FROZEN)
+BC_KINDS = (PINNED, SLICING)
 
 IMPLICIT = "implicit"
 INTEGRATORS = ("euler", "rk2", "rk4", IMPLICIT)
@@ -73,13 +74,12 @@ NEWTON_MAX_HALVINGS = 30
 class BoundaryCondition:
     """Boundary rule for the height field.
 
-    * ``pinned``: boundary stays at one constant height.
+    * ``pinned``: boundary keeps its initial heights, whatever they are.
     * ``slicing``: boundary follows the flat-slice motion u0 + n (s - s0).
-    * ``frozen``: boundary keeps its (possibly non-constant) initial values.
 
     Each rule is affine in s, so it is fully given by the boundary speed
-    it implies: 0 for ``pinned`` and ``frozen``, n for ``slicing``.  The
-    heights a state carries at its boundary are the rule's data.
+    it implies: 0 for ``pinned``, n for ``slicing``.  The heights a state
+    carries at its boundary are the rule's data.
     """
 
     kind: str
@@ -90,15 +90,6 @@ class BoundaryCondition:
 
     def speed(self, dimension: int) -> float:
         return float(dimension) if self.kind == SLICING else 0.0
-
-    def check(self, state: "GraphState") -> None:
-        """Raise ValueError when a pinned ``state`` has non-constant boundary heights."""
-        if self.kind != PINNED:
-            return
-        faces = [state.u.values[face] for face in state.grid.boundary()]
-        const = float(np.ravel(faces[0])[0])
-        if max(np.max(np.abs(face - const)) for face in faces) > 1e-12 * max(1.0, abs(const)):
-            raise ValueError("pinned boundary requires constant initial boundary values")
 
 
 @dataclass

@@ -85,7 +85,7 @@ class Report:
                 "all_passed": self.all_passed(),
             },
         }
-        if not self.checks:
+        if not self.checks and self.failure is None:
             doc["summary"]["marker"] = NO_CHECKS_MARKER
         return doc
 

@@ -9,7 +9,9 @@ Layout (all integers and floats little-endian):
     then each profile in order, all f64
     | u32 crc32 of every byte before it
 
-Heights round-trip bit-exactly.  Step diagnostics are cheap to recompute
+The bc kind codes are 0 ``slicing`` and 1 ``pinned``; code 2, a second name
+of the pinned rule in older files, loads as ``pinned``.  Heights
+round-trip bit-exactly.  Step diagnostics are cheap to recompute
 from a state (``flow.diagnose``) and are not persisted.  A file of another
 format version raises VersionMismatchError naming both versions.
 """
@@ -33,7 +35,8 @@ _HEADER = struct.Struct("<8sI4BIdQQI")
 _CRC = struct.Struct("<I")
 
 _MODES = (grids.RADIAL, grids.CARTESIAN)
-_BC_KINDS = (flow.SLICING, flow.PINNED, flow.FROZEN)
+#: Code 2 was ``frozen``, the same rule as ``pinned``: older files still load.
+_BC_KINDS = (flow.SLICING, flow.PINNED, flow.PINNED)
 
 
 def _decode(code, table, what, path):
@@ -47,16 +50,11 @@ def _as_state(grid: grids.Grid, values: np.ndarray, bc_kind: str, s: float, path
         raise CorruptFileError(
             f"{path}: profile holds {values.size} values, grid needs {grid.node_count}"
         )
-    state = flow.GraphState(
+    return flow.GraphState(
         u=grids.Field(grid, values.reshape(grid.shape)),
         s=s,
         bc=flow.BoundaryCondition(bc_kind),
     )
-    try:
-        state.bc.check(state)
-    except ValueError as exc:  # a pinned boundary with varying heights
-        raise CorruptFileError(f"{path}: {exc}") from exc
-    return state
 
 
 def save_trajectory(traj: flow.Trajectory, path) -> None:

@@ -142,7 +142,7 @@ def test_3_discrete_laplacian_refinement_orders():
         return flow.GraphState(
             u=grids.Field(grid, 0.1 * np.sin(x) * np.cos(y)),
             s=0.0,
-            bc=flow.BoundaryCondition(flow.FROZEN),
+            bc=flow.BoundaryCondition(flow.PINNED),
         )
 
     orders = {}

@@ -55,7 +55,7 @@ def synthetic_trajectory(grid, s_values, family):
         flow.GraphState(
             u=grids.Field(grid, family(float(s))),
             s=float(s),
-            bc=flow.BoundaryCondition(flow.FROZEN),
+            bc=flow.BoundaryCondition(flow.PINNED),
         )
         for s in s_values
     ]
@@ -239,7 +239,7 @@ class TestRescale:
                 flow.GraphState(
                     u=grids.Field(grid, snap_u),
                     s=0.0,
-                    bc=flow.BoundaryCondition(flow.FROZEN),
+                    bc=flow.BoundaryCondition(flow.PINNED),
                 ),
                 shift,
             )
@@ -336,7 +336,7 @@ class TestComparison:
         assert np.all(res.worst_gap <= res.tolerance)
         assert res.tolerance == pytest.approx(10.0 * low.grid.spacing**2)
 
-    # The rejections read short runs: the frozen-boundary pair below loses
+    # The rejections read short runs: the pinned-boundary pair below loses
     # its margin at the rim long before the default s_end.
     SHORT = flow.FlowConfig(s_end=0.01)
 
@@ -350,7 +350,7 @@ class TestComparison:
     def test_rejects_mismatched_boundary_kinds(self):
         low, high = self.make_pair()
         high = flow.GraphState(
-            u=high.u, s=0.0, bc=flow.BoundaryCondition(flow.FROZEN)
+            u=high.u, s=0.0, bc=flow.BoundaryCondition(flow.PINNED)
         )
         with pytest.raises(ValueError, match="boundary kind"):
             pointwise.comparison_run(flow.run(low, self.SHORT), flow.run(high, self.SHORT))

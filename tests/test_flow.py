@@ -378,7 +378,7 @@ def test_run_records_margin_loss_instead_of_raising():
     state = flow.GraphState(
         u=grids.Field(grid, 2.0 * grid.axis()),  # slope 2 is timelike near the axis
         s=0.0,
-        bc=flow.BoundaryCondition(flow.FROZEN),
+        bc=flow.BoundaryCondition(flow.PINNED),
     )
     traj = flow.run(state, flow.FlowConfig(s_end=0.1))
     assert traj.failure is not None and "margin" in traj.failure
@@ -436,7 +436,7 @@ def test_max_steps_guard():
 def test_boundary_condition_is_a_kind_and_its_speed():
     assert [f.name for f in dataclasses.fields(flow.BoundaryCondition)] == ["kind"]
     speeds = {kind: flow.BoundaryCondition(kind).speed(3) for kind in flow.BC_KINDS}
-    assert speeds == {flow.PINNED: 0.0, flow.SLICING: 3.0, flow.FROZEN: 0.0}
+    assert speeds == {flow.PINNED: 0.0, flow.SLICING: 3.0}
 
 
 @pytest.mark.parametrize("kind", flow.BC_KINDS)
@@ -460,26 +460,14 @@ def test_pinned_boundary_stays_constant():
     assert traj.final.u.values[-1] == pytest.approx(boundary_value, abs=1e-14)
 
 
-def test_pinned_rejects_nonconstant_boundary():
-    grid = grids.Grid(grids.CARTESIAN, 2, extent=1.0, resolution=9)
-    X, Y = grid.meshes()
-    state = flow.GraphState(
-        u=grids.Field(grid, 0.1 * X),
-        s=0.0,
-        bc=flow.BoundaryCondition(flow.PINNED),
-    )
-    with pytest.raises(ValueError):
-        state.bc.check(state)
-
-
-def test_frozen_boundary_keeps_initial_profile():
+def test_pinned_boundary_keeps_initial_profile():
     """Every node on a face, edge or corner keeps its height; the rest move."""
     for dimension in (2, 3):
         grid = grids.Grid(grids.CARTESIAN, dimension, extent=1.0, resolution=9)
         X, Y = grid.meshes()[:2]
         u0 = 0.05 * X + 0.02 * Y**2
         state = flow.GraphState(
-            u=grids.Field(grid, u0), s=0.0, bc=flow.BoundaryCondition(flow.FROZEN)
+            u=grids.Field(grid, u0), s=0.0, bc=flow.BoundaryCondition(flow.PINNED)
         )
         traj = flow.run(state, flow.FlowConfig(dt_fixed=1e-4, s_end=2e-3))
         assert traj.failure is None
@@ -510,7 +498,7 @@ def test_isometry_shift_matches_analytic_pullback():
     state = flow.GraphState(
         u=grids.Field(grid, 0.5 - 0.2 * rho**2),
         s=0.0,
-        bc=flow.BoundaryCondition(flow.FROZEN),
+        bc=flow.BoundaryCondition(flow.PINNED),
     )
     a = 0.4
     shifted = pointwise.isometry_shift_state(state, a)
@@ -552,7 +540,7 @@ def test_mean_convexity_violated_by_shifted_concave_bump():
     state = flow.GraphState(
         u=grids.Field(grid, -1.15 - 0.3 * np.exp(-(rho**2))),
         s=0.0,
-        bc=flow.BoundaryCondition(flow.FROZEN),
+        bc=flow.BoundaryCondition(flow.PINNED),
     )
     diag = flow.diagnose(state)
     assert diag.mean_convexity_violations > 0

@@ -254,6 +254,20 @@ class TestSnapshots:
         with pytest.raises(CorruptFileError, match="checksum"):
             snapshots.load_trajectory(path)
 
+    def test_boundary_code_two_loads_as_pinned(self, tmp_path):
+        """Boundary code 2, a retired second name of the pinned rule, reads as pinned."""
+        traj = one_state_trajectory(small_state(bc=flow.PINNED))
+        path = tmp_path / "traj.dsmcf"
+        snapshots.save_trajectory(traj, path)
+        blob = bytearray(path.read_bytes())
+        assert blob[14] == 1
+        blob[14] = 2
+        blob[-4:] = snapshots._CRC.pack(zlib.crc32(blob[:-4]))
+        path.write_bytes(bytes(blob))
+        (back,) = snapshots.load_trajectory(path).snapshots
+        assert back.bc.kind == flow.PINNED
+        assert np.array_equal(back.u.values, traj.final.u.values)
+
     def test_version_mismatch_names_both(self, tmp_path):
         path = tmp_path / "traj.dsmcf"
         snapshots.save_trajectory(one_state_trajectory(), path)
@@ -398,8 +412,10 @@ class TestReporting:
         assert lines[1] == "0.0,1.0"
 
     def test_no_checks_marker(self):
-        doc = reporting.Report(config={}).as_dict()
-        assert doc["summary"]["marker"] == reporting.NO_CHECKS_MARKER
+        report = reporting.Report(config={})
+        assert report.as_dict()["summary"]["marker"] == reporting.NO_CHECKS_MARKER
+        report.record_failure("flow run failed")
+        assert "marker" not in report.as_dict()["summary"]
 
     def test_unwritable_path_raises_io_error(self, tmp_path):
         blocker = tmp_path / "file"
@@ -566,6 +582,10 @@ class TestCli:
         assert cli.main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 1
         err = capsys.readouterr().err
         assert "run failed: at s = 0: margin -9.030e-03 at node (63,)" in err, err
+        # the failed run still writes its report, and the verdict is the failure
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["summary"]["all_passed"] is False and "marker" not in doc["summary"]
+        assert any("at s = 0" in n and "at node (63,)" in n for n in doc["notes"])
 
     @pytest.mark.parametrize("integrator", ["rk2", "euler", "implicit"])
     @pytest.mark.parametrize("resolution", [65, 129, 257])
@@ -588,22 +608,32 @@ class TestCli:
             assert check["passed"] is True and low <= check["order"] <= high
 
     @pytest.mark.parametrize("command", ["simulate", "flatness", "rescale", "verify"])
-    def test_pinned_nonconstant_boundary_is_a_config_error(self, tmp_path, capsys, command):
-        # verify runs its time-derivative checks only in three dimensions
-        dimension = 3 if command == "verify" else 2
+    def test_pinned_runs_a_nonconstant_boundary(self, tmp_path, capsys, command):
+        """A bump on a square has boundary heights that vary along each edge;
+        ``pinned`` runs it, and the saved trajectory keeps them bit for bit."""
         cfg = self.write_config(
             tmp_path,
             {
-                "grid": {"mode": "cartesian", "dimension": dimension, "resolution": 9},
+                "grid": {"mode": "cartesian", "dimension": 2, "resolution": 9},
                 "bc": "pinned",
                 "initial": {"profile": "bump"},
                 "flow": {"s_end": 0.01},
             },
         )
-        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
-        assert "pinned boundary requires constant" in err
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", cfg, "--out", str(out), "--quiet"]) in (0, 1)
+        assert "config error" not in capsys.readouterr().err
+        if command != "simulate":
+            return
+        initial = config.load_config(cfg).initial_state()
+        u0, faces = initial.u.values, initial.grid.boundary()
+        assert np.ptp(np.concatenate([u0[face] for face in faces])) > 0.0
+        traj = snapshots.load_trajectory(out / "trajectory.dsmcf")
+        assert traj.snapshots[-1].s == pytest.approx(0.01)
+        for snap in traj.snapshots:
+            assert snap.bc.kind == flow.PINNED
+            for face in faces:
+                assert np.array_equal(snap.u.values[face], u0[face])
 
     @pytest.mark.parametrize(
         "grid",
@@ -646,6 +676,7 @@ class TestCli:
             {"experiment": {"rho": 0}},
             # checked before the run: the default grid has 1024 nodes
             {"experiment": {"rho": 5.0}},
+            {"bc": "frozen"},
         ],
     )
     def test_bad_config_values_exit_two(self, tmp_path, capsys, doc):
@@ -1090,10 +1121,9 @@ class TestCli:
             )
         }
         toggles.update({"jet_sampling": True, "jet_count": 2000})
-        cfg = self.write_config(tmp_path, {"checks": toggles})
+        cfg = self.write_config(tmp_path, {"checks": toggles, "seed": 11})
         out = tmp_path / "out"
-        code = cli.main(["verify", "--config", cfg, "--out", str(out), "--seed", "11", "--quiet"])
-        assert code == 0
+        assert cli.main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         doc = json.loads((out / "report.json").read_text())
         names = {c["name"] for c in doc["checks"]}
         assert names == {

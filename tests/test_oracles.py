@@ -172,7 +172,7 @@ def test_coordinate_laplacian_cartesian_orders():
         return flow.GraphState(
             u=grids.Field(grid, 0.1 * np.sin(x) * np.cos(y)),
             s=0.0,
-            bc=flow.BoundaryCondition(flow.FROZEN),
+            bc=flow.BoundaryCondition(flow.PINNED),
         )
 
     closed, wave = refined(oracles.check_coordinate_laplacians, geom, state(25), state(49))
