@@ -16,10 +16,11 @@ failed, and 2 on a configuration problem.
 This is the one layer that runs flows: ``simulate``, ``barrier``,
 ``flatness`` and ``rescale`` each go through ``_flow``, which records a
 failed run in the report, and hand the trajectory to the analyses in
-``experiments``.  ``verify`` records a state its checks read as not
-spacelike the same way.  A failed run still writes its report, with
-whatever series the recorded part of the run gives, and ``main`` prints
-one ``run failed:`` line for it.
+``experiments``.  ``verify`` records a failed check pass the same way:
+any error of its checks but a config error, such as a state the kernel
+reads as not spacelike or heights below the weight's threshold.  A failed
+run still writes its report, with whatever series the recorded part of
+the run gives, and ``main`` prints one ``run failed:`` line for it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import experiments, flow, geometry, grids, oracles, reporting, snapshots
 from .config import InitialSpec, RunConfig, load_config
-from .errors import DsmcfError, NonSpacelikeError, ParseError, ValidationError
+from .errors import DsmcfError, ParseError, ValidationError
 
 
 def _new_report(config: RunConfig) -> reporting.Report:
@@ -134,13 +135,15 @@ def _cmd_verify(config: RunConfig) -> reporting.Report:
             applied.append(name)
         else:
             report.notes.append(f"{name} skipped: {reason}")
-    try:  # a state the kernel reads as not spacelike fails the run
+    try:  # a check that cannot be evaluated fails the run; a config error stays one
         reports = _measure(config, applied, state)
         fine_names = [n for n in applied if n in _REFINED]
         if fine_names:
             fine = replace(config, grid=config.grid.refined()).initial_state()
             reports = oracles.refined(reports, _measure(config, fine_names, fine))
-    except NonSpacelikeError as exc:
+    except ValidationError:
+        raise
+    except DsmcfError as exc:
         report.record_failure(str(exc))
         return report
     for entry in reports:

@@ -188,9 +188,12 @@ def flatness_run(traj: flow.Trajectory, theta: float) -> FlatnessResult:
 
     Per snapshot, the tilt excess sup(v - 1) and the height spread
     sup |u - mean u| are taken over the inner half-region (radius up to
-    half the grid extent).  The flattening time is the first snapshot
-    with excess <= theta, in (0, 1) (``config.ExperimentSpec``); hitting
-    the end of the run first is reported through ``reached``, not raised.
+    half the grid extent).  The flattening time is where the excess first
+    falls to theta (in (0, 1), ``config.ExperimentSpec``), linear in the
+    excess between the last snapshot above theta and the first at or below
+    it, so the snapshot spacing moves it only at second order; it is 0 when
+    the first snapshot is already theta-flat.  Hitting the end of the run
+    first is reported through ``reached``, not raised.
     """
     grid = traj.final.grid
     inner = grid.radius_squared() <= (0.5 * grid.extent) ** 2
@@ -204,7 +207,13 @@ def flatness_run(traj: flow.Trajectory, theta: float) -> FlatnessResult:
     s = traj.s_values()
     hits = np.nonzero(excess <= theta)[0]
     reached = len(hits) > 0
-    flattening = float(s[hits[0]]) if reached else None
+    flattening = None
+    if reached:
+        k = int(hits[0])
+        flattening = float(s[k])
+        if k > 0:
+            above, below = excess[k - 1], excess[k]
+            flattening -= float((theta - below) / (above - below) * (s[k] - s[k - 1]))
     cut = max(1, (2 * len(excess)) // 3)
     tail = excess[cut:]
     decreasing = bool(

@@ -19,8 +19,8 @@ that speed into the boundary entries of the speed array, so every
 integrator carries the boundary exactly, with nothing re-imposed afterwards.
 
 The explicit integrators are euler, rk2 midpoint and classical rk4.  Their
-step is bounded by the parabolic limit h^2 e^{2u} margin, which collapses
-with the margin.
+step is a fraction of the monotone limit of forward Euler (``stable_dt``),
+of order h^2 e^{2u} margin, which collapses with the margin.
 
 The radial-only ``implicit`` integrator is backward Euler on the same
 kernel speed (the implicit graph stepping of Deckelnick, Dziuk and Elliott,
@@ -30,7 +30,7 @@ row of that Jacobian is zero, so the boundary row of the system moves the
 boundary node by dt times its boundary speed.  A Newton update whose
 iterate fails the kernel's margin check is halved, never clamped.
 Without ``dt_fixed`` the step size follows an accuracy control (step
-doubling) instead of the parabolic limit.
+doubling) instead of the monotone limit.
 
 The steppers return bare states.  The health numbers of a state (smallest
 margin and its node, largest tilt, range of H, mean-convexity violations)
@@ -112,11 +112,11 @@ class GraphState:
 class FlowConfig:
     """Stepping parameters.
 
-    ``cfl_safety`` scales the parabolic stable step of the explicit
-    integrators; ``dt_max`` caps the step where the diffusion bound becomes
-    huge (high slices make e^{2u} enormous while the reaction terms still
-    move at unit rate in s), for the implicit integrator too.  ``dt_fixed``
-    forces a constant step.
+    ``cfl_safety`` scales the monotone step of the explicit integrators
+    (``stable_dt``; 1 is the limit itself); ``dt_max`` caps the step where
+    the diffusion bound becomes huge (high slices make e^{2u} enormous
+    while the reaction terms still move at unit rate in s), for the
+    implicit integrator too.  ``dt_fixed`` forces a constant step.
     """
 
     integrator: str = "rk2"
@@ -194,21 +194,33 @@ class TrajectoryWindow:
 
 
 def stable_dt(state: GraphState, cfl_safety: float, margin=None) -> float:
-    """Parabolic stability surrogate: cfl * h^2 * min(e^{2u} / (2 n v^2)).
+    """cfl times the monotone step: the largest dt that keeps every diagonal
+    entry of I + dt J nonnegative, J the Jacobian of the principal part of
+    the kernel speed.  That is the step half of the condition under which
+    a forward-Euler step keeps the comparison principle (Oberman, SIAM J.
+    Numer. Anal. 44, 2006); the signs off the diagonal are the stencils'.
 
-    The principal part of the flow operator scales like v^2 e^{-2u} per
-    axis, so this is the classical explicit-Euler bound with the worst node
-    deciding.  min(e^{2u}/v^2) equals min(e^{2u} * margin), taken in log
-    form (e^{2u} overflows past u = 354); a bound past the largest float is
-    inf.  ``margin`` is the kernel's margin at ``state`` when the caller
-    already has it; otherwise the kernel is evaluated here.
+    The step is (h^2 / 2) min(e^{2u} / d) with the diagonal weight d of
+    each node's second-difference stencil: v^2 at a radial interior node,
+    where only u'' sits on the diagonal; (n + 2) / 3 at the axis, whose row
+    also carries the extrapolated (n - 1) u'/rho and where v = 1; and
+    n - 1 + v^2 in Cartesian mode, the trace of e^{2u} gamma^{ij}.  With
+    e^{2u} / v^2 = e^{2u} margin it is taken in log form (e^{2u} overflows
+    past u = 354); a bound past the largest float is inf.  ``margin`` is
+    the kernel's margin at ``state`` when the caller already has it;
+    otherwise the kernel is evaluated here.
     """
     grid = state.grid
+    n = grid.dimension
     if margin is None:
         _, _, _, margin = geometry.graph_speed_fields(state.u.values, grid)
     exponent = np.log(margin)
     exponent += 2.0 * state.u.values
-    log_dt = math.log(cfl_safety * grid.spacing**2 / (2.0 * grid.dimension))
+    if grid.mode == grids.RADIAL:
+        exponent[0] -= math.log((n + 2.0) / 3.0)
+    else:
+        exponent -= np.log1p((n - 1.0) * margin)
+    log_dt = math.log(cfl_safety * grid.spacing**2 / 2.0)
     log_dt += float(exponent.min())
     try:
         return math.exp(log_dt)

@@ -23,6 +23,13 @@ def radial_state(resolution=33, extent=2.0, amplitude=0.2, kind=flow.PINNED):
     )
 
 
+def wrinkled_state():
+    """The benchmark's wrinkled slice: 257 nodes over radius 3, slicing."""
+    grid = grids.Grid(grids.RADIAL, 3, extent=3.0, resolution=257)
+    u0 = config.InitialSpec("wrinkled", amplitude=0.2, width=1.2).build(grid)
+    return flow.GraphState(u=grids.Field(grid, u0), s=0.0, bc=flow.BoundaryCondition(flow.SLICING))
+
+
 # ---------------------------------------------------------------------------
 # stable step
 
@@ -46,16 +53,72 @@ def test_stable_dt_frozen_flat_slice():
     assert flow.stable_dt(up, 0.25) == pytest.approx(4.0 * dt, rel=1e-12)
 
 
-def test_stable_dt_matches_formula_on_tilted_state():
-    state = radial_state(amplitude=0.4)
-    _, v2, _, margin = geometry.graph_speed_fields(state.u.values, state.grid)
-    expected = (
-        0.3
-        * state.grid.spacing**2
-        * float(np.min(np.exp(2.0 * state.u.values) * margin))
-        / 6.0
+def _flowed(state, integrator, times):
+    """``state`` and the states an explicit run from it reaches at ``times``."""
+    out = [state]
+    for s_end in times:
+        cfg = flow.FlowConfig(integrator=integrator, cfl_safety=0.5, s_end=s_end)
+        traj = flow.run(state, cfg)
+        assert traj.failure is None
+        out.append(traj.final)
+    return out
+
+
+def _radial_diagonal(state):
+    """Largest |J_ii| of the radial kernel speed, boundary row aside."""
+    ab = geometry.radial_speed_jacobian(state.u.values, state.grid)
+    return float(np.max(np.abs(ab[3, :-1])))
+
+
+def _cartesian_diagonal(state):
+    """Largest |J_ii| of the Cartesian kernel speed over the interior, each
+    entry a central difference in its own node's height."""
+    u, grid = state.u.values, state.grid
+    eps = 1e-6
+    largest = 0.0
+    for idx in np.ndindex(*(r - 2 for r in grid.shape)):
+        node = tuple(i + 1 for i in idx)
+        up, down = u.copy(), u.copy()
+        up[node] += eps
+        down[node] -= eps
+        rate = (
+            geometry.graph_speed_fields(up, grid)[0][node]
+            - geometry.graph_speed_fields(down, grid)[0][node]
+        ) / (2.0 * eps)
+        largest = max(largest, abs(rate))
+    return largest
+
+
+def test_stable_dt_is_the_monotone_step():
+    """At cfl 1 the step is the largest that keeps every diagonal entry of
+    I + dt J nonnegative; the O(1) reaction term in J_ii is the only gap."""
+    disk = grids.Grid(grids.RADIAL, 3, extent=4.0, resolution=513)
+    pinned = flow.GraphState(
+        u=grids.Field(disk, np.zeros(disk.shape)), s=0.0, bc=flow.BoundaryCondition(flow.PINNED)
     )
-    assert flow.stable_dt(state, 0.3) == pytest.approx(expected, rel=1e-12)
+    radial = _flowed(pinned, "euler", (0.002, 0.02)) + _flowed(
+        wrinkled_state(), "rk2", (0.05, 0.2, 0.8)
+    )
+    products = [flow.stable_dt(st, 1.0) * _radial_diagonal(st) for st in radial]
+    for dimension, resolution in ((2, 21), (3, 13)):
+        grid = grids.Grid(grids.CARTESIAN, dimension, extent=1.5, resolution=resolution)
+        bump = flow.GraphState(
+            u=grids.Field(grid, 0.3 * np.exp(-grid.radius_squared())),
+            s=0.0,
+            bc=flow.BoundaryCondition(flow.SLICING),
+        )
+        products.append(flow.stable_dt(bump, 1.0) * _cartesian_diagonal(bump))
+    assert all(0.98 <= p <= 1.02 for p in products), products
+
+
+def test_wrinkled_run_takes_the_monotone_step_count():
+    """The step rule is guarded by a count, not a clock: the 257-node
+    wrinkled slice reaches s = 0.25 in at most 4,800 rk2 steps at cfl 0.5
+    (4,733 at the monotone step; the n-dimensional bound took 11,952)."""
+    cfg = flow.FlowConfig(integrator="rk2", cfl_safety=0.5, s_end=0.25)
+    traj = flow.run(wrinkled_state(), cfg)
+    assert traj.failure is None
+    assert traj.steps <= 4800, traj.steps
 
 
 def test_flat_slicing_run_to_huge_heights_does_not_overflow():
@@ -90,7 +153,7 @@ def test_run_evaluates_the_kernel_once_per_stage(monkeypatch, integrator, stages
         return kernel(u_values, grid)
 
     monkeypatch.setattr(geometry, "graph_speed_fields", counted)
-    cfg = flow.FlowConfig(integrator=integrator, s_end=4e-3, snapshot_stride=7)
+    cfg = flow.FlowConfig(integrator=integrator, s_end=1e-2, snapshot_stride=7)
     traj = flow.run(radial_state(amplitude=0.4), cfg)
     assert traj.failure is None and traj.steps > 10
     assert len(calls) == stages * traj.steps

@@ -587,6 +587,24 @@ class TestCli:
         assert doc["summary"]["all_passed"] is False and "marker" not in doc["summary"]
         assert any("at s = 0" in n and "at node (63,)" in n for n in doc["notes"])
 
+    def test_verify_records_heights_below_the_weight_threshold(self, tmp_path, capsys):
+        """Heights below the weight's t_min fail the run the way a state that
+        is not spacelike does: one stderr line, exit 1, and a written report
+        whose verdict is the failure."""
+        cfg = self.write_config(
+            tmp_path,
+            {
+                "grid": {"mode": "radial", "dimension": 3, "extent": 2.0, "resolution": 33},
+                "checks": {"weight_evolution": True},
+            },
+        )
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == "run failed: height 0 below threshold 10\n"
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["summary"]["all_passed"] is False
+        assert "height 0 below threshold 10" in doc["notes"]
+
     @pytest.mark.parametrize("integrator", ["rk2", "euler", "implicit"])
     @pytest.mark.parametrize("resolution", [65, 129, 257])
     def test_verify_radial_bump_passes_under_refinement(self, tmp_path, resolution, integrator):
